@@ -16,10 +16,14 @@ Usage (from the repository root)::
 of the kernel event-throughput microbenchmark.
 
 ``--check-floor`` (implies ``--full``) turns the run into a perf gate:
-it fails (exit 1) if the measured ``ban_simulation_rate_5s`` throughput
-drops below the committed ``seed`` baseline scaled by
-``--floor-fraction``.  CI passes a fraction < 1 because hosted runners
-are slower and noisier than the reference container; locally, use the
+it fails (exit 1) if ``ban_simulation_rate_5s`` or ``ban_csma_rate_5s``
+simulates fewer seconds per wall second than the committed ``seed``
+record scaled by ``--floor-fraction``.  Each run simulates a fixed
+span, so that is the seed record's ``best_s`` divided by the fraction,
+compared with the measured ``best_s``.  Events/s would not do: a change
+that dispatches fewer events for the same simulated span would read
+as a slowdown.  CI passes a fraction < 1 because hosted runners are
+slower and noisier than the reference container; locally, use the
 default 1.0 to assert "no regression against seed".
 """
 
@@ -145,7 +149,8 @@ def ban_csma_rate() -> int:
     return scenario.sim.events_dispatched
 
 
-#: Benchmarks gated by ``--check-floor`` against their ``seed`` records.
+#: Benchmarks gated by ``--check-floor`` against their ``seed`` records,
+#: on wall time per run (each simulates the same fixed span).
 FLOOR_GATED = ("ban_simulation_rate_5s", "ban_csma_rate_5s")
 
 
@@ -177,7 +182,7 @@ def measure(workload: Callable[[], int], repeats: int) -> Dict[str, float]:
 
 
 def seed_baseline(benchmark: str) -> float:
-    """The committed ``seed``-labelled events/s for ``benchmark``.
+    """The committed ``seed``-labelled ``best_s`` for ``benchmark``.
 
     Raises SystemExit if the history has no such record — a perf gate
     with no baseline should fail loudly, not silently pass.
@@ -185,12 +190,12 @@ def seed_baseline(benchmark: str) -> float:
     history: List[Dict] = []
     if RESULTS_PATH.exists():
         history = json.loads(RESULTS_PATH.read_text())
-    rates = [r["events_per_s"] for r in history
+    times = [r["best_s"] for r in history
              if r.get("benchmark") == benchmark and r.get("label") == "seed"]
-    if not rates:
+    if not times:
         raise SystemExit(
             f"no 'seed' record for {benchmark} in {RESULTS_PATH}")
-    return max(rates)
+    return min(times)
 
 
 def append_record(record: Dict) -> None:
@@ -217,9 +222,10 @@ def main(argv=None) -> int:
                         help="print records without touching "
                              "BENCH_kernel.json")
     parser.add_argument("--check-floor", action="store_true",
-                        help="fail if ban_simulation_rate_5s falls below "
-                             "the committed seed baseline scaled by "
-                             "--floor-fraction (implies --full)")
+                        help="fail if the 5 s BAN runs simulate fewer "
+                             "seconds per wall second than the committed "
+                             "seed records scaled by --floor-fraction "
+                             "(implies --full)")
     parser.add_argument("--floor-fraction", type=float, default=1.0,
                         help="fraction of the seed baseline that is "
                              "still a pass (default 1.0; CI uses less "
@@ -242,7 +248,7 @@ def main(argv=None) -> int:
     measured: Dict[str, float] = {}
     for name, workload in workloads:
         stats = measure(workload, args.repeats)
-        measured[name] = stats["events_per_s"]
+        measured[name] = stats["best_s"]
         record = {"benchmark": name, "timestamp_utc": stamp,
                   "git_rev": rev, "label": args.label,
                   "python": sys.version.split()[0], **stats}
@@ -255,13 +261,13 @@ def main(argv=None) -> int:
         failed = False
         for benchmark in FLOOR_GATED:
             baseline = seed_baseline(benchmark)
-            floor = baseline * args.floor_fraction
-            rate = measured[benchmark]
-            verdict = "ok" if rate >= floor else "FAIL"
-            print(f"floor check [{benchmark}]: {rate:,.1f} ev/s vs floor "
-                  f"{floor:,.1f} ({args.floor_fraction:g} x seed "
-                  f"{baseline:,.1f}): {verdict}")
-            failed = failed or rate < floor
+            ceiling = baseline / args.floor_fraction
+            best = measured[benchmark]
+            verdict = "ok" if best <= ceiling else "FAIL"
+            print(f"floor check [{benchmark}]: {best:.4f} s per run vs "
+                  f"ceiling {ceiling:.4f} s (seed {baseline:.4f} s / "
+                  f"{args.floor_fraction:g}): {verdict}")
+            failed = failed or best > ceiling
         if failed:
             return 1
     return 0

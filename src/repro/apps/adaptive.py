@@ -129,22 +129,24 @@ class AdaptiveCardiacApp(SamplingApplication):
         return None
 
     def _enter_alarm(self, reason: str) -> None:
-        self._alarm_until = self._sim.now + self.alarm_hold_ticks
+        # Called from handle_samples: "now" is the sample's tick.
+        now = self.sample_tick
+        self._alarm_until = now + self.alarm_hold_ticks
         if self.mode is CardiacMode.ALARM:
             return
         self.mode = CardiacMode.ALARM
         self.alarms_raised += 1
         self.mode_changes.append(
-            (to_seconds(self._sim.now), CardiacMode.ALARM, reason))
+            (to_seconds(now), CardiacMode.ALARM, reason))
         if self._trace is not None:
-            self._trace.record(self._sim.now, self.name, "alarm", reason)
+            self._trace.record(now, self.name, "alarm", reason)
 
     def _maybe_recover(self) -> None:
-        if self.mode is CardiacMode.ALARM \
-                and self._sim.now >= self._alarm_until:
+        now = self.sample_tick
+        if self.mode is CardiacMode.ALARM and now >= self._alarm_until:
             self.mode = CardiacMode.MONITOR
             self.mode_changes.append(
-                (to_seconds(self._sim.now), CardiacMode.MONITOR,
+                (to_seconds(now), CardiacMode.MONITOR,
                  "rhythm normalised"))
             self._stream_buffer.clear()
 
@@ -152,7 +154,7 @@ class AdaptiveCardiacApp(SamplingApplication):
     # Sampling
     # ------------------------------------------------------------------
     def handle_samples(self, codes: Tuple[int, ...]) -> None:
-        now_s = to_seconds(self._sim.now)
+        now_s = to_seconds(self.sample_tick)
         lag = self._detector.process(float(codes[0]))
         if lag > 0:
             self.beats_detected += 1

@@ -11,6 +11,12 @@ MCU cost: each timer fire posts one task costing
 ``channels * sample_acquisition`` cycles plus whatever
 :meth:`extra_cycles_per_channel` adds (the Rpeak detector's algorithm
 cost) — exactly the calibrated per-sample decomposition.
+
+A fire that finds the MCU idle books that task through
+:meth:`~repro.tinyos.scheduler.TaskScheduler.run_idle` instead: the
+acquisition then runs later, stamped with its acquisition tick
+(:attr:`SamplingApplication.sample_tick`), and the MAC's payload read
+settles it first, so the MAC sees exactly the samples taken by then.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ class SamplingApplication(Component):
         self._timer = VirtualTimer(sim, self._sample_tick,
                                    name=f"{name}.sample_timer")
         self._samples_taken = 0
+        #: Acquisition tick of the sample vector being handled; read it,
+        #: not ``sim.now``, in :meth:`handle_samples`.
+        self.sample_tick = 0
         self._label_sample = f"{name}.sample"
         # Per-tick task cost: channel count and calibration are fixed, so
         # the timer handler books a precomputed constant.
@@ -78,13 +87,14 @@ class SamplingApplication(Component):
         #: the owning node's id (set by SensorNode.attach_spans).
         self.spans: Optional["SpanTracer"] = None
         self.spans_node: str = ""
-        mac.payload_provider = self.next_payload
+        mac.payload_provider = self._provide_payload
 
     # ------------------------------------------------------------------
     # Subclass interface
     # ------------------------------------------------------------------
     def handle_samples(self, codes: Tuple[int, ...]) -> None:
-        """Consume one sample vector (one ADC code per channel)."""
+        """Consume one sample vector (one ADC code per channel), taken
+        at :attr:`sample_tick`."""
         raise NotImplementedError
 
     def next_payload(self) -> Optional[AppPayload]:
@@ -123,18 +133,28 @@ class SamplingApplication(Component):
     # Sampling machinery
     # ------------------------------------------------------------------
     def _sample_tick(self) -> None:
-        self._scheduler.post(self._acquire, self._tick_cost,
-                             label=self._label_sample)
+        if not self._scheduler.run_idle(self._acquire_at, self._tick_cost):
+            self._scheduler.post(self._acquire, self._tick_cost,
+                                 label=self._label_sample)
 
     def _acquire(self) -> None:
+        self._acquire_at(self._sim.now)
+
+    def _acquire_at(self, tick: int) -> None:
         if self.spans is not None:
-            self.spans.note_sample(self.spans_node, self._sim.now,
-                                   self._tick_cost)
+            self.spans.note_sample(self.spans_node, tick, self._tick_cost)
         read_channel = self._asic.read_channel
         convert = self._adc.convert
-        codes = tuple([convert(read_channel(c)) for c in self.channels])
+        codes = tuple([convert(read_channel(c, tick))
+                       for c in self.channels])
         self._samples_taken += 1
+        self.sample_tick = tick
         self.handle_samples(codes)
+
+    def _provide_payload(self) -> Optional[AppPayload]:
+        # The MAC reads what the samples taken so far left behind.
+        self._scheduler.settle()
+        return self.next_payload()
 
 
 __all__ = ["SamplingApplication"]

@@ -79,7 +79,7 @@ class RpeakApp(SamplingApplication):
                     "channel": channel,
                     "lag_samples": lag,
                     "beat_id": self._beat_counter,
-                    "detected_at_s": to_seconds(self._sim.now),
+                    "detected_at_s": to_seconds(self.sample_tick),
                 }
                 if len(self._pending) == self._pending.maxlen:
                     self.reports_dropped += 1

@@ -30,11 +30,22 @@ kernel's throughput rather than for symmetry with the query side:
   open interval open instead of splitting it.  The split and unsplit
   bookings sum the same integer tick count, so every query is exact;
   the transition counter and the observer still see the call.
+
+Planned transitions
+-------------------
+
+:meth:`PowerStateLedger.plan` books a transition at an explicit future
+tick without a kernel event: the TinyOS scheduler plans an idle MCU's
+task start and its return to sleep this way.  Every entry point
+(transitions, state reads, queries, ``close``, ``reset``) first applies
+the plans whose tick has come, in tick order, each booked and reported
+to ``on_transition`` at its planned tick, so every reader sees exactly
+what an event-driven transition at that tick would have left.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from .states import PowerStateTable
@@ -54,7 +65,7 @@ class PowerStateLedger:
 
     __slots__ = ("_sim", "component", "table", "supply_v", "_state",
                  "_tag", "_entered", "_ticks", "_transitions", "_closed",
-                 "on_transition", "_current_a", "_iv_coeff")
+                 "on_transition", "_current_a", "_iv_coeff", "_plans")
 
     def __init__(self, sim: Simulator, component: str,
                  table: PowerStateTable, supply_v: float,
@@ -81,6 +92,8 @@ class PowerStateLedger:
         #: Optional observer called as ``(time, state, tag)`` after every
         #: transition — used by waveform exporters; None costs nothing.
         self.on_transition = None
+        #: Planned ``(tick, (state, tag))`` transitions, in tick order.
+        self._plans: List[Tuple[int, Tuple[str, str]]] = []
         sim.add_end_hook(self.close)
 
     # ------------------------------------------------------------------
@@ -89,16 +102,22 @@ class PowerStateLedger:
     @property
     def state(self) -> str:
         """Name of the current power state."""
+        if self._plans:
+            self._apply_plans()
         return self._state
 
     @property
     def tag(self) -> str:
         """Tag under which the open interval is being booked."""
+        if self._plans:
+            self._apply_plans()
         return self._tag
 
     @property
     def transitions(self) -> int:
         """Number of state/tag transitions performed so far."""
+        if self._plans:
+            self._apply_plans()
         return self._transitions
 
     def transition(self, state: str, tag: Optional[str] = None) -> None:
@@ -112,6 +131,8 @@ class PowerStateLedger:
             self.table[state]  # raises the canonical unknown-state error
         if tag is None:
             tag = state
+        if self._plans:
+            self._apply_plans()
         now = self._sim._now  # hot path: skip the property (see kernel)
         current_state = self._state
         if state == current_state and tag == self._tag:
@@ -140,7 +161,71 @@ class PowerStateLedger:
 
     def retag(self, tag: str) -> None:
         """Re-tag the open interval from now on, staying in the same state."""
+        if self._plans:
+            self._apply_plans()
         self.transition(self._state, tag)
+
+    def plan(self, *changes: Tuple[int, Tuple[str, str]]) -> None:
+        """Transition at explicit ticks, without events.
+
+        Each change is ``(tick, (state, tag))`` with a state of the
+        table; changes come in tick order.  A change is applied, booked
+        at its tick, by the first entry point that runs at or after
+        that tick.  Raises ValueError if the first change lies before
+        the last pending plan or in the past.
+        """
+        plans = self._plans
+        if changes[0][0] < (plans[-1][0] if plans else self._sim._now):
+            raise ValueError(
+                f"{self.component}: plan at {changes[0][0]} is out of order")
+        plans.extend(changes)
+
+    def cancel_plan(self, time: int, state: str) -> None:
+        """Drop the pending plan to enter ``state`` at tick ``time``."""
+        for index, (at, (planned, _)) in enumerate(self._plans):
+            if at == time and planned == state:
+                del self._plans[index]
+                return
+        raise ValueError(
+            f"{self.component}: no {state!r} plan at {time} to cancel")
+
+    # Applying a due plan books the same ticks, and reports the same
+    # (tick, state, tag), whichever entry point applies it first, so
+    # readers that trigger it observe a pure function of the clock.
+    # effect: pure
+    def _apply_plans(self) -> None:
+        """Book every plan whose tick has come, at its planned tick.
+
+        Unlike :meth:`transition`, a plan to the open (state, tag)
+        splits the interval; the integer tick sums are the same.
+        """
+        plans = self._plans
+        now = self._sim._now
+        if plans[-1][0] <= now:  # the usual case: every plan is due
+            self._plans = []
+        else:
+            due = 0
+            while plans[due][0] <= now:
+                due += 1
+            if not due:
+                return
+            self._plans = plans[due:]
+            plans = plans[:due]
+        ticks = self._ticks
+        observer = self.on_transition
+        key = (self._state, self._tag)
+        entered = self._entered
+        for time, next_key in plans:
+            if time > entered:
+                ticks[key] = ticks.get(key, 0) + time - entered
+            key = next_key
+            entered = time
+            if observer is not None:
+                observer(time, *key)
+        self._state, self._tag = key
+        self._entered = entered
+        self._transitions += len(plans)
+        self._closed = False
 
     def close(self) -> None:
         """Book the open interval up to the current instant.
@@ -148,6 +233,8 @@ class PowerStateLedger:
         Idempotent; called by the simulator's end hook so that queries
         after a run cover exactly the simulated duration.
         """
+        if self._plans:
+            self._apply_plans()
         self._book_open_interval()
         self._entered = self._sim.now
         self._closed = True
@@ -158,8 +245,10 @@ class PowerStateLedger:
         Used by scenarios to start the measurement window after warm-up
         (joins, first-beacon alignment) so the reported energy covers an
         exact steady-state horizon, as the paper's 60 s measurements do.
-        The current state is preserved.
+        The current state is preserved; plans not yet due stay pending.
         """
+        if self._plans:
+            self._apply_plans()
         self._ticks.clear()
         self._entered = self._sim.now
         self._transitions = 0
@@ -176,6 +265,8 @@ class PowerStateLedger:
     # Queries (all implicitly include the open interval)
     # ------------------------------------------------------------------
     def _live_ticks(self) -> Dict[Tuple[str, str], int]:
+        if self._plans:
+            self._apply_plans()
         result = dict(self._ticks)
         open_elapsed = self._sim.now - self._entered
         if open_elapsed > 0:

@@ -14,7 +14,7 @@ analog channel outputs the MCU's ADC samples.  Channels are backed by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
@@ -59,17 +59,20 @@ class BiopotentialAsic:
         self._check_channel(channel)
         self._sources[channel] = source
 
-    def read_channel(self, channel: int) -> float:
-        """Instantaneous analog value of ``channel`` (volts).
+    def read_channel(self, channel: int, at: Optional[int] = None) -> float:
+        """Analog value of ``channel`` (volts) at tick ``at``.
 
-        Unconnected channels read 0.0 (inputs shorted to reference).
+        ``at`` defaults to the current instant; a coalesced sample
+        passes its acquisition tick.  Unconnected channels read 0.0
+        (inputs shorted to reference).
         """
         self._check_channel(channel)
         self._reads += 1
         source = self._sources.get(channel)
         if source is None:
             return 0.0
-        return source.value_at(to_seconds(self._sim.now))
+        return source.value_at(to_seconds(self._sim.now if at is None
+                                          else at))
 
     @property
     def reads(self) -> int:

@@ -17,7 +17,7 @@ paper's, it is a time-in-state model driven by the TinyOS scheduler.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
@@ -37,6 +37,11 @@ SLEEP = "sleep"
 #: Name of the deep power-saving state (LPM3-class; an extension — the
 #: deep-sleep ablation's what-if, never entered unless a policy asks).
 DEEP_SLEEP = "deep_sleep"
+
+# Ledger (state, tag) keys of a task booked by Msp430.wake_for_task.
+_WAKEUP = (ACTIVE, "wakeup")
+_TASK = (ACTIVE, "task")
+_ASLEEP = (SLEEP, SLEEP)
 
 
 class Msp430:
@@ -104,10 +109,29 @@ class Msp430:
             self._trace.record(self._sim.now, self.name, "wake", "")
         return self._wake_latency_ticks
 
+    def wake_for_task(self, cycles: int) -> Optional[Tuple[int, int]]:
+        """Wake from LPM0 now for one task, without dispatch events.
+
+        Plans on the ledger what :meth:`wake` now, :meth:`begin_task`
+        after the wake-up latency and :meth:`sleep` after ``cycles``
+        would book, at the same ticks.  Returns the task's (start, end)
+        ticks; None, booking nothing, unless the core sleeps in LPM0
+        with no trace attached.
+        """
+        ledger = self.ledger
+        if self._trace is not None or ledger.state != SLEEP:
+            return None
+        self._wakeups += 1
+        now = self._sim._now
+        start = now + self._wake_latency_ticks
+        end = start + self.cycles_to_ticks(cycles)
+        ledger.plan((now, _WAKEUP), (start, _TASK), (end, _ASLEEP))
+        return start, end
+
     def begin_task(self, label: str = "") -> None:
         """Mark the start of task execution (re-tags active time)."""
         ledger = self.ledger
-        if ledger._state != ACTIVE:  # is_sleeping, without the chain
+        if ledger.state != ACTIVE:  # applies the planned wake, if any
             raise RuntimeError(
                 f"{self.name}: task {label!r} started while sleeping; "
                 "the scheduler must wake the core first")

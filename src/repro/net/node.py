@@ -101,6 +101,8 @@ class SensorNode:
     # ------------------------------------------------------------------
     def reset_measurement(self) -> None:
         """Zero all energy ledgers and counters (start of the window)."""
+        # A coalesced sample acquired before now belongs to the warm-up.
+        self.scheduler.settle()
         self.mcu.reset_measurement()
         self.radio.reset_measurement()
         self.asic.reset_measurement()

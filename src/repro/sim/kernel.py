@@ -101,6 +101,11 @@ class Simulator:
         return self._now
 
     @property
+    def running(self) -> bool:
+        """Whether a ``run*`` loop is dispatching events right now."""
+        return self._running
+
+    @property
     def events_dispatched(self) -> int:
         """Total number of events dispatched so far (for diagnostics)."""
         return self._dispatched

@@ -15,14 +15,38 @@ paper):
 The scheduler is the *only* driver of the MCU power state, which keeps
 the energy accounting coherent: MCU active time == time executing tasks
 (+ wake-up transitions).
+
+Coalesced dispatch
+------------------
+
+Each task costs the per-task chain a wake, a dispatch event and an
+end-of-task event.  Unless a trace, a span tracer or a power policy
+other than :class:`~repro.tinyos.power.Lpm0Only` needs that chain
+(:meth:`TaskScheduler.coalescing`), two shortcuts book the same ledger
+transitions at the same ticks with fewer kernel events:
+
+* :meth:`TaskScheduler.run_idle` books a task that finds the scheduler
+  idle and the MCU in LPM0 (a sampling fire, a cost-only post)
+  outright: the wake, the task start and the sleep as planned ledger
+  transitions, and the task body later, stamped with its start tick,
+  at the first point that can observe it
+  (:meth:`TaskScheduler.settle`).
+* A task that drains the queue plans its sleep instead of scheduling
+  an end-of-task event; a post before that tick schedules the one
+  dispatch event at it.
+
+Same-tick order is never guessed: a post at exactly the end tick of
+such a window, or a settle at exactly a body's start tick from inside
+an event, raises :class:`~repro.sim.events.SimulationError`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
-from ..hw.mcu import Msp430
+from ..hw.mcu import SLEEP, Msp430
+from ..sim.events import SimulationError
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 from .power import DeepSleepPolicy, Lpm0Only
@@ -57,6 +81,14 @@ class TaskScheduler:
             = None
         #: Optional causal-span tracer (:mod:`repro.obs.spans`).
         self.spans: Optional["SpanTracer"] = None
+        #: End tick of a task whose sleep is planned, not an event; the
+        #: scheduler counts as busy until then.
+        self._idle_at: Optional[int] = None
+        #: A task booked by run_idle whose body has not run yet:
+        #: (start tick, body taking that tick or None, cycles).
+        self._unsettled: Optional[
+            Tuple[int, Optional[Callable[[int], None]], int]] = None
+        sim.add_end_hook(self.settle)
 
     # ------------------------------------------------------------------
     # Posting
@@ -74,16 +106,106 @@ class TaskScheduler:
                     task_id=self._next_task_id)
         self._next_task_id += 1
         self._queue.append(task)
+        idle_at = self._idle_at
+        if idle_at is not None and idle_at < self._sim._now:
+            self._idle_at = None  # the planned sleep has begun
+            self._dispatching = False
         if not self._dispatching:
             self._start_dispatch()
+        elif self._idle_at is not None:
+            self._end_planned_sleep(label)
         return task
 
-    def post_cost_only(self, cycles: int, label: str = "") -> Task:
+    def run_idle(self, body: Optional[Callable[[int], None]],
+                 cycles: int) -> bool:
+        """Book a task without dispatch events, if the MCU is idle.
+
+        Applies when :meth:`coalescing` holds, nothing is queued or
+        running, and the MCU sleeps in LPM0.  Then the wake, the task
+        start (after the wake latency) and the return to sleep are
+        planned ledger transitions, and ``body`` (None: cost only)
+        runs later with the start tick as its argument
+        (:meth:`settle`).  Returns False, booking nothing, otherwise;
+        the caller then posts.
+        """
+        idle_at = self._idle_at
+        if idle_at is not None and idle_at < self._sim._now:
+            self._idle_at = None  # the planned sleep has begun
+            self._dispatching = False
+        if self._dispatching or self._queue or not self.coalescing():
+            return False
+        if self._unsettled is not None:
+            self.settle()
+        window = self._mcu.wake_for_task(cycles)
+        if window is None:
+            return False
+        self._dispatching = True
+        self._idle_at = window[1]
+        self._next_task_id += 1
+        self._unsettled = (window[0], body, cycles)
+        return True
+
+    def settle(self) -> None:
+        """Run the body of a :meth:`run_idle` task whose start has come.
+
+        Called before anything can observe what the body changes: the
+        next :meth:`run_idle`, the next dispatched task body, a payload
+        read, a simulator end hook and a measurement reset.  Inside an
+        event, a body starting at the current tick raises
+        :class:`SimulationError`: whether the per-task chain would have
+        run it before that event is unknown.
+        """
+        unsettled = self._unsettled
+        if unsettled is None:
+            return
+        start, body, cycles = unsettled
+        now = self._sim._now
+        if start > now:
+            return
+        if start == now and body is not None and self._sim.running:
+            raise SimulationError(
+                f"{self.name}: a coalesced task starts at tick {now}, "
+                "the tick it is observed at; the per-task order of the "
+                "two is unknown")
+        self._unsettled = None
+        self._tasks_run += 1
+        self._mcu.account_cycles(cycles)
+        if body is not None:
+            body(start)
+
+    def coalescing(self) -> bool:
+        """Whether tasks may skip their dispatch events.
+
+        False when a trace, a span tracer or a power policy other than
+        LPM0-only needs the per-task chain.
+        """
+        return (self.spans is None and self._sim.trace is None
+                and self._trace is None
+                and type(self.power_policy) is Lpm0Only)
+
+    def _end_planned_sleep(self, label: str) -> None:
+        """A post before the planned sleep at ``_idle_at`` began:
+        dispatch the queue at that tick instead."""
+        end = self._idle_at
+        assert end is not None
+        if end == self._sim._now:
+            raise SimulationError(
+                f"{self.name}: task {label!r} posted at tick {end}, the "
+                "end tick of a coalesced task; the per-task order of the "
+                "post and that task's end is unknown")
+        self._idle_at = None
+        self._mcu.ledger.cancel_plan(end, SLEEP)
+        self._sim.at(end, self._dispatch_next, label=self._dispatch_label)
+
+    def post_cost_only(self, cycles: int, label: str = "") -> Optional[Task]:
         """Post a task that only costs MCU time (no modelled side effect).
 
         Used for activities whose effect is already modelled elsewhere
-        but whose CPU cost must be paid, e.g. beacon processing.
+        but whose CPU cost must be paid, e.g. beacon processing.  An
+        idle MCU books it through :meth:`run_idle` (returning None).
         """
+        if self.run_idle(None, cycles):
+            return None
         return self.post(lambda: None, cycles, label)
 
     @property
@@ -94,11 +216,16 @@ class TaskScheduler:
     @property
     def tasks_run(self) -> int:
         """Total tasks dispatched so far."""
+        unsettled = self._unsettled
+        if unsettled is not None and unsettled[0] <= self._sim.now:
+            return self._tasks_run + 1
         return self._tasks_run
 
     @property
     def is_idle(self) -> bool:
         """True when nothing is queued or executing."""
+        if self._idle_at is not None and self._idle_at <= self._sim.now:
+            return not self._queue
         return not self._dispatching and not self._queue
 
     # ------------------------------------------------------------------
@@ -132,9 +259,15 @@ class TaskScheduler:
             self.spans.task_started(task.label, self._sim.now, duration)
         # The body's side effects happen at task start; the MCU then
         # stays active for the task's duration before the next dispatch.
+        if self._unsettled is not None:
+            self.settle()  # an earlier coalesced body goes first
         task.body()
-        self._sim.after(duration, self._dispatch_next,
-                        label=self._dispatch_label)
+        if self._queue or not self.coalescing():
+            self._sim.after(duration, self._dispatch_next,
+                            label=self._dispatch_label)
+        else:  # nothing queued behind: plan the sleep, no end event
+            self._idle_at = end = self._sim._now + duration
+            mcu.ledger.plan((end, (SLEEP, SLEEP)))
 
     def _choose_deep(self) -> bool:
         if self.wake_hint_provider is None:

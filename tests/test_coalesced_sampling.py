@@ -1,0 +1,423 @@
+"""Coalesced sampling against the per-sample reference path.
+
+A sampling-timer fire (or a cost-only post) that finds the node's
+scheduler idle and its MCU in LPM0 books the task's wake, run and
+sleep as planned ledger transitions instead of two dispatch events,
+and runs the acquisition later, stamped with its acquisition tick.
+The per-sample chain runs
+whenever the simulator has a ``TraceRecorder`` (or spans, or a
+deep-sleep policy), so every test here runs the same thing twice, once
+with a trace, and requires bit-identical results.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pathlib
+import sys
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "tools"))
+from determinism_check import fault_config  # noqa: E402
+
+from repro.analysis.experiments import _TABLE_SPECS
+from repro.analysis.waveforms import WaveformProbe
+from repro.apps.base import SamplingApplication
+from repro.core.calibration import DEFAULT_CALIBRATION
+from repro.core.ledger import PowerStateLedger
+from repro.core.states import PowerState, PowerStateTable
+from repro.exec.cache import config_fingerprint
+from repro.net import BanScenario, BanScenarioConfig
+from repro.net.multi import MultiBanScenario
+from repro.net.node import SensorNode
+from repro.obs import attach_span_tracer
+from repro.phy.channel import Channel
+from repro.signals.ecg import SyntheticEcg
+from repro.signals.sources import ScaledSource
+from repro.sim.events import SimulationError
+from repro.sim.kernel import Simulator
+from repro.sim.simtime import milliseconds, seconds
+from repro.sim.trace import TraceRecorder
+
+WINDOW_S = 1.0
+
+TABLE_ROWS = [(table_id, index, config)
+              for table_id, (_, build) in sorted(_TABLE_SPECS.items())
+              for index, config in enumerate(
+                  build(WINDOW_S, 0, DEFAULT_CALIBRATION))]
+
+
+def _fingerprint(result: Any) -> str:
+    return hashlib.sha256(config_fingerprint(result).encode()).hexdigest()
+
+
+def _node_counters(bans: List[BanScenario]) -> List[Tuple[Any, ...]]:
+    rows = []
+    for ban in bans:
+        for station in [*ban.nodes, ban.base_station]:
+            app = getattr(station, "app", None)
+            rows.append((
+                station.mcu.wakeups, station.mcu.cycles_executed,
+                station.scheduler.tasks_run,
+                getattr(app, "samples_taken", None),
+                getattr(app, "codes_sent", None),
+                getattr(app, "codes_dropped", None),
+                getattr(app, "beats_detected", None),
+                list(getattr(app, "_pending", ()))))
+    return rows
+
+
+def _timelines(probes: List[WaveformProbe]) -> List[Dict[str, Any]]:
+    return [{name: probe.timeline(name) for name in probe.signals}
+            for probe in probes]
+
+
+def _run_ban(config: BanScenarioConfig, per_sample: bool
+             ) -> Tuple[str, Any, Any, int]:
+    trace = TraceRecorder(capacity=1) if per_sample else None
+    scenario = BanScenario(config, trace=trace)
+    probe = WaveformProbe.attach_to_scenario(scenario)
+    result = scenario.run()
+    return (_fingerprint(result), _node_counters([scenario]),
+            _timelines([probe]), scenario.sim.events_dispatched)
+
+
+@pytest.mark.parametrize("table_id,index,config", TABLE_ROWS,
+                         ids=[f"{t}-row{i}" for t, i, _ in TABLE_ROWS])
+def test_table_rows_are_bit_identical(table_id, index, config):
+    coalesced = _run_ban(config, per_sample=False)
+    reference = _run_ban(config, per_sample=True)
+    assert coalesced[:3] == reference[:3]
+    assert coalesced[3] < reference[3]
+
+
+def test_ward_is_bit_identical():
+    macs = ("static", "dynamic", "aloha", "csma")
+
+    def run(per_sample: bool) -> Tuple[str, Any, Any, int]:
+        configs = [BanScenarioConfig(mac=macs[index % 4],
+                                     app="ecg_streaming", num_nodes=5,
+                                     cycle_ms=120.0, sampling_hz=55.0,
+                                     measure_s=WINDOW_S, seed=0)
+                   for index in range(8)]
+        ward = MultiBanScenario(
+            configs, stagger_ms=7.8, seed=0,
+            trace=TraceRecorder(capacity=1) if per_sample else None)
+        probes = [WaveformProbe.attach_to_scenario(ban)
+                  for ban in ward.bans]
+        results = ward.run()
+        return (_fingerprint(results), _node_counters(ward.bans),
+                _timelines(probes), ward.sim.events_dispatched)
+
+    coalesced, reference = run(False), run(True)
+    assert coalesced[:3] == reference[:3]
+    assert coalesced[3] < reference[3]
+
+
+def test_events_dispatched_is_pinned():
+    """Table 1 row 1 (205 Hz, 30 ms): three events per idle sample
+    become one, so the run dispatches under 60 % of the per-sample
+    chain's events."""
+    config = TABLE_ROWS[0][2]
+    coalesced = _run_ban(config, per_sample=False)[3]
+    reference = _run_ban(config, per_sample=True)[3]
+    assert (coalesced, reference) == (3033, 5757)
+    assert coalesced < 0.6 * reference
+
+
+def test_crash_and_reboot_mid_sample_are_bit_identical():
+    config = fault_config()
+    crash = config.faults.faults[0]
+    # node1 crashes 10 us into a coalesced sample: its task's end is
+    # still a planned sleep when the crash has been handled.
+    scenario = BanScenario(config)
+    scenario.start_all()
+    scenario.sim.run_until(seconds(crash.at_s))
+    node = scenario.nodes[0]
+    wake = seconds(DEFAULT_CALIBRATION.mcu_wakeup_s)
+    task = node.mcu.cycles_to_ticks(
+        2 * DEFAULT_CALIBRATION.mcu_costs.sample_acquisition)
+    fire = seconds(crash.at_s) - 10_000 - wake
+    assert fire % node.app.sample_period_ticks == 0
+    assert not node.app.started
+    assert node.scheduler._idle_at == fire + wake + task
+    assert _run_ban(config, False)[:3] == _run_ban(config, True)[:3]
+
+
+# ----------------------------------------------------------------------
+# Hand-built edge cases: one node, one channel sampled at 200 Hz
+# ----------------------------------------------------------------------
+class _RecordingApp(SamplingApplication):
+    """Logs every sample vector and every payload read."""
+
+    def __init__(self, node: SensorNode, mac: Any, log: List[Any]) -> None:
+        super().__init__(node.sim, node.scheduler, node.asic, node.adc, mac,
+                         DEFAULT_CALIBRATION, channels=(0,),
+                         sampling_hz=200.0, name="node1.app")
+        self._log = log
+
+    def handle_samples(self, codes: Tuple[int, ...]) -> None:
+        self._log.append(("sample", self.sample_tick, codes))
+
+    def next_payload(self) -> Optional[Tuple[int, object]]:
+        self._log.append(("read", self._sim.now, self.samples_taken))
+        return None
+
+
+class _MacStub:
+    payload_provider: Optional[Callable[[], Any]] = None
+
+
+class _Rig:
+    """One sampling node; ``per_sample`` puts a trace on the kernel."""
+
+    #: The first sample fire.
+    FIRE = milliseconds(5)
+
+    def __init__(self, per_sample: bool) -> None:
+        self.sim = Simulator(seed=1, trace=(TraceRecorder(capacity=1)
+                                            if per_sample else None))
+        self.node = SensorNode(self.sim, Channel(self.sim),
+                               DEFAULT_CALIBRATION, "node1")
+        self.node.asic.connect_source(
+            0, ScaledSource(SyntheticEcg(first_beat_s=0.004), gain=0.8,
+                            offset=1.25))
+        self.mac = _MacStub()
+        self.log: List[Any] = []
+        self.app = _RecordingApp(self.node, self.mac, self.log)
+        self.probe = WaveformProbe()
+        self.probe.attach("mcu", self.node.mcu.ledger)
+        self.app.start()
+
+    @property
+    def wake(self) -> int:
+        return seconds(DEFAULT_CALIBRATION.mcu_wakeup_s)
+
+    @property
+    def task(self) -> int:
+        return self.node.mcu.cycles_to_ticks(
+            DEFAULT_CALIBRATION.mcu_costs.sample_acquisition)
+
+    def post_at(self, time: int, cycles: int, label: str = "mac") -> None:
+        def post() -> None:
+            self.node.scheduler.post(
+                lambda: self.log.append((label, self.sim.now)), cycles,
+                label)
+        self.sim.at(time, post)
+
+    def read_at(self, time: int) -> None:
+        assert self.mac.payload_provider is not None
+        self.sim.at(time, self.mac.payload_provider)
+
+    def outcome(self) -> Tuple[Any, ...]:
+        # A coalesced acquisition runs late in host order, stamped with
+        # its tick, so the log compares in simulated-time order.
+        mcu = self.node.mcu
+        log = sorted(self.log, key=lambda entry: entry[1])
+        return (log, self.probe.timeline("mcu"), mcu.wakeups,
+                mcu.cycles_executed, self.node.scheduler.tasks_run,
+                self.app.samples_taken, mcu.ledger.energy_j(),
+                dict(mcu.ledger.energy_by_tag()))
+
+
+def _both(script: Callable[[_Rig], None], until: int = milliseconds(30)
+          ) -> Tuple[_Rig, _Rig]:
+    rigs = []
+    for per_sample in (False, True):
+        rig = _Rig(per_sample)
+        script(rig)
+        rig.sim.run_until(until)
+        rigs.append(rig)
+    assert rigs[0].outcome() == rigs[1].outcome()
+    return rigs[0], rigs[1]
+
+
+def test_an_idle_sample_costs_one_event():
+    coalesced, reference = _both(lambda rig: None,
+                                 until=milliseconds(7))
+    assert coalesced.sim.events_dispatched == 1
+    assert reference.sim.events_dispatched == 3
+
+
+PREP = DEFAULT_CALIBRATION.mcu_costs.packet_preparation
+
+
+def test_a_cost_only_post_on_an_idle_mcu_costs_no_event():
+    def script(rig: _Rig) -> None:
+        rig.sim.at(rig.FIRE + milliseconds(1),
+                   lambda: rig.node.scheduler.post_cost_only(PREP, "proc"))
+
+    coalesced, reference = _both(script, until=milliseconds(7))
+    # The fire and the posting event; the per-task chain adds the
+    # sample's two dispatches and the cost-only task's first one.
+    assert coalesced.sim.events_dispatched == 2
+    assert reference.sim.events_dispatched == 5
+
+
+@pytest.mark.parametrize("offset", ["wake", "task"])
+def test_mac_post_inside_the_sample(offset):
+    def script(rig: _Rig) -> None:
+        delay = rig.wake // 2 if offset == "wake" \
+            else rig.wake + rig.task // 2
+        rig.post_at(rig.FIRE + delay, PREP)
+
+    coalesced, _ = _both(script)
+    assert ("mac", _Rig.FIRE + coalesced.wake + coalesced.task) \
+        in coalesced.log
+
+
+def test_mac_post_at_the_sample_end_tick_raises():
+    def script(rig: _Rig) -> None:
+        rig.post_at(rig.FIRE + rig.wake + rig.task, PREP)
+
+    reference = _Rig(per_sample=True)
+    script(reference)
+    reference.sim.run_until(milliseconds(30))
+    coalesced = _Rig(per_sample=False)
+    script(coalesced)
+    end = _Rig.FIRE + coalesced.wake + coalesced.task
+    with pytest.raises(SimulationError, match=f"node1.*{end}"):
+        coalesced.sim.run_until(milliseconds(30))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_payload_read_next_to_the_acquisition_tick(delta):
+    coalesced, _ = _both(
+        lambda rig: rig.read_at(rig.FIRE + rig.wake + delta))
+    reads = [entry for entry in coalesced.log if entry[0] == "read"]
+    assert reads == [("read", _Rig.FIRE + coalesced.wake + delta,
+                      1 if delta > 0 else 0)]
+
+
+def test_payload_read_at_the_acquisition_tick_raises():
+    reference = _Rig(per_sample=True)
+    reference.read_at(reference.FIRE + reference.wake)
+    reference.sim.run_until(milliseconds(30))
+    coalesced = _Rig(per_sample=False)
+    acquisition = _Rig.FIRE + coalesced.wake
+    coalesced.read_at(acquisition)
+    with pytest.raises(SimulationError, match=f"node1.*{acquisition}"):
+        coalesced.sim.run_until(milliseconds(30))
+
+
+def test_sample_fire_during_a_packet_prep_task():
+    # The 4.19 ms task started 1 ms before the fire; the sample queues
+    # behind it on both paths.
+    coalesced, _ = _both(
+        lambda rig: rig.post_at(rig.FIRE - milliseconds(1), PREP))
+    samples = [entry[1] for entry in coalesced.log if entry[0] == "sample"]
+    assert samples[0] > _Rig.FIRE + milliseconds(3)
+
+
+@pytest.mark.parametrize("phase", ["wake", "task"])
+def test_sample_straddling_the_warmup_reset(phase):
+    rigs = []
+    for per_sample in (False, True):
+        rig = _Rig(per_sample)
+        reset = rig.FIRE + (rig.wake // 2 if phase == "wake"
+                            else rig.wake + rig.task // 2)
+        rig.sim.run_until(reset)
+        rig.node.reset_measurement()
+        rig.sim.run_until(milliseconds(30))
+        rigs.append(rig)
+    assert rigs[0].outcome() == rigs[1].outcome()
+
+
+@pytest.mark.parametrize("phase", ["wake", "task"])
+def test_sample_straddling_the_horizon(phase):
+    rigs = []
+    for per_sample in (False, True):
+        rig = _Rig(per_sample)
+        horizon = rig.FIRE + (rig.wake // 2 if phase == "wake"
+                              else rig.wake + rig.task // 2)
+        rig.sim.run_until(horizon)
+        rigs.append(rig)
+    assert rigs[0].outcome() == rigs[1].outcome()
+    for rig in rigs:
+        rig.sim.run_until(milliseconds(30))
+    assert rigs[0].outcome() == rigs[1].outcome()
+
+
+# ----------------------------------------------------------------------
+# Which path runs
+# ----------------------------------------------------------------------
+def _quick(**overrides: Any) -> BanScenarioConfig:
+    params: Dict[str, Any] = dict(mac="static", app="ecg_streaming",
+                                  num_nodes=2, measure_s=0.5, seed=3)
+    params.update(overrides)
+    return BanScenarioConfig(**params)
+
+
+def test_plain_scenario_coalesces():
+    scenario = BanScenario(_quick())
+    assert all(node.scheduler.coalescing() for node in scenario.nodes)
+
+
+def test_trace_selects_the_per_sample_path():
+    scenario = BanScenario(_quick(), trace=TraceRecorder(capacity=1))
+    assert not any(node.scheduler.coalescing() for node in scenario.nodes)
+
+
+def test_spans_select_the_per_sample_path():
+    scenario = BanScenario(_quick())
+    attach_span_tracer(scenario)
+    assert not any(node.scheduler.coalescing() for node in scenario.nodes)
+
+
+def test_deep_sleep_policy_selects_the_per_sample_path():
+    config = _quick(deep_sleep_threshold_ms=1.0)
+    scenario = BanScenario(config)
+    assert not any(node.scheduler.coalescing() for node in scenario.nodes)
+    # The base station keeps LPM0 and coalesces its own task ends.
+    assert scenario.base_station.scheduler.coalescing()
+    assert _run_ban(config, False)[:3] == _run_ban(config, True)[:3]
+
+
+# ----------------------------------------------------------------------
+# Planned ledger transitions
+# ----------------------------------------------------------------------
+def _ledger(sim: Simulator) -> PowerStateLedger:
+    table = PowerStateTable([PowerState("on", 1e-3),
+                             PowerState("off", 0.0)])
+    return PowerStateLedger(sim, "probe", table, 3.0, initial_state="off")
+
+
+def test_plans_apply_at_their_tick_on_the_next_entry_point():
+    sim = Simulator()
+    ledger = _ledger(sim)
+    seen: List[Tuple[int, str, str]] = []
+    ledger.on_transition = lambda *change: seen.append(change)
+    ledger.plan((100, ("on", "work")), (250, ("off", "off")))
+    sim.run_until(200)  # the end hook closes, applying the due plan
+    assert seen == [(100, "on", "work")]
+    assert ledger.ticks_in("on") == 100
+    sim.run_until(1000)
+    assert seen[-1] == (250, "off", "off")
+    assert ledger.ticks_in("on") == 150
+    assert ledger.ticks_in() == 1000
+
+
+def test_plans_must_be_ordered_and_cancellable():
+    sim = Simulator()
+    ledger = _ledger(sim)
+    ledger.plan((100, ("on", "on")))
+    with pytest.raises(ValueError):
+        ledger.plan((50, ("off", "off")))
+    ledger.cancel_plan(100, "on")
+    with pytest.raises(ValueError):
+        ledger.cancel_plan(100, "on")
+    sim.run_until(500)
+    assert ledger.ticks_in("on") == 0
+
+
+def test_reset_keeps_plans_that_are_not_due():
+    sim = Simulator()
+    ledger = _ledger(sim)
+    ledger.plan((100, ("on", "on")), (300, ("off", "off")))
+    sim.run_until(200)
+    ledger.reset()
+    sim.run_until(400)
+    assert ledger.ticks_in("on") == 100

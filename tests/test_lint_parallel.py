@@ -3,15 +3,12 @@
 The contract is byte-identity: a pool run must produce exactly the
 findings of a sequential run — same rules, same locations, same
 messages, same suppression state — with only the timing extras
-allowed to differ.  That holds on any machine; the wall-clock benefit
-is a multi-core property, so the speedup assertion is skipped on
-single-core hosts where fanning out processes can only add overhead.
+allowed to differ.  That holds on any machine.  Wall time is not
+asserted: whether the pool pays off depends on the host's free cores.
 """
 
 import dataclasses
-import os
 import pathlib
-import time
 
 import pytest
 
@@ -117,21 +114,12 @@ class TestCli:
         assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="speedup is a multi-core property; on one "
-                           "core a process pool only adds overhead")
-def test_parallel_is_faster_cold():
-    """On a multi-core host, a cold ``--jobs 4`` run beats sequential:
-    the tree analyses overlap instead of queueing."""
+def test_parallel_matches_sequential_over_src():
+    """A cold ``--jobs 4`` run over the whole source tree finds exactly
+    what a sequential run finds.  Wall time is not asserted: whether
+    the pool pays off depends on the host's free cores."""
     target = ROOT / "src"
     config = load_config([target])
-    started = time.perf_counter()
     seq = lint_paths([target], config)
-    seq_wall = time.perf_counter() - started
-    started = time.perf_counter()
     par = lint_paths([target], config, jobs=4)
-    par_wall = time.perf_counter() - started
     assert _dicts(seq) == _dicts(par)
-    assert par_wall < seq_wall, (
-        f"parallel {par_wall:.2f}s not faster than "
-        f"sequential {seq_wall:.2f}s")

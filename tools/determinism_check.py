@@ -3,7 +3,7 @@
 
 ``repro.lint`` statically bans the things that *would* break bit-exact
 reproducibility (global RNG, wall-clock reads, set-ordered dispatch);
-this tool proves the invariant actually holds end to end.  Three
+this tool proves the invariant actually holds end to end.  Six
 checks, each over a reference scenario set:
 
 1. **Repeat-run** — the same config run twice in one process must
@@ -29,6 +29,11 @@ checks, each over a reference scenario set:
    receives it is audited.  Together with check 4 this closes the
    loop — the perturbation test exercises exactly the hook surface
    the static pass proved effect-free.
+6. **Cross-mode** — a plain run coalesces idle-MCU samples (one
+   kernel event per sample, planned ledger transitions); a traced run
+   takes the per-sample chain.  For every reference config plus a
+   fault config whose crash and reboot land mid-sample, the two
+   result fingerprints must be equal.
 
 Fingerprints are SHA-256 over the result cache's canonical dataclass
 encoding (:func:`repro.exec.cache.config_fingerprint`), so "equal"
@@ -48,12 +53,16 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
+from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.exec import ScenarioExecutor
 from repro.exec.cache import config_fingerprint
+from repro.faults import FaultPlan, NodeCrash
 from repro.net import BanScenario, BanScenarioConfig
 from repro.obs import MetricsRegistry, SpanStore, attach_span_tracer
+from repro.sim.simtime import TICKS_PER_SECOND, seconds
 from repro.sim.trace import TraceRecorder
 
 
@@ -71,6 +80,25 @@ def reference_configs() -> List[BanScenarioConfig]:
                           num_nodes=3, measure_s=2.0, seed=17,
                           sampling_hz=205.0),
     ]
+
+
+def fault_config() -> BanScenarioConfig:
+    """Reference config 0 with node1 crashing inside one of its samples
+    and rebooting inside a sample of the other nodes.
+
+    Every node samples on the same grid from t=0; a sample's wake-up
+    takes 6 us and its two-channel task 44 us after that.
+    """
+    config = reference_configs()[0]
+    period = round(TICKS_PER_SECOND / config.derived_sampling_hz())
+    wake = seconds(DEFAULT_CALIBRATION.mcu_wakeup_s)
+    crash = 101 * period + wake + 10_000  # 10 us into the task
+    reboot = 160 * period + wake // 2     # halfway through the wake-up
+    plan = FaultPlan((NodeCrash(node="node1",
+                                at_s=crash / TICKS_PER_SECOND,
+                                reboot_after_s=(reboot - crash)
+                                / TICKS_PER_SECOND),))
+    return replace(config, faults=plan)
 
 
 def result_fingerprint(result: Any) -> str:
@@ -221,6 +249,30 @@ def check_spans(jobs: int, report: Dict[str, Any]) -> List[str]:
     return failures
 
 
+def check_cross_mode(report: Dict[str, Any]) -> List[str]:
+    """Check 6: coalesced sampling == the per-sample chain.
+
+    The per-sample run is the traced run of check 1 (a trace selects
+    that path); the coalesced run is the same config untraced.
+    """
+    failures = []
+    entries = []
+    cases = [(f"config {index}, mac={config.mac}", config)
+             for index, config in enumerate(reference_configs())]
+    cases.append(("fault config, crash and reboot mid-sample",
+                  fault_config()))
+    for where, config in cases:
+        coalesced = result_fingerprint(BanScenario(config).run())
+        per_sample = traced_run(config)[0]
+        entries.append({"case": where,
+                        "result_fingerprints": [coalesced, per_sample]})
+        if coalesced != per_sample:
+            failures.append(
+                f"coalesced and per-sample results diverge ({where})")
+    report["cross_mode"] = {"configs": entries}
+    return failures
+
+
 def _runtime_object_graph(scenario: Any) -> List[Any]:
     """Every repro-package object reachable from ``scenario``."""
     seen: Dict[int, Any] = {}
@@ -334,6 +386,7 @@ def main(argv=None) -> int:
     failures += check_repeat_run(report["checks"])
     failures += check_jobs_equivalence(args.jobs, report["checks"])
     failures += check_spans(args.jobs, report["checks"])
+    failures += check_cross_mode(report["checks"])
     if args.static_obs:
         failures += check_static_obs(report["checks"])
     report["ok"] = not failures
@@ -350,7 +403,8 @@ def main(argv=None) -> int:
     suffix = (" and static/runtime hook audit agrees"
               if args.static_obs else "")
     print("determinism ok: repeat-run, jobs equivalence, merged "
-          f"telemetry and causal spans all bit-identical{suffix}")
+          "telemetry, causal spans and coalesced vs per-sample "
+          f"sampling all bit-identical{suffix}")
     return 0
 
 
