@@ -13,15 +13,22 @@ MCU cost: each timer fire posts one task costing
 cost) — exactly the calibrated per-sample decomposition.
 
 A fire that finds the MCU idle books that task through
-:meth:`~repro.tinyos.scheduler.TaskScheduler.run_idle` instead: the
-acquisition then runs later, stamped with its acquisition tick
-(:attr:`SamplingApplication.sample_tick`), and the MAC's payload read
-settles it first, so the MAC sees exactly the samples taken by then.
+:meth:`~repro.tinyos.scheduler.TaskScheduler.run_idle` instead: its
+body, run later, only records the acquisition tick.  The recorded
+ticks are evaluated as one block at the first point that can observe
+them (:meth:`SamplingApplication.flush_samples`): the MAC's payload
+read, the next per-task sample, a simulator end hook, or the node's
+measurement reset.  A block reads each channel once
+(:meth:`~repro.hw.asic.BiopotentialAsic.read_block`,
+:meth:`~repro.hw.adc.Adc12.convert_block`) and hands the sample
+vectors to :meth:`SamplingApplication.handle_samples` in tick order,
+each stamped with its tick (:attr:`SamplingApplication.sample_tick`),
+with the values the per-sample reads would have given bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..core.calibration import ModelCalibration
 from ..hw.adc import Adc12
@@ -77,6 +84,8 @@ class SamplingApplication(Component):
         #: Acquisition tick of the sample vector being handled; read it,
         #: not ``sim.now``, in :meth:`handle_samples`.
         self.sample_tick = 0
+        #: Acquisition ticks of coalesced samples not yet evaluated.
+        self._deferred_ticks: List[int] = []
         self._label_sample = f"{name}.sample"
         # Per-tick task cost: channel count and calibration are fixed, so
         # the timer handler books a precomputed constant.
@@ -88,6 +97,7 @@ class SamplingApplication(Component):
         self.spans: Optional["SpanTracer"] = None
         self.spans_node: str = ""
         mac.payload_provider = self._provide_payload
+        sim.add_end_hook(self.flush_samples)
 
     # ------------------------------------------------------------------
     # Subclass interface
@@ -133,14 +143,22 @@ class SamplingApplication(Component):
     # Sampling machinery
     # ------------------------------------------------------------------
     def _sample_tick(self) -> None:
-        if not self._scheduler.run_idle(self._acquire_at, self._tick_cost):
+        if not self._scheduler.run_idle(self._defer, self._tick_cost):
             self._scheduler.post(self._acquire, self._tick_cost,
                                  label=self._label_sample)
 
-    def _acquire(self) -> None:
-        self._acquire_at(self._sim.now)
+    def _defer(self, tick: int) -> None:
+        """Body of a coalesced sample: record the tick, read nothing."""
+        if self.spans is not None:
+            self.spans.note_sample(self.spans_node, tick, self._tick_cost)
+        self._samples_taken += 1
+        self._deferred_ticks.append(tick)
 
-    def _acquire_at(self, tick: int) -> None:
+    def _acquire(self) -> None:
+        """Body of a per-task sample: the scalar reference path."""
+        if self._deferred_ticks:
+            self.flush_samples()  # earlier samples go first
+        tick = self._sim.now
         if self.spans is not None:
             self.spans.note_sample(self.spans_node, tick, self._tick_cost)
         read_channel = self._asic.read_channel
@@ -151,9 +169,33 @@ class SamplingApplication(Component):
         self.sample_tick = tick
         self.handle_samples(codes)
 
+    def flush_samples(self) -> None:
+        """Evaluate the recorded coalesced samples as one block.
+
+        One :meth:`~repro.hw.asic.BiopotentialAsic.read_block` and one
+        :meth:`~repro.hw.adc.Adc12.convert_block` per channel, then
+        :meth:`handle_samples` once per sample in tick order.  Called
+        wherever the samples could be observed: the payload read, a
+        per-task sample, the simulator's end hooks and the node's
+        measurement reset.
+        """
+        ticks = self._deferred_ticks
+        if not ticks:
+            return
+        self._deferred_ticks = []
+        read_block = self._asic.read_block
+        convert_block = self._adc.convert_block
+        columns = [convert_block(read_block(c, ticks))
+                   for c in self.channels]
+        handle_samples = self.handle_samples
+        for tick, codes in zip(ticks, zip(*columns)):
+            self.sample_tick = tick
+            handle_samples(codes)
+
     def _provide_payload(self) -> Optional[AppPayload]:
         # The MAC reads what the samples taken so far left behind.
         self._scheduler.settle()
+        self.flush_samples()
         return self.next_payload()
 
 

@@ -9,6 +9,8 @@ the transfer function, not timing or extra energy.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 #: ADC resolution in bits (MSP430F149 ADC12).
 RESOLUTION_BITS = 12
 
@@ -42,6 +44,16 @@ class Adc12:
         if code < 0:
             return 0
         return code if code < FULL_SCALE_CODE else FULL_SCALE_CODE
+
+    def convert_block(self, volts: Sequence[float]) -> List[int]:
+        """``[convert(v) for v in volts]`` in one call (same rounding,
+        same clamping, one conversion counted per value)."""
+        self._conversions += len(volts)
+        low, span = self.vref_low, self._span
+        codes = [round((v - low) / span * FULL_SCALE_CODE) for v in volts]
+        return [0 if code < 0 else
+                code if code < FULL_SCALE_CODE else FULL_SCALE_CODE
+                for code in codes]
 
     def to_volts(self, code: int) -> float:
         """Inverse transfer function (midpoint reconstruction)."""

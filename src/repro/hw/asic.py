@@ -14,13 +14,13 @@ analog channel outputs the MCU's ADC samples.  Channels are backed by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
 from ..core.states import PowerState, PowerStateTable
 from ..sim.kernel import Simulator
-from ..sim.simtime import to_seconds
+from ..sim.simtime import TICKS_PER_SECOND, to_seconds
 
 if TYPE_CHECKING:
     from ..signals.sources import SignalSource
@@ -53,8 +53,8 @@ class BiopotentialAsic:
     def connect_source(self, channel: int, source: "SignalSource") -> None:
         """Back analog ``channel`` with a signal source.
 
-        ``source`` must provide ``value_at(t_seconds) -> float`` (see
-        :mod:`repro.signals.sources`).
+        ``source`` must provide ``value_at(t_seconds) -> float`` and
+        its block form ``values_at`` (see :mod:`repro.signals.sources`).
         """
         self._check_channel(channel)
         self._sources[channel] = source
@@ -73,6 +73,21 @@ class BiopotentialAsic:
             return 0.0
         return source.value_at(to_seconds(self._sim.now if at is None
                                           else at))
+
+    def read_block(self, channel: int, ticks: Sequence[int]) -> List[float]:
+        """``[read_channel(channel, t) for t in ticks]`` in one call.
+
+        ``ticks`` ascending; counts one read per tick.  The source
+        evaluates the whole block with ``values_at``, bit for bit the
+        values :meth:`read_channel` returns.
+        """
+        self._check_channel(channel)
+        self._reads += len(ticks)
+        source = self._sources.get(channel)
+        if source is None:
+            return [0.0] * len(ticks)
+        # to_seconds, inlined per tick.
+        return source.values_at([t / TICKS_PER_SECOND for t in ticks])
 
     @property
     def reads(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..apps.base import SamplingApplication
 from ..core.calibration import ModelCalibration
 from ..core.report import NodeEnergyResult
 from ..hw.adc import Adc12
@@ -101,8 +102,11 @@ class SensorNode:
     # ------------------------------------------------------------------
     def reset_measurement(self) -> None:
         """Zero all energy ledgers and counters (start of the window)."""
-        # A coalesced sample acquired before now belongs to the warm-up.
+        # A coalesced sample acquired before now belongs to the warm-up,
+        # and so do its channel reads.
         self.scheduler.settle()
+        if isinstance(self.app, SamplingApplication):
+            self.app.flush_samples()
         self.mcu.reset_measurement()
         self.radio.reset_measurement()
         self.asic.reset_measurement()

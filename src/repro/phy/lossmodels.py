@@ -10,23 +10,17 @@ and insensitive to node count or call order.
 
 Performance notes: stream *names* (``loss.src->dst``) are cached per
 link so the per-frame path never re-formats strings, and
-:class:`DistanceLoss` precomputes its whole pairwise PER table — with
-numpy when available — since the topology it reads is immutable.  Both
-caches are value-transparent: the PER table is verified bit-identical
-to the scalar formula (see tests), and stream identity is untouched.
+:class:`DistanceLoss` memoises each link's PER, since the topology it
+reads is immutable.  Both caches are value-transparent: a memoised PER
+is the scalar formula's value, and stream identity is untouched.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..sim.rng import RngRegistry
 from .topology import BodyTopology
-
-try:  # pragma: no cover - exercised via DistanceLoss paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 class _StreamNameCache:
@@ -147,50 +141,19 @@ class DistanceLoss(LossModel):
         self._floor = floor_per
         self._slope = slope_per_m
         self._stream_names = _StreamNameCache()
-        # The topology is immutable, so the whole pairwise PER table can
-        # be computed up front — vectorised over every link at once when
-        # numpy is present.  Values are bit-identical to the scalar
-        # formula (same operation order; numpy's x**2 and sqrt round the
-        # same way), which tests assert with exact equality.
-        self._per_table: Optional[Dict[Tuple[str, str], float]] = \
-            self._build_per_table()
-
-    def _build_per_table(self) -> Optional[Dict[Tuple[str, str], float]]:
-        if _np is None:
-            return None
-        names = self._topology.nodes()
-        if not names:
-            return {}
-        positions = [self._topology.position_of(node) for node in names]
-        xs = _np.array([p.x for p in positions])
-        ys = _np.array([p.y for p in positions])
-        zs = _np.array([p.z for p in positions])
-        # Mirror Position.distance_to exactly: (dx**2 + dy**2) + dz**2,
-        # then sqrt; ** 2 is the same correctly rounded square as x*x.
-        dx2 = (xs[:, None] - xs[None, :]) ** 2
-        dy2 = (ys[:, None] - ys[None, :]) ** 2
-        dz2 = (zs[:, None] - zs[None, :]) ** 2
-        distance = _np.sqrt(dx2 + dy2 + dz2)
-        per = _np.minimum(1.0, self._floor + self._slope * distance)
-        table: Dict[Tuple[str, str], float] = {}
-        for i, src in enumerate(names):
-            row = per[i]
-            for j, dst in enumerate(names):
-                table[(src, dst)] = float(row[j])
-        return table
+        # The topology is immutable, so each link's PER is computed once.
+        self._per: Dict[Tuple[str, str], float] = {}
 
     def per_for(self, src: str, dst: str) -> float:
         """Packet error rate for the (src, dst) link."""
-        table = self._per_table
-        if table is not None:
-            per = table.get((src, dst))
-            if per is not None:
-                return per
-            # Unknown node: fall through so position_of raises the
-            # canonical KeyError.
-        distance = self._topology.position_of(src).distance_to(
-            self._topology.position_of(dst))
-        return min(1.0, self._floor + self._slope * distance)
+        key = (src, dst)
+        per = self._per.get(key)
+        if per is None:
+            distance = self._topology.position_of(src).distance_to(
+                self._topology.position_of(dst))
+            per = min(1.0, self._floor + self._slope * distance)
+            self._per[key] = per
+        return per
 
     def is_corrupted(self, rng: RngRegistry, src: str, dst: str,
                      frame_id: int) -> bool:

@@ -86,11 +86,14 @@ class SyntheticEcg:
             for w in self.morphology)
         self._mean_rr_s = 60.0 / heart_rate_bpm
         self._beats: List[float] = [first_beat_s]
-        # One-entry memo: sources are pure functions of time, and every
-        # ASIC channel wrapping this instance samples the same instants,
-        # so consecutive repeats are common (one per extra channel).
+        # One-entry and one-block memos: sources are pure functions of
+        # time, and every ASIC channel wrapping this instance samples
+        # the same instants, so consecutive repeats are common (one per
+        # extra channel).
         self._memo_t: float = math.nan
         self._memo_v: float = 0.0
+        self._block_times: List[float] = []
+        self._block_values: List[float] = []
 
     # ------------------------------------------------------------------
     # Beat schedule
@@ -132,6 +135,40 @@ class SyntheticEcg:
         self._memo_t = t_seconds
         self._memo_v = result
         return result
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        """``[value_at(t) for t in times]`` for ascending ``times``.
+
+        Bit for bit the same: each sample extends the beat list exactly
+        as :meth:`value_at` would and sums the same bumps of the same
+        bracketing beats in the same order, found by one forward index
+        instead of a bisect per sample.
+        """
+        if times == self._block_times:
+            return self._block_values[:]
+        exp = math.exp
+        waves = self._waves
+        beats = self._beats
+        amplitude_mv = self.amplitude_mv
+        two_rr = 2.0 * self._mean_rr_s  # _ensure_beats_until's horizon
+        index = bisect_left(beats, times[0]) if times else 0
+        values: List[float] = []
+        for t_seconds in times:
+            if beats[-1] < t_seconds + two_rr:
+                self._ensure_beats_until(t_seconds)
+            # First beat at or after t, as bisect_left finds it.
+            while beats[index] < t_seconds:
+                index += 1
+            value = 0.0
+            for beat in beats[max(0, index - 1):index + 2]:
+                for amplitude, offset_s, width_s, cutoff in waves:
+                    dt = t_seconds - (beat + offset_s)
+                    if -cutoff < dt < cutoff:
+                        value += amplitude * exp(-0.5 * (dt / width_s) ** 2)
+            values.append(amplitude_mv * value)
+        self._block_times = list(times)
+        self._block_values = values
+        return values[:]
 
     def _neighbouring_beats(self, t_seconds: float) -> List[float]:
         index = bisect_left(self._beats, t_seconds)

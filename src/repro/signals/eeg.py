@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,13 @@ class SyntheticEeg:
         sin = math.sin
         return sum(a * sin(w * t_seconds + p)
                    for w, p, a in self._fast_tones)
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        """``[value_at(t) for t in times]``, bit for bit."""
+        sin = math.sin
+        tones = self._fast_tones
+        return [sum(a * sin(w * t + p) for w, p, a in tones)
+                for t in times]
 
     def band_rms(self) -> Dict[str, float]:
         """Analytic per-band RMS in microvolts (exact for pure tones)."""

@@ -2,10 +2,13 @@
 
 A *signal source* is anything with a ``value_at(t_seconds) -> float``
 method returning the instantaneous analog value (volts at the ASIC
-output).  Sources must be **pure functions of time** so that simulation
-results are reproducible and independent of sampling order; stochastic
-sources therefore derive their randomness from a hash of (seed, t)
-instead of mutable generator state.
+output), and a ``values_at(times)`` method returning
+``[value_at(t) for t in times]`` bit for bit, for ascending ``times``
+(the block a coalesced acquisition reads at once).  Sources must be
+**pure functions of time** so that simulation results are reproducible
+and independent of sampling order; stochastic sources therefore derive
+their randomness from a hash of (seed, t) instead of mutable generator
+state.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 
 class SignalSource(Protocol):
@@ -21,6 +24,11 @@ class SignalSource(Protocol):
 
     def value_at(self, t_seconds: float) -> float:
         """Instantaneous value at absolute time ``t_seconds``."""
+        ...  # pragma: no cover - protocol
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        """``[value_at(t) for t in times]``, bit for bit; ``times``
+        ascending."""
         ...  # pragma: no cover - protocol
 
 
@@ -32,6 +40,9 @@ class ConstantSource:
 
     def value_at(self, t_seconds: float) -> float:
         return self.level
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        return [self.level] * len(times)
 
 
 class SineSource:
@@ -49,6 +60,12 @@ class SineSource:
     def value_at(self, t_seconds: float) -> float:
         return self.offset + self.amplitude * math.sin(
             2.0 * math.pi * self.frequency_hz * t_seconds + self.phase_rad)
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        sin = math.sin
+        offset, amplitude, phase = self.offset, self.amplitude, self.phase_rad
+        omega = 2.0 * math.pi * self.frequency_hz
+        return [offset + amplitude * sin(omega * t + phase) for t in times]
 
 
 class HashNoiseSource:
@@ -77,7 +94,15 @@ class HashNoiseSource:
     def value_at(self, t_seconds: float) -> float:
         if self.amplitude == 0.0:
             return 0.0
-        quantised = round(t_seconds / self.resolution_s)
+        return self._noise(round(t_seconds / self.resolution_s))
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        if self.amplitude == 0.0:
+            return [0.0] * len(times)
+        resolution = self.resolution_s
+        return [self._noise(round(t / resolution)) for t in times]
+
+    def _noise(self, quantised: int) -> float:
         if quantised == self._memo_q:
             return self._memo_v
         digest = hashlib.blake2b(
@@ -117,6 +142,12 @@ class MixSource:
         self._memo_v = value
         return value
 
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        weights = self._weights
+        columns = [s.values_at(times) for s in self._sources]
+        return [sum(w * v for v, w in zip(row, weights))
+                for row in zip(*columns)]
+
 
 class ScaledSource:
     """``gain * inner(t) + offset`` — e.g. the ASIC amplifier stage."""
@@ -129,6 +160,10 @@ class ScaledSource:
 
     def value_at(self, t_seconds: float) -> float:
         return self.gain * self._inner.value_at(t_seconds) + self.offset
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        gain, offset = self.gain, self.offset
+        return [gain * v + offset for v in self._inner.values_at(times)]
 
 
 __all__ = [

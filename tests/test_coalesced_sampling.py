@@ -2,12 +2,13 @@
 
 A sampling-timer fire (or a cost-only post) that finds the node's
 scheduler idle and its MCU in LPM0 books the task's wake, run and
-sleep as planned ledger transitions instead of two dispatch events,
-and runs the acquisition later, stamped with its acquisition tick.
-The per-sample chain runs
-whenever the simulator has a ``TraceRecorder`` (or spans, or a
-deep-sleep policy), so every test here runs the same thing twice, once
-with a trace, and requires bit-identical results.
+sleep as planned ledger transitions instead of two dispatch events;
+its body only records the acquisition tick, and the recorded ticks are
+read as one block when something can observe them.  The per-sample
+chain, which reads every sample on its own, runs whenever the
+simulator has a ``TraceRecorder`` (or spans, or a deep-sleep policy),
+so every test here runs the same thing twice, once with a trace, and
+requires bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "tools"))
-from determinism_check import fault_config  # noqa: E402
+from determinism_check import fault_config, reference_configs  # noqa: E402
 
 from repro.analysis.experiments import _TABLE_SPECS
 from repro.analysis.waveforms import WaveformProbe
@@ -30,6 +31,7 @@ from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.core.ledger import PowerStateLedger
 from repro.core.states import PowerState, PowerStateTable
 from repro.exec.cache import config_fingerprint
+from repro.hw.asic import BiopotentialAsic
 from repro.net import BanScenario, BanScenarioConfig
 from repro.net.multi import MultiBanScenario
 from repro.net.node import SensorNode
@@ -41,6 +43,7 @@ from repro.sim.events import SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.simtime import milliseconds, seconds
 from repro.sim.trace import TraceRecorder
+from repro.tinyos.components import Component
 
 WINDOW_S = 1.0
 
@@ -59,6 +62,8 @@ def _node_counters(bans: List[BanScenario]) -> List[Tuple[Any, ...]]:
     for ban in bans:
         for station in [*ban.nodes, ban.base_station]:
             app = getattr(station, "app", None)
+            asic = getattr(station, "asic", None)
+            adc = getattr(station, "adc", None)
             rows.append((
                 station.mcu.wakeups, station.mcu.cycles_executed,
                 station.scheduler.tasks_run,
@@ -66,7 +71,12 @@ def _node_counters(bans: List[BanScenario]) -> List[Tuple[Any, ...]]:
                 getattr(app, "codes_sent", None),
                 getattr(app, "codes_dropped", None),
                 getattr(app, "beats_detected", None),
-                list(getattr(app, "_pending", ()))))
+                list(getattr(app, "_pending", ())),
+                list(getattr(app, "_pending_reports", ())),
+                list(getattr(app, "_stream_buffer", ())),
+                getattr(app, "mode_changes", None),
+                None if asic is None else asic.reads,
+                None if adc is None else adc.conversions))
     return rows
 
 
@@ -115,6 +125,28 @@ def test_ward_is_bit_identical():
     coalesced, reference = run(False), run(True)
     assert coalesced[:3] == reference[:3]
     assert coalesced[3] < reference[3]
+
+
+NOISY_AND_ADAPTIVE = [
+    BanScenarioConfig(mac="static", app="ecg_streaming", num_nodes=3,
+                      measure_s=WINDOW_S, seed=5, ecg_noise_mv=0.05),
+    BanScenarioConfig(mac="static", app="rpeak", num_nodes=2,
+                      measure_s=WINDOW_S, seed=5, ecg_noise_mv=0.05),
+    reference_configs()[-1],
+]
+
+
+@pytest.mark.parametrize("config", NOISY_AND_ADAPTIVE,
+                         ids=["noisy-streaming", "noisy-rpeak",
+                              "adaptive-alarm"])
+def test_noisy_and_adaptive_configs_are_bit_identical(config):
+    coalesced = _run_ban(config, per_sample=False)
+    reference = _run_ban(config, per_sample=True)
+    assert coalesced[:3] == reference[:3]
+    if config.app == "adaptive":
+        # A mode change logged: the alarm fired, so raw codes streamed
+        # from coalesced blocks.
+        assert any(row[10] for row in coalesced[1])
 
 
 def test_events_dispatched_is_pinned():
@@ -167,7 +199,7 @@ class _RecordingApp(SamplingApplication):
         return None
 
 
-class _MacStub:
+class _MacStub(Component):
     payload_provider: Optional[Callable[[], Any]] = None
 
 
@@ -176,6 +208,8 @@ class _Rig:
 
     #: The first sample fire.
     FIRE = milliseconds(5)
+    #: The sampling period (200 Hz).
+    PERIOD = milliseconds(5)
 
     def __init__(self, per_sample: bool) -> None:
         self.sim = Simulator(seed=1, trace=(TraceRecorder(capacity=1)
@@ -185,9 +219,11 @@ class _Rig:
         self.node.asic.connect_source(
             0, ScaledSource(SyntheticEcg(first_beat_s=0.004), gain=0.8,
                             offset=1.25))
-        self.mac = _MacStub()
+        self.mac = _MacStub(self.sim, "node1.mac")
+        self.node.install_mac(self.mac)
         self.log: List[Any] = []
         self.app = _RecordingApp(self.node, self.mac, self.log)
+        self.node.install_app(self.app)
         self.probe = WaveformProbe()
         self.probe.attach("mcu", self.node.mcu.ledger)
         self.app.start()
@@ -220,7 +256,8 @@ class _Rig:
         return (log, self.probe.timeline("mcu"), mcu.wakeups,
                 mcu.cycles_executed, self.node.scheduler.tasks_run,
                 self.app.samples_taken, mcu.ledger.energy_j(),
-                dict(mcu.ledger.energy_by_tag()))
+                dict(mcu.ledger.energy_by_tag()), self.node.asic.reads,
+                self.node.adc.conversions)
 
 
 def _both(script: Callable[[_Rig], None], until: int = milliseconds(30)
@@ -303,6 +340,70 @@ def test_payload_read_at_the_acquisition_tick_raises():
         coalesced.sim.run_until(milliseconds(30))
 
 
+def test_payload_read_at_a_later_acquisition_tick_raises():
+    # Two samples wait as recorded ticks; the read lands on the third
+    # sample's acquisition tick and must still refuse to guess.
+    coalesced = _Rig(per_sample=False)
+    acquisition = _Rig.FIRE + 2 * _Rig.PERIOD + coalesced.wake
+    coalesced.read_at(acquisition)
+    with pytest.raises(SimulationError, match=f"node1.*{acquisition}"):
+        coalesced.sim.run_until(milliseconds(30))
+
+
+def test_payload_read_evaluates_the_deferred_block():
+    read = _Rig.FIRE + 3 * _Rig.PERIOD
+    coalesced, reference = _both(lambda rig: rig.read_at(read))
+    assert ("read", read, 3) in coalesced.log
+    # All three samples were read as one block after the fact: they
+    # sit right before the read in host order.
+    assert [entry[0] for entry in coalesced.log[:4]] \
+        == ["sample", "sample", "sample", "read"]
+    assert coalesced.node.asic.reads == reference.node.asic.reads
+
+
+def test_a_posted_sample_flushes_earlier_ticks_first():
+    # The 4.19 ms packet task starts 1 ms after the first (coalesced)
+    # sample; the second sample fires inside it, so it is posted and
+    # read on the scalar path, after the first sample's recorded tick.
+    def script(rig: _Rig) -> None:
+        rig.post_at(rig.FIRE + milliseconds(1), PREP)
+
+    coalesced, reference = _both(script)
+    samples = [entry[1] for entry in coalesced.log if entry[0] == "sample"]
+    assert samples == sorted(samples)
+    first, second = samples[:2]
+    assert first == _Rig.FIRE + coalesced.wake
+    assert second > _Rig.FIRE + _Rig.PERIOD + coalesced.wake
+    # Host order: the MAC task ran before the first sample's values
+    # were read, and the posted sample read them first.
+    assert [entry[0] for entry in coalesced.log[:3]] \
+        == ["mac", "sample", "sample"]
+    assert [entry[0] for entry in reference.log[:3]] \
+        == ["sample", "mac", "sample"]
+
+
+def test_the_per_task_chain_reads_sample_by_sample(monkeypatch):
+    def no_block(*args: Any) -> None:
+        raise AssertionError("block read on the per-task chain")
+
+    monkeypatch.setattr(BiopotentialAsic, "read_block", no_block)
+    reference = _Rig(per_sample=True)
+    reference.sim.run_until(milliseconds(30))
+    assert reference.app.samples_taken == 5
+
+
+def test_coalesced_samples_read_in_blocks_only(monkeypatch):
+    def no_scalar(*args: Any) -> None:
+        raise AssertionError("scalar read of a coalesced sample")
+
+    monkeypatch.setattr(BiopotentialAsic, "read_channel", no_scalar)
+    monkeypatch.setattr(SyntheticEcg, "value_at", no_scalar)
+    coalesced = _Rig(per_sample=False)
+    coalesced.sim.run_until(milliseconds(30))
+    assert coalesced.app.samples_taken == 5
+    assert coalesced.node.asic.reads == 5
+
+
 def test_sample_fire_during_a_packet_prep_task():
     # The 4.19 ms task started 1 ms before the fire; the sample queues
     # behind it on both paths.
@@ -323,6 +424,43 @@ def test_sample_straddling_the_warmup_reset(phase):
         rig.node.reset_measurement()
         rig.sim.run_until(milliseconds(30))
         rigs.append(rig)
+    assert rigs[0].outcome() == rigs[1].outcome()
+
+
+def test_deferred_ticks_straddling_the_warmup_reset():
+    # The reset runs inside an event, with three samples recorded and a
+    # fourth mid-wake: it reads the recorded three (their ASIC reads
+    # belong to the warm-up) before it zeroes the counters, and the
+    # window counts the fourth and fifth.
+    rigs = []
+    for per_sample in (False, True):
+        rig = _Rig(per_sample)
+        seen: List[Tuple[int, int]] = []
+
+        def reset(rig: _Rig = rig, seen: List[Tuple[int, int]] = seen
+                  ) -> None:
+            rig.node.reset_measurement()
+            seen.append((len(rig.log), rig.node.asic.reads))
+
+        rig.sim.at(rig.FIRE + 3 * rig.PERIOD + rig.wake // 2, reset)
+        rig.sim.run_until(milliseconds(30))
+        assert seen == [(3, 0)]
+        rigs.append(rig)
+    assert rigs[0].outcome() == rigs[1].outcome()
+    assert rigs[0].node.asic.reads == 2
+
+
+def test_deferred_ticks_at_the_horizon():
+    rigs = []
+    for per_sample in (False, True):
+        rig = _Rig(per_sample)
+        # The horizon lands one tick after the fourth acquisition.
+        rig.sim.run_until(rig.FIRE + 3 * rig.PERIOD + rig.wake + 1)
+        assert len(rig.log) == 4
+        rigs.append(rig)
+    assert rigs[0].outcome() == rigs[1].outcome()
+    for rig in rigs:
+        rig.sim.run_until(milliseconds(30))
     assert rigs[0].outcome() == rigs[1].outcome()
 
 

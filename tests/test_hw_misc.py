@@ -48,6 +48,18 @@ class TestAdc12:
         adc.convert(1.0)
         assert adc.conversions == 2
 
+    @pytest.mark.parametrize("rails", [(0.0, 2.5), (-1.0, 1.5)])
+    def test_convert_block_is_convert(self, rails):
+        volts = [-3.0, -1.0, -0.0, 0.0, 1e-12, 0.3051, 1.25, 1.2503,
+                 1.4999, 1.5, 2.4997, 2.5, 2.6, 40.0]
+        block, scalar = Adc12(*rails), Adc12(*rails)
+        codes = block.convert_block(volts)
+        assert codes == [scalar.convert(v) for v in volts]
+        assert {0, FULL_SCALE_CODE} <= set(codes)
+        assert block.conversions == scalar.conversions == len(volts)
+        assert block.convert_block([]) == []
+        assert block.conversions == len(volts)
+
 
 class TestBiopotentialAsic:
     def test_constant_power(self, sim, cal):
@@ -96,6 +108,27 @@ class TestBiopotentialAsic:
         asic.reset_measurement()
         assert asic.reads == 0
         assert asic.energy_mj() == 0.0
+
+    def test_read_block_is_read_channel(self, sim, cal):
+        asic = BiopotentialAsic(sim, cal)
+        asic.connect_source(2, SineSource(3.0, amplitude=0.4, offset=1.0))
+        ticks = [0, 7, seconds(0.1), seconds(0.25), seconds(1.0) + 3]
+        values = asic.read_block(2, ticks)
+        assert asic.reads == len(ticks)
+        assert values == [asic.read_channel(2, t) for t in ticks]
+
+    def test_read_block_unconnected_channel_reads_zeros(self, sim, cal):
+        asic = BiopotentialAsic(sim, cal)
+        assert asic.read_block(5, [10, 20, 30]) == [0.0, 0.0, 0.0]
+        assert asic.read_block(5, []) == []
+        assert asic.reads == 3
+
+    def test_read_block_channel_bounds(self, sim, cal):
+        asic = BiopotentialAsic(sim, cal)
+        for channel in (-1, NUM_CHANNELS):
+            with pytest.raises(ValueError):
+                asic.read_block(channel, [0])
+        assert asic.reads == 0
 
 
 class TestBattery:

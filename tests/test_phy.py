@@ -1,5 +1,10 @@
 """Unit tests for topologies, loss models and channel mechanics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.losses import RadioEnergyCategory
@@ -171,8 +176,8 @@ class TestChannel:
 
 
 class TestDistanceLossVectorised:
-    """The precomputed (numpy) PER table must equal the scalar formula
-    bit for bit — the fast path is value-transparent."""
+    """The memoised per-link PER must equal the scalar formula bit for
+    bit — the memo is value-transparent."""
 
     def test_table_matches_scalar_formula_exactly(self):
         topo = BodyTopology.body_preset()
@@ -185,15 +190,6 @@ class TestDistanceLossVectorised:
                                    topo.position_of(dst)))
                 assert model.per_for(src, dst) == expected
 
-    def test_scalar_fallback_agrees_with_table(self):
-        topo = BodyTopology.body_preset()
-        fast = DistanceLoss(topo, floor_per=0.0, slope_per_m=0.05)
-        slow = DistanceLoss(topo, floor_per=0.0, slope_per_m=0.05)
-        slow._per_table = None  # force the no-numpy path
-        for src in topo.nodes():
-            for dst in topo.nodes():
-                assert fast.per_for(src, dst) == slow.per_for(src, dst)
-
     def test_per_saturates_at_one(self):
         topo = BodyTopology({"a": Position(0.0, 0.0),
                              "b": Position(10.0, 0.0)})
@@ -204,3 +200,19 @@ class TestDistanceLossVectorised:
         model = DistanceLoss(BodyTopology.body_preset())
         with pytest.raises(KeyError, match="nope"):
             model.per_for("chest", "nope")
+
+
+def test_importing_repro_leaves_numpy_unloaded():
+    """The package is pure Python: no import of the experiment or lint
+    entry points pulls numpy in."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys\n"
+             "import repro.analysis.experiments\n"
+             "import repro.lint.cli\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.split('.')[0] == 'numpy'))\n")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout
+    assert loaded.strip() == "[]"

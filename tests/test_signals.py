@@ -1,9 +1,12 @@
 """Unit tests for signal sources and the synthetic ECG/EEG generators."""
 
 import math
+from typing import Callable, Dict, List, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.signals.arrhythmia import IrregularEcg
 from repro.signals.ecg import PQRST, SyntheticEcg, Wave
 from repro.signals.eeg import SyntheticEeg
 from repro.signals.sources import (
@@ -11,8 +14,10 @@ from repro.signals.sources import (
     HashNoiseSource,
     MixSource,
     ScaledSource,
+    SignalSource,
     SineSource,
 )
+from repro.sim.simtime import TICKS_PER_SECOND, seconds
 
 
 class TestSources:
@@ -159,3 +164,89 @@ class TestSyntheticEeg:
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticEeg(tones_per_band=0)
+
+
+# ----------------------------------------------------------------------
+# Block evaluation: values_at == [value_at(t) ...], bit for bit
+# ----------------------------------------------------------------------
+def _irregular() -> IrregularEcg:
+    return IrregularEcg(heart_rate_bpm=90.0, dropped_beat_prob=0.3,
+                        premature_beat_prob=0.3, rr_jitter_fraction=0.3,
+                        seed=5)
+
+
+#: One factory per source class; each call builds a fresh instance.
+SOURCES: Dict[str, Callable[[], SignalSource]] = {
+    "SyntheticEcg": lambda: SyntheticEcg(hrv_fraction=0.2),
+    "IrregularEcg": _irregular,
+    "SyntheticEeg": lambda: SyntheticEeg(seed=3),
+    "SineSource": lambda: SineSource(7.0, amplitude=0.3, phase_rad=0.2,
+                                     offset=1.0),
+    "ConstantSource": lambda: ConstantSource(1.25),
+    "HashNoiseSource": lambda: HashNoiseSource(0.05, seed=9),
+    "MixSource": lambda: MixSource(
+        [SyntheticEcg(), HashNoiseSource(0.05, seed=2)],
+        weights=[1.0, 0.5]),
+    "ScaledSource": lambda: ScaledSource(_irregular(), gain=0.8,
+                                         offset=1.25),
+}
+
+
+def _bits(values: Sequence[float]) -> List[str]:
+    return [value.hex() for value in values]
+
+
+def _blocks_and_scalars(name: str, times: Sequence[float],
+                        cuts: Sequence[int]) -> None:
+    """Feed ``times`` to one instance as consecutive blocks split at
+    ``cuts`` (each block twice, as a second channel would) and to
+    another sample by sample; the values must agree bit for bit."""
+    block, scalar = SOURCES[name](), SOURCES[name]()
+    got: List[float] = []
+    bounds = [0, *sorted(cuts), len(times)]
+    for start, stop in zip(bounds, bounds[1:]):
+        first = block.values_at(times[start:stop])
+        assert _bits(block.values_at(times[start:stop])) == _bits(first)
+        got.extend(first)
+    assert _bits(got) == _bits([scalar.value_at(t) for t in times])
+
+
+ticks = st.lists(st.integers(min_value=0, max_value=seconds(8.0)),
+                 min_size=1, max_size=60).map(sorted)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+@given(ticks=ticks, cuts=st.lists(st.integers(min_value=0, max_value=60),
+                                  max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_values_at_is_value_at_bit_for_bit(name, ticks, cuts):
+    times = [tick / TICKS_PER_SECOND for tick in ticks]
+    _blocks_and_scalars(name, times,
+                        [min(cut, len(times)) for cut in cuts])
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_one_element_block(name):
+    _blocks_and_scalars(name, [0.4005], [])
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_block_before_the_first_beat(name):
+    # Every ECG here has its first R peak at 0.35 s.
+    _blocks_and_scalars(name, [0.005 * k for k in range(60)], [])
+
+
+@pytest.mark.parametrize("factory", [SyntheticEcg, _irregular])
+def test_block_straddling_the_beat_list_horizon(factory):
+    # A fresh generator holds one beat; one block runs 20 s past it, so
+    # the beat list grows inside the block exactly as sample-by-sample
+    # reads grow it.
+    block, scalar = factory(), factory()
+    times = [0.3 + 0.005 * k for k in range(4000)]
+    assert block._beats[-1] < times[-1]
+    assert _bits(block.values_at(times)) \
+        == _bits([scalar.value_at(t) for t in times])
+    assert block._beats == scalar._beats
+    if isinstance(block, IrregularEcg):
+        assert (block.beats_dropped, block.beats_premature) \
+            == (scalar.beats_dropped, scalar.beats_premature) != (0, 0)

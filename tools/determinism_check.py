@@ -79,6 +79,12 @@ def reference_configs() -> List[BanScenarioConfig]:
         BanScenarioConfig(mac="csma", app="ecg_streaming",
                           num_nodes=3, measure_s=2.0, seed=17,
                           sampling_hz=205.0),
+        # Noisy ECG (a MixSource over a HashNoiseSource) into the
+        # adaptive app, fast enough to raise a tachycardia alarm and
+        # stream raw codes.
+        BanScenarioConfig(mac="dynamic", app="adaptive", num_nodes=2,
+                          measure_s=3.0, seed=19, ecg_noise_mv=0.05,
+                          heart_rate_bpm=140.0),
     ]
 
 
