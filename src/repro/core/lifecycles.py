@@ -26,10 +26,6 @@ Spec vocabulary
   a class whose ``acquire_hook`` (``on_start``) acquires the resource
   on every path must release it on every path out of its
   ``release_hook`` (``on_stop``).
-* ``defer_attrs`` — boolean attributes that *defer* the release
-  obligation to a completion callback (``self._stop_pending = True``
-  while the radio is mid-ShockBurst; the TX-done callback powers
-  down).  Setting one discharges the boundary obligation.
 * ``acquire_on_construct`` — the constructor itself acquires (a
   ``JsonlTraceSink`` opens its file eagerly), so whoever constructs
   one owns the release obligation.
@@ -73,8 +69,6 @@ class LifecycleSpec:
             rather than an error (``power_down`` raises).
         boundary: ``(acquire_hook, release_hook)`` name pairs checked
             across methods of an owning class.
-        defer_attrs: boolean attributes whose ``True`` assignment
-            defers the release to a completion callback.
         release_on_unwind: the release must be exception-safe.
         class_paired: ``(open, close)`` method pairs checked at class
             granularity (cross-callback span phases).
@@ -93,7 +87,6 @@ class LifecycleSpec:
     acquire_on_construct: bool = False
     idempotent_release: bool = True
     boundary: Tuple[Tuple[str, str], ...] = field(default=())
-    defer_attrs: Tuple[str, ...] = field(default=())
     release_on_unwind: bool = False
     class_paired: Tuple[Tuple[str, str], ...] = field(default=())
     handle_factories: Tuple[str, ...] = field(default=())
@@ -125,23 +118,22 @@ class LifecycleSpec:
                 f"acquire and release")
 
 
-#: nRF2401 transceiver: ``power_up`` must pair with ``power_down``
-#: across every Component ``on_start``/``on_stop`` boundary, with
-#: ``_stop_pending`` as the documented mid-ShockBurst deferral (the
-#: chip cannot switch off while transmitting; the TX-done callback
-#: completes the release).  ``send``/``start_rx``/``cca`` after
-#: ``power_down`` is the use-after-release the runtime RadioError
-#: guards catch dynamically — LIF003 proves it statically.
+#: nRF2401 transceiver: ``power_up`` must pair with a release across
+#: every Component ``on_start``/``on_stop`` boundary.  MACs release
+#: with ``release()``, which the radio itself defers to the end of a
+#: ShockBurst in flight (the chip cannot switch off while
+#: transmitting).  ``send``/``start_rx``/``cca`` after a release is
+#: the use-after-release the runtime RadioError guards catch
+#: dynamically — LIF003 proves it statically.
 RADIO_LIFECYCLE = LifecycleSpec(
     resource="radio",
     module="hw/radio.py",
     class_names=("Nrf2401",),
     acquire=("power_up",),
-    release=("power_down",),
+    release=("power_down", "release"),
     uses=("send", "start_rx", "stop_rx", "cca"),
     idempotent_release=False,
     boundary=(("on_start", "on_stop"),),
-    defer_attrs=("_stop_pending",),
 )
 
 #: TinyOS-style virtual timer: a timer armed in ``on_start`` must be

@@ -8,10 +8,13 @@ event per concrete fault.  All injection happens *beneath* the
 protocol:
 
 * **Crash** — ``stack.stop_all()`` (application timers and MAC cease;
-  their pending events no-op on the started guards), then the radio is
-  powered down once any in-flight ShockBurst drains.  An optional
-  reboot is ``stack.start_all()``: the MAC re-enters acquisition via
-  its warm-reboot path and rejoins over the air.
+  their pending events no-op on the started guards).  The radio goes
+  dark through the MAC's own stop: :meth:`~repro.hw.radio.Nrf2401.
+  release` powers it down at once, or at the last tick of a ShockBurst
+  still in flight.  An optional reboot is ``stack.start_all()``: the
+  MAC powers the radio back up (cancelling a release still waiting
+  for its burst), re-enters acquisition via its warm-reboot path and
+  rejoins over the air.
 * **Radio lockup** — sets :attr:`~repro.hw.radio.Nrf2401.fault_rx_deaf`
   for the duration; frames are lost inside the radio (RX energy spent,
   MCU asleep), so the MAC sees pure silence.
@@ -219,22 +222,7 @@ class FaultInjector:
         if node.mac is None or not node.mac.started:
             return False  # already down (e.g. brownout after a crash)
         node.stack.stop_all()
-        self._quiesce_radio(node)
         return True
-
-    def _quiesce_radio(self, node: "SensorNode") -> None:
-        radio = node.radio
-        if radio.is_transmitting:
-            # Power-down mid-ShockBurst is illegal; events are
-            # sub-millisecond, so re-check once the burst drains.
-            self._sim.after(milliseconds(1),
-                            lambda: self._quiesce_radio(node),
-                            label=f"fault.quiesce[{node.node_id}]")
-            return
-        if node.mac is not None and node.mac.started:
-            return  # rebooted while the transmission drained
-        if radio.state != "power_down":
-            radio.power_down()
 
     def _reboot(self, node: "SensorNode") -> None:
         if node.mac is not None and node.mac.started:

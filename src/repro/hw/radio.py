@@ -141,6 +141,9 @@ class Nrf2401:
 
         self._rx_since: Optional[int] = None
         self._tx_busy = False
+        # A release() that found a ShockBurst in flight: _finish_tx
+        # completes it after the burst's callback.
+        self._release_pending = False
         self._inflight: Dict[int, "Transmission"] = {}
         # Frames whose airtime this radio is actively capturing (RX on
         # since before first bit).  A fault-driven power_down() moves
@@ -151,7 +154,7 @@ class Nrf2401:
         # Captures abandoned by a software mode switch (stop_rx/send),
         # keyed by frame id -> abandon tick.  Normally these drain
         # silently at frame_arrival_end; if the radio powers down
-        # before that, the teardown was a fault quiesce and they are
+        # before that, the teardown was a crash (release) and they are
         # promoted to fault cuts at their abandon tick.
         self._rx_abandoned: Dict[int, int] = {}
         self._fault_cut: Dict[int, int] = {}
@@ -212,16 +215,33 @@ class Nrf2401:
         return self._tx_busy
 
     def power_up(self) -> None:
-        """POWER_DOWN -> STANDBY (configuration registers retained)."""
+        """POWER_DOWN -> STANDBY (configuration registers retained).
+
+        Also cancels a :meth:`release` still waiting for its burst.
+        """
+        self._release_pending = False
         if self.ledger.state == POWER_DOWN:
             self.ledger.transition(STANDBY)
+
+    def release(self) -> None:
+        """Stop listening, then power down: the radio side of a MAC stop.
+
+        Mid-ShockBurst the chip cannot be switched off, so the
+        power-down waits for the burst and lands at its last tick,
+        right after the burst's ``on_complete`` callback has run.
+        """
+        self.stop_rx()
+        if self._tx_busy:
+            self._release_pending = True
+            return
+        self.power_down()
 
     def power_down(self) -> None:
         """Switch everything off.  Illegal mid-transmission."""
         if self._tx_busy:
             raise RadioError(f"{self.name}: power_down during transmission")
         if self._cca_since is not None:
-            # A fault quiesced the radio mid-sense: book the truncated
+            # A crash released the radio mid-sense: book the truncated
             # window (the ledger stops accruing CCA-state energy at
             # this instant) and drop the pending result callback.
             partial = (to_seconds(self._sim.now - self._cca_since)
@@ -241,7 +261,7 @@ class Nrf2401:
         if self._rx_abandoned:
             # The MAC's teardown stopped the receive chain moments ago
             # (stop_rx mid-capture) and now the whole radio goes dark:
-            # that is a fault quiesce, not a routine mode switch.  The
+            # that is a crash, not a routine mode switch.  The
             # abandoned captures become fault cuts at the tick the
             # chain actually stopped, so the energy booked at
             # frame_arrival_end matches what the ledger accrued.
@@ -478,6 +498,9 @@ class Nrf2401:
             self.spans.tx_finish(outcome, self._sim.now)
         if on_complete is not None:
             on_complete(outcome)
+        if self._release_pending:
+            self._release_pending = False
+            self.power_down()
 
     def _book_tx_energy(self, outcome: TxOutcome) -> None:
         frame = outcome.frame
@@ -524,7 +547,7 @@ class Nrf2401:
         start = transmission.start_time
         cut = self._fault_cut.pop(transmission.frame.frame_id, None)
         if cut is not None:
-            # The radio was quiesced (NodeCrash / BatteryBrownout) while
+            # The radio went dark (NodeCrash / BatteryBrownout) while
             # capturing this frame: the receive chain spent RX energy
             # from first bit to the cut, then went dark.  Book the
             # truncated capture as a collision-class loss and surface an

@@ -21,8 +21,7 @@ Per function, the pass walks statements forward tracking an abstract
 state per *resource key* (the dotted receiver text: ``self._radio``,
 ``sink``, ``obs._sink``) as a set over
 
-    A = acquired · R = released · D = release deferred to a
-    completion callback · N = null/never acquired · U = unknown
+    A = acquired · R = released · N = null/never acquired · U = unknown
 
 Branches walk on copies and merge by union; ``return`` records an exit
 snapshot with its guard context; ``K is None`` / ``K is not None``
@@ -77,7 +76,6 @@ Env = Dict[str, State]
 
 ACQUIRED: State = frozenset({"A"})
 RELEASED: State = frozenset({"R"})
-DEFERRED: State = frozenset({"D"})
 NULL: State = frozenset({"N"})
 UNKNOWN: State = frozenset({"U"})
 
@@ -117,7 +115,6 @@ class LifecycleSpecInfo:
     acquire_on_construct: bool
     idempotent_release: bool
     boundary: Tuple[Tuple[str, str], ...]
-    defer_attrs: Tuple[str, ...]
     release_on_unwind: bool
     class_paired: Tuple[Tuple[str, str], ...]
     handle_factories: Tuple[str, ...]
@@ -163,9 +160,6 @@ def _extract_specs(contexts: Sequence[FileContext]
                     boundary=tuple(
                         (str(a), str(r))
                         for a, r in fields.get("boundary", ()) or ()),  # type: ignore[union-attr]
-                    defer_attrs=tuple(
-                        str(a) for a in fields.get("defer_attrs", ())
-                        or ()),  # type: ignore[union-attr]
                     release_on_unwind=bool(
                         fields.get("release_on_unwind", False)),
                     class_paired=tuple(
@@ -189,7 +183,7 @@ def _extract_specs(contexts: Sequence[FileContext]
 class _Event:
     """One lifecycle-relevant action observed during a walk."""
 
-    kind: str  #: acquire | may-acquire | release | may-release | defer | use
+    kind: str  #: acquire | may-acquire | release | may-release | use
     key: str
     spec: LifecycleSpecInfo
     line: int
@@ -224,7 +218,6 @@ class _Summary:
     must_acquire: FrozenSet[str] = frozenset()
     may_acquire: Dict[str, int] = field(default_factory=dict)
     may_release: FrozenSet[str] = frozenset()
-    defers: FrozenSet[str] = frozenset()
     key_specs: Dict[str, LifecycleSpecInfo] = field(default_factory=dict)
 
 
@@ -406,7 +399,7 @@ class _Walker:
         """Refine ``key`` under a None test; None when infeasible."""
         if env is None or key not in env:
             return env
-        removed = frozenset({"A", "D"}) if is_none else NULL
+        removed = ACQUIRED if is_none else NULL
         narrowed = env[key] - removed
         if not narrowed:
             return None  # e.g. definitely-acquired tested `is None`
@@ -471,20 +464,6 @@ class _Walker:
         target = targets[0]
         key = _dotted(target)
         if key is None:
-            return env
-        # Defer flags: ``self._stop_pending = True`` hands the release
-        # obligation to a completion callback.
-        if isinstance(target, ast.Attribute) \
-                and isinstance(value, ast.Constant) and value.value is True:
-            attr = target.attr
-            for spec in self.specs:
-                if attr not in spec.defer_attrs:
-                    continue
-                for tracked, tracked_spec in list(self.key_specs.items()):
-                    if tracked_spec is spec and tracked in env \
-                            and "A" in env[tracked]:
-                        env[tracked] = DEFERRED
-                        self._event("defer", tracked, spec, stmt)
             return env
         ctor = self._ctor_spec(value)
         if ctor is not None:
@@ -641,7 +620,6 @@ class _Walker:
             keys.update(summary.may_acquire)
             keys.update(summary.must_acquire)
             keys.update(summary.may_release)
-            keys.update(summary.defers)
         for key in sorted(keys):
             spec = next((s.key_specs[key] for s in summaries
                          if key in s.key_specs), None)
@@ -649,21 +627,17 @@ class _Walker:
                 continue
             mapped = key if receiver_text == "self" \
                 else receiver_text + key[len("self"):]
-            released = [s for s in summaries
-                        if key in s.may_release or key in s.defers]
+            released = [s for s in summaries if key in s.may_release]
             if released:
                 must = (len(released) == len(summaries)
                         and all(self.analysis.discharges(t, key, spec)
                                 for t in targets))
-                deferred = any(key in s.defers for s in summaries)
-                state = DEFERRED if deferred else RELEASED
                 if must:
-                    env[mapped] = state
-                    self._event("defer" if deferred else "release",
-                                mapped, spec, call)
+                    env[mapped] = RELEASED
+                    self._event("release", mapped, spec, call)
                 else:
                     env[mapped] = frozenset(
-                        env.get(mapped, UNKNOWN) | state)
+                        env.get(mapped, UNKNOWN) | RELEASED)
                     self._event("may-release", mapped, spec, call)
             acquired = [s for s in summaries
                         if key in s.may_acquire or key in s.must_acquire]
@@ -729,7 +703,6 @@ class LifecycleAnalysis:
             self._active.discard(token)
         may_acquire: Dict[str, int] = {}
         may_release: Set[str] = set()
-        defers: Set[str] = set()
         key_specs: Dict[str, LifecycleSpecInfo] = {}
         for event in result.events:
             if not event.key.startswith("self."):
@@ -740,8 +713,6 @@ class LifecycleAnalysis:
                 may_acquire.setdefault(event.key, event.line)
             elif event.kind in ("release", "may-release"):
                 may_release.add(event.key)
-            elif event.kind == "defer":
-                defers.add(event.key)
         must_acquire = frozenset(
             key for key in may_acquire
             if result.exits
@@ -750,15 +721,14 @@ class LifecycleAnalysis:
         summary = _Summary(must_acquire=must_acquire,
                            may_acquire=may_acquire,
                            may_release=frozenset(may_release),
-                           defers=frozenset(defers),
                            key_specs=key_specs)
         self._summaries[qualname] = summary
         return summary
 
     def discharges(self, qualname: str, key: str,
                    spec: LifecycleSpecInfo) -> bool:
-        """Whether a call to ``qualname`` releases/defers ``key`` on
-        every non-raising path, given it enters acquired."""
+        """Whether a call to ``qualname`` releases ``key`` on every
+        non-raising path, given it enters acquired."""
         cache_key = (qualname, key)
         cached = self._discharge_cache.get(cache_key)
         if cached is not None:
@@ -829,7 +799,7 @@ class LifecycleAnalysis:
             by_key.setdefault(event.key, []).append(event)
         for key, events in sorted(by_key.items()):
             releases = [e for e in events
-                        if e.kind in ("release", "may-release", "defer")]
+                        if e.kind in ("release", "may-release")]
             if not releases:
                 continue
             leaky = any("A" in env.get(key, frozenset())
@@ -1039,10 +1009,6 @@ class LifecycleAnalysis:
                 continue
             line, guards = witness or (r_fn.lineno, ())
             when = f" (when {' and '.join(guards)})" if guards else ""
-            defer_hint = (
-                f", or defer it via "
-                f"{' / '.join(spec.defer_attrs)}"
-                if spec.defer_attrs else "")
             self.findings.append(r_fn.ctx.finding_at(
                 "LIF001", r_fn.lineno,
                 getattr(r_fn.node, "col_offset", 0),
@@ -1050,7 +1016,7 @@ class LifecycleAnalysis:
                 f"through {class_name}.{a_hook} is still acquired on "
                 f"the path out of {r_hook} exiting at line "
                 f"{line}{when}: release it with "
-                f"{' / '.join(spec.release)}(){defer_hint}"))
+                f"{' / '.join(spec.release)}()"))
 
     # -- LIF004: constructed-but-never-released attributes ---------------
 

@@ -3,7 +3,7 @@ the contention family (unslotted ALOHA and 802.15.4-style CSMA/CA)."""
 
 from .aloha import AlohaBaseMac, AlohaConfig, AlohaNodeMac
 from .base import AppPayload, BaseStationMac, MacCounters, NodeMac, NodeState
-from .csma import CsmaBaseMac, CsmaConfig, CsmaNodeMac
+from .csma import CsmaConfig, CsmaNodeMac
 from .recovery import RecoveryConfig
 from .messages import (
     BEACON_BASE_BYTES,
@@ -40,7 +40,6 @@ __all__ = [
     "AlohaNodeMac",
     "AppPayload",
     "BaseStationMac",
-    "CsmaBaseMac",
     "CsmaConfig",
     "CsmaNodeMac",
     "MacCounters",

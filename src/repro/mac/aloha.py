@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..core.calibration import ModelCalibration
 from ..hw.frames import Frame, FrameKind
 from ..hw.radio import Nrf2401, TxOutcome
+from ..sim.events import EventEntry, cancel_event
 from ..sim.kernel import Simulator
 from ..sim.simtime import milliseconds
 from ..sim.trace import TraceRecorder
@@ -38,6 +39,7 @@ from ..tinyos.components import Component
 from ..tinyos.scheduler import TaskScheduler
 from .base import AppPayload, MacCounters
 from .messages import make_data
+from .recovery import RecoveryConfig
 
 if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
@@ -68,12 +70,32 @@ class AlohaConfig:
 
 
 class AlohaNodeMac(Component):
-    """Node side: poll the application, transmit at random instants."""
+    """Node side: poll the application, transmit at random instants.
+
+    The poll loop is shared with CSMA/CA
+    (:class:`~repro.mac.csma.CsmaNodeMac`), which overrides only the two
+    hooks that decide what a poll does with a frame: :meth:`_offer`
+    (ALOHA: wait a random offset inside the window) and
+    :meth:`_transmit` (ALOHA: send as soon as the packet is prepared).
+
+    Args:
+        sim: simulation kernel.
+        radio: this node's transceiver.
+        scheduler: this node's TinyOS task scheduler (MCU cost sink).
+        calibration: model constants.
+        config: poll-loop parameters.
+        recovery: opt-in recovery policy; only CSMA's backoff-cap
+            widening reads it (plain ALOHA has nothing to recover).
+    """
+
+    #: RNG stream of the first poll's jitter (``<address>.aloha_start``).
+    _start_stream = "aloha_start"
 
     def __init__(self, sim: Simulator, radio: Nrf2401,
                  scheduler: TaskScheduler,
                  calibration: ModelCalibration,
                  config: AlohaConfig,
+                 recovery: Optional[RecoveryConfig] = None,
                  name: Optional[str] = None,
                  trace: Optional[TraceRecorder] = None) -> None:
         super().__init__(sim, name or f"{radio.address}.mac", trace)
@@ -81,13 +103,21 @@ class AlohaNodeMac(Component):
         self._scheduler = scheduler
         self._cal = calibration
         self.config = config
+        self.recovery = recovery
         self.counters = MacCounters()
         #: Application hook, identical contract to the TDMA MACs.
         self.payload_provider: Optional[Callable[[], Optional[AppPayload]]] \
             = None
         #: Optional causal-span tracer (:mod:`repro.obs.spans`).
         self.spans: Optional["SpanTracer"] = None
-        self._stop_pending = False
+        #: A frame still in contention from an earlier poll; polls skip
+        #: while one is held (plain ALOHA never holds one).
+        self._pending: Optional[Frame] = None
+        #: Consecutive busy CCAs (CSMA's recovery signal).
+        self._busy_streak = 0
+        self._poll_event: Optional[EventEntry] = None
+        self._label_poll = f"{self.name}.poll"
+        self._label_prep = f"{self.name}.pkt_prep"
 
     # The scenario runner aligns measurement windows via these two
     # attributes on any base MAC; nodes expose the poll interval for
@@ -98,39 +128,43 @@ class AlohaNodeMac(Component):
         return self.config.poll_interval_ticks
 
     def on_start(self) -> None:
-        self._stop_pending = False
+        # A (re)boot starts clean: nothing in contention, no busy streak.
+        self._pending = None
+        self._busy_streak = 0
         self._radio.power_up()
         interval = self.config.poll_interval_ticks
         if self.config.start_jitter:
             first = self._sim.rng.uniform_ticks(
-                f"{self._radio.address}.aloha_start", 0, interval - 1)
+                f"{self._radio.address}.{self._start_stream}",
+                0, interval - 1)
         else:
             first = 0
-        self._sim.after(first, self._poll, label=f"{self.name}.poll")
+        self._poll_event = self._sim.after(first, self._poll,
+                                           label=self._label_poll)
 
     def on_stop(self) -> None:
-        # Symmetric with the collector: stopping the MAC releases the
-        # radio, so a post-window drain no longer accrues stand-by
-        # energy against this node.  Mid-ShockBurst the chip cannot be
-        # switched off; defer to the TX-completion callback.
-        if self._radio.is_transmitting:
-            self._stop_pending = True
-            return
-        self._radio.power_down()
+        # Cancel the pending poll: a reboot before it fires would
+        # otherwise run the old chain next to the new one.
+        if self._poll_event is not None:
+            cancel_event(self._poll_event)
+        self._radio.release()
 
     def _poll(self) -> None:
-        if not self.started:
-            return
-        interval = self.config.poll_interval_ticks
-        self._sim.after(interval, self._poll, label=f"{self.name}.poll")
-        if self.payload_provider is None:
+        self._poll_event = self._sim.after(
+            self.config.poll_interval_ticks, self._poll,
+            label=self._label_poll)
+        if self._pending is not None or self.payload_provider is None:
             return
         payload = self.payload_provider()
         if payload is None:
             return
         payload_bytes, content = payload
-        frame = make_data(self._radio.address, self.config.base_station,
-                          payload_bytes, content)
+        self._offer(make_data(self._radio.address, self.config.base_station,
+                              payload_bytes, content))
+
+    def _offer(self, frame: Frame) -> None:
+        """Hook: place a polled frame at a random instant of the window."""
+        interval = self.config.poll_interval_ticks
         tx_event = self._radio.tx_event_ticks(frame)
         if tx_event > interval:
             # The ShockBurst event would not fit inside one poll window:
@@ -153,14 +187,14 @@ class AlohaNodeMac(Component):
     def _queue_tx(self, frame: Frame) -> None:
         if not self.started:
             return
-        label = f"{self.name}.pkt_prep"
         if self.spans is not None:
-            self.spans.packet_queued(frame, self._sim.now, label)
-        self._scheduler.post(lambda: self._send(frame),
+            self.spans.packet_queued(frame, self._sim.now, self._label_prep)
+        self._scheduler.post(lambda: self._transmit(frame),
                              self._cal.mcu_costs.packet_preparation,
-                             label=label)
+                             label=self._label_prep)
 
-    def _send(self, frame: Frame) -> None:
+    def _transmit(self, frame: Frame) -> None:
+        """Hook: the prepared frame's next step (ALOHA: send it now)."""
         # The prep task may drain after a stop (crash faults power the
         # radio down); sending then would be a RadioError.
         if not self.started:
@@ -169,17 +203,15 @@ class AlohaNodeMac(Component):
 
     def _tx_done(self, outcome: TxOutcome) -> None:
         self.counters.data_sent += 1
-        if self._stop_pending and not self.started:
-            self._stop_pending = False
-            self._radio.power_down()
+        self._pending = None
 
     def observe_metrics(self, registry: "MetricsRegistry",
                         node: str) -> None:
         """Pull the node's MAC counters and poll period.
 
-        ALOHA has no beacons or slots, so only the shared counters and
-        the transmission-opportunity period apply.  Read-only: call
-        once per collected run.
+        The contention MACs have no beacons or slots, so only the
+        shared counters and the transmission-opportunity period apply.
+        Read-only: call once per collected run.
         """
         self.counters.observe_metrics(registry, node)
         registry.gauge("mac", node, "poll_interval_ticks").set(
@@ -223,12 +255,8 @@ class AlohaBaseMac(Component):
 
     def on_stop(self) -> None:
         # Release the radio, not just the RX state: a collector left in
-        # stand-by after its window keeps booking 0.9 mA forever.  The
-        # collector never transmits, so no mid-ShockBurst deferral is
-        # needed here.
-        if self._radio.is_receiving:
-            self._radio.stop_rx()
-        self._radio.power_down()
+        # stand-by after its window keeps booking 0.9 mA forever.
+        self._radio.release()
 
     def _on_frame(self, frame: Frame) -> None:
         if frame.kind is not FrameKind.DATA:

@@ -188,7 +188,6 @@ class NodeMac(Component):
         self._beacon_seen_this_window = False
         self._window_serial = 0
         self._join_pending = False
-        self._stop_pending = False
         self._next_window_open: Optional[int] = None
         self._next_slot_time: Optional[int] = None
         self._next_expected_beacon: Optional[int] = None
@@ -257,7 +256,6 @@ class NodeMac(Component):
     # Lifecycle
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        self._stop_pending = False
         self._radio.power_up()
         if self._preassigned_slot is not None:
             if self._first_beacon is None:
@@ -280,14 +278,8 @@ class NodeMac(Component):
     def on_stop(self) -> None:
         # Stopping the MAC releases the radio: a node left in stand-by
         # after its stack stops keeps accruing stand-by current against
-        # a node that is no longer running.  Mid-ShockBurst the chip
-        # cannot be switched off; defer to the TX-completion callback.
-        if self._radio.is_receiving:
-            self._radio.stop_rx()
-        if self._radio.is_transmitting:
-            self._stop_pending = True
-            return
-        self._radio.power_down()
+        # a node that is no longer running.
+        self._radio.release()
 
     @property
     def slot(self) -> Optional[int]:
@@ -643,13 +635,6 @@ class NodeMac(Component):
 
     def _data_tx_done(self, outcome: TxOutcome) -> None:
         self.counters.data_sent += 1
-        self._complete_deferred_stop()
-
-    def _complete_deferred_stop(self) -> None:
-        """Finish an ``on_stop`` that found the radio mid-ShockBurst."""
-        if self._stop_pending and not self.started:
-            self._stop_pending = False
-            self._radio.power_down()
 
     # ------------------------------------------------------------------
     # Slot requests (helpers for the variants)
@@ -678,11 +663,7 @@ class NodeMac(Component):
     def _send_ssr(self, frame: Frame) -> None:
         if not self.started:
             return  # stack stopped between the prep post and the drain
-        self._radio.send(frame, self._ssr_tx_done)
-
-    def _ssr_tx_done(self, outcome: TxOutcome) -> None:
-        # A stop that landed mid-SSR deferred its power_down here.
-        self._complete_deferred_stop()
+        self._radio.send(frame)
 
 
 class BaseStationMac(Component):
@@ -717,7 +698,6 @@ class BaseStationMac(Component):
         self.next_beacon_ticks = first_beacon_ticks
         self._sequence = 0
         self._beacon_event: Optional[EventEntry] = None
-        self._stop_pending = False
         # Event/task labels are stable per instance; precompute them so
         # the per-cycle and per-frame paths avoid f-string formatting.
         name = self.name
@@ -765,7 +745,6 @@ class BaseStationMac(Component):
     # Lifecycle
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        self._stop_pending = False
         self._radio.power_up()
         self._beacon_event = self._sim.at(
             self._first_beacon, self._beacon_time,
@@ -773,18 +752,11 @@ class BaseStationMac(Component):
 
     def on_stop(self) -> None:
         # Cancel the beacon cadence (it would otherwise keep the
-        # station broadcasting forever) and release the radio; if a
-        # beacon ShockBurst is in flight the power-down is deferred to
-        # its completion callback.
+        # station broadcasting forever) and release the radio.
         if self._beacon_event is not None:
             cancel_event(self._beacon_event)
             self._beacon_event = None
-        if self._radio.is_receiving:
-            self._radio.stop_rx()
-        if self._radio.is_transmitting:
-            self._stop_pending = True
-            return
-        self._radio.power_down()
+        self._radio.release()
 
     # ------------------------------------------------------------------
     # Beacon cadence
@@ -826,14 +798,9 @@ class BaseStationMac(Component):
 
     def _beacon_sent(self, outcome: TxOutcome) -> None:
         self.counters.beacons_sent += 1
-        if self._stop_pending and not self.started:
-            # on_stop landed mid-beacon: complete the deferred release
-            # instead of re-opening the receive chain.
-            self._stop_pending = False
-            self._radio.power_down()
-            return
-        # Listen for the rest of the cycle (R region of Figure 2).
-        self._radio.start_rx()
+        if self.started:
+            # Listen for the rest of the cycle (R region of Figure 2).
+            self._radio.start_rx()
 
     # ------------------------------------------------------------------
     # Reception

@@ -6,8 +6,10 @@ CSMA/CA, the reference contention MAC of the WBAN surveys.  This module
 supplies that missing family, following the unslotted (non-beacon)
 802.15.4 algorithm:
 
-1. A node polls its application every ``poll_interval`` (like ALOHA)
-   and prepares at most one frame at a time.
+1. A node polls its application every ``poll_interval`` on the ALOHA
+   poll loop (:class:`CsmaNodeMac` subclasses
+   :class:`~repro.mac.aloha.AlohaNodeMac`) and prepares at most one
+   frame at a time.
 2. Before transmitting it waits a random backoff of
    ``U[0, 2^BE - 1]`` backoff unit periods (``BE`` starts at
    ``min_be``), then performs a **clear-channel assessment**: the
@@ -34,7 +36,8 @@ chain locked up by the ``RadioLockup`` fault, which reads as noise)
 widens the backoff-exponent cap by ``csma_be_boost`` until an idle
 CCA clears it.
 
-The base station reuses the ALOHA collector unchanged: a permanently
+The base station is the ALOHA collector
+(:class:`~repro.mac.aloha.AlohaBaseMac`) unchanged: a permanently
 listening receiver with no acknowledgements (ShockBurst has none), so
 collided frames are still silent losses — CSMA lowers their
 probability, it cannot signal them.
@@ -43,24 +46,10 @@ probability, it cannot signal them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
 
-from ..core.calibration import ModelCalibration
 from ..hw.frames import Frame
-from ..hw.radio import Nrf2401, TxOutcome
-from ..sim.kernel import Simulator
 from ..sim.simtime import microseconds
-from ..sim.trace import TraceRecorder
-from ..tinyos.components import Component
-from ..tinyos.scheduler import TaskScheduler
-from .aloha import AlohaBaseMac, AlohaConfig
-from .base import AppPayload, MacCounters
-from .messages import make_data
-from .recovery import RecoveryConfig
-
-if TYPE_CHECKING:
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.spans import SpanTracer
+from .aloha import AlohaConfig, AlohaNodeMac
 
 
 @dataclass(frozen=True)
@@ -106,113 +95,33 @@ class CsmaConfig(AlohaConfig):
                 f"cca duration must be positive: {self.cca_ticks}")
 
 
-class CsmaNodeMac(Component):
+class CsmaNodeMac(AlohaNodeMac):
     """Node side: poll, back off, sense, and transmit only when clear.
 
-    Args:
-        sim: simulation kernel.
-        radio: this node's transceiver (must support :meth:`cca`).
-        scheduler: this node's TinyOS task scheduler (MCU cost sink).
-        calibration: model constants.
-        config: contention parameters.
-        recovery: opt-in backoff-cap widening under busy-CCA streaks
-            (None = plain 802.15.4 behaviour, byte-identical to the
-            no-recovery ledgers).
+    The ALOHA poll loop with contention: a polled frame is prepared at
+    once (:meth:`_offer`) and then contends for the channel
+    (:meth:`_transmit`) instead of waiting for a random instant.  While
+    it contends, later polls are skipped.  Takes the same arguments as
+    :class:`~repro.mac.aloha.AlohaNodeMac`; ``config`` must be a
+    :class:`CsmaConfig`, and a ``recovery`` policy widens the backoff
+    cap under busy-CCA streaks (None = plain 802.15.4 behaviour).
     """
 
-    def __init__(self, sim: Simulator, radio: Nrf2401,
-                 scheduler: TaskScheduler,
-                 calibration: ModelCalibration,
-                 config: CsmaConfig,
-                 recovery: Optional[RecoveryConfig] = None,
-                 name: Optional[str] = None,
-                 trace: Optional[TraceRecorder] = None) -> None:
-        super().__init__(sim, name or f"{radio.address}.mac", trace)
-        self._radio = radio
-        self._scheduler = scheduler
-        self._cal = calibration
-        self.config = config
-        self.recovery = recovery
-        self.counters = MacCounters()
-        #: Application hook, identical contract to the other MACs.
-        self.payload_provider: Optional[Callable[[], Optional[AppPayload]]] \
-            = None
-        #: Optional causal-span tracer (:mod:`repro.obs.spans`).
-        self.spans: Optional["SpanTracer"] = None
-        self._stop_pending = False
-        #: The single frame currently in contention (None = idle).
-        self._pending: Optional[Frame] = None
-        self._nb = 0
-        self._be = config.min_be
-        #: Consecutive busy CCAs (channel-level recovery signal).
-        self._busy_streak = 0
-        self._cap_widened = False
-        self._backoff_stream = f"{radio.address}.csma_backoff"
-        self._label_poll = f"{self.name}.poll"
-        self._label_backoff = f"{self.name}.backoff"
-        self._label_prep = f"{self.name}.pkt_prep"
+    config: CsmaConfig
+    _start_stream = "csma_start"
+    #: Busy CCAs of the frame in contention, and its backoff exponent
+    #: (both reset per frame by :meth:`_transmit`).
+    _nb = 0
+    _be = 0
 
-    @property
-    def poll_interval_ticks(self) -> int:
-        """The node's transmission-opportunity period."""
-        return self.config.poll_interval_ticks
-
-    def on_start(self) -> None:
-        self._stop_pending = False
-        self._pending = None
-        self._nb = 0
-        self._be = self.config.min_be
-        self._busy_streak = 0
-        self._cap_widened = False
-        self._radio.power_up()
-        interval = self.config.poll_interval_ticks
-        if self.config.start_jitter:
-            first = self._sim.rng.uniform_ticks(
-                f"{self._radio.address}.csma_start", 0, interval - 1)
-        else:
-            first = 0
-        self._sim.after(first, self._poll, label=self._label_poll)
-
-    def on_stop(self) -> None:
-        # Mid-ShockBurst the chip cannot be switched off; defer to the
-        # TX-completion callback.  A pending CCA window is cut by the
-        # power-down itself (the radio books the partial sense energy).
-        if self._radio.is_transmitting:
-            self._stop_pending = True
-            return
-        self._radio.power_down()
-
-    # ------------------------------------------------------------------
-    # Poll loop
-    # ------------------------------------------------------------------
-    def _poll(self) -> None:
-        if not self.started:
-            return
-        interval = self.config.poll_interval_ticks
-        self._sim.after(interval, self._poll, label=self._label_poll)
-        if self._pending is not None:
-            # Still contending for the previous frame: the application
-            # keeps buffering; this opportunity is skipped.
-            return
-        if self.payload_provider is None:
-            return
-        payload = self.payload_provider()
-        if payload is None:
-            return
-        payload_bytes, content = payload
-        frame = make_data(self._radio.address, self.config.base_station,
-                          payload_bytes, content)
+    def _offer(self, frame: Frame) -> None:
         self._pending = frame
-        if self.spans is not None:
-            self.spans.packet_queued(frame, self._sim.now, self._label_prep)
-        self._scheduler.post(lambda: self._begin_contention(frame),
-                             self._cal.mcu_costs.packet_preparation,
-                             label=self._label_prep)
+        self._queue_tx(frame)
 
     # ------------------------------------------------------------------
     # CSMA/CA attempt loop
     # ------------------------------------------------------------------
-    def _begin_contention(self, frame: Frame) -> None:
+    def _transmit(self, frame: Frame) -> None:
         if not self.started:
             self._pending = None
             return
@@ -220,26 +129,25 @@ class CsmaNodeMac(Component):
         self._be = self.config.min_be
         self._attempt(frame)
 
-    def _backoff_cap(self) -> int:
-        """The effective maximum backoff exponent right now."""
-        cap = self.config.max_be
-        if self._cap_widened and self.recovery is not None:
-            cap += self.recovery.csma_be_boost
-        return cap
+    def _cap_widened(self) -> bool:
+        """Whether the busy streak has widened the backoff cap."""
+        recovery = self.recovery
+        return (recovery is not None and recovery.csma_busy_streak > 0
+                and self._busy_streak >= recovery.csma_busy_streak)
 
     def _attempt(self, frame: Frame) -> None:
         if not self.started:
             self._pending = None
             return
         units = self._sim.rng.uniform_ticks(
-            self._backoff_stream, 0, (1 << self._be) - 1)
+            f"{self._radio.address}.csma_backoff", 0, (1 << self._be) - 1)
         wait = units * self.config.backoff_unit_ticks
         self.counters.backoff_attempts += 1
         if self.spans is not None:
             self.spans.mac_phase(frame, "mac.backoff_wait",
                                  self._sim.now, self._sim.now + wait)
         self._sim.after(wait, lambda: self._start_cca(frame),
-                        label=self._label_backoff)
+                        label=f"{self.name}.backoff")
 
     def _start_cca(self, frame: Frame) -> None:
         if not self.started:
@@ -257,29 +165,29 @@ class CsmaNodeMac(Component):
             self._pending = None
             return
         if not busy:
-            if self._cap_widened and self._trace is not None:
+            if self._trace is not None and self._cap_widened():
                 self._trace.record(self._sim.now, self.name,
                                    "backoff_cap_restored", "")
             self._busy_streak = 0
-            self._cap_widened = False
             self._radio.send(frame, self._tx_done)
             return
         self.counters.cca_busy += 1
-        recovery = self.recovery
         self._busy_streak += 1
-        if (recovery is not None and not self._cap_widened
-                and recovery.csma_busy_streak > 0
-                and self._busy_streak >= recovery.csma_busy_streak):
+        recovery = self.recovery
+        if recovery is not None \
+                and self._busy_streak == recovery.csma_busy_streak:
             # Persistent busy readings: a saturated channel or a
             # locked-up receive chain.  Widen the contention window.
-            self._cap_widened = True
             self.counters.windows_widened += 1
             if self._trace is not None:
                 self._trace.record(self._sim.now, self.name,
                                    "backoff_cap_widened",
                                    f"streak={self._busy_streak}")
+        cap = self.config.max_be
+        if recovery is not None and self._cap_widened():
+            cap += recovery.csma_be_boost
         self._nb += 1
-        self._be = min(self._be + 1, self._backoff_cap())
+        self._be = min(self._be + 1, cap)
         if self._nb > self.config.max_backoffs:
             # 802.15.4 channel-access failure: the frame is dropped at
             # the MAC without ever hitting the air.
@@ -293,39 +201,5 @@ class CsmaNodeMac(Component):
             return
         self._attempt(frame)
 
-    def _tx_done(self, outcome: TxOutcome) -> None:
-        self.counters.data_sent += 1
-        self._pending = None
-        if self._stop_pending and not self.started:
-            self._stop_pending = False
-            self._radio.power_down()
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def observe_metrics(self, registry: "MetricsRegistry",
-                        node: str) -> None:
-        """Pull the node's MAC counters and poll period.
-
-        CSMA has no beacons or slots; the contention counters
-        (``cca_busy``, ``backoff_attempts``, ``tx_abandoned``) are the
-        protocol-specific signal.  Read-only: call once per collected
-        run.
-        """
-        self.counters.observe_metrics(registry, node)
-        registry.gauge("mac", node, "poll_interval_ticks").set(
-            float(self.config.poll_interval_ticks))
-
-
-class CsmaBaseMac(AlohaBaseMac):
-    """Base-station side: the ALOHA collector, unchanged.
-
-    CSMA/CA only changes *when nodes talk*, not how the collector
-    listens: the receiver stays on permanently and ShockBurst still has
-    no acknowledgements, so the inherited behaviour (continuous RX,
-    software discard of non-data frames, per-frame reception cost) is
-    exactly right.
-    """
-
-
-__all__ = ["CsmaConfig", "CsmaNodeMac", "CsmaBaseMac"]
+__all__ = ["CsmaConfig", "CsmaNodeMac"]

@@ -31,7 +31,7 @@ from ..core.calibration import DEFAULT_CALIBRATION, ModelCalibration
 from ..core.report import NetworkEnergyResult
 from ..faults import FaultInjector, FaultPlan
 from ..mac.aloha import AlohaBaseMac, AlohaConfig, AlohaNodeMac
-from ..mac.csma import CsmaBaseMac, CsmaConfig, CsmaNodeMac
+from ..mac.csma import CsmaConfig, CsmaNodeMac
 from ..mac.recovery import RecoveryConfig
 from ..mac.sync import SyncPolicy
 from ..mac.tdma_dynamic import DynamicTdmaBaseMac, DynamicTdmaConfig, \
@@ -277,17 +277,12 @@ class BanScenario:
         first_beacon = (milliseconds(config.first_beacon_ms)
                         if config.first_beacon_ms is not None
                         else milliseconds(10.0))
-        if config.mac == "aloha":
-            mac_config = AlohaConfig(
-                poll_interval_ticks=milliseconds(config.cycle_ms))
+        if config.mac in ("aloha", "csma"):
+            poll = milliseconds(config.cycle_ms)
+            mac_config = (AlohaConfig(poll_interval_ticks=poll)
+                          if config.mac == "aloha"
+                          else CsmaConfig(poll_interval_ticks=poll))
             bs_mac = AlohaBaseMac(
-                self.sim, self.base_station.radio,
-                self.base_station.scheduler, cal, mac_config,
-                trace=self.trace)
-        elif config.mac == "csma":
-            mac_config = CsmaConfig(
-                poll_interval_ticks=milliseconds(config.cycle_ms))
-            bs_mac = CsmaBaseMac(
                 self.sim, self.base_station.radio,
                 self.base_station.scheduler, cal, mac_config,
                 trace=self.trace)
@@ -321,12 +316,10 @@ class BanScenario:
                               trace=self.trace)
             skew = self._skew_for(node_id)
             preassigned = None if config.join_protocol else index
-            if config.mac == "aloha":
-                mac = AlohaNodeMac(
-                    self.sim, node.radio, node.scheduler, cal,
-                    mac_config, trace=self.trace)
-            elif config.mac == "csma":
-                mac = CsmaNodeMac(
+            if config.mac in ("aloha", "csma"):
+                node_type = AlohaNodeMac if config.mac == "aloha" \
+                    else CsmaNodeMac
+                mac = node_type(
                     self.sim, node.radio, node.scheduler, cal,
                     mac_config, recovery=config.recovery,
                     trace=self.trace)

@@ -8,12 +8,14 @@ from repro.core.calibration import (
     DEFAULT_CALIBRATION,
     RADIO_STANDBY_DATASHEET_A,
 )
+from repro.faults import FaultPlan, NodeCrash
 from repro.hw.mcu import Msp430
 from repro.hw.radio import Nrf2401
 from repro.mac.aloha import AlohaConfig, AlohaNodeMac
 from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.phy.channel import Channel
 from repro.sim.simtime import milliseconds, seconds
+from repro.sim.trace import TraceRecorder
 from repro.tinyos.scheduler import TaskScheduler
 
 
@@ -153,6 +155,29 @@ class TestStopReleasesRadio:
         assert radio.state == "power_down"
         # Only the in-flight frame completes after the stop.
         assert mac.counters.data_sent == sent_at_stop + 1
+
+
+class TestPollChain:
+    @pytest.mark.parametrize("mac", ["aloha", "csma"])
+    def test_fast_reboot_keeps_one_poll_chain(self, mac):
+        """Regression: the poll re-armed with a handle nobody kept, so a
+        stop could not cancel it.  A reboot before the pending poll
+        fired resumed the old chain next to the new one, and the node
+        polled (and sent) twice as often."""
+        config = BanScenarioConfig(
+            mac=mac, app="ecg_streaming", num_nodes=2, seed=5,
+            measure_s=2.0,
+            faults=FaultPlan((NodeCrash(node="node1", at_s=1.0,
+                                        reboot_after_s=0.005),)))
+        trace = TraceRecorder()
+        BanScenario(config, trace=trace).run()
+        polls = [record.time for record in trace
+                 if record.kind == "dispatch"
+                 and record.detail == "node1.mac.poll"]
+        before = sum(seconds(0.5) <= t < seconds(1.0) for t in polls)
+        after = sum(seconds(1.5) <= t < seconds(2.0) for t in polls)
+        assert before == 17
+        assert after == before
 
 
 class TestOversizeFrames:

@@ -6,8 +6,9 @@ lint noise: MACs left their radio in stand-by after stopping (booking
 survived its own stop, periodic snapshotters could never be disarmed,
 and a CLI command that aborted mid-run lost its trace file un-flushed.
 Each test here fails against the pre-fix code and pins the repaired
-behaviour — including the mid-ShockBurst case, where the power-down
-must *defer* to the TX-completion callback rather than raise
+behaviour.  Every MAC family shares one stop contract, checked by
+``TestStopContract``: the stop releases the radio, and mid-ShockBurst
+the burst completes before the power-down instead of raising
 ``RadioError``.
 """
 
@@ -23,6 +24,7 @@ from repro.hw.radio import Nrf2401
 from repro.mac.aloha import AlohaBaseMac, AlohaConfig, AlohaNodeMac
 from repro.mac.tdma_static import (StaticTdmaBaseMac, StaticTdmaConfig,
                                    StaticTdmaNodeMac)
+from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.obs.instrument import (PeriodicSnapshotter,
                                   attach_periodic_snapshots)
 from repro.obs.metrics import MetricsRegistry
@@ -58,39 +60,70 @@ def _tdma_pair(sim, num_nodes=1):
     return bs_mac, bs_radio, nodes
 
 
-def _run_until_transmitting(sim, radio, deadline_ticks,
-                            step=microseconds(20.0)):
-    """Advance in small steps until ``radio`` is mid-ShockBurst."""
+def _run_until(sim, condition, deadline_ticks, step=microseconds(20.0)):
+    """Advance in small steps until ``condition()`` holds."""
     while sim.now < deadline_ticks:
         sim.run_until(sim.now + step)
-        if radio.is_transmitting:
+        if condition():
             return True
     return False
 
 
-class TestNodeMacReleasesRadio:
-    def test_stop_powers_radio_down(self, sim):
-        bs_mac, _, nodes = _tdma_pair(sim)
-        mac, radio = nodes[0]
-        bs_mac.start()
-        mac.start()
+#: One stop contract over every MAC family: (mac, station) per rig.
+STOP_RIGS = {
+    "static-node": ("static", "node"),
+    "dynamic-node": ("dynamic", "node"),
+    "aloha-node": ("aloha", "node"),
+    "csma-node": ("csma", "node"),
+    "tdma-collector": ("static", "collector"),
+    "aloha-collector": ("aloha", "collector"),
+}
+#: The rigs whose MAC transmits (the ALOHA collector only listens).
+BURST_RIGS = {name: rig for name, rig in STOP_RIGS.items()
+              if name != "aloha-collector"}
+
+
+def _stop_rig(mac, station):
+    """A started 2-node BAN; returns (sim, MAC under test, its radio,
+    the counter its TX-done callback bumps)."""
+    scenario = BanScenario(BanScenarioConfig(
+        mac=mac, app="ecg_streaming", num_nodes=2, sampling_hz=205.0,
+        measure_s=1.0, seed=3))
+    scenario.start_all()
+    if station == "node":
+        node = scenario.nodes[0]
+        return scenario.sim, node.mac, node.radio, "data_sent"
+    collector = scenario.base_station
+    return scenario.sim, collector.mac, collector.radio, "beacons_sent"
+
+
+class TestStopContract:
+    @pytest.mark.parametrize("mac,station", list(STOP_RIGS.values()),
+                             ids=list(STOP_RIGS))
+    def test_idle_stop_powers_down(self, mac, station):
+        sim, stack_mac, radio, _ = _stop_rig(mac, station)
         sim.run_until(seconds(0.5))
+        assert _run_until(sim, lambda: not radio.is_transmitting,
+                          seconds(1.0))
         assert radio.state != "power_down"
-        mac.stop()
+        stack_mac.stop()
         assert radio.state == "power_down"
 
-    def test_stop_mid_tx_defers_to_completion(self, sim):
-        bs_mac, _, nodes = _tdma_pair(sim)
-        mac, radio = nodes[0]
-        bs_mac.start()
-        mac.start()
-        assert _run_until_transmitting(sim, radio, seconds(2.0)), \
-            "node never transmitted"
-        mac.stop()  # must not raise RadioError mid-ShockBurst
-        assert radio.is_transmitting  # the burst finishes first
+    @pytest.mark.parametrize("mac,station", list(BURST_RIGS.values()),
+                             ids=list(BURST_RIGS))
+    def test_stop_mid_burst_finishes_it(self, mac, station):
+        sim, stack_mac, radio, counter = _stop_rig(mac, station)
+        assert _run_until(sim, lambda: radio.is_transmitting,
+                          seconds(2.0)), "never transmitted"
+        sent = getattr(stack_mac.counters, counter)
+        stack_mac.stop()  # must not raise RadioError mid-ShockBurst
+        assert radio.state == "tx"  # the burst finishes first
         sim.run_until(sim.now + milliseconds(5.0))
+        assert getattr(stack_mac.counters, counter) == sent + 1
         assert radio.state == "power_down"
 
+
+class TestNodeMacReleasesRadio:
     def test_stopped_node_accrues_no_standby_energy(self, sim):
         bs_mac, _, nodes = _tdma_pair(sim)
         mac, radio = nodes[0]
@@ -115,19 +148,6 @@ class TestBaseStationMacReleasesRadio:
         sim.run_until(seconds(2.0))
         assert bs_radio.state == "power_down"
         assert bs_mac.counters.beacons_sent == sent
-
-    def test_stop_mid_beacon_defers_and_skips_rx(self, sim):
-        bs_mac, bs_radio, _ = _tdma_pair(sim)
-        bs_mac.start()
-        assert _run_until_transmitting(sim, bs_radio, seconds(1.0)), \
-            "base station never transmitted a beacon"
-        bs_mac.stop()
-        assert bs_radio.is_transmitting
-        sim.run_until(sim.now + milliseconds(5.0))
-        # The completion callback must power down instead of
-        # re-entering the listen phase.
-        assert bs_radio.state == "power_down"
-        assert not bs_radio.is_receiving
 
 
 class TestAlohaMacsReleaseRadio:

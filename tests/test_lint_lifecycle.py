@@ -395,7 +395,7 @@ class TestSpecTables:
     def test_radio_spec_matches_runtime_guards(self):
         assert RADIO_LIFECYCLE.uses >= ("send", "start_rx")
         assert not RADIO_LIFECYCLE.idempotent_release
-        assert "_stop_pending" in RADIO_LIFECYCLE.defer_attrs
+        assert "release" in RADIO_LIFECYCLE.release
 
     def test_sink_spec_demands_unwind_safety(self):
         assert SINK_LIFECYCLE.acquire_on_construct

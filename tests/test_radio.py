@@ -290,9 +290,9 @@ class TestFaultCutCaptures:
 
     def test_stop_rx_then_power_down_promotes_to_fault_cut(
             self, sim, cal, pair):
-        """The injector's quiesce sequence (MAC stop_rx, then radio
-        power_down) must count the abandoned capture as a fault cut at
-        the tick the chain actually stopped."""
+        """A crash's teardown (stop_rx, then power_down: what
+        ``release()`` does) must count the abandoned capture as a fault
+        cut at the tick the chain actually stopped."""
         _, a, b = pair
         b.start_rx()
         a.send(data_frame())
@@ -321,6 +321,71 @@ class TestFaultCutCaptures:
         assert b.fault_frames_dropped == 0
         snap = b.accountant.snapshot()
         assert snap.energy_j.get(RadioEnergyCategory.COLLISION, 0.0) == 0.0
+
+
+class TestRelease:
+    """``release()``: what every MAC's stop does to its radio."""
+
+    def test_from_standby_powers_down_at_once(self, sim, cal, pair):
+        _, a, _ = pair
+        a.release()
+        assert a.state == "power_down"
+
+    def test_from_rx_books_what_stop_rx_and_power_down_book(
+            self, sim, cal, pair):
+        _, a, b = pair
+        a.start_rx()
+        b.start_rx()
+
+        def stop_both():
+            a.release()
+            b.stop_rx()
+            b.power_down()
+
+        sim.at(seconds(0.1), stop_both)
+        sim.run_until(seconds(1.0))
+        assert a.state == b.state == "power_down"
+        assert a.ledger.seconds_by_state() == b.ledger.seconds_by_state()
+        assert a.ledger.energy_by_state() == b.ledger.energy_by_state()
+
+    def test_mid_burst_powers_down_after_the_callback(self, sim, cal,
+                                                      pair):
+        _, a, _ = pair
+        seen = []
+        a.send(data_frame(),
+               lambda outcome: seen.append((sim.now, a.state)))
+        sim.at(microseconds(100), a.release)
+        sim.run_until(microseconds(100))
+        assert a.state == "tx"  # the chip cannot switch off mid-burst
+        sim.run_until(seconds(1.0))
+        assert seen == [(microseconds(485), "standby")]
+        assert a.state == "power_down"
+        # Powered down at the burst's last tick: no stand-by in between.
+        assert a.ledger.seconds_in(state="standby") == 0.0
+        assert a.ledger.seconds_in(state="tx") \
+            == pytest.approx(485e-6, abs=1e-12)
+
+    def test_power_up_cancels_a_waiting_release(self, sim, cal, pair):
+        _, a, _ = pair
+        a.send(data_frame())
+        sim.at(microseconds(100), a.release)
+        sim.at(microseconds(200), a.power_up)
+        sim.run_until(seconds(1.0))
+        assert a.state == "standby"
+
+    def test_mid_sense_cuts_the_window(self, sim, cal, pair):
+        _, a, _ = pair
+        results = []
+        a.cca(microseconds(128), results.append)
+        sim.at(microseconds(50), a.release)
+        sim.run_until(seconds(1.0))
+        assert results == []
+        assert a.state == "power_down"
+        expected = 50e-6 * cal.radio_rx_a * cal.supply_v
+        assert a.ledger.energy_j(state="cca") == pytest.approx(expected)
+        snap = a.accountant.snapshot()
+        assert snap.energy_j[RadioEnergyCategory.IDLE_LISTENING] \
+            == pytest.approx(expected)
 
 
 class TestAttributionInvariant:

@@ -31,9 +31,13 @@ checks, each over a reference scenario set:
    the static pass proved effect-free.
 6. **Cross-mode** — a plain run coalesces idle-MCU samples (one
    kernel event per sample, planned ledger transitions); a traced run
-   takes the per-sample chain.  For every reference config plus a
-   fault config whose crash and reboot land mid-sample, the two
-   result fingerprints must be equal.
+   takes the per-sample chain.  For every checked config plus a fault
+   config whose crash and reboot land mid-sample, the two result
+   fingerprints must be equal.
+
+Every check runs the reference configs (one per MAC family, plus
+extra apps) and a contention fault config whose crash lands inside a
+ShockBurst, so each check also reaches the radio's deferred release.
 
 Fingerprints are SHA-256 over the result cache's canonical dataclass
 encoding (:func:`repro.exec.cache.config_fingerprint`), so "equal"
@@ -62,7 +66,7 @@ from repro.exec.cache import config_fingerprint
 from repro.faults import FaultPlan, NodeCrash
 from repro.net import BanScenario, BanScenarioConfig
 from repro.obs import MetricsRegistry, SpanStore, attach_span_tracer
-from repro.sim.simtime import TICKS_PER_SECOND, seconds
+from repro.sim.simtime import TICKS_PER_SECOND, microseconds, seconds
 from repro.sim.trace import TraceRecorder
 
 
@@ -78,6 +82,9 @@ def reference_configs() -> List[BanScenarioConfig]:
                           clock_skew_ppm=40.0),
         BanScenarioConfig(mac="csma", app="ecg_streaming",
                           num_nodes=3, measure_s=2.0, seed=17,
+                          sampling_hz=205.0),
+        BanScenarioConfig(mac="aloha", app="ecg_streaming",
+                          num_nodes=3, measure_s=2.0, seed=23,
                           sampling_hz=205.0),
         # Noisy ECG (a MixSource over a HashNoiseSource) into the
         # adaptive app, fast enough to raise a tachycardia alarm and
@@ -105,6 +112,34 @@ def fault_config() -> BanScenarioConfig:
                                 reboot_after_s=(reboot - crash)
                                 / TICKS_PER_SECOND),))
     return replace(config, faults=plan)
+
+
+def contention_fault_config() -> BanScenarioConfig:
+    """The CSMA reference config with node1 crashing 100 us into one of
+    its ShockBursts and rebooting half a poll interval later.
+
+    The burst is located from a traced pre-run.  The crash stops the
+    MAC mid-burst, so the radio's release waits for the burst's end;
+    the reboot lands before the poll that was pending at the crash.
+    """
+    config = next(c for c in reference_configs() if c.mac == "csma")
+    trace = TraceRecorder()
+    BanScenario(config, trace=trace).run()
+    burst = next(record.time for record in trace
+                 if record.source == "node1.radio"
+                 and record.kind == "tx_start"
+                 and record.time >= seconds(1.0))
+    crash = burst + microseconds(100)
+    plan = FaultPlan((NodeCrash(node="node1",
+                                at_s=crash / TICKS_PER_SECOND,
+                                reboot_after_s=config.cycle_ms / 2e3),))
+    return replace(config, faults=plan)
+
+
+def checked_configs() -> List[BanScenarioConfig]:
+    """What checks 1-6 run: the reference configs plus the contention
+    fault config."""
+    return reference_configs() + [contention_fault_config()]
 
 
 def result_fingerprint(result: Any) -> str:
@@ -142,7 +177,7 @@ def check_repeat_run(report: Dict[str, Any]) -> List[str]:
     """
     failures = []
     entries = []
-    for index, config in enumerate(reference_configs()):
+    for index, config in enumerate(checked_configs()):
         first = traced_run(config)
         second = traced_run(config)
         entries.append({
@@ -166,7 +201,7 @@ def check_jobs_equivalence(jobs: int, report: Dict[str, Any]
                            ) -> List[str]:
     """Checks 2+3: pooled results and merged counters == sequential."""
     failures = []
-    configs = reference_configs()
+    configs = checked_configs()
 
     sequential_metrics = MetricsRegistry()
     sequential = ScenarioExecutor(
@@ -218,7 +253,7 @@ def check_spans(jobs: int, report: Dict[str, Any]) -> List[str]:
     nothing about the others.
     """
     failures = []
-    configs = reference_configs()
+    configs = checked_configs()
     entries = []
     for index, config in enumerate(configs):
         base = traced_run(config)
@@ -264,7 +299,7 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
     failures = []
     entries = []
     cases = [(f"config {index}, mac={config.mac}", config)
-             for index, config in enumerate(reference_configs())]
+             for index, config in enumerate(checked_configs())]
     cases.append(("fault config, crash and reboot mid-sample",
                   fault_config()))
     for where, config in cases:
@@ -333,11 +368,12 @@ def check_static_obs(report: Dict[str, Any]) -> List[str]:
 
     # The static audit anchors each guard at the class that *defines*
     # it; the runtime graph holds concrete subclasses.  Compare through
-    # the MRO so ``CsmaBaseMac`` matches its guard on ``BaseStationMac``.
+    # the MRO so ``StaticTdmaBaseMac`` matches its guard on
+    # ``BaseStationMac``.
     instantiated: set = set()
     runtime_hooked: set = set()
     hooked_unaudited_set: set = set()
-    for config_obj in reference_configs():
+    for config_obj in checked_configs():
         scenario = BanScenario(config_obj)
         tracer = attach(scenario)
         for obj in _runtime_object_graph(scenario):
