@@ -14,7 +14,7 @@ Code      Rule
 ========  ==========================================================
 DET001    no global/module-level RNG draws (seeded ``random.Random``
           / NumPy ``Generator`` instances stay legal)
-DET002    no wall-clock reads outside the configured allowlist
+DET002    no wall-clock reads outside the allowlist (``DET002_ALLOW``)
 DET003    no iteration over sets in order-sensitive packages
 FLT001    no float ``==``/``!=`` on energy/time-like values
 EXC001    no bare or overbroad ``except`` without a reasoned waiver
@@ -23,7 +23,7 @@ CFG001    cache-fingerprinted config dataclasses must be annotated
           and hash-stable
 ========  ==========================================================
 
-On top of the per-line rules sit three *flow-sensitive tree analyses*
+On top of the per-line rules sit the *flow-sensitive tree analyses*
 (:mod:`repro.lint.dataflow` holds the shared machinery):
 
 ========  ==========================================================
@@ -41,6 +41,12 @@ SM001-5   power-state machines encoded in the hardware models are
 RNG001-2  RNG provenance: every constructed generator must be seeded
           from a value that derives from a seed parameter or a
           Simulator-owned stream (:mod:`repro.lint.rngprov`)
+OBS001-3  observability hooks cannot touch simulation state
+          (:mod:`repro.lint.effects`)
+FPC001-2  every config field simulation code reads is covered by the
+          result-cache fingerprint (:mod:`repro.lint.fingerprint`)
+LIF001-5  declared resource protocols (acquire/release pairing) hold
+          on every path (:mod:`repro.lint.lifecycle`)
 SUP002    waivers whose rule no longer fires on the waived line are
           themselves findings (stale-waiver detection)
 ========  ==========================================================
@@ -52,16 +58,17 @@ Findings are suppressed per line with a *reasoned* comment::
 
 A suppression without a reason does not suppress — it is itself
 reported (SUP001), and one whose rule has stopped firing goes stale
-(SUP002).  Rule configuration lives in ``pyproject.toml`` under
-``[tool.repro-lint]``; see :mod:`repro.lint.config` and
-``docs/static_analysis.md`` for the catalog and the suppression
-policy.  The dynamic counterpart proving these static rules guard a
-real invariant is ``tools/determinism_check.py``.
+(SUP002).  Each rule's scope (which files or packages it patrols) is a
+constant in :mod:`repro.lint.config`; the only run-time choice is
+which rules run (``--select``).  ``docs/static_analysis.md`` holds
+the catalog and the suppression policy.  The dynamic counterpart
+proving these static rules guard a real invariant is
+``tools/determinism_check.py``.
 """
 
 from __future__ import annotations
 
-from .config import LintConfig, load_config
+from .config import LintConfig
 from .engine import FileContext, Finding, LintReport, lint_paths, lint_source
 from .report import render_json, render_text
 from .rules import ANALYSIS_RULES, RULES, all_rule_codes
@@ -76,7 +83,6 @@ __all__ = [
     "all_rule_codes",
     "lint_paths",
     "lint_source",
-    "load_config",
     "render_json",
     "render_text",
 ]

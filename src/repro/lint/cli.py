@@ -1,9 +1,9 @@
 """``python -m repro.lint`` / ``repro-ban lint`` command line.
 
 Exit codes: 0 — clean (no unsuppressed findings); 1 — findings; 2 —
-usage/configuration error.  ``--format json`` emits the CI-artifact
-document described in :mod:`repro.lint.report`; ``--output`` writes it
-to a file while the gate summary still goes to stdout.
+usage error.  ``--format json`` emits the CI-artifact document
+described in :mod:`repro.lint.report`; ``--output`` writes it to a
+file while the gate summary still goes to stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .config import ConfigError, load_config
+from .config import LintConfig
 from .engine import lint_paths
 from .report import render_json, render_text
 from .rules import iter_rules
@@ -35,26 +35,11 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
                         help="write the report to PATH instead of "
                              "stdout (a one-line gate summary still "
                              "prints)")
-    parser.add_argument("--pyproject", metavar="PATH", default=None,
-                        help="explicit pyproject.toml carrying "
-                             "[tool.repro-lint] (default: nearest)")
     parser.add_argument("--select", metavar="CODES", default=None,
                         help="comma-separated rule codes to run "
-                             "(overrides configuration)")
+                             "(default: every rule)")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="include waived findings in text output")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="enable incremental caching: replay "
-                             "content-unchanged files from "
-                             "DIR/lint-cache.json")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="with --cache-dir, report findings only "
-                             "for files whose content changed since "
-                             "the cached run")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan the tree analyses across N worker "
-                             "processes (findings identical to "
-                             "sequential; default: 1)")
     parser.add_argument("--sarif", metavar="PATH", default=None,
                         help="additionally write a SARIF 2.1.0 "
                              "report to PATH (for GitHub code "
@@ -85,31 +70,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write("error: no such path: %s\n"
                          % ", ".join(missing))
         return 2
-    try:
-        config = load_config(
-            paths,
-            Path(args.pyproject) if args.pyproject else None)
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
+    select = None
     if args.select:
-        from dataclasses import replace
-        codes = tuple(code.strip() for code in args.select.split(",")
-                      if code.strip())
-        config = replace(config, select=codes)
-    cache = None
-    if args.cache_dir:
-        from .cache import LintCache
-        cache = LintCache(Path(args.cache_dir), config)
-    elif args.changed_only:
-        sys.stderr.write("error: --changed-only requires --cache-dir\n")
-        return 2
-    if args.jobs < 1:
-        sys.stderr.write("error: --jobs must be >= 1\n")
-        return 2
-    report = lint_paths(paths, config, cache=cache,
-                        changed_only=args.changed_only,
-                        jobs=args.jobs)
+        select = tuple(code.strip() for code in args.select.split(",")
+                       if code.strip())
+    report = lint_paths(paths, LintConfig(select=select))
     if args.sarif:
         from .sarif import render_sarif
         Path(args.sarif).write_text(render_sarif(report),

@@ -17,7 +17,7 @@ other five are forbidden.
 Effect seeding
 --------------
 * **Kernel/ledger intrinsics** — ``Simulator.at/after/every/call_soon``
-  seed ``schedules-event``; ``Simulator.run_until/run_all`` seed
+  seed ``schedules-event``; ``Simulator.run_until`` seeds
   ``advances-time``; ``PowerStateLedger.transition/retag/...`` and the
   accountants' ``book*`` methods seed ``mutates-ledger``.
 * **Mutations** — attribute stores, subscript stores, ``del``, and
@@ -58,7 +58,8 @@ import ast
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph, CallSite, FunctionNode, build_call_graph
-from .config import LintConfig
+from .config import (EFFECTS_HOOK_ATTRS, EFFECTS_HOOK_METHODS,
+                     EFFECTS_OBS_MODULES)
 from .dataflow import comment_tokens
 from .engine import FileContext, Finding
 
@@ -111,7 +112,6 @@ _INTRINSIC_EFFECTS: Dict[Tuple[str, str], FrozenSet[str]] = {
     ("Simulator", "call_soon"): frozenset({"schedules-event"}),
     ("Simulator", "add_end_hook"): frozenset({"schedules-event"}),
     ("Simulator", "run_until"): frozenset({"advances-time"}),
-    ("Simulator", "run_all"): frozenset({"advances-time"}),
     ("Simulator", "next_serial"): frozenset({"mutates-sim-state"}),
     ("TaskScheduler", "post"): frozenset({"schedules-event"}),
     ("PowerStateLedger", "transition"): frozenset({"mutates-ledger"}),
@@ -137,9 +137,10 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_obs_module(module_path: str, obs_modules: Sequence[str]) -> bool:
+def _is_obs_module(module_path: str) -> bool:
     return any(module_path.startswith(entry) or module_path == entry
-               or module_path.endswith(entry) for entry in obs_modules)
+               or module_path.endswith(entry)
+               for entry in EFFECTS_OBS_MODULES)
 
 
 def _mutated_object(target: ast.AST) -> Optional[ast.AST]:
@@ -161,19 +162,16 @@ def _mutated_object(target: ast.AST) -> Optional[ast.AST]:
 class EffectAnalysis:
     """Whole-tree effect inference over a built call graph."""
 
-    def __init__(self, graph: CallGraph, config: LintConfig) -> None:
+    def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        self.config = config
-        self.obs_modules = config.effects_obs_modules
         #: Names of classes defined in observability modules.
         self.obs_classes: Set[str] = {
             name for name, infos in graph.classes.items()
-            if any(_is_obs_module(info.module_path, self.obs_modules)
-                   for info in infos)}
+            if any(_is_obs_module(info.module_path) for info in infos)}
         #: Names of simulation-side classes (defined outside obs).
         self.sim_classes: Set[str] = {
             name for name, infos in graph.classes.items()
-            if any(not _is_obs_module(info.module_path, self.obs_modules)
+            if any(not _is_obs_module(info.module_path)
                    for info in infos)}
         #: Functions pinned pure with ``# effect: pure``.
         self.pure_pins: Set[str] = set()
@@ -243,7 +241,7 @@ class EffectAnalysis:
         fresh = self._fresh_locals(function)
         rngish = self._rngish_locals(function)
         env = self.graph._local_env(function)
-        in_obs = _is_obs_module(function.module_path, self.obs_modules)
+        in_obs = _is_obs_module(function.module_path)
         targets_by_call = {
             id(site.call): site.targets
             for site in self.graph.calls.get(function.qualname, ())}
@@ -547,23 +545,20 @@ class HookAudit:
 
 
 def analyze_effects(contexts: Sequence[FileContext],
-                    config: LintConfig,
                     graph: Optional[CallGraph] = None,
                     ) -> Tuple[List[Finding], Dict[str, object]]:
     """Run effect inference + the OBS rules; return findings + extras."""
     if graph is None:
         graph = build_call_graph(contexts)
-    analysis = EffectAnalysis(graph, config)
+    analysis = EffectAnalysis(graph)
     audit = HookAudit()
     findings: List[Finding] = []
-    hook_attrs = set(config.effects_hook_attrs)
 
     for qualname, function in graph.functions.items():
         ctx = function.ctx
-        in_obs = _is_obs_module(function.module_path,
-                                config.effects_obs_modules)
+        in_obs = _is_obs_module(function.module_path)
         # OBS003: pull-based metrics hooks must be sim-pure.
-        if function.name in config.effects_hook_methods:
+        if function.name in EFFECTS_HOOK_METHODS:
             audit.hook_methods.append(qualname)
             forbidden = analysis.forbidden_effects_of(qualname)
             if forbidden:
@@ -582,7 +577,7 @@ def analyze_effects(contexts: Sequence[FileContext],
             hooked = None
             for expr in _guard_exprs(node.test):
                 attr = _hook_attr_name(expr)
-                if attr in hook_attrs:
+                if attr in EFFECTS_HOOK_ATTRS:
                     hooked = attr
                     break
             if hooked is None:
@@ -642,14 +637,14 @@ def analyze_effects(contexts: Sequence[FileContext],
     return findings, extras
 
 
-def audit_hooks(contexts: Sequence[FileContext],
-                config: LintConfig) -> Tuple[HookAudit, List[Finding]]:
+def audit_hooks(contexts: Sequence[FileContext]
+                ) -> Tuple[HookAudit, List[Finding]]:
     """The hook audit alone (for ``tools/determinism_check.py``).
 
     Returns the audit plus any OBS findings, so the cross-check can
     both compare hook sets and assert the static pass is clean.
     """
-    findings, extras = analyze_effects(contexts, config)
+    findings, extras = analyze_effects(contexts)
     audit = HookAudit()
     hooks = extras["effects"]["hooks"]  # type: ignore[index]
     for entry in hooks["span_guards"]:  # type: ignore[index]

@@ -226,8 +226,7 @@ def _rule_findings(ctx: FileContext) -> List[Finding]:
     return findings
 
 
-def _run_interprocedural(contexts: Sequence[FileContext],
-                         config: LintConfig
+def _run_interprocedural(contexts: Sequence[FileContext]
                          ) -> Tuple[List[Finding], Dict[str, object]]:
     """Build the call graph once, then run the graph-based passes."""
     from . import effects, fingerprint, lifecycle
@@ -237,18 +236,17 @@ def _run_interprocedural(contexts: Sequence[FileContext],
     graph = build_call_graph(contexts)
     timings["callgraph"] = round(time.perf_counter() - started, 6)
     started = time.perf_counter()
-    findings, extras = effects.analyze_effects(contexts, config,
-                                               graph=graph)
+    findings, extras = effects.analyze_effects(contexts, graph=graph)
     timings["effects"] = round(time.perf_counter() - started, 6)
     started = time.perf_counter()
     fpc_findings, fpc_extras = fingerprint.analyze_fingerprint(
-        contexts, config, graph=graph)
+        contexts, graph=graph)
     timings["fingerprint"] = round(time.perf_counter() - started, 6)
     findings.extend(fpc_findings)
     extras.update(fpc_extras)
     started = time.perf_counter()
     lif_findings, lif_extras = lifecycle.analyze_lifecycles(
-        contexts, config, graph=graph)
+        contexts, graph=graph)
     timings["lifecycle"] = round(time.perf_counter() - started, 6)
     findings.extend(lif_findings)
     extras.update(lif_extras)
@@ -288,7 +286,7 @@ def _run_tree_analyses(contexts: Sequence[FileContext],
         if not any(config.rule_enabled(code) for code in codes):
             continue
         started = time.perf_counter()
-        result = run(contexts, config)  # type: ignore[operator]
+        result = run(contexts)  # type: ignore[operator]
         elapsed = round(time.perf_counter() - started, 6)
         if isinstance(result, tuple):
             produced, extra = result
@@ -304,112 +302,6 @@ def _run_tree_analyses(contexts: Sequence[FileContext],
         timings[name] = elapsed
     extras["timings"] = timings
     return findings, extras
-
-
-#: Fixed execution order of the tree analyses in parallel mode.  The
-#: interprocedural trio stays one task sharing one call graph (as in
-#: the sequential path — graph construction dominates its cost), while
-#: the other analyses and the per-file rule chunks fill the remaining
-#: workers.
-_TREE_ANALYSIS_ORDER = ("interproc", "units", "statemachine",
-                        "rngprov")
-
-
-def _analysis_spec(name: str) -> Tuple[Tuple[str, ...], object]:
-    """``(codes, runner)`` for one named tree analysis."""
-    from . import (effects, fingerprint, lifecycle, rngprov,
-                   statemachine, units)
-    table: Dict[str, Tuple[Tuple[str, ...], object]] = {
-        "units": (units.CODES, units.analyze_units),
-        "statemachine": (statemachine.CODES,
-                         statemachine.analyze_statemachines),
-        "rngprov": (rngprov.CODES, rngprov.analyze_rng),
-        "interproc": (effects.CODES + fingerprint.CODES
-                      + lifecycle.CODES, _run_interprocedural),
-    }
-    return table[name]
-
-
-#: ``(path, source, module_path)`` — what a pool worker needs to
-#: rebuild a FileContext (re-parsing beats pickling AST trees).
-_FileJob = Tuple[str, str, str]
-
-
-def _pool_contexts(files: Sequence[_FileJob],
-                   config: LintConfig) -> List[FileContext]:
-    contexts: List[FileContext] = []
-    for path, source, module_path in files:
-        ctx, _ = _collect_context(source, path, config,
-                                  module_path=module_path)
-        if ctx is not None:  # parse errors were reported by the parent
-            contexts.append(ctx)
-    return contexts
-
-
-def _pool_tree_task(name: str, files: Sequence[_FileJob],
-                    config: LintConfig
-                    ) -> Tuple[str, List[Finding], Dict[str, object],
-                               float]:
-    """Pool worker: one whole-tree analysis over every file."""
-    codes, run = _analysis_spec(name)
-    contexts = _pool_contexts(files, config)
-    started = time.perf_counter()
-    result = run(contexts, config)  # type: ignore[operator]
-    elapsed = round(time.perf_counter() - started, 6)
-    if isinstance(result, tuple):
-        produced, extra = result
-    else:
-        produced, extra = result, None
-    produced = [item for item in produced
-                if config.rule_enabled(item.rule)]
-    return name, produced, dict(extra or {}), elapsed
-
-
-def _lint_parallel(pending: Sequence[FileContext],
-                   all_files: Sequence[_FileJob],
-                   config: LintConfig, jobs: int, run_tree: bool
-                   ) -> Tuple[Dict[str, List[Finding]], List[Finding],
-                              Dict[str, object]]:
-    """Fan the tree analyses across a process pool.
-
-    Findings are byte-identical to the sequential path: each tree
-    analysis is deterministic over the same (re-parsed) contexts, and
-    the caller's per-file and global sorts fix any arrival-order
-    differences.  Only the timing extras differ between the two modes.
-
-    The per-file rules run here in the parent while the pool churns —
-    the parent already holds parsed contexts, so shipping rule work to
-    workers would only add re-parse and pickle cost for the cheapest
-    stage of the run.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    names = [name for name in _TREE_ANALYSIS_ORDER
-             if any(config.rule_enabled(code)
-                    for code in _analysis_spec(name)[0])] \
-        if run_tree else []
-    by_name: Dict[str, Tuple[List[Finding], Dict[str, object], float]] \
-        = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        tree_futures = [pool.submit(_pool_tree_task, name,
-                                    list(all_files), config)
-                        for name in names]
-        rule_out = {ctx.path: _rule_findings(ctx) for ctx in pending}
-        for future in tree_futures:
-            name, produced, extra, elapsed = future.result()
-            by_name[name] = (produced, extra, elapsed)
-    tree_findings: List[Finding] = []
-    extras: Dict[str, object] = {}
-    timings: Dict[str, float] = {}
-    for name in names:
-        produced, extra, elapsed = by_name[name]
-        tree_findings.extend(produced)
-        sub = extra.pop("timings", None)
-        if isinstance(sub, dict):
-            timings.update(sub)
-        extras.update(extra)
-        timings[name] = elapsed
-    extras["timings"] = timings
-    return rule_out, tree_findings, extras
 
 
 def _string_spans(tree: ast.AST) -> set:
@@ -501,10 +393,7 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 
 def lint_paths(paths: Sequence[Path],
-               config: Optional[LintConfig] = None,
-               cache: Optional[object] = None,
-               changed_only: bool = False,
-               jobs: int = 1) -> LintReport:
+               config: Optional[LintConfig] = None) -> LintReport:
     """Lint every Python file under ``paths`` into one report.
 
     Parses everything first, then runs per-file rules and the
@@ -512,94 +401,21 @@ def lint_paths(paths: Sequence[Path],
     resolves suppressions file by file (stale-waiver detection needs
     the complete finding list for a file, including findings a tree
     analysis reported into it from another module's spec).
-
-    ``cache`` (a :class:`repro.lint.cache.LintCache`) replays per-file
-    rule results for content-unchanged files and the whole tree
-    analysis for a fully unchanged tree.  ``changed_only`` additionally
-    filters the report to findings in files whose content changed
-    since the cached run (parse errors and cache-less runs count as
-    changed).
-
-    ``jobs > 1`` fans the tree analyses across a process pool while
-    the per-file rules run in this process.  Findings are
-    byte-identical to ``jobs=1``; only the timing extras differ.
-    Cache I/O stays in this process.
     """
-    from .cache import source_digest  # late: cache imports our types
     config = config or LintConfig()
     report = LintReport()
     contexts: List[FileContext] = []
-    digests: Dict[str, str] = {}
-    sources: Dict[str, Tuple[str, str]] = {}
-    changed: set = set()
-    rule_results: Dict[str, List[Finding]] = {}
     for file_path in iter_python_files([Path(p) for p in paths]):
-        module_path = _module_path(file_path)
-        if any(module_path.endswith(suffix) or file_path.match(suffix)
-               for suffix in config.exclude):
-            continue
-        source = file_path.read_text(encoding="utf-8")
         path = str(file_path)
         ctx, parse_findings = _collect_context(
-            source, path, config, module_path=module_path)
+            file_path.read_text(encoding="utf-8"), path, config)
         report.files_scanned += 1
         if ctx is None:
-            changed.add(path)
             report.findings.extend(parse_findings)
-            continue
-        digests[path] = source_digest(source)
-        sources[path] = (source, module_path)
-        contexts.append(ctx)
-    pending: List[FileContext] = []
-    for ctx in contexts:
-        cached = cache.get_file(ctx.path, digests[ctx.path]) \
-            if cache is not None else None
-        if cached is None:
-            changed.add(ctx.path)
-            pending.append(ctx)
         else:
-            rule_results[ctx.path] = cached
-    tree_findings: Optional[List[Finding]] = None
-    extras: Dict[str, object] = {}
-    if cache is not None:
-        key = cache.tree_key(sorted(digests.items()))
-        hit = cache.get_tree(key)
-        if hit is not None:
-            tree_findings, extras = hit
-    if jobs > 1 and (pending or tree_findings is None):
-        pool_started = time.perf_counter()
-        all_of = [(ctx.path,) + sources[ctx.path] for ctx in contexts]
-        rule_out, pool_tree, pool_extras = _lint_parallel(
-            pending, all_of, config, jobs,
-            run_tree=tree_findings is None)
-        for ctx in pending:
-            found = rule_out.get(ctx.path, [])
-            rule_results[ctx.path] = found
-            if cache is not None:
-                cache.put_file(ctx.path, digests[ctx.path], found)
-        if tree_findings is None:
-            tree_findings, extras = pool_tree, pool_extras
-            timings = extras.setdefault("timings", {})
-            if isinstance(timings, dict):
-                timings["pool_wall"] = round(
-                    time.perf_counter() - pool_started, 6)
-                timings["jobs"] = jobs
-            if cache is not None:
-                cache.put_tree(key, tree_findings, extras)
-    else:
-        for ctx in pending:
-            found = _rule_findings(ctx)
-            if cache is not None:
-                cache.put_file(ctx.path, digests[ctx.path], found)
-            rule_results[ctx.path] = found
-        if tree_findings is None:
-            tree_findings, extras = _run_tree_analyses(contexts, config)
-            if cache is not None:
-                cache.put_tree(key, tree_findings, extras)
-    if cache is not None:
-        extras = dict(extras)
-        extras["cache"] = cache.stats()
-        cache.save()
+            contexts.append(ctx)
+    rule_results = {ctx.path: _rule_findings(ctx) for ctx in contexts}
+    tree_findings, extras = _run_tree_analyses(contexts, config)
     report.extras.update(extras)
     by_path: Dict[str, List[Finding]] = {}
     for item in tree_findings:
@@ -607,9 +423,6 @@ def lint_paths(paths: Sequence[Path],
     for ctx in contexts:
         findings = rule_results[ctx.path] + by_path.get(ctx.path, [])
         report.findings.extend(_finalize_file(ctx, findings))
-    if changed_only:
-        report.findings = [item for item in report.findings
-                           if item.path in changed]
     report.findings.sort(key=Finding.sort_key)
     return report
 

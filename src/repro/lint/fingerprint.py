@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import (CallGraph, annotation_class_names,
                         build_call_graph, _dotted)
-from .config import LintConfig
+from .config import FPC_PACKAGES, FPC_PATTERN, FPC_ROOTS
 from .engine import FileContext, Finding
 
 CODES = ("FPC001", "FPC002")
@@ -140,20 +140,18 @@ def fingerprint_closure(graph: CallGraph,
     return closure
 
 
-def _is_salted(ctx: FileContext, packages: Sequence[str]) -> bool:
-    return ctx.package in packages
+def _is_salted(ctx: FileContext) -> bool:
+    return ctx.package in FPC_PACKAGES
 
 
 def analyze_fingerprint(contexts: Sequence[FileContext],
-                        config: LintConfig,
                         graph: Optional[CallGraph] = None,
                         ) -> Tuple[List[Finding], Dict[str, object]]:
     """Run the FPC closure + rules; return findings and report extras."""
     if graph is None:
         graph = build_call_graph(contexts)
-    closure = fingerprint_closure(graph, config.fpc_roots)
-    pattern = re.compile(config.fpc_pattern)
-    packages = config.fpc_packages
+    closure = fingerprint_closure(graph, FPC_ROOTS)
+    pattern = re.compile(FPC_PATTERN)
     findings: List[Finding] = []
 
     #: Closure dataclasses, with their fingerprinted/known attr names.
@@ -171,7 +169,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
     constructed: Set[str] = set()
 
     for ctx in contexts:
-        if not _is_salted(ctx, packages):
+        if not _is_salted(ctx):
             continue
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
@@ -181,7 +179,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
 
     for qualname, function in graph.functions.items():
         ctx = function.ctx
-        if not _is_salted(ctx, packages):
+        if not _is_salted(ctx):
             continue
         env = graph._local_env(function)
         for node in ast.walk(function.node):
@@ -207,8 +205,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
                 if class_name not in closure \
                         and pattern.search(class_name) \
                         and class_name not in reads \
-                        and any(info.is_dataclass and _is_salted(
-                            info.ctx, packages)
+                        and any(info.is_dataclass and _is_salted(info.ctx)
                             for info in graph.classes.get(class_name, ())):
                     reads[class_name] = (ctx, node.lineno,
                                          node.col_offset, node.attr)
@@ -217,8 +214,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
         if class_name in constructed:
             continue  # derived inside simulation code from the key
         for info in graph.classes[class_name]:
-            if not info.is_dataclass or not _is_salted(info.ctx,
-                                                       packages):
+            if not info.is_dataclass or not _is_salted(info.ctx):
                 continue
             findings.append(info.ctx.finding_at(
                 "FPC002", info.node.lineno, info.node.col_offset,
@@ -231,7 +227,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
 
     extras: Dict[str, object] = {
         "fingerprint": {
-            "roots": sorted(set(config.fpc_roots)
+            "roots": sorted(set(FPC_ROOTS)
                             & set(graph.classes)),
             "closure": sorted(closure),
             "checked_dataclasses": sorted(known_attrs),

@@ -65,7 +65,6 @@ from typing import (Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
 from .callgraph import CallGraph, CallSite, FunctionNode, build_call_graph
-from .config import LintConfig
 from .dataflow import literal_or_none, walk_skipping_lambdas
 from .engine import FileContext, Finding
 
@@ -663,10 +662,9 @@ class _Walker:
 class LifecycleAnalysis:
     """Whole-tree lifecycle verification over a built call graph."""
 
-    def __init__(self, graph: CallGraph, config: LintConfig,
+    def __init__(self, graph: CallGraph,
                  specs: Sequence[LifecycleSpecInfo]) -> None:
         self.graph = graph
-        self.config = config
         self.specs = list(specs)
         self.findings: List[Finding] = []
         self._summaries: Dict[str, _Summary] = {}
@@ -679,11 +677,8 @@ class LifecycleAnalysis:
         """The resource's own module/classes manage state freely."""
         if function.module_path.endswith(spec.module):
             return True
-        if function.class_name is not None \
-                and function.class_name in spec.class_names:
-            return True
-        return any(function.module_path.endswith(suffix)
-                   for suffix in self.config.lifecycle_exclude_modules)
+        return function.class_name is not None \
+            and function.class_name in spec.class_names
 
     # -- interprocedural summaries ---------------------------------------
 
@@ -1143,7 +1138,6 @@ class LifecycleAnalysis:
 
 
 def analyze_lifecycles(contexts: Sequence[FileContext],
-                       config: LintConfig,
                        graph: Optional[CallGraph] = None,
                        ) -> Tuple[List[Finding], Dict[str, object]]:
     """Run the lifecycle pass; returns findings plus report extras."""
@@ -1153,7 +1147,7 @@ def analyze_lifecycles(contexts: Sequence[FileContext],
                                   "boundary_obligations": 0}}
     if graph is None:
         graph = build_call_graph(contexts)
-    analysis = LifecycleAnalysis(graph, config, specs)
+    analysis = LifecycleAnalysis(graph, specs)
     return analysis.run()
 
 

@@ -4,11 +4,11 @@ The JSON document is the CI artifact (schema below); the text form is
 what developers read locally.  Suppressed findings appear in both —
 with their reasons — so waivers stay auditable instead of invisible.
 
-JSON schema (``schema_version`` 4)::
+JSON schema (``schema_version`` 5)::
 
     {
       "tool": "repro.lint",
-      "schema_version": 4,
+      "schema_version": 5,
       "ok": bool,                 # gate: no unsuppressed findings
       "files_scanned": int,
       "summary": {
@@ -61,12 +61,9 @@ power-state topology) and ``summary.stale_waivers``.  Version 3 added
 the interprocedural artifacts — ``call_graph``, per-function
 ``effects``, the ``fingerprint`` closure — and per-analysis
 ``timings``.  Version 4 added the ``lifecycle`` artifacts (the
-declared protocols and how many boundary obligations were proven)
-and, in parallel runs (``--jobs N``), ``timings.jobs`` plus
-``timings.pool_wall``; the per-analysis timing keys are identical in
-both modes (each pool task mirrors one sequential analysis, with the
-effect/fingerprint/lifecycle passes sharing a single ``interproc``
-call graph either way).
+declared protocols and how many boundary obligations were proven).
+Version 5 drops what the removed cache and process pool published:
+``timings.jobs``, ``timings.pool_wall`` and ``analyses.cache``.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ from typing import Any, Dict, List
 
 from .engine import STALE_RULE, Finding, LintReport
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def finding_to_dict(finding: Finding) -> Dict[str, Any]:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .config import LintConfig
 from .dataflow import merge_envs, walk_skipping_lambdas
 from .engine import FileContext, Finding
 
@@ -247,8 +246,7 @@ def _function_env(node: ast.AST) -> Set[str]:
     return env
 
 
-def analyze_rng(contexts: Sequence[FileContext],
-                config: LintConfig) -> List[Finding]:
+def analyze_rng(contexts: Sequence[FileContext]) -> List[Finding]:
     """Run the RNG provenance analysis over every parsed file."""
     findings: List[Finding] = []
     for ctx in contexts:

@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from .config import (CFG001_PACKAGES, CFG001_PATTERN, DET002_ALLOW,
+                     DET003_PACKAGES, FLT001_PATTERN)
 from .engine import FileContext, Finding
 
 
@@ -161,7 +163,7 @@ _DATETIME_READS = frozenset({"now", "utcnow", "today"})
 
 def _check_det002(context: FileContext) -> List[Finding]:
     if any(context.module_path.endswith(entry)
-           for entry in context.config.det002_allow):
+           for entry in DET002_ALLOW):
         return []
     tree = context.tree
     findings: List[Finding] = []
@@ -180,8 +182,8 @@ def _check_det002(context: FileContext) -> List[Finding]:
         findings.append(context.finding(
             "DET002", node,
             f"{what} reads the wall clock; simulation quantities must "
-            "derive from sim ticks (profiling files belong in the "
-            "[tool.repro-lint.det002] allow list)"))
+            "derive from sim ticks (profiling files belong in "
+            "DET002_ALLOW)"))
 
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "time":
@@ -277,7 +279,7 @@ def _is_set_expr(node: ast.AST, set_names: Set[str]) -> bool:
 
 
 def _check_det003(context: FileContext) -> List[Finding]:
-    if context.package not in context.config.det003_packages:
+    if context.package not in DET003_PACKAGES:
         return []
     tree = context.tree
     set_names = _collect_set_names(tree)
@@ -326,7 +328,7 @@ def _is_fractional_float(node: ast.AST) -> bool:
 
 
 def _check_flt001(context: FileContext) -> List[Finding]:
-    pattern = re.compile(context.config.flt001_name_pattern, re.I)
+    pattern = re.compile(FLT001_PATTERN, re.I)
     findings: List[Finding] = []
     for node in ast.walk(context.tree):
         if not isinstance(node, ast.Compare):
@@ -446,9 +448,9 @@ def _is_classvar(annotation: ast.AST) -> bool:
 
 
 def _check_cfg001(context: FileContext) -> List[Finding]:
-    if context.package not in context.config.cfg001_packages:
+    if context.package not in CFG001_PACKAGES:
         return []
-    pattern = re.compile(context.config.cfg001_pattern)
+    pattern = re.compile(CFG001_PATTERN)
     findings: List[Finding] = []
     for node in ast.walk(context.tree):
         if not isinstance(node, ast.ClassDef):
@@ -511,7 +513,7 @@ RULES: Dict[str, Rule] = {
              "time.time/perf_counter/datetime.now make behaviour "
              "depend on host speed.  Profiling instrumentation that "
              "never feeds a simulated quantity is allowlisted per "
-             "file in [tool.repro-lint.det002].",
+             "file in repro.lint.config.DET002_ALLOW.",
              _check_det002),
         Rule("DET003", "no set iteration in order-sensitive packages",
              "Set iteration order varies across processes (hash "

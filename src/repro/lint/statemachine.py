@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import (Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
-from .config import LintConfig
+from .config import SM_PACKAGES
 from .dataflow import (literal_or_none, merge_envs,
                        module_string_constants, sm_assumptions,
                        walk_skipping_lambdas)
@@ -582,19 +582,13 @@ def _check_spec(spec: SpecInfo, contexts: Sequence[FileContext],
     }
 
 
-def _in_packages(ctx: FileContext, packages: Sequence[str]) -> bool:
-    head = ctx.module_path.split("/", 1)[0]
-    return head in packages
-
-
 def _scan_unspecced(contexts: Sequence[FileContext],
                     specs: Sequence[SpecInfo],
-                    config: LintConfig,
                     findings: List[Finding]) -> None:
     spec_classes = {(spec.module, spec.class_name) for spec in specs}
     spec_modules = {spec.module for spec in specs}
     for ctx in contexts:
-        if not _in_packages(ctx, config.sm_packages):
+        if ctx.module_path.split("/", 1)[0] not in SM_PACKAGES:
             continue
         covered = any(ctx.module_path == module
                       or ctx.module_path.endswith("/" + module)
@@ -626,8 +620,7 @@ def _scan_unspecced(contexts: Sequence[FileContext],
                     "power_up()/sleep()/… — not its ledger)"))
 
 
-def analyze_statemachines(contexts: Sequence[FileContext],
-                          config: LintConfig
+def analyze_statemachines(contexts: Sequence[FileContext]
                           ) -> Tuple[List[Finding],
                                      Dict[str, object]]:
     """Run the state-machine verification over every parsed file."""
@@ -636,7 +629,7 @@ def analyze_statemachines(contexts: Sequence[FileContext],
     specs = _extract_specs(contexts)
     for spec in specs:
         _check_spec(spec, contexts, findings, graphs)
-    _scan_unspecced(contexts, specs, config, findings)
+    _scan_unspecced(contexts, specs, findings)
     return findings, {"state_machines": graphs}
 
 

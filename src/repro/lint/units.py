@@ -36,7 +36,7 @@ Rules
 * **UNI003** — multiplying two currents or two voltages: on this
   codebase that is always a misspelling of ``I · V``.
 * **UNI004** — a public module-level ``float`` constant in a
-  calibration module (``[tool.repro-lint] units.const_modules``) whose
+  calibration module (``UNITS_CONST_MODULES``) whose
   name carries no unit suffix and no ``# unit:`` annotation.
 
 Ambiguity is resolved inline: ``MCU_CLOCK_HZ = 8_000_000  # unit:
@@ -52,7 +52,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import LintConfig
+from .config import UNITS_CONST_MODULES
 from .dataflow import (TERMINATED, function_header_lines, merge_envs,
                        unit_annotations)
 from .engine import FileContext, Finding
@@ -827,8 +827,7 @@ def _function_params(node: ast.AST) -> Dict[str, Optional[Unit]]:
     return env
 
 
-def analyze_units(contexts: Sequence[FileContext],
-                  config: LintConfig) -> List[Finding]:
+def analyze_units(contexts: Sequence[FileContext]) -> List[Finding]:
     """Run the dimensional analysis over every parsed file."""
     findings: List[Finding] = []
     index = _TreeIndex()
@@ -848,8 +847,7 @@ def analyze_units(contexts: Sequence[FileContext],
             declared = _declared_return(node, index, ctx)
             checker.exec_block(node.body, _function_params(node),
                                declared)
-        if _module_matches(ctx.module_path,
-                           config.units_const_modules):
+        if _module_matches(ctx.module_path, UNITS_CONST_MODULES):
             _check_constants(ctx, index, findings)
     return findings
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core.calibration import ModelCalibration
 from ..hw.frames import Frame, FrameKind
-from ..hw.radio import Nrf2401, TxOutcome
+from ..hw.radio import Nrf2401
 from ..sim.events import EventEntry, cancel_event
 from ..sim.kernel import Simulator
 from ..sim.simtime import milliseconds
@@ -115,6 +115,11 @@ class AlohaNodeMac(Component):
         self._pending: Optional[Frame] = None
         #: Consecutive busy CCAs (CSMA's recovery signal).
         self._busy_streak = 0
+        #: Boot generation, bumped by every stop.  Each step of a
+        #: frame's chain carries the generation it was polled in, so a
+        #: one-shot left over from before a crash cannot resume its
+        #: frame in the rebooted MAC.
+        self._boot = 0
         self._poll_event: Optional[EventEntry] = None
         self._label_poll = f"{self.name}.poll"
         self._label_prep = f"{self.name}.pkt_prep"
@@ -144,7 +149,9 @@ class AlohaNodeMac(Component):
 
     def on_stop(self) -> None:
         # Cancel the pending poll: a reboot before it fires would
-        # otherwise run the old chain next to the new one.
+        # otherwise run the old chain next to the new one.  Steps of a
+        # frame already polled see the new boot generation and stop.
+        self._boot += 1
         if self._poll_event is not None:
             cancel_event(self._poll_event)
         self._radio.release()
@@ -181,29 +188,31 @@ class AlohaNodeMac(Component):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.tx_jitter",
                                  self._sim.now, self._sim.now + offset)
-        self._sim.after(offset, lambda: self._queue_tx(frame),
+        boot = self._boot
+        self._sim.after(offset, lambda: self._queue_tx(frame, boot),
                         label=f"{self.name}.tx_at")
 
-    def _queue_tx(self, frame: Frame) -> None:
-        if not self.started:
+    def _queue_tx(self, frame: Frame, boot: int) -> None:
+        if boot != self._boot:
             return
         if self.spans is not None:
             self.spans.packet_queued(frame, self._sim.now, self._label_prep)
-        self._scheduler.post(lambda: self._transmit(frame),
+        self._scheduler.post(lambda: self._transmit(frame, boot),
                              self._cal.mcu_costs.packet_preparation,
                              label=self._label_prep)
 
-    def _transmit(self, frame: Frame) -> None:
+    def _transmit(self, frame: Frame, boot: int) -> None:
         """Hook: the prepared frame's next step (ALOHA: send it now)."""
         # The prep task may drain after a stop (crash faults power the
-        # radio down); sending then would be a RadioError.
-        if not self.started:
+        # radio down; sending then would be a RadioError) or a reboot.
+        if boot != self._boot:
             return
-        self._radio.send(frame, self._tx_done)
+        self._radio.send(frame, lambda outcome: self._tx_done(boot))
 
-    def _tx_done(self, outcome: TxOutcome) -> None:
+    def _tx_done(self, boot: int) -> None:
         self.counters.data_sent += 1
-        self._pending = None
+        if boot == self._boot:
+            self._pending = None
 
     def observe_metrics(self, registry: "MetricsRegistry",
                         node: str) -> None:

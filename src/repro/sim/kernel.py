@@ -383,47 +383,6 @@ class Simulator:
         for hook in self._end_hooks:
             hook()
 
-    def run_all(self, max_events: int = 10_000_000) -> None:
-        """Dispatch events until the queue drains.
-
-        ``max_events`` guards against runaway self-rescheduling loops
-        (periodic timers make a truly empty queue unreachable); hitting the
-        limit raises :class:`SimulationError`.
-        """
-        queue = self._queue
-        trace = self.trace
-        self._running = True
-        dispatched = 0
-        try:
-            while True:
-                event = queue.pop()
-                if event is None:
-                    break
-                dispatched += 1
-                if dispatched > max_events:
-                    raise SimulationError(
-                        f"run_all exceeded {max_events} events; "
-                        "use run_until for scenarios with periodic timers")
-                time = event[EVT_TIME]
-                self._now = time
-                self._dispatched += 1
-                if trace is not None:
-                    trace.record(time, "kernel", "dispatch",
-                                 event[EVT_LABEL])
-                try:
-                    event[EVT_CALLBACK]()
-                except SimulationError:
-                    raise
-                # lint: allow(EXC001): wrapped into SimulationError
-                except Exception as exc:
-                    raise SimulationError(
-                        f"event {event[EVT_LABEL]!r} at t={time} "
-                        f"failed: {exc}") from exc
-        finally:
-            self._running = False
-        for hook in self._end_hooks:
-            hook()
-
     def next_serial(self) -> int:
         """Next value of a deterministic per-simulation serial counter.
 

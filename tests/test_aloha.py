@@ -11,10 +11,16 @@ from repro.core.calibration import (
 from repro.faults import FaultPlan, NodeCrash
 from repro.hw.mcu import Msp430
 from repro.hw.radio import Nrf2401
+from repro.mac import aloha
 from repro.mac.aloha import AlohaConfig, AlohaNodeMac
 from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.phy.channel import Channel
-from repro.sim.simtime import milliseconds, seconds
+from repro.sim.simtime import (
+    TICKS_PER_SECOND,
+    microseconds,
+    milliseconds,
+    seconds,
+)
 from repro.sim.trace import TraceRecorder
 from repro.tinyos.scheduler import TaskScheduler
 
@@ -178,6 +184,51 @@ class TestPollChain:
         after = sum(seconds(1.5) <= t < seconds(2.0) for t in polls)
         assert before == 17
         assert after == before
+
+    @pytest.mark.parametrize("mac,seed", [("aloha", 23), ("csma", 17)])
+    def test_reboot_drops_frame_polled_before_crash(self, mac, seed,
+                                                    monkeypatch):
+        """Regression: one-shots scheduled before a crash (ALOHA's
+        ``tx_at``, CSMA's backoff, the queued ``pkt_prep`` task) fired
+        into the rebooted MAC, whose ``started`` guards passed again, so
+        the frame polled before the crash was still sent next to the
+        new boot's own."""
+        config = BanScenarioConfig(
+            mac=mac, app="ecg_streaming", num_nodes=3, measure_s=2.0,
+            seed=seed, sampling_hz=205.0)
+        trace = TraceRecorder()
+        BanScenario(config, trace=trace).run()
+        poll = next(record.time for record in trace
+                    if record.kind == "dispatch"
+                    and record.detail == "node1.mac.poll"
+                    and record.time >= seconds(1.0))
+        crash = poll + microseconds(10)
+        reboot = crash + microseconds(50)
+        scenario = BanScenario(dataclasses.replace(config, faults=FaultPlan((
+            NodeCrash(node="node1", at_s=crash / TICKS_PER_SECOND,
+                      reboot_after_s=(reboot - crash) / TICKS_PER_SECOND),
+        ))))
+        polled, sends = [], []  # (time, frame): frames stay alive
+        make_data, send = aloha.make_data, Nrf2401.send
+
+        def stamped_make_data(*args):
+            frame = make_data(*args)
+            polled.append((scenario.sim.now, frame))
+            return frame
+
+        def recording_send(radio, frame, on_complete=None):
+            sends.append((scenario.sim.now, frame))
+            send(radio, frame, on_complete)
+
+        monkeypatch.setattr(aloha, "make_data", stamped_make_data)
+        monkeypatch.setattr(Nrf2401, "send", recording_send)
+        scenario.run()
+        polled_at = {id(frame): time for time, frame in polled}
+        assert poll in polled_at.values()  # the crash strands a frame
+        stale = [(time, frame.describe()) for time, frame in sends
+                 if frame.src == "node1" and time >= reboot
+                 and polled_at[id(frame)] < crash]
+        assert stale == []
 
 
 class TestOversizeFrames:

@@ -162,25 +162,6 @@ class TestSimulatorScheduling:
         sim.run_until(500)
         assert fired == [1]
 
-    def test_run_all_drains_queue(self):
-        sim = Simulator()
-        fired = []
-        sim.at(5, lambda: fired.append("a"))
-        sim.at(9, lambda: fired.append("b"))
-        sim.run_all()
-        assert fired == ["a", "b"]
-        assert sim.now == 9
-
-    def test_run_all_event_limit(self):
-        sim = Simulator()
-
-        def reschedule():
-            sim.after(1, reschedule)
-
-        sim.after(1, reschedule)
-        with pytest.raises(SimulationError):
-            sim.run_all(max_events=100)
-
     def test_exception_in_callback_is_annotated(self):
         sim = Simulator()
 

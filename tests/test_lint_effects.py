@@ -3,21 +3,17 @@
 Covers the call graph (receiver typing, inheritance dispatch, callback
 bindings, hook indirection), the effect-inference pass and every OBS/FPC
 rule in both directions, the ``# effect: pure`` pin, the on-disk
-seeded-bug fixtures, the hook audit consumed by
-``tools/determinism_check.py --static-obs``, and lint incrementality
-(content-hash cache + ``--changed-only``).
+seeded-bug fixtures, and the hook audit consumed by
+``tools/determinism_check.py --static-obs``.
 """
 
-import json
 import pathlib
 import textwrap
 
 import pytest
 
 from repro.lint import LintConfig, lint_paths, lint_source
-from repro.lint.cache import CACHE_SCHEMA, LintCache, source_digest
 from repro.lint.callgraph import build_call_graph
-from repro.lint.cli import main as lint_main
 from repro.lint.effects import (
     EFFECTS,
     FORBIDDEN_IN_HOOKS,
@@ -188,7 +184,7 @@ class TestCallGraph:
 class TestEffectInference:
     def effects_table(self, source):
         (ctx,) = contexts_of(source)
-        _, extras = analyze_effects([ctx], LintConfig())
+        _, extras = analyze_effects([ctx])
         return extras["effects"]["functions"]
 
     def test_kernel_primitive_seeds_propagate(self):
@@ -477,7 +473,7 @@ class TestFpcRules:
             class BanScenarioConfig:
                 sub: SubConfig = None
         """, module_path="net/m%d.py")
-        _, extras = analyze_fingerprint([ctx], LintConfig())
+        _, extras = analyze_fingerprint([ctx])
         closure = extras["fingerprint"]["closure"]
         assert "BanScenarioConfig" in closure
         assert "SubConfig" in closure
@@ -516,7 +512,7 @@ class TestHookAudit:
                 def observe_metrics(self, registry):
                     pass
         """)
-        audit, findings = audit_hooks(ctxs, LintConfig())
+        audit, findings = audit_hooks(ctxs)
         assert audit.guard_classes() == {"Mac"}
         assert any(q.endswith("Injector.observe_metrics")
                    for q in audit.hook_methods)
@@ -528,109 +524,6 @@ class TestHookAudit:
         guarded = {g["attr"] for g in hooks["span_guards"]}
         assert "spans" in guarded
         assert hooks["hook_methods"]  # observe_metrics providers exist
-
-
-# ----------------------------------------------------------------------
-# Incrementality: content-hash cache + --changed-only
-# ----------------------------------------------------------------------
-class TestIncrementality:
-    def make_tree(self, tmp_path):
-        src = tmp_path / "proj"
-        src.mkdir()
-        (src / "a.py").write_text("A_S = 1.0\n")
-        (src / "b.py").write_text("def twice(x):\n    return x * 2\n")
-        return src
-
-    def test_cold_then_warm_hits(self, tmp_path):
-        src = self.make_tree(tmp_path)
-        config = LintConfig()
-        cold = LintCache(tmp_path / "cache", config)
-        first = lint_paths([src], config, cache=cold)
-        assert cold.stats() == {"file_hits": 0, "file_misses": 2,
-                                "tree_hit": False}
-        warm = LintCache(tmp_path / "cache", config)
-        second = lint_paths([src], config, cache=warm)
-        assert warm.stats() == {"file_hits": 2, "file_misses": 0,
-                                "tree_hit": True}
-        strip = lambda r: [(f.rule, f.path, f.line, f.message)
-                           for f in r.findings]
-        assert strip(first) == strip(second)
-
-    def test_edit_invalidates_file_and_tree(self, tmp_path):
-        src = self.make_tree(tmp_path)
-        config = LintConfig()
-        lint_paths([src], config,
-                   cache=LintCache(tmp_path / "cache", config))
-        (src / "a.py").write_text("A_S = 2.0\n")
-        cache = LintCache(tmp_path / "cache", config)
-        lint_paths([src], config, cache=cache)
-        assert cache.stats() == {"file_hits": 1, "file_misses": 1,
-                                 "tree_hit": False}
-
-    def test_changed_only_filters_to_edited_files(self, tmp_path):
-        src = self.make_tree(tmp_path)
-        config = LintConfig()
-        lint_paths([src], config,
-                   cache=LintCache(tmp_path / "cache", config))
-        # Unchanged tree: nothing to report.
-        report = lint_paths([src], config,
-                            cache=LintCache(tmp_path / "cache", config),
-                            changed_only=True)
-        assert report.findings == []
-        # Introduce a violation in one file: only it is reported.
-        (src / "a.py").write_text("import random\nrandom.random()\n")
-        report = lint_paths([src], config,
-                            cache=LintCache(tmp_path / "cache", config),
-                            changed_only=True)
-        assert report.findings
-        assert {f.path for f in report.findings} \
-            == {str(src / "a.py")}
-
-    def test_config_change_invalidates_salt(self, tmp_path):
-        src = self.make_tree(tmp_path)
-        config = LintConfig()
-        lint_paths([src], config,
-                   cache=LintCache(tmp_path / "cache", config))
-        other = LintConfig(select=("DET001",))
-        cache = LintCache(tmp_path / "cache", other)
-        lint_paths([src], other, cache=cache)
-        assert cache.stats()["file_misses"] == 2
-
-    def test_corrupt_cache_file_starts_cold(self, tmp_path):
-        src = self.make_tree(tmp_path)
-        config = LintConfig()
-        cachedir = tmp_path / "cache"
-        cachedir.mkdir()
-        (cachedir / "lint-cache.json").write_text("{not json")
-        cache = LintCache(cachedir, config)
-        lint_paths([src], config, cache=cache)
-        assert cache.stats()["file_misses"] == 2
-        # And the save repaired it.
-        document = json.loads(
-            (cachedir / "lint-cache.json").read_text())
-        assert document["schema"] == CACHE_SCHEMA
-
-    def test_source_digest_is_content_hash(self):
-        assert source_digest("x = 1\n") == source_digest("x = 1\n")
-        assert source_digest("x = 1\n") != source_digest("x = 2\n")
-
-    def test_cli_cache_and_changed_only(self, tmp_path, capsys):
-        src = self.make_tree(tmp_path)
-        cachedir = str(tmp_path / "cache")
-        assert lint_main([str(src), "--cache-dir", cachedir]) == 0
-        assert lint_main([str(src), "--cache-dir", cachedir,
-                          "--changed-only"]) == 0
-        capsys.readouterr()
-        assert lint_main([str(src), "--changed-only"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
-    def test_cache_stats_in_json_report(self, tmp_path):
-        src = self.make_tree(tmp_path)
-        config = LintConfig()
-        cache = LintCache(tmp_path / "cache", config)
-        report = lint_paths([src], config, cache=cache)
-        assert report.extras["cache"]["file_misses"] == 2
-        assert "timings" in report.extras
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ runtime ``RadioError`` guards from the *real* radio spec, and the
 shipped ``src`` tree is clean under every LIF rule.
 """
 
-import dataclasses
 import pathlib
 import textwrap
 
@@ -19,7 +18,7 @@ from repro.core.lifecycles import (ALL_LIFECYCLE_SPECS,
                                    HANDLE_LIFECYCLE, RADIO_LIFECYCLE,
                                    SINK_LIFECYCLE, SPAN_LIFECYCLE,
                                    LifecycleSpec)
-from repro.lint import LintConfig, lint_paths, lint_source, load_config
+from repro.lint import LintConfig, lint_paths, lint_source
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures" / "lint"
@@ -253,8 +252,8 @@ class TestUseAfterRelease:
         target = tmp_path / "collector.py"
         target.write_text(snippet, encoding="utf-8")
         spec_file = ROOT / "src" / "repro" / "core" / "lifecycles.py"
-        config = dataclasses.replace(LintConfig(), select=LIF_CODES)
-        report = lint_paths([spec_file, target], config)
+        report = lint_paths([spec_file, target],
+                            LintConfig(select=LIF_CODES))
         rules = [f.rule for f in report.findings if not f.suppressed]
         assert rules == ["LIF003"]
 
@@ -436,17 +435,13 @@ class TestTreeIsCleanUnderLifecycle:
     """Meta-test: the shipped src tree carries no lifecycle bugs."""
 
     def test_src_clean_under_lif_rules(self):
-        config = dataclasses.replace(
-            load_config([ROOT / "src"]), select=LIF_CODES)
-        report = lint_paths([ROOT / "src"], config)
+        report = lint_paths([ROOT / "src"], LintConfig(select=LIF_CODES))
         assert report.ok, [
             f"{f.path}:{f.line} {f.rule} {f.message}"
             for f in report.unsuppressed]
 
     def test_report_carries_lifecycle_artifacts(self):
-        config = dataclasses.replace(
-            load_config([ROOT / "src"]), select=LIF_CODES)
-        report = lint_paths([ROOT / "src"], config)
+        report = lint_paths([ROOT / "src"], LintConfig(select=LIF_CODES))
         artifacts = report.extras["lifecycle"]
         resources = {spec["resource"] for spec in artifacts["specs"]}
         assert {"radio", "timer", "sched-handle", "trace-sink",

@@ -19,7 +19,7 @@ from repro.core.states import (ALL_TRANSITION_SPECS, ASIC_TRANSITIONS,
                                TransitionSpec)
 from repro.hw.frames import Frame, FrameKind
 from repro.hw.radio import Nrf2401, RadioError
-from repro.lint import LintConfig, lint_paths, lint_source, load_config
+from repro.lint import LintConfig, lint_paths, lint_source
 from repro.phy.channel import Channel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -286,8 +286,7 @@ class TestSpecsMatchHardware:
 
     @pytest.fixture(scope="class")
     def graphs(self):
-        config = load_config([ROOT / "pyproject.toml"])
-        report = lint_paths([ROOT / "src"], config)
+        report = lint_paths([ROOT / "src"])
         sm = [f for f in report.findings
               if f.rule.startswith("SM") and not f.suppressed]
         assert sm == []

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintConfig, lint_paths, lint_source, load_config
+from repro.lint import LintConfig, lint_paths, lint_source
 from repro.lint.report import report_to_dict
 from repro.lint.units import (DIMENSIONLESS, Unit, UnitParseError,
                               div_units, format_unit, make_unit,
@@ -395,16 +395,14 @@ class TestSeededFixtures:
 
 class TestTreeUnitsClean:
     def test_src_has_no_unit_findings(self):
-        config = load_config([ROOT / "pyproject.toml"])
-        report = lint_paths([ROOT / "src"], config)
+        report = lint_paths([ROOT / "src"])
         unit_findings = [f for f in report.findings
                          if f.rule.startswith("UNI")
                          and not f.suppressed]
         assert unit_findings == []
 
     def test_src_has_no_rng_findings(self):
-        config = load_config([ROOT / "pyproject.toml"])
-        report = lint_paths([ROOT / "src"], config)
+        report = lint_paths([ROOT / "src"])
         rng_findings = [f for f in report.findings
                         if f.rule.startswith("RNG")
                         and not f.suppressed]
@@ -418,7 +416,7 @@ class TestJsonSchemaV4:
             "LIMIT = 3.3\n", encoding="utf-8")
         report = lint_paths([tmp_path], LintConfig())
         document = json.loads(json.dumps(report_to_dict(report)))
-        assert document["schema_version"] == 4
+        assert document["schema_version"] == 5
         assert "analyses" in document
         assert document["summary"]["stale_waivers"] == 0
         assert [f["rule"] for f in document["findings"]] == ["UNI004"]

@@ -340,22 +340,21 @@ def _runtime_object_graph(scenario: Any) -> List[Any]:
 def check_static_obs(report: Dict[str, Any]) -> List[str]:
     """Check 5: static OBS audit == runtime span-hook surface.
 
-    Statically: lint ``src`` under the repository configuration and
-    require zero unsuppressed OBS findings, collecting the classes the
-    effect pass audited as guarding on ``spans``.  Dynamically: attach
+    Statically: lint ``src`` and require zero unsuppressed OBS
+    findings, collecting the classes the effect pass audited as
+    guarding on ``spans``.  Dynamically: attach
     a tracer to every reference scenario and walk its object graph for
     the classes that actually received it.  The two sets must agree on
     the instantiated surface in both directions.
     """
     from pathlib import Path
 
-    from repro.lint import lint_paths, load_config
+    from repro.lint import lint_paths
     from repro.obs import attach_span_tracer as attach
 
     failures: List[str] = []
     src = Path(__file__).resolve().parent.parent / "src"
-    config = load_config([src])
-    lint_report = lint_paths([src], config)
+    lint_report = lint_paths([src])
     obs_findings = [f for f in lint_report.findings
                     if f.rule.startswith("OBS") and not f.suppressed]
     for finding in obs_findings:
