@@ -7,14 +7,14 @@ deterministically from the scenario seed, and schedules one kernel
 event per concrete fault.  All injection happens *beneath* the
 protocol:
 
-* **Crash** — ``stack.stop_all()`` (application timers and MAC cease;
-  their pending events no-op on the started guards).  The radio goes
-  dark through the MAC's own stop: :meth:`~repro.hw.radio.Nrf2401.
-  release` powers it down at once, or at the last tick of a ShockBurst
-  still in flight.  An optional reboot is ``stack.start_all()``: the
-  MAC powers the radio back up (cancelling a release still waiting
-  for its burst), re-enters acquisition via its warm-reboot path and
-  rejoins over the air.
+* **Crash** — :meth:`~repro.net.node.SensorNode.crash`, an MCU reset:
+  the stack stops, cancelling every event its components scheduled,
+  and the task queue empties.  The MAC's stop releases the radio
+  (:meth:`~repro.hw.radio.Nrf2401.release`): it powers down at once,
+  or at the last tick of a ShockBurst still in flight.  An optional
+  :meth:`~repro.net.node.SensorNode.reboot` restarts the stack once
+  that burst has ended; the MAC powers the radio back up, re-enters
+  acquisition via its warm-reboot path and rejoins over the air.
 * **Radio lockup** — sets :attr:`~repro.hw.radio.Nrf2401.fault_rx_deaf`
   for the duration; frames are lost inside the radio (RX energy spent,
   MCU asleep), so the MAC sees pure silence.
@@ -221,13 +221,13 @@ class FaultInjector:
     def _stop_stack(self, node: "SensorNode") -> bool:
         if node.mac is None or not node.mac.started:
             return False  # already down (e.g. brownout after a crash)
-        node.stack.stop_all()
+        node.crash()
         return True
 
     def _reboot(self, node: "SensorNode") -> None:
         if node.mac is not None and node.mac.started:
             return  # the matching crash never landed
-        node.stack.start_all()
+        node.reboot()
         self.counters_for(node.node_id).reboots += 1
 
     def _lockup_begin(self, node: "SensorNode",

@@ -31,7 +31,7 @@ via the node's :class:`~repro.core.losses.LossAccountant`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
@@ -141,9 +141,8 @@ class Nrf2401:
 
         self._rx_since: Optional[int] = None
         self._tx_busy = False
-        # A release() that found a ShockBurst in flight: _finish_tx
-        # completes it after the burst's callback.
-        self._release_pending = False
+        # when_idle() callbacks waiting for the ShockBurst in flight.
+        self._idle_waiters: List[Callable[[], None]] = []
         self._inflight: Dict[int, "Transmission"] = {}
         # Frames whose airtime this radio is actively capturing (RX on
         # since before first bit).  A fault-driven power_down() moves
@@ -215,26 +214,26 @@ class Nrf2401:
         return self._tx_busy
 
     def power_up(self) -> None:
-        """POWER_DOWN -> STANDBY (configuration registers retained).
-
-        Also cancels a :meth:`release` still waiting for its burst.
-        """
-        self._release_pending = False
+        """POWER_DOWN -> STANDBY (configuration registers retained)."""
         if self.ledger.state == POWER_DOWN:
             self.ledger.transition(STANDBY)
+
+    def when_idle(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` now or, mid-ShockBurst, at the burst's last
+        tick after its ``on_complete`` (in call order)."""
+        if self._tx_busy:
+            self._idle_waiters.append(callback)
+        else:
+            callback()
 
     def release(self) -> None:
         """Stop listening, then power down: the radio side of a MAC stop.
 
         Mid-ShockBurst the chip cannot be switched off, so the
-        power-down waits for the burst and lands at its last tick,
-        right after the burst's ``on_complete`` callback has run.
+        power-down waits for the burst (:meth:`when_idle`).
         """
         self.stop_rx()
-        if self._tx_busy:
-            self._release_pending = True
-            return
-        self.power_down()
+        self.when_idle(self.power_down)
 
     def power_down(self) -> None:
         """Switch everything off.  Illegal mid-transmission."""
@@ -498,9 +497,10 @@ class Nrf2401:
             self.spans.tx_finish(outcome, self._sim.now)
         if on_complete is not None:
             on_complete(outcome)
-        if self._release_pending:
-            self._release_pending = False
-            self.power_down()
+        if self._idle_waiters:
+            waiters, self._idle_waiters = self._idle_waiters, []
+            for waiter in waiters:
+                waiter()
 
     def _book_tx_energy(self, outcome: TxOutcome) -> None:
         frame = outcome.frame

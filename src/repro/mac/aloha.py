@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core.calibration import ModelCalibration
 from ..hw.frames import Frame, FrameKind
-from ..hw.radio import Nrf2401
-from ..sim.events import EventEntry, cancel_event
+from ..hw.radio import Nrf2401, TxOutcome
 from ..sim.kernel import Simulator
 from ..sim.simtime import milliseconds
 from ..sim.trace import TraceRecorder
@@ -115,12 +114,6 @@ class AlohaNodeMac(Component):
         self._pending: Optional[Frame] = None
         #: Consecutive busy CCAs (CSMA's recovery signal).
         self._busy_streak = 0
-        #: Boot generation, bumped by every stop.  Each step of a
-        #: frame's chain carries the generation it was polled in, so a
-        #: one-shot left over from before a crash cannot resume its
-        #: frame in the rebooted MAC.
-        self._boot = 0
-        self._poll_event: Optional[EventEntry] = None
         self._label_poll = f"{self.name}.poll"
         self._label_prep = f"{self.name}.pkt_prep"
 
@@ -144,22 +137,14 @@ class AlohaNodeMac(Component):
                 0, interval - 1)
         else:
             first = 0
-        self._poll_event = self._sim.after(first, self._poll,
-                                           label=self._label_poll)
+        self.after(first, self._poll, label=self._label_poll)
 
     def on_stop(self) -> None:
-        # Cancel the pending poll: a reboot before it fires would
-        # otherwise run the old chain next to the new one.  Steps of a
-        # frame already polled see the new boot generation and stop.
-        self._boot += 1
-        if self._poll_event is not None:
-            cancel_event(self._poll_event)
         self._radio.release()
 
     def _poll(self) -> None:
-        self._poll_event = self._sim.after(
-            self.config.poll_interval_ticks, self._poll,
-            label=self._label_poll)
+        self.after(self.config.poll_interval_ticks, self._poll,
+                   label=self._label_poll)
         if self._pending is not None or self.payload_provider is None:
             return
         payload = self.payload_provider()
@@ -188,31 +173,23 @@ class AlohaNodeMac(Component):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.tx_jitter",
                                  self._sim.now, self._sim.now + offset)
-        boot = self._boot
-        self._sim.after(offset, lambda: self._queue_tx(frame, boot),
-                        label=f"{self.name}.tx_at")
+        self.after(offset, lambda: self._queue_tx(frame),
+                   label=f"{self.name}.tx_at")
 
-    def _queue_tx(self, frame: Frame, boot: int) -> None:
-        if boot != self._boot:
-            return
+    def _queue_tx(self, frame: Frame) -> None:
         if self.spans is not None:
             self.spans.packet_queued(frame, self._sim.now, self._label_prep)
-        self._scheduler.post(lambda: self._transmit(frame, boot),
+        self._scheduler.post(lambda: self._transmit(frame),
                              self._cal.mcu_costs.packet_preparation,
                              label=self._label_prep)
 
-    def _transmit(self, frame: Frame, boot: int) -> None:
+    def _transmit(self, frame: Frame) -> None:
         """Hook: the prepared frame's next step (ALOHA: send it now)."""
-        # The prep task may drain after a stop (crash faults power the
-        # radio down; sending then would be a RadioError) or a reboot.
-        if boot != self._boot:
-            return
-        self._radio.send(frame, lambda outcome: self._tx_done(boot))
+        self._radio.send(frame, self._tx_done)
 
-    def _tx_done(self, boot: int) -> None:
+    def _tx_done(self, outcome: TxOutcome) -> None:
         self.counters.data_sent += 1
-        if boot == self._boot:
-            self._pending = None
+        self._pending = None
 
     def observe_metrics(self, registry: "MetricsRegistry",
                         node: str) -> None:

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 from ..core.calibration import ModelCalibration
 from ..hw.frames import Frame, FrameKind
 from ..hw.radio import Nrf2401, TxOutcome
-from ..sim.events import EventEntry, cancel_event
 from ..sim.kernel import Simulator
 from ..sim.simtime import TICKS_PER_SECOND, microseconds
 from ..sim.trace import TraceRecorder
@@ -385,12 +384,11 @@ class NodeMac(Component):
     def _arm_scan_pause(self, serial: int) -> None:
         assert self._recovery is not None and self._cycle_ticks is not None
         on_ticks = round(self._recovery.scan_on_cycles * self._cycle_ticks)
-        self._sim.at(self._sim.now + max(on_ticks, 1),
-                     lambda: self._scan_pause(serial),
-                     label=f"{self.name}.scan_pause")
+        self.after(max(on_ticks, 1), lambda: self._scan_pause(serial),
+                   label=f"{self.name}.scan_pause")
 
     def _scan_pause(self, serial: int) -> None:
-        if not self.started or serial != self._scan_serial:
+        if serial != self._scan_serial:
             return
         if self.state is not NodeState.ACQUIRING:
             return  # a beacon ended the scan
@@ -398,12 +396,11 @@ class NodeMac(Component):
         self._radio.stop_rx()
         self.counters.scan_pauses += 1
         off_ticks = round(self._recovery.scan_off_cycles * self._cycle_ticks)
-        self._sim.at(self._sim.now + max(off_ticks, 1),
-                     lambda: self._scan_resume(serial),
-                     label=f"{self.name}.scan_resume")
+        self.after(max(off_ticks, 1), lambda: self._scan_resume(serial),
+                   label=f"{self.name}.scan_resume")
 
     def _scan_resume(self, serial: int) -> None:
-        if not self.started or serial != self._scan_serial:
+        if serial != self._scan_serial:
             return
         if self.state is not NodeState.ACQUIRING:
             return
@@ -448,19 +445,15 @@ class NodeMac(Component):
         self._window_serial += 1
         serial = self._window_serial
         self._next_window_open = wake
-        self._sim.at(wake, lambda: self._open_window(serial),
-                     label=self._label_rxon)
+        self.at(wake, lambda: self._open_window(serial), self._label_rxon)
         # Keep listening one lead past the expected time before declaring
         # a miss (symmetric guard), plus a beacon airtime.
         airtime = microseconds(200)
         timeout = expected_beacon + lead + airtime
-        self._sim.at(timeout,
-                     lambda: self._beacon_timeout(expected_beacon, serial),
-                     label=self._label_beacon_timeout)
+        self.at(timeout, lambda: self._beacon_timeout(expected_beacon, serial),
+                label=self._label_beacon_timeout)
 
     def _open_window(self, serial: int) -> None:
-        if not self.started:
-            return  # stack stopped: stay silent
         if serial != self._window_serial:
             return  # superseded (e.g. an injected clock step re-armed)
         if self.state is NodeState.ACQUIRING:
@@ -469,8 +462,6 @@ class NodeMac(Component):
             self._radio.start_rx()
 
     def _beacon_timeout(self, expected_beacon: int, serial: int) -> None:
-        if not self.started:
-            return
         if serial != self._window_serial:
             return  # superseded by a newer window
         if self._beacon_seen_this_window:
@@ -495,8 +486,6 @@ class NodeMac(Component):
     # Frame reception (radio interrupt context)
     # ------------------------------------------------------------------
     def _on_frame(self, frame: Frame) -> None:
-        if not self.started:
-            return  # stack stopped: the radio should be off anyway
         if frame.kind is FrameKind.BEACON:
             if frame.src != self._bs:
                 # Another BAN's base station (co-channel interference):
@@ -601,13 +590,11 @@ class NodeMac(Component):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.slot_wait",
                                  self._sim.now, tx_time)
-        self._sim.at(tx_time, self._slot_fired, label=self._label_slot)
+        self.at(tx_time, self._slot_fired, label=self._label_slot)
 
     def _slot_fired(self) -> None:
-        if not self.started:
-            return
         if self.state is not NodeState.SYNCED or self._slot is None:
-            return  # demoted or rebooted between scheduling and firing
+            return  # demoted between scheduling and firing
         if self.payload_provider is None:
             return
         payload = self.payload_provider()
@@ -622,16 +609,9 @@ class NodeMac(Component):
         # The MCU prepares the packet and clocks it into the radio FIFO;
         # the ShockBurst event itself starts when the task body runs.
         self._scheduler.post(
-            lambda: self._send_data(frame),
+            lambda: self._radio.send(frame, self._data_tx_done),
             self._cal.mcu_costs.packet_preparation,
             label=self._label_pkt_prep)
-
-    def _send_data(self, frame: Frame) -> None:
-        # The prep task may drain after a stop (crash faults power the
-        # radio down); sending then would be a RadioError.
-        if not self.started:
-            return
-        self._radio.send(frame, self._data_tx_done)
 
     def _data_tx_done(self, outcome: TxOutcome) -> None:
         self.counters.data_sent += 1
@@ -640,8 +620,6 @@ class NodeMac(Component):
     # Slot requests (helpers for the variants)
     # ------------------------------------------------------------------
     def _send_slot_request(self, wanted_slot: Optional[int] = None) -> None:
-        if not self.started:
-            return  # stack stopped (crash) after the request was armed
         if self.state is not NodeState.JOINING:
             return  # a grant arrived in the meantime
         frame = make_slot_request(self._radio.address, self._bs,
@@ -656,14 +634,9 @@ class NodeMac(Component):
             self.spans.packet_queued(frame, self._sim.now,
                                      self._label_ssr)
         self._scheduler.post(
-            lambda: self._send_ssr(frame),
+            lambda: self._radio.send(frame),
             self._cal.mcu_costs.packet_preparation,
             label=self._label_ssr)
-
-    def _send_ssr(self, frame: Frame) -> None:
-        if not self.started:
-            return  # stack stopped between the prep post and the drain
-        self._radio.send(frame)
 
 
 class BaseStationMac(Component):
@@ -697,7 +670,6 @@ class BaseStationMac(Component):
         #: alignment and diagnostics).
         self.next_beacon_ticks = first_beacon_ticks
         self._sequence = 0
-        self._beacon_event: Optional[EventEntry] = None
         # Event/task labels are stable per instance; precompute them so
         # the per-cycle and per-frame paths avoid f-string formatting.
         name = self.name
@@ -746,16 +718,10 @@ class BaseStationMac(Component):
     # ------------------------------------------------------------------
     def on_start(self) -> None:
         self._radio.power_up()
-        self._beacon_event = self._sim.at(
-            self._first_beacon, self._beacon_time,
-            label=self._label_beacon)
+        self.at(self._first_beacon, self._beacon_time,
+                label=self._label_beacon)
 
     def on_stop(self) -> None:
-        # Cancel the beacon cadence (it would otherwise keep the
-        # station broadcasting forever) and release the radio.
-        if self._beacon_event is not None:
-            cancel_event(self._beacon_event)
-            self._beacon_event = None
         self._radio.release()
 
     # ------------------------------------------------------------------
@@ -783,18 +749,12 @@ class BaseStationMac(Component):
             self.spans.packet_queued(frame, self._sim.now,
                                      self._label_beacon_prep)
         self._scheduler.post(
-            lambda: self._send_beacon(frame),
+            lambda: self._radio.send(frame, self._beacon_sent),
             self._cal.mcu_costs.packet_preparation,
             label=self._label_beacon_prep)
         self.next_beacon_ticks = self._sim.now + cycle
-        self._beacon_event = self._sim.at(
-            self.next_beacon_ticks, self._beacon_time,
-            label=self._label_beacon)
-
-    def _send_beacon(self, frame: Frame) -> None:
-        if not self.started:
-            return  # stopped between the prep post and the task drain
-        self._radio.send(frame, self._beacon_sent)
+        self.at(self.next_beacon_ticks, self._beacon_time,
+                label=self._label_beacon)
 
     def _beacon_sent(self, outcome: TxOutcome) -> None:
         self.counters.beacons_sent += 1

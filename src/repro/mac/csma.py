@@ -116,17 +116,15 @@ class CsmaNodeMac(AlohaNodeMac):
 
     def _offer(self, frame: Frame) -> None:
         self._pending = frame
-        self._queue_tx(frame, self._boot)
+        self._queue_tx(frame)
 
     # ------------------------------------------------------------------
     # CSMA/CA attempt loop
     # ------------------------------------------------------------------
-    def _transmit(self, frame: Frame, boot: int) -> None:
-        if boot != self._boot:
-            return
+    def _transmit(self, frame: Frame) -> None:
         self._nb = 0
         self._be = self.config.min_be
-        self._attempt(frame, boot)
+        self._attempt(frame)
 
     def _cap_widened(self) -> bool:
         """Whether the busy streak has widened the backoff cap."""
@@ -134,7 +132,7 @@ class CsmaNodeMac(AlohaNodeMac):
         return (recovery is not None and recovery.csma_busy_streak > 0
                 and self._busy_streak >= recovery.csma_busy_streak)
 
-    def _attempt(self, frame: Frame, boot: int) -> None:
+    def _attempt(self, frame: Frame) -> None:
         units = self._sim.rng.uniform_ticks(
             f"{self._radio.address}.csma_backoff", 0, (1 << self._be) - 1)
         wait = units * self.config.backoff_unit_ticks
@@ -142,29 +140,24 @@ class CsmaNodeMac(AlohaNodeMac):
         if self.spans is not None:
             self.spans.mac_phase(frame, "mac.backoff_wait",
                                  self._sim.now, self._sim.now + wait)
-        self._sim.after(wait, lambda: self._start_cca(frame, boot),
-                        label=f"{self.name}.backoff")
+        self.after(wait, lambda: self._start_cca(frame),
+                   label=f"{self.name}.backoff")
 
-    def _start_cca(self, frame: Frame, boot: int) -> None:
-        if boot != self._boot:
-            return
+    def _start_cca(self, frame: Frame) -> None:
         start = self._sim.now
         self._radio.cca(self.config.cca_ticks,
-                        lambda busy: self._cca_done(frame, boot, start, busy))
+                        lambda busy: self._cca_done(frame, start, busy))
 
-    def _cca_done(self, frame: Frame, boot: int, start: int,
-                  busy: bool) -> None:
+    def _cca_done(self, frame: Frame, start: int, busy: bool) -> None:
         if self.spans is not None:
             self.spans.mac_phase(frame, "mac.cca", start, self._sim.now,
                                  "busy" if busy else "idle")
-        if boot != self._boot:
-            return
         if not busy:
             if self._trace is not None and self._cap_widened():
                 self._trace.record(self._sim.now, self.name,
                                    "backoff_cap_restored", "")
             self._busy_streak = 0
-            self._radio.send(frame, lambda outcome: self._tx_done(boot))
+            self._radio.send(frame, self._tx_done)
             return
         self.counters.cca_busy += 1
         self._busy_streak += 1
@@ -194,7 +187,7 @@ class CsmaNodeMac(AlohaNodeMac):
                 self.spans.packet_abandoned(frame, self._sim.now)
             self._pending = None
             return
-        self._attempt(frame, boot)
+        self._attempt(frame)
 
 
 __all__ = ["CsmaConfig", "CsmaNodeMac"]

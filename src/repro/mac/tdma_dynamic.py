@@ -134,9 +134,9 @@ class DynamicTdmaNodeMac(NodeMac):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.ssr_wait",
                                  self._sim.now, request_time)
-        self._sim.at(request_time,
-                     lambda: self._send_slot_request(wanted_slot=None),
-                     label=f"{self.name}.ssr_es")
+        self.at(request_time,
+                lambda: self._send_slot_request(wanted_slot=None),
+                label=f"{self.name}.ssr_es")
 
 
 class DynamicTdmaBaseMac(BaseStationMac):

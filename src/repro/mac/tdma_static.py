@@ -112,9 +112,9 @@ class StaticTdmaNodeMac(NodeMac):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.ssr_wait",
                                  self._sim.now, request_time)
-        self._sim.at(request_time,
-                     lambda: self._send_slot_request(wanted_slot=wanted),
-                     label=f"{self.name}.ssr_slot")
+        self.at(request_time,
+                lambda: self._send_slot_request(wanted_slot=wanted),
+                label=f"{self.name}.ssr_slot")
 
 
 class StaticTdmaBaseMac(BaseStationMac):

@@ -75,6 +75,15 @@ class SensorNode:
         """Start every installed component, bottom-up."""
         self.stack.start_all()
 
+    def crash(self) -> None:
+        """Reset: stop the stack (and its events), drop queued tasks."""
+        self.stack.stop_all()
+        self.scheduler.clear()
+
+    def reboot(self) -> None:
+        """Restart the stack once a ShockBurst in flight has ended."""
+        self.radio.when_idle(self.stack.start_all)
+
     def attach_spans(self, tracer: "SpanTracer") -> None:
         """Point every layer's span hook at ``tracer``.
 

@@ -6,6 +6,8 @@ blocks can be swapped for simulator models without touching the upper
 layers (Section 3.2).  :class:`Component` is the small base class the
 MAC protocols and applications derive from; it standardises lifecycle
 (``start``/``stop``) and gives each block a stable name for traces.
+It owns the events it schedules (:meth:`Component.at`): a stop cancels
+them, as an MSP430 reset kills the pending timers.
 
 A :class:`ComponentStack` holds one node's blocks in layer order and
 starts/stops them together, mirroring a TinyOS configuration's wiring.
@@ -13,8 +15,10 @@ starts/stops them together, mirroring a TinyOS configuration's wiring.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
+from ..sim.events import EVT_TIME, EventEntry, SimulationError, \
+    cancel_event
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 
@@ -33,6 +37,9 @@ class Component:
         self.name = name
         self._trace = trace
         self._started = False
+        # Entries scheduled through at(), which drops the fired ones
+        # whenever more than six are kept.
+        self._events: List[EventEntry] = []
 
     @property
     def started(self) -> bool:
@@ -49,13 +56,38 @@ class Component:
         self.on_start()
 
     def stop(self) -> None:
-        """Stop the component."""
+        """Stop the component: cancel its events, then :meth:`on_stop`."""
         if not self._started:
             raise RuntimeError(f"component {self.name!r} not started")
         self._started = False
+        for event in self._events:
+            cancel_event(event)
+        self._events = []
         if self._trace is not None:
             self._trace.record(self._sim.now, self.name, "stop", "")
         self.on_stop()
+
+    def at(self, time: int, callback: Callable[[], None],
+           label: str = "") -> EventEntry:
+        """Schedule ``callback`` at ``time``; :meth:`stop` cancels it.
+
+        Raises :class:`SimulationError` once stopped: only the burst in
+        flight completes after a stop, and it must not re-arm anything.
+        """
+        if not self._started:
+            raise SimulationError(f"{self.name}: {label!r} after stop")
+        events = self._events
+        if len(events) > 6:
+            now = self._sim.now
+            events = self._events = [e for e in events if e[EVT_TIME] >= now]
+        event = self._sim.at(time, callback, label)
+        events.append(event)
+        return event
+
+    def after(self, delay: int, callback: Callable[[], None],
+              label: str = "") -> EventEntry:
+        """:meth:`at`, ``delay`` ticks from now."""
+        return self.at(self._sim.now + delay, callback, label)
 
     def on_start(self) -> None:
         """Subclass hook: begin operation."""

@@ -36,8 +36,9 @@ transitions at the same ticks with fewer kernel events:
   dispatch event at it.
 
 Same-tick order is never guessed: a post at exactly the end tick of
-such a window, or a settle at exactly a body's start tick from inside
-an event, raises :class:`~repro.sim.events.SimulationError`.
+such a window, a settle at exactly a body's start tick from inside an
+event, or a :meth:`TaskScheduler.clear` at exactly that tick, raises
+:class:`~repro.sim.events.SimulationError`.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
-from ..hw.mcu import SLEEP, Msp430
-from ..sim.events import SimulationError
+from ..hw.mcu import ACTIVE, SLEEP, Msp430
+from ..sim.events import EventEntry, SimulationError, cancel_event
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 from .power import DeepSleepPolicy, Lpm0Only
@@ -88,6 +89,8 @@ class TaskScheduler:
         #: (start tick, body taking that tick or None, cycles).
         self._unsettled: Optional[
             Tuple[int, Optional[Callable[[int], None]], int]] = None
+        #: The dispatch a post planned at the end of a coalesced task.
+        self._planned_dispatch: Optional[EventEntry] = None
         sim.add_end_hook(self.settle)
 
     # ------------------------------------------------------------------
@@ -195,7 +198,33 @@ class TaskScheduler:
                 "post and that task's end is unknown")
         self._idle_at = None
         self._mcu.ledger.cancel_plan(end, SLEEP)
-        self._sim.at(end, self._dispatch_next, label=self._dispatch_label)
+        self._planned_dispatch = self._sim.at(
+            end, self._dispatch_next, label=self._dispatch_label)
+
+    def clear(self) -> None:
+        """Drop every task that has not started (an MCU reset); the
+        running one ends as booked.  A :meth:`run_idle` task still in its
+        wake-up goes too: its planned start and sleep become a sleep at
+        its start tick, as when a dispatch finds the queue empty."""
+        self._queue.clear()
+        if self._unsettled is None:
+            return
+        start, now = self._unsettled[0], self._sim._now
+        if start == now and self._sim.running:
+            raise SimulationError(
+                f"{self.name}: cleared at tick {now}, the start tick of a "
+                "coalesced task; the per-task order of the two is unknown")
+        if start <= now:
+            return  # started
+        self._unsettled = None
+        ledger = self._mcu.ledger
+        ledger.cancel_plan(start, ACTIVE)
+        if self._idle_at is not None:
+            ledger.cancel_plan(self._idle_at, SLEEP)
+        elif self._planned_dispatch is not None:  # a post moved the sleep
+            cancel_event(self._planned_dispatch)
+        ledger.plan((start, (SLEEP, SLEEP)))
+        self._idle_at = start
 
     def post_cost_only(self, cycles: int, label: str = "") -> Optional[Task]:
         """Post a task that only costs MCU time (no modelled side effect).

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.phy.channel import Channel
 from repro.sim.kernel import Simulator
+
+
+@pytest.fixture(scope="session")
+def src_lint_report():
+    """One default-config ``repro.lint`` report over ``src``, shared by
+    the whole-tree checks (a run takes several seconds)."""
+    from repro.lint import lint_paths
+    return lint_paths([Path(__file__).resolve().parent.parent / "src"])
 
 
 @pytest.fixture

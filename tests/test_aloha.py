@@ -143,8 +143,9 @@ class TestStopReleasesRadio:
         channel = Channel(sim)
         Nrf2401(sim, cal, channel, "base_station", name="bs.radio")
         radio = Nrf2401(sim, cal, channel, "node1", name="node1.radio")
+        scheduler = TaskScheduler(sim, Msp430(sim, cal))
         mac = AlohaNodeMac(
-            sim, radio, TaskScheduler(sim, Msp430(sim, cal)), cal,
+            sim, radio, scheduler, cal,
             AlohaConfig(poll_interval_ticks=milliseconds(0.486),
                         start_jitter=False))
         mac.payload_provider = lambda: (18, {"d": 1})
@@ -156,6 +157,7 @@ class TestStopReleasesRadio:
         assert radio.is_transmitting
         sent_at_stop = mac.counters.data_sent
         mac.stop()
+        scheduler.clear()  # a crash drops the queued preparations
         assert radio.state == "tx"     # mid-ShockBurst: deferred
         sim.run_until(seconds(0.1))
         assert radio.state == "power_down"

@@ -306,6 +306,34 @@ def test_mac_post_inside_the_sample(offset):
         in coalesced.log
 
 
+@pytest.mark.parametrize("post", [False, True])
+def test_clear_inside_the_wakeup_drops_the_sample(post):
+    """A crash inside a coalesced sample's wake-up drops the sample, as
+    the per-task chain drops it from the queue.  A post made earlier in
+    the wake-up is dropped with it; one made where the sample would
+    have run wakes the MCU afresh."""
+    def script(rig: _Rig) -> None:
+        if post:
+            rig.post_at(rig.FIRE + rig.wake // 3, PREP, "dropped")
+        rig.sim.at(rig.FIRE + rig.wake // 2, rig.node.scheduler.clear)
+        rig.post_at(rig.FIRE + rig.wake + rig.task // 2, PREP)
+
+    coalesced, _ = _both(script)
+    wake, task = coalesced.wake, coalesced.task
+    ran = [entry[:2] for entry in coalesced.log]
+    assert ("sample", _Rig.FIRE + wake) not in ran
+    assert ("sample", 2 * _Rig.FIRE + wake) in ran
+    assert ("mac", _Rig.FIRE + 2 * wake + task // 2) in ran
+    assert not any(entry[0] == "dropped" for entry in ran)
+
+
+def test_clear_at_the_sample_start_tick_raises():
+    rig = _Rig(per_sample=False)
+    rig.sim.at(rig.FIRE + rig.wake, rig.node.scheduler.clear)
+    with pytest.raises(SimulationError, match="start tick"):
+        rig.sim.run_until(milliseconds(30))
+
+
 def test_mac_post_at_the_sample_end_tick_raises():
     def script(rig: _Rig) -> None:
         rig.post_at(rig.FIRE + rig.wake + rig.task, PREP)

@@ -27,6 +27,8 @@ from repro.faults import (
 )
 from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.obs import MetricsRegistry
+from repro.sim.simtime import TICKS_PER_SECOND, microseconds, seconds
+from repro.sim.trace import TraceRecorder
 
 MEASURE_S = 2.0
 
@@ -243,6 +245,39 @@ class TestInjection:
         fired = sum(counts.total for counts
                     in scenario.fault_injector._counters.values())
         assert fired >= 3  # the three faults (+ any recoveries)
+
+
+class TestRebootMidBurst:
+    @pytest.mark.parametrize("mac", ["static", "dynamic", "aloha", "csma"])
+    def test_restart_waits_for_the_burst(self, mac):
+        """Regression: a node that crashed and rebooted inside its own
+        ShockBurst restarted while the radio still transmitted, and the
+        TDMA MACs' restart (start_rx) killed the run with RadioError.
+        The restart now lands on the burst's last tick."""
+        config = _config(mac=mac)
+        trace = TraceRecorder()
+        BanScenario(config, trace=trace).run()
+        burst = next(record.time for record in trace
+                     if record.source == "node1.radio"
+                     and record.kind == "tx_start"
+                     and record.time >= seconds(1.0))
+        crash = burst + microseconds(300)
+        plan = FaultPlan((NodeCrash(node="node1",
+                                    at_s=crash / TICKS_PER_SECOND,
+                                    reboot_after_s=50e-6),))
+        trace = TraceRecorder()
+        scenario = BanScenario(dataclasses.replace(config, faults=plan),
+                               trace=trace)
+        scenario.run()
+        after = [record for record in trace if record.time >= crash
+                 and record.source in ("node1.radio", "node1.mac")]
+        tx_done = next(r.time for r in after if r.kind == "tx_done")
+        start = next(r.time for r in after if r.kind == "start")
+        assert tx_done > crash + microseconds(50)  # rebooted mid-burst
+        assert start == tx_done
+        assert any(r.kind == "tx_start" and r.time > start for r in after)
+        assert scenario.fault_injector.summary() == {
+            "node1": {"crashes": 1, "reboots": 1}}
 
 
 class TestDeterminism:

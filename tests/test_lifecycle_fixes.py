@@ -21,7 +21,6 @@ from repro.cli import _Observability
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.hw.mcu import Msp430
 from repro.hw.radio import Nrf2401
-from repro.mac.aloha import AlohaBaseMac, AlohaConfig, AlohaNodeMac
 from repro.mac.tdma_static import (StaticTdmaBaseMac, StaticTdmaConfig,
                                    StaticTdmaNodeMac)
 from repro.net.scenario import BanScenario, BanScenarioConfig
@@ -148,43 +147,6 @@ class TestBaseStationMacReleasesRadio:
         sim.run_until(seconds(2.0))
         assert bs_radio.state == "power_down"
         assert bs_mac.counters.beacons_sent == sent
-
-
-class TestAlohaMacsReleaseRadio:
-    def _pair(self, sim):
-        channel = Channel(sim)
-        config = AlohaConfig(
-            poll_interval_ticks=milliseconds(30.0))
-        bs_radio = Nrf2401(sim, CAL, channel, "base_station",
-                           name="bs.radio")
-        bs_mac = AlohaBaseMac(
-            sim, bs_radio, TaskScheduler(sim, Msp430(sim, CAL)), CAL,
-            config)
-        radio = Nrf2401(sim, CAL, channel, "node1",
-                        name="node1.radio")
-        mac = AlohaNodeMac(
-            sim, radio, TaskScheduler(sim, Msp430(sim, CAL)), CAL,
-            config)
-        mac.payload_provider = lambda: (18, {"d": 1})
-        return bs_mac, bs_radio, mac, radio
-
-    def test_collector_stop_powers_down(self, sim):
-        bs_mac, bs_radio, mac, _ = self._pair(sim)
-        bs_mac.start()
-        mac.start()
-        sim.run_until(seconds(0.5))
-        assert bs_radio.is_receiving
-        bs_mac.stop()
-        assert bs_radio.state == "power_down"
-
-    def test_node_stop_powers_down(self, sim):
-        bs_mac, _, mac, radio = self._pair(sim)
-        bs_mac.start()
-        mac.start()
-        sim.run_until(seconds(0.5))
-        mac.stop()
-        sim.run_until(seconds(1.0))
-        assert radio.state == "power_down"
 
 
 class TestSnapshotterStop:

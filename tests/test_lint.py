@@ -417,20 +417,19 @@ class TestCli:
 # Meta: the tree itself, and the typing gate
 # ----------------------------------------------------------------------
 class TestTreeIsClean:
-    def test_src_repro_lints_clean(self):
+    def test_src_repro_lints_clean(self, src_lint_report):
         """The acceptance gate: zero unsuppressed findings over src."""
-        report = lint_paths([ROOT / "src"])
+        report = src_lint_report
         assert report.ok, render_text(report)
 
-    def test_every_suppression_has_a_reason(self):
-        report = lint_paths([ROOT / "src"])
-        for finding in report.suppressed:
+    def test_every_suppression_has_a_reason(self, src_lint_report):
+        for finding in src_lint_report.suppressed:
             assert finding.reason, finding
 
-    def test_waivers_are_few_and_in_expected_files(self):
+    def test_waivers_are_few_and_in_expected_files(self, src_lint_report):
         # Waivers should stay rare; a jump means rules are being
         # waived instead of followed.
-        report = lint_paths([ROOT / "src"])
+        report = src_lint_report
         assert len(report.suppressed) <= 12, [
             (f.path, f.line) for f in report.suppressed]
         waived_files = {pathlib.Path(f.path).name

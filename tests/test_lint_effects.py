@@ -518,9 +518,9 @@ class TestHookAudit:
                    for q in audit.hook_methods)
         assert any(f.rule == "OBS002" for f in findings)
 
-    def test_audit_over_real_tree_matches_runtime_surface(self):
-        report = lint_paths([ROOT / "src"], LintConfig())
-        hooks = report.extras["effects"]["hooks"]
+    def test_audit_over_real_tree_matches_runtime_surface(
+            self, src_lint_report):
+        hooks = src_lint_report.extras["effects"]["hooks"]
         guarded = {g["attr"] for g in hooks["span_guards"]}
         assert "spans" in guarded
         assert hooks["hook_methods"]  # observe_metrics providers exist

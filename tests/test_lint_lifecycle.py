@@ -434,14 +434,16 @@ class TestSpecTables:
 class TestTreeIsCleanUnderLifecycle:
     """Meta-test: the shipped src tree carries no lifecycle bugs."""
 
-    def test_src_clean_under_lif_rules(self):
-        report = lint_paths([ROOT / "src"], LintConfig(select=LIF_CODES))
+    @pytest.fixture(scope="class")
+    def report(self):
+        return lint_paths([ROOT / "src"], LintConfig(select=LIF_CODES))
+
+    def test_src_clean_under_lif_rules(self, report):
         assert report.ok, [
             f"{f.path}:{f.line} {f.rule} {f.message}"
             for f in report.unsuppressed]
 
-    def test_report_carries_lifecycle_artifacts(self):
-        report = lint_paths([ROOT / "src"], LintConfig(select=LIF_CODES))
+    def test_report_carries_lifecycle_artifacts(self, report):
         artifacts = report.extras["lifecycle"]
         resources = {spec["resource"] for spec in artifacts["specs"]}
         assert {"radio", "timer", "sched-handle", "trace-sink",

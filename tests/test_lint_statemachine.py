@@ -19,7 +19,7 @@ from repro.core.states import (ALL_TRANSITION_SPECS, ASIC_TRANSITIONS,
                                TransitionSpec)
 from repro.hw.frames import Frame, FrameKind
 from repro.hw.radio import Nrf2401, RadioError
-from repro.lint import LintConfig, lint_paths, lint_source
+from repro.lint import LintConfig, lint_source
 from repro.phy.channel import Channel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -285,8 +285,8 @@ class TestSpecsMatchHardware:
     """The PR's acceptance gate: declared == encoded for every spec."""
 
     @pytest.fixture(scope="class")
-    def graphs(self):
-        report = lint_paths([ROOT / "src"])
+    def graphs(self, src_lint_report):
+        report = src_lint_report
         sm = [f for f in report.findings
               if f.rule.startswith("SM") and not f.suppressed]
         assert sm == []

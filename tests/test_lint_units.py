@@ -394,16 +394,14 @@ class TestSeededFixtures:
 
 
 class TestTreeUnitsClean:
-    def test_src_has_no_unit_findings(self):
-        report = lint_paths([ROOT / "src"])
-        unit_findings = [f for f in report.findings
+    def test_src_has_no_unit_findings(self, src_lint_report):
+        unit_findings = [f for f in src_lint_report.findings
                          if f.rule.startswith("UNI")
                          and not f.suppressed]
         assert unit_findings == []
 
-    def test_src_has_no_rng_findings(self):
-        report = lint_paths([ROOT / "src"])
-        rng_findings = [f for f in report.findings
+    def test_src_has_no_rng_findings(self, src_lint_report):
+        rng_findings = [f for f in src_lint_report.findings
                         if f.rule.startswith("RNG")
                         and not f.suppressed]
         assert rng_findings == []

@@ -365,13 +365,18 @@ class TestRelease:
         assert a.ledger.seconds_in(state="tx") \
             == pytest.approx(485e-6, abs=1e-12)
 
-    def test_power_up_cancels_a_waiting_release(self, sim, cal, pair):
+    def test_when_idle_runs_after_the_callback_and_power_down(
+            self, sim, cal, pair):
         _, a, _ = pair
-        a.send(data_frame())
+        seen = []
+        a.send(data_frame(), lambda outcome: seen.append("on_complete"))
         sim.at(microseconds(100), a.release)
-        sim.at(microseconds(200), a.power_up)
+        sim.at(microseconds(200), lambda: a.when_idle(
+            lambda: seen.append((sim.now, a.state))))
         sim.run_until(seconds(1.0))
-        assert a.state == "standby"
+        assert seen == ["on_complete", (microseconds(485), "power_down")]
+        a.when_idle(lambda: seen.append("idle"))  # idle: runs at once
+        assert seen[-1] == "idle"
 
     def test_mid_sense_cuts_the_window(self, sim, cal, pair):
         _, a, _ = pair

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw.mcu import Msp430
+from repro.sim.events import SimulationError
 from repro.sim.simtime import microseconds, milliseconds, seconds
 from repro.tinyos.components import Component, ComponentStack
 from repro.tinyos.scheduler import TaskScheduler
@@ -98,6 +99,29 @@ class TestScheduler:
         sim.run_until(seconds(1.0))
         assert ran == [1]
 
+    def test_clear_drops_queued_tasks_not_the_running_one(self, sim,
+                                                          machine):
+        mcu, scheduler = machine
+        ran = []
+        scheduler.post(lambda: ran.append("running"), 8000, "a")  # 1 ms
+        scheduler.post(lambda: ran.append("queued"), 8000, "b")
+        sim.at(microseconds(500), scheduler.clear)
+        sim.run_until(seconds(1.0))
+        assert ran == ["running"]
+        assert scheduler.tasks_run == 1 and scheduler.is_idle
+        assert mcu.active_seconds() == pytest.approx(1e-3 + 6e-6)
+
+    def test_clear_inside_the_wakeup_drops_an_idle_task(self, sim,
+                                                        machine):
+        mcu, scheduler = machine
+        scheduler.post_cost_only(8000, "t")  # booked without events
+        sim.at(microseconds(3), scheduler.clear)
+        sim.run_until(seconds(1.0))
+        assert (scheduler.tasks_run, mcu.cycles_executed) == (0, 0)
+        # The wake-up is spent; the core sleeps again at the task start.
+        assert mcu.active_seconds() == pytest.approx(6e-6)
+        assert mcu.is_sleeping
+
 
 class TestVirtualTimer:
     def test_one_shot(self, sim):
@@ -183,6 +207,43 @@ class TestComponents:
         Probe, _ = self.make(sim)
         with pytest.raises(RuntimeError):
             Probe(sim, "p").stop()
+
+    def test_stop_cancels_every_scheduled_event(self, sim):
+        Probe, _ = self.make(sim)
+        probe = Probe(sim, "p")
+        probe.start()
+        fired = []
+        for delay in range(1, 20):
+            probe.after(milliseconds(delay),
+                        lambda d=delay: fired.append(d))
+        sim.run_until(milliseconds(10))
+        probe.at(milliseconds(30), lambda: fired.append("at"))
+        probe.stop()
+        assert sim.pending_events() == 0
+        sim.run_until(seconds(1.0))
+        assert fired == list(range(1, 11))
+
+    def test_fired_events_are_not_kept(self, sim):
+        Probe, _ = self.make(sim)
+        probe = Probe(sim, "p")
+        probe.start()
+
+        def chain():
+            probe.after(microseconds(10), chain)
+
+        chain()
+        sim.run_until(milliseconds(10))  # a thousand links
+        assert len(probe._events) <= 7
+
+    def test_scheduling_while_stopped_raises(self, sim):
+        Probe, _ = self.make(sim)
+        probe = Probe(sim, "p")
+        with pytest.raises(SimulationError, match="'tick'"):
+            probe.at(0, lambda: None, "tick")
+        probe.start()
+        probe.stop()
+        with pytest.raises(SimulationError):
+            probe.after(1, lambda: None)
 
     def test_stack_order(self, sim):
         Probe, events = self.make(sim)

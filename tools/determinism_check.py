@@ -31,13 +31,16 @@ checks, each over a reference scenario set:
    the static pass proved effect-free.
 6. **Cross-mode** — a plain run coalesces idle-MCU samples (one
    kernel event per sample, planned ledger transitions); a traced run
-   takes the per-sample chain.  For every checked config plus a fault
-   config whose crash and reboot land mid-sample, the two result
+   takes the per-sample chain.  For every checked config plus two
+   fault configs, one whose crash and reboot land mid-sample and one
+   whose crash lands inside a sample's wake-up, the two result
    fingerprints must be equal.
 
 Every check runs the reference configs (one per MAC family, plus
-extra apps) and a contention fault config whose crash lands inside a
-ShockBurst, so each check also reaches the radio's deferred release.
+extra apps) and two fault configs whose crash lands inside a
+ShockBurst: a contention one, and a static-TDMA one that also reboots
+inside the burst.  So each check also reaches the radio's deferred
+release and the reboot that waits for it.
 
 Fingerprints are SHA-256 over the result cache's canonical dataclass
 encoding (:func:`repro.exec.cache.config_fingerprint`), so "equal"
@@ -95,51 +98,85 @@ def reference_configs() -> List[BanScenarioConfig]:
     ]
 
 
-def fault_config() -> BanScenarioConfig:
-    """Reference config 0 with node1 crashing inside one of its samples
-    and rebooting inside a sample of the other nodes.
+def _node1_crash(config: BanScenarioConfig, crash: int,
+                 reboot_after_s: float) -> BanScenarioConfig:
+    """``config`` with node1 crashing at tick ``crash``."""
+    plan = FaultPlan((NodeCrash(node="node1",
+                                at_s=crash / TICKS_PER_SECOND,
+                                reboot_after_s=reboot_after_s),))
+    return replace(config, faults=plan)
+
+
+def _sample_grid(config: BanScenarioConfig) -> Tuple[int, int]:
+    """(sampling period, MCU wake-up) in ticks.
 
     Every node samples on the same grid from t=0; a sample's wake-up
     takes 6 us and its two-channel task 44 us after that.
     """
-    config = reference_configs()[0]
     period = round(TICKS_PER_SECOND / config.derived_sampling_hz())
-    wake = seconds(DEFAULT_CALIBRATION.mcu_wakeup_s)
+    return period, seconds(DEFAULT_CALIBRATION.mcu_wakeup_s)
+
+
+def fault_config() -> BanScenarioConfig:
+    """Reference config 0 with node1 crashing inside one of its samples
+    and rebooting inside a sample of the other nodes."""
+    config = reference_configs()[0]
+    period, wake = _sample_grid(config)
     crash = 101 * period + wake + 10_000  # 10 us into the task
     reboot = 160 * period + wake // 2     # halfway through the wake-up
-    plan = FaultPlan((NodeCrash(node="node1",
-                                at_s=crash / TICKS_PER_SECOND,
-                                reboot_after_s=(reboot - crash)
-                                / TICKS_PER_SECOND),))
-    return replace(config, faults=plan)
+    return _node1_crash(config, crash, (reboot - crash) / TICKS_PER_SECOND)
 
 
-def contention_fault_config() -> BanScenarioConfig:
-    """The CSMA reference config with node1 crashing 100 us into one of
-    its ShockBursts and rebooting half a poll interval later.
+def wakeup_fault_config() -> BanScenarioConfig:
+    """Reference config 0 with node1 crashing halfway through the
+    wake-up of one of its samples and rebooting 0.3 s later.
 
-    The burst is located from a traced pre-run.  The crash stops the
-    MAC mid-burst, so the radio's release waits for the burst's end;
-    the reboot lands before the poll that was pending at the crash.
+    The crash drops the sample it woke for, which the coalesced run
+    has already planned on the ledger.
     """
-    config = next(c for c in reference_configs() if c.mac == "csma")
+    config = reference_configs()[0]
+    period, wake = _sample_grid(config)
+    return _node1_crash(config, 101 * period + wake // 2, 0.3)
+
+
+def _crash_in_burst(config: BanScenarioConfig, into_us: float,
+                    reboot_after_s: float) -> BanScenarioConfig:
+    """``config`` with node1 crashing ``into_us`` into its first
+    ShockBurst at or after 1 s, located from a traced pre-run."""
     trace = TraceRecorder()
     BanScenario(config, trace=trace).run()
     burst = next(record.time for record in trace
                  if record.source == "node1.radio"
                  and record.kind == "tx_start"
                  and record.time >= seconds(1.0))
-    crash = burst + microseconds(100)
-    plan = FaultPlan((NodeCrash(node="node1",
-                                at_s=crash / TICKS_PER_SECOND,
-                                reboot_after_s=config.cycle_ms / 2e3),))
-    return replace(config, faults=plan)
+    return _node1_crash(config, burst + microseconds(into_us),
+                        reboot_after_s)
+
+
+def contention_fault_config() -> BanScenarioConfig:
+    """The CSMA reference config with node1 crashing 100 us into one of
+    its ShockBursts and rebooting half a poll interval later.
+
+    The crash stops the MAC mid-burst, so the radio's release waits for
+    the burst's end; the reboot lands before the poll that was pending
+    at the crash.
+    """
+    config = next(c for c in reference_configs() if c.mac == "csma")
+    return _crash_in_burst(config, 100, config.cycle_ms / 2e3)
+
+
+def reboot_fault_config() -> BanScenarioConfig:
+    """The static reference config with node1 crashing 300 us into one
+    of its ShockBursts and rebooting 50 us later, with the burst still
+    on the air: the restart waits for the burst's last tick."""
+    return _crash_in_burst(reference_configs()[0], 300, 50e-6)
 
 
 def checked_configs() -> List[BanScenarioConfig]:
-    """What checks 1-6 run: the reference configs plus the contention
-    fault config."""
-    return reference_configs() + [contention_fault_config()]
+    """What checks 1-6 run: the reference configs plus the two
+    mid-burst fault configs."""
+    return reference_configs() + [contention_fault_config(),
+                                  reboot_fault_config()]
 
 
 def result_fingerprint(result: Any) -> str:
@@ -302,6 +339,8 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
              for index, config in enumerate(checked_configs())]
     cases.append(("fault config, crash and reboot mid-sample",
                   fault_config()))
+    cases.append(("fault config, crash inside a wake-up",
+                  wakeup_fault_config()))
     for where, config in cases:
         coalesced = result_fingerprint(BanScenario(config).run())
         per_sample = traced_run(config)[0]

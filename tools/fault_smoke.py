@@ -60,7 +60,7 @@ def check_fault_injection() -> dict:
     assert summary["node2"]["beacon_bursts"] == 1, summary
     for node in scenario.nodes:
         assert node.mac.started and node.mac.is_synced, \
-            f"{node.name} did not recover"
+            f"{node.node_id} did not recover"
     return summary
 
 
