@@ -17,6 +17,11 @@ The nRF2401 features the paper relies on (Sections 3.1 and 4.2):
   without decoding frames; the window costs RX current and reports
   whether any transmission overlapped it.
 
+The channel tells a radio about a frame only if its chain is on
+(receiving or sensing) at the frame's first bit, or its receive chain
+comes on at that same tick: a radio that is off never hears of frames
+it could not capture.
+
 Both hardware filters can be disabled for ablation studies
 (:attr:`Nrf2401.crc_enabled`, :attr:`Nrf2401.address_filter_enabled`);
 disabling the CRC reproduces stock TOSSIM's optimistic behaviour where
@@ -122,10 +127,7 @@ class Nrf2401:
         self.crc_enabled = True
         #: Hardware destination-address filter (ablation switch).
         self.address_filter_enabled = True
-        #: RF channel index (the nRF2401 tunes 2400-2524 MHz in 1 MHz
-        #: steps).  Radios only hear transmissions on their own channel;
-        #: multi-BAN deployments separate networks with it.
-        self.rf_channel = 0
+        self._rf_channel = 0
         #: Fault injection (:mod:`repro.faults`): while True, the
         #: receive chain is locked up — every captured frame is lost
         #: inside the radio exactly like a CRC failure (RX energy
@@ -143,7 +145,6 @@ class Nrf2401:
         self._tx_busy = False
         # when_idle() callbacks waiting for the ShockBurst in flight.
         self._idle_waiters: List[Callable[[], None]] = []
-        self._inflight: Dict[int, "Transmission"] = {}
         # Frames whose airtime this radio is actively capturing (RX on
         # since before first bit).  A fault-driven power_down() moves
         # them to _fault_cut with the cut tick, so frame_arrival_end
@@ -157,9 +158,11 @@ class Nrf2401:
         # promoted to fault cuts at their abandon tick.
         self._rx_abandoned: Dict[int, int] = {}
         self._fault_cut: Dict[int, int] = {}
-        # Carrier-sense window bookkeeping.
+        # Carrier-sense window bookkeeping: _cca_busy latches a carrier
+        # on the air at the window's start or first reaching it during
+        # the window.
         self._cca_since: Optional[int] = None
-        self._cca_busy_start = False
+        self._cca_busy = False
         self._cca_on_result: Optional[Callable[[bool], None]] = None
 
         # Hot-path precomputation: the ShockBurst chain schedules three
@@ -201,6 +204,18 @@ class Nrf2401:
     def state(self) -> str:
         """Current power-state name."""
         return self.ledger.state
+
+    @property
+    def rf_channel(self) -> int:
+        """RF channel index (the nRF2401 tunes 2400-2524 MHz in 1 MHz
+        steps).  Radios only hear transmissions on their own channel;
+        multi-BAN deployments separate networks with it."""
+        return self._rf_channel
+
+    @rf_channel.setter
+    def rf_channel(self, value: int) -> None:
+        self._rf_channel = value
+        self._channel.retuned()
 
     @property
     def is_receiving(self) -> bool:
@@ -251,8 +266,8 @@ class Nrf2401:
             self._cca_on_result = None
         if self._capturing:
             # Frames whose airtime we were capturing are cut here; the
-            # channel will still deliver frame_arrival_end (receiver
-            # sets are frozen at first bit), where the cut becomes an
+            # channel will still deliver frame_arrival_end (listeners
+            # are fixed at first bit), where the cut becomes an
             # explicit fault_dropped outcome.
             for frame_id in self._capturing:
                 self._fault_cut[frame_id] = self._sim.now
@@ -295,9 +310,11 @@ class Nrf2401:
                 # and keep listening.
                 self.ledger.retag("listen")
                 self._rx_since = self._sim.now
+                self._channel.rx_started(self)
             return
         self.ledger.transition(RX, tag="listen")
         self._rx_since = self._sim.now
+        self._channel.rx_started(self)
         if self._trace is not None:
             self._trace.record(self._sim.now, self.name, "rx_on", "")
 
@@ -336,10 +353,11 @@ class Nrf2401:
         """Assess the channel for ``duration_ticks`` (stand-by -> CCA).
 
         The receive chain dwells at RX current without decoding frames;
-        ``on_result`` is invoked with ``True`` when the channel was busy
-        at any sampled instant of the window (energy-detect style: first
-        bit, last bit, or a locked-up receive chain reading noise).  The
-        window's energy is booked as idle listening — carrier sensing
+        ``on_result`` is invoked with ``True`` when any foreign carrier
+        overlapped the window (energy-detect style: one on the air when
+        the window opens, or one whose first bit arrives during it) or
+        the receive chain is locked up and reads noise.  The window's
+        energy is booked as idle listening — carrier sensing
         never captures a frame.  Like RX/TX, sensing is reachable only
         from stand-by.
         """
@@ -358,7 +376,7 @@ class Nrf2401:
             raise ValueError(
                 f"{self.name}: cca duration must be > 0: {duration_ticks}")
         self._cca_since = self._sim.now
-        self._cca_busy_start = self._channel.is_busy_at(self.address)
+        self._cca_busy = self._channel.is_busy_at(self.address)
         self._cca_on_result = on_result
         self.ledger.transition(CCA, tag="sense")
         if self._trace is not None:
@@ -370,9 +388,7 @@ class Nrf2401:
         if self.ledger.state != CCA:
             return  # a fault powered the radio down mid-sense
         on_result = self._cca_on_result
-        busy = (self._cca_busy_start
-                or self._channel.is_busy_at(self.address)
-                or self.fault_rx_deaf)
+        busy = self._cca_busy or self.fault_rx_deaf
         # _cca_since can be later than the window start: a measurement
         # reset mid-sense advances it so the booking matches the ledger.
         elapsed = self._sim.now - self._cca_since \
@@ -389,7 +405,7 @@ class Nrf2401:
         self.accountant.book(RadioEnergyCategory.IDLE_LISTENING,
                              energy, frames=0)
         self._cca_since = None
-        self._cca_busy_start = False
+        self._cca_busy = False
         self._cca_on_result = None
         self.ledger.transition(STANDBY)
         if self._trace is not None:
@@ -525,27 +541,35 @@ class Nrf2401:
     # Channel-facing reception interface
     # ------------------------------------------------------------------
     def frame_arrival_start(self, transmission: "Transmission") -> None:
-        """Channel notification: a frame's airtime begins at this radio."""
-        self._inflight[transmission.frame.frame_id] = transmission
-        if self._rx_since is not None:
-            # The chain is on from the first bit: this frame is being
-            # captured (tracked so a fault-driven power_down mid-airtime
-            # becomes an explicit fault_dropped, not a silent miss).
+        """Channel notification: a frame's first bit reaches this radio
+        while its chain is on.
+
+        Receiving, the radio captures the frame (tracked so a
+        fault-driven power_down mid-airtime becomes an explicit
+        fault_dropped, not a silent miss).  Sensing, the CCA window now
+        reads busy.
+        """
+        if self._rx_since is None:
+            self._cca_busy = True
+        else:
             self._capturing.add(transmission.frame.frame_id)
 
     def frame_arrival_end(self, transmission: "Transmission",
                           corrupted: bool) -> None:
-        """Channel notification: a frame's airtime ends at this radio.
+        """Channel notification: a frame this radio listened to leaves
+        the air.
 
         Decides whether the frame was captured and, if so, runs the
         hardware CRC and address filters and books the RX energy to the
         appropriate loss category.
         """
-        self._inflight.pop(transmission.frame.frame_id, None)
-        self._capturing.discard(transmission.frame.frame_id)
-        self._rx_abandoned.pop(transmission.frame.frame_id, None)
+        frame_id = transmission.frame.frame_id
+        self._capturing.discard(frame_id)
+        if self._rx_abandoned:
+            self._rx_abandoned.pop(frame_id, None)
         start = transmission.start_time
-        cut = self._fault_cut.pop(transmission.frame.frame_id, None)
+        cut = self._fault_cut.pop(frame_id, None) if self._fault_cut \
+            else None
         if cut is not None:
             # The radio went dark (NodeCrash / BatteryBrownout) while
             # capturing this frame: the receive chain spent RX energy

@@ -14,8 +14,10 @@ supplies that missing family, following the unslotted (non-beacon)
    ``U[0, 2^BE - 1]`` backoff unit periods (``BE`` starts at
    ``min_be``), then performs a **clear-channel assessment**: the
    radio's receive chain dwells ``cca_ticks`` at RX current
-   (:meth:`repro.hw.radio.Nrf2401.cca`) and samples the channel's
-   per-receiver in-flight sets (:meth:`repro.phy.channel.Channel.is_busy_at`).
+   (:meth:`repro.hw.radio.Nrf2401.cca`) and reads busy if a frame
+   whose audience includes the node is on the air when the window
+   opens (:meth:`repro.phy.channel.Channel.is_busy_at`) or first
+   reaches it during the window.
 3. Channel idle: transmit immediately (one ShockBurst event).  Channel
    busy: increment ``BE`` (capped at ``max_be``) and go back to 2, up
    to ``max_backoffs`` retries; then the frame is **abandoned**

@@ -22,7 +22,11 @@ from typing import Any, Dict, Iterable, Set, Tuple
 
 
 class Topology:
-    """Base class: symmetric full connectivity unless overridden."""
+    """Base class: symmetric full connectivity unless overridden.
+
+    Reachability must stay fixed for the lifetime of a channel that
+    uses the topology: the channel caches each sender's audience.
+    """
 
     def in_range(self, src: str, dst: str) -> bool:
         """Whether a frame transmitted by ``src`` reaches ``dst``."""

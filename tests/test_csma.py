@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.frames import Frame, FrameKind
 from repro.hw.radio import Nrf2401, RadioError
 from repro.mac.csma import CsmaConfig
 from repro.mac.recovery import RecoveryConfig
@@ -112,6 +113,26 @@ class TestCcaPrimitive:
         sim.at(microseconds(150), lambda: b.cca(CCA_TICKS, results.append))
         sim.run_until(seconds(1.0))
         assert results == [True]
+
+    @pytest.mark.parametrize("start_us, busy", [
+        (180, True),   # the carrier starts and ends inside the window
+        (195, True),   # window opens on the first bit
+        (200, True),
+        (275, True),   # window opens on the last bit
+        (276, False),
+    ])
+    def test_short_carrier_inside_window(self, sim, cal, pair,
+                                         start_us, busy):
+        _, a, b = pair
+        results = []
+        # b's 2-byte slot request occupies the air 195..275 us, shorter
+        # than one 128 us window.
+        b.send(Frame(src="b", dest="a", kind=FrameKind.SLOT_REQUEST,
+                     payload_bytes=2))
+        sim.at(microseconds(start_us),
+               lambda: a.cca(CCA_TICKS, results.append))
+        sim.run_until(seconds(1.0))
+        assert results == [busy]
 
     def test_gap_between_frames_reads_clear(self, sim, cal, pair):
         _, a, b = pair

@@ -25,7 +25,7 @@ from repro.phy.topology import (
     Position,
 )
 from repro.sim.rng import RngRegistry
-from repro.sim.simtime import seconds
+from repro.sim.simtime import microseconds, seconds
 
 
 class TestTopologies:
@@ -157,6 +157,55 @@ class TestChannel:
         snap = c.accountant.snapshot()
         # Not overheard either: the frame never reached c's location.
         assert snap.frames.get(RadioEnergyCategory.OVERHEARING, 0) == 0
+
+    def test_rx_started_on_first_bit_tick_captures(self, sim, cal):
+        """A chain that comes on at a frame's first-bit tick, after the
+        channel began the frame, was on for the whole airtime."""
+        channel = Channel(sim)
+        a = Nrf2401(sim, cal, channel, "a")
+        b = Nrf2401(sim, cal, channel, "b")
+        a.power_up()
+        b.power_up()
+        received = []
+        a.on_frame = received.append
+        outcomes = []
+
+        def send():
+            b.send(Frame(src="b", dest="a", kind=FrameKind.DATA,
+                         payload_bytes=4), outcomes.append)
+            # Scheduled after b's first bit (195 us), on the same tick.
+            sim.at(microseconds(195), a.start_rx)
+
+        sim.at(0, send)
+        sim.run_until(seconds(0.1))
+        assert len(received) == 1
+        assert outcomes[0].delivered_to == ["a"]
+
+    def test_retuned_receiver_leaves_the_audience(self, sim, cal):
+        channel = Channel(sim)
+        s = Nrf2401(sim, cal, channel, "s")
+        r = Nrf2401(sim, cal, channel, "r")
+        s.power_up()
+        r.power_up()
+        received = []
+        r.on_frame = received.append
+        r.start_rx()
+
+        def send():
+            s.send(Frame(src="s", dest="r", kind=FrameKind.DATA,
+                         payload_bytes=4))
+
+        send()
+        sim.run_until(seconds(0.01))
+        assert len(received) == 1
+        r.rf_channel = 40
+        sim.at(seconds(0.02), send)
+        sim.run_until(seconds(0.03))
+        assert len(received) == 1  # r no longer hears channel 0
+        s.rf_channel = 40
+        sim.at(seconds(0.04), send)
+        sim.run_until(seconds(0.05))
+        assert len(received) == 2
 
     def test_loss_model_corrupts_at_receiver(self, sim, cal):
         channel = Channel(sim, loss_model=PerLinkLoss({("a", "b"): 1.0}))

@@ -5,6 +5,9 @@ cross-checks the channel against an independent oracle: a frame is
 delivered to a listening receiver iff (a) the receiver was in RX for
 the frame's entire airtime and (b) no other frame's airtime overlapped
 it at that receiver and (c) sender and receiver share the RF channel.
+Over random partial topologies it also checks the collision count (one
+per frame and receiver where another frame's airtime overlaps it) and
+carrier sense against the same overlap arithmetic.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.hw.frames import Frame, FrameKind
 from repro.hw.radio import Nrf2401
 from repro.phy.channel import Channel
+from repro.phy.topology import ExplicitLinks
 from repro.sim.kernel import Simulator
 from repro.sim.simtime import microseconds, seconds
 
@@ -114,3 +118,69 @@ class TestChannelDeliveryOracle:
         sim.run_until(seconds(1.0))
         assert received == []
         assert sink.snapshot_counters().corrupted == 0
+
+
+# Random partial topologies: up to five radios, a random directed link
+# set, and at most one 4-byte frame per radio.  Starts sit on a 10 us
+# grid, so first bits (start + 195 us) and last bits (start + 291 us)
+# never share a tick, and busy probes at 10 k + 3 us hit neither.
+@st.composite
+def partial_schedules(draw):
+    count = draw(st.integers(min_value=2, max_value=5))
+    names = [f"r{index}" for index in range(count)]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    linked = draw(st.lists(st.booleans(), min_size=len(pairs),
+                           max_size=len(pairs)))
+    links = {pair for pair, up in zip(pairs, linked) if up}
+    starts = draw(st.lists(st.one_of(st.none(),
+                                     st.integers(min_value=0,
+                                                 max_value=20)),
+                           min_size=count, max_size=count))
+    probes = draw(st.lists(st.integers(min_value=0, max_value=50),
+                           max_size=12))
+    return names, links, starts, probes
+
+
+class TestPartialTopologyOracle:
+    @given(partial_schedules())
+    @settings(max_examples=100, deadline=None)
+    def test_collisions_and_carrier_sense_match_oracle(self, drawn):
+        names, links, starts, probes = drawn
+        sim = Simulator()
+        channel = Channel(sim, topology=ExplicitLinks(links))
+        radio = {name: Nrf2401(sim, CAL, channel, name) for name in names}
+        frames = []  # (sender, first bit, last bit)
+        for name, start in zip(names, starts):
+            if start is None:
+                continue
+            radio[name].power_up()
+            begin, end = airtime_interval(microseconds(10) * start)
+            frames.append((name, begin, end))
+            frame = Frame(src=name, dest=names[0], kind=FrameKind.DATA,
+                          payload_bytes=4)
+            sim.at(microseconds(10) * start,
+                   lambda s=radio[name], f=frame: s.send(f))
+        sensed = []
+        for probe in probes:
+            tick = microseconds(10 * probe + 3)
+            sim.at(tick, lambda t=tick: sensed.append(
+                (t, {name: channel.is_busy_at(name) for name in names})))
+        sim.run_until(seconds(0.01))
+
+        def hears(sender, receiver):
+            return (sender, receiver) in links
+
+        # One count per (frame, receiver) whose airtime another frame
+        # overlaps at that receiver.
+        expected = sum(
+            1 for sender, begin, end in frames for receiver in names
+            if hears(sender, receiver) and any(
+                other != sender and hears(other, receiver)
+                and obegin < end and begin < oend
+                for other, obegin, oend in frames))
+        assert channel.collisions_detected == expected
+        for tick, busy in sensed:
+            assert busy == {
+                name: any(hears(sender, name) and begin < tick < end
+                          for sender, begin, end in frames)
+                for name in names}

@@ -40,7 +40,9 @@ Every check runs the reference configs (one per MAC family, plus
 extra apps) and two fault configs whose crash lands inside a
 ShockBurst: a contention one, and a static-TDMA one that also reboots
 inside the burst.  So each check also reaches the radio's deferred
-release and the reboot that waits for it.
+release and the reboot that waits for it.  A hidden-terminal CSMA
+config adds a partial topology and a lossy channel, so each check also
+covers per-receiver loss draws and audiences smaller than the network.
 
 Fingerprints are SHA-256 over the result cache's canonical dataclass
 encoding (:func:`repro.exec.cache.config_fingerprint`), so "equal"
@@ -69,6 +71,8 @@ from repro.exec.cache import config_fingerprint
 from repro.faults import FaultPlan, NodeCrash
 from repro.net import BanScenario, BanScenarioConfig
 from repro.obs import MetricsRegistry, SpanStore, attach_span_tracer
+from repro.phy.lossmodels import UniformLoss
+from repro.phy.topology import BodyTopology, Position
 from repro.sim.simtime import TICKS_PER_SECOND, microseconds, seconds
 from repro.sim.trace import TraceRecorder
 
@@ -172,11 +176,26 @@ def reboot_fault_config() -> BanScenarioConfig:
     return _crash_in_burst(reference_configs()[0], 300, 50e-6)
 
 
+def hidden_terminal_config() -> BanScenarioConfig:
+    """The CSMA reference config with node1 and node3 out of each
+    other's range (0.6 m radio range, 0.8 m apart) on a 5 % lossy
+    channel: both reach the base station and node2, so their carrier
+    sense misses each other and their frames collide there."""
+    config = next(c for c in reference_configs() if c.mac == "csma")
+    topology = BodyTopology({"base_station": Position(0.0, 1.0),
+                             "node1": Position(-0.4, 1.1),
+                             "node2": Position(0.0, 1.35),
+                             "node3": Position(0.4, 1.1)}, range_m=0.6)
+    return replace(config, topology=topology,
+                   loss_model=UniformLoss(0.05))
+
+
 def checked_configs() -> List[BanScenarioConfig]:
-    """What checks 1-6 run: the reference configs plus the two
-    mid-burst fault configs."""
+    """What checks 1-6 run: the reference configs, the two mid-burst
+    fault configs and the hidden-terminal config."""
     return reference_configs() + [contention_fault_config(),
-                                  reboot_fault_config()]
+                                  reboot_fault_config(),
+                                  hidden_terminal_config()]
 
 
 def result_fingerprint(result: Any) -> str:
