@@ -130,7 +130,7 @@ def tornado(config: BanScenarioConfig, relative: float = 0.10,
         method: ``"analytic"`` (closed-form, instantaneous) or
             ``"simulate"`` (full discrete-event run per perturbation —
             2·|parameters|+1 scenarios, batched through ``executor``).
-        executor: parallel/cached execution for ``method="simulate"``.
+        executor: parallel execution for ``method="simulate"``.
 
     Returns entries sorted by decreasing swing.
     """

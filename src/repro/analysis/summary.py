@@ -36,9 +36,9 @@ def full_report(measure_s: float = 60.0, seed: int = 0,
                 executor: Optional[ScenarioExecutor] = None) -> str:
     """Regenerate the complete evaluation as one text report.
 
-    With a parallel and/or caching ``executor``, the table rows, the
-    figure and the taxonomy scenario all route through it; a cache
-    section at the end reports hit/miss counts for the whole report.
+    With a parallel ``executor``, the table rows, the figure and the
+    taxonomy scenario all route through it; with an instrumented one,
+    a telemetry digest closes the report.
     """
     parts = [
         "Reproduction report — Rincon et al., \"OS-Based Sensor Node "
@@ -87,11 +87,6 @@ def full_report(measure_s: float = 60.0, seed: int = 0,
         parts.append(f"  {category.value:<16} {energy:8.1f} mJ  "
                      f"({100 * node.losses.fraction(category):5.1f}%)")
 
-    if executor is not None and executor.cache is not None:
-        parts.append(_section("RESULT CACHE"))
-        parts.append(f"  {executor.cache.stats} "
-                     f"(dir: {executor.cache.root})")
-
     metrics = getattr(executor, "metrics", None)
     if metrics is not None:
         parts.append(_section("TELEMETRY DIGEST"))
@@ -115,9 +110,7 @@ def _metrics_digest(registry: "MetricsRegistry") -> str:
         lines.append(f"  kernel events dispatched: {events:,.0f}")
     ran = counters.get("exec/-/scenarios_run")
     if ran is not None:
-        cached = counters.get("exec/-/scenarios_cached", 0)
-        lines.append(f"  scenarios run: {ran:.0f} "
-                     f"(+{cached:.0f} from cache)")
+        lines.append(f"  scenarios run: {ran:.0f}")
     utilization = gauges.get("exec/-/worker_utilization")
     if utilization is not None:
         workers = gauges.get("exec/-/workers", 1.0)

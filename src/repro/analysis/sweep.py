@@ -42,8 +42,8 @@ def sweep_scenarios(base: BanScenarioConfig, parameter: str,
 
     ``parameter`` must be a field of :class:`BanScenarioConfig`; each
     run uses ``dataclasses.replace`` so the base config is untouched.
-    An :class:`~repro.exec.ScenarioExecutor` runs the points in
-    parallel and/or from cache; results are in value order either way.
+    An :class:`~repro.exec.ScenarioExecutor` can run the points in
+    parallel; results are in value order either way.
     """
     if parameter not in {f.name for f in dataclasses.fields(base)}:
         raise ValueError(

@@ -16,16 +16,15 @@ Subcommands:
   (delegates to :mod:`repro.lint`; see ``docs/static_analysis.md``).
 
 Every subcommand accepts ``--jobs N`` (fan independent scenarios out
-over N worker processes; output identical to sequential) and
-``--cache`` / ``--cache-dir`` (memoize results on disk; see
-``docs/performance.md``).  Commands that run a single scenario ignore
-``--jobs``.  Batch resilience: ``--isolate-errors`` turns a failing
-scenario into a structured ``ErrorResult`` instead of aborting the
-batch, ``--scenario-timeout S`` bounds each pooled scenario's wall
-clock, and ``--retries N`` re-dispatches work lost to worker-pool
-crashes.  ``run`` additionally takes ``--faults SPEC`` (deterministic
-fault injection; see ``docs/protocols.md``) and ``--recovery`` (MAC
-degradation behaviour under faults).
+over N worker processes; output identical to sequential).  Commands
+that run a single scenario ignore ``--jobs``.  Batch resilience:
+``--isolate-errors`` turns a failing scenario into a structured
+``ErrorResult`` instead of aborting the batch, ``--scenario-timeout S``
+bounds each pooled scenario's wall clock, and ``--retries N``
+re-dispatches work lost to worker-pool crashes.  ``run`` additionally
+takes ``--faults SPEC`` (deterministic fault injection; see
+``docs/protocols.md``) and ``--recovery`` (MAC degradation behaviour
+under faults).
 
 Telemetry (see ``docs/observability.md``): ``--metrics PATH`` writes a
 metrics snapshot (JSON, or Prometheus text when PATH ends in
@@ -58,8 +57,7 @@ from .analysis.validation import validate_all
 from .analysis.waveforms import WaveformProbe
 from .baselines.naive import fidelity_ladder
 from .core.report import render_loss_breakdown, render_table
-from .exec import ResultCache, ScenarioExecutor
-from .exec.cache import DEFAULT_CACHE_DIR
+from .exec import ScenarioExecutor
 from .faults import parse_fault_spec
 from .hw.battery import CR2477, LIPO_160
 from .mac.recovery import RecoveryConfig
@@ -76,7 +74,6 @@ from .obs import (
     attach_periodic_snapshots,
     attach_span_tracer,
     attribution_report,
-    collect_cache_metrics,
     collect_scenario_metrics,
     collect_simulator_metrics,
     rollup_spans,
@@ -96,12 +93,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for independent scenarios "
                              "(default 1 = in-process; 0 = CPU count)")
-    parser.add_argument("--cache", action="store_true",
-                        help="memoize scenario results on disk "
-                             f"(in {DEFAULT_CACHE_DIR}/ unless "
-                             "--cache-dir is given)")
-    parser.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="result-cache directory (implies --cache)")
     parser.add_argument("--isolate-errors", action="store_true",
                         help="a failing scenario yields an ErrorResult "
                              "record instead of aborting the batch")
@@ -138,8 +129,8 @@ class _Observability:
 
     Centralises what every subcommand needs: a registry when
     ``--metrics`` is given, a profiler for ``--profile``, a JSONL sink
-    for ``--trace-jsonl``, and a ``finish`` step that folds cache
-    stats in, writes the outputs and prints the profile table.
+    for ``--trace-jsonl``, and a ``finish`` step that writes the
+    outputs and prints the profile table.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -197,12 +188,9 @@ class _Observability:
         collect_scenario_metrics(scenario, self.registry)
         collect_simulator_metrics(scenario.sim, self.registry)
 
-    def finish(self, executor: Optional[ScenarioExecutor] = None) -> None:
+    def finish(self) -> None:
         """Write snapshot/trace outputs and print the profile table."""
         registry = self.registry
-        if registry is not None and executor is not None \
-                and executor.cache is not None:
-            collect_cache_metrics(executor.cache, registry)
         if self.trace_path is not None and self._sink is None:
             print("note: --trace-jsonl applies to single-scenario "
                   "commands; ignored")
@@ -260,31 +248,22 @@ def _executor_from_args(args: argparse.Namespace,
     if args.jobs < 0:
         raise SystemExit(
             f"repro-ban: error: --jobs must be >= 0, got {args.jobs}")
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        cache = ResultCache(root=args.cache_dir)
     if args.retries < 0:
         raise SystemExit(
             f"repro-ban: error: --retries must be >= 0, got {args.retries}")
+    if args.scenario_timeout is not None and args.scenario_timeout <= 0:
+        raise SystemExit(
+            "repro-ban: error: --scenario-timeout must be > 0, "
+            f"got {args.scenario_timeout:g}")
     jobs = None if args.jobs == 0 else args.jobs
     return ScenarioExecutor(
-        jobs=jobs, cache=cache,
+        jobs=jobs,
         metrics=obs.registry if obs is not None else None,
         profiler=obs.profiler if obs is not None else None,
         spans=obs.span_store if obs is not None else None,
         isolate_errors=args.isolate_errors,
         timeout_s=args.scenario_timeout,
         retries=args.retries)
-
-
-def _print_cache_stats(executor: ScenarioExecutor,
-                       obs: Optional[_Observability] = None) -> None:
-    if executor.cache is None:
-        return
-    if obs is not None and obs.registry is not None:
-        return  # folded into the metrics snapshot by obs.finish()
-    print(f"\ncache: {executor.cache.stats} "
-          f"(dir: {executor.cache.root})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,8 +398,7 @@ def _cmd_table(table_id: str, args: argparse.Namespace) -> int:
                                          seed=args.seed,
                                          executor=executor)
     print(result.render())
-    _print_cache_stats(executor, obs)
-    obs.finish(executor)
+    obs.finish()
     return 0
 
 
@@ -430,8 +408,7 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
     result = reproduce_figure4(measure_s=args.measure_s, seed=args.seed,
                                executor=executor)
     print(render_figure4(result))
-    _print_cache_stats(executor, obs)
-    obs.finish(executor)
+    obs.finish()
     return 0
 
 
@@ -444,8 +421,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(results[table_id].render())
         print()
     print(validate_all(results).render())
-    _print_cache_stats(executor, obs)
-    obs.finish(executor)
+    obs.finish()
     return 0
 
 
@@ -626,8 +602,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
           f"to +/-{100 * args.relative:.0f}% parameter perturbations "
           f"[{args.method}]:\n")
     print(render_tornado(entries))
-    _print_cache_stats(executor, obs)
-    obs.finish(executor)
+    obs.finish()
     return 0
 
 
@@ -643,7 +618,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     else:
         print(text)
-    obs.finish(executor)
+    obs.finish()
     return 0
 
 

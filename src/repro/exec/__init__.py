@@ -1,4 +1,4 @@
-"""Parallel scenario execution and deterministic result caching.
+"""Parallel scenario execution.
 
 This package is the batch layer between the single-scenario simulator
 (:mod:`repro.net.scenario`) and the analysis code that evaluates many
@@ -9,23 +9,20 @@ multi-BAN studies):
   independent :class:`~repro.net.scenario.BanScenarioConfig`s out over
   worker processes, returning results in submission order so output is
   bit-identical to the sequential path.
-* :mod:`repro.exec.cache` — :class:`ResultCache` memoizes scenario
-  results on disk, keyed by a content hash of the canonical config
-  serialization plus a code-version salt, so regenerating tables after
-  an unrelated edit is near-free.
+* :mod:`repro.exec.cache` — :func:`config_fingerprint`, the canonical
+  encoding that ``tools/determinism_check.py`` and the end-to-end
+  benchmark hash scenario results with.
 
-Every analysis entry point accepts ``jobs``/``cache`` arguments (and
-the CLI exposes ``--jobs N`` / ``--cache``) that route through here.
+Every analysis entry point accepts an ``executor`` (and the CLI
+exposes ``--jobs N``) that routes through here.
 """
 
-from .cache import CacheStats, ResultCache, Uncacheable, config_fingerprint
+from .cache import Uncacheable, config_fingerprint
 from .errors import ErrorResult, ScenarioTimeoutError, failures
 from .executor import ScenarioExecutor, run_configs
 
 __all__ = [
-    "CacheStats",
     "ErrorResult",
-    "ResultCache",
     "ScenarioExecutor",
     "ScenarioTimeoutError",
     "Uncacheable",

@@ -39,10 +39,6 @@ Failure rules (the part that keeps long batches alive):
   processes are terminated.  In-process items cannot be preempted, so
   the timeout only applies to the pooled path.
 
-An optional :class:`~repro.exec.cache.ResultCache` short-circuits
-configs whose results are already on disk; only the misses are
-dispatched to workers.
-
 Observability: constructed with a
 :class:`~repro.obs.metrics.MetricsRegistry` (and optionally a
 :class:`~repro.obs.profiler.SimulationProfiler`), the executor has each
@@ -64,7 +60,6 @@ from time import perf_counter
 from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
                     Sequence, Set, Tuple)
 
-from .cache import ResultCache
 from .errors import ErrorResult, ScenarioTimeoutError, timeout_result
 
 if TYPE_CHECKING:  # imported lazily at runtime (workers build their own)
@@ -134,9 +129,6 @@ class ScenarioExecutor:
     Args:
         jobs: worker process count.  ``1`` (the default) executes
             in-process; ``None`` uses :func:`default_jobs`.
-        cache: optional :class:`ResultCache` consulted before running
-            and updated after; its ``stats`` field accumulates
-            hit/miss counts across batches.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when given, :meth:`run_configs` runs scenarios instrumented
             and merges every worker's snapshot here.
@@ -144,10 +136,9 @@ class ScenarioExecutor:
             :class:`~repro.obs.profiler.SimulationProfiler` merging the
             per-scenario callback timings (implies instrumented runs).
         spans: optional :class:`~repro.obs.spans.SpanStore`; when
-            given, every fresh run is traced with a private store and
-            the snapshots merge here in submission order (rebased span
-            IDs), so ``jobs=N`` span output equals sequential.  Like
-            metrics, cache hits contribute no spans.
+            given, every run is traced with a private store and the
+            snapshots merge here in submission order (rebased span
+            IDs), so ``jobs=N`` span output equals sequential.
         isolate_errors: when True, an item whose evaluation raises (or
             times out) yields an :class:`ErrorResult` in its slot and
             the rest of the batch completes; when False (default), the
@@ -164,7 +155,6 @@ class ScenarioExecutor:
     """
 
     def __init__(self, jobs: Optional[int] = 1,
-                 cache: Optional[ResultCache] = None,
                  metrics: Optional["MetricsRegistry"] = None,
                  profiler: Optional["SimulationProfiler"] = None,
                  spans: Optional["SpanStore"] = None,
@@ -178,13 +168,14 @@ class ScenarioExecutor:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = default_jobs() if jobs is None else jobs
-        self.cache = cache
         self.metrics = metrics
         self.profiler = profiler
         self.spans = spans
         self.isolate_errors = isolate_errors
         self.timeout_s = timeout_s
         self.retries = retries
+        #: Sum of batch wall time x pool width over every batch run.
+        self._capacity_s = 0.0
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
@@ -318,12 +309,9 @@ class ScenarioExecutor:
     def run_configs(self, configs: Sequence[Any]) -> List[Any]:
         """Evaluate each config; results in submission order.
 
-        Cached results are returned without running; only misses are
-        dispatched (in their original relative order, so sequential
-        and parallel runs stay bit-identical).  With ``metrics`` (or
-        ``profiler``) set, every fresh run is instrumented and its
-        snapshot merged — only the scenario *result* is cached, so
-        cache hits contribute no scenario metrics.
+        With ``metrics``, ``profiler`` or ``spans`` set, every run is
+        instrumented and its snapshots merged here in submission
+        order.
         """
         configs = list(configs)
         observed = (self.metrics is not None
@@ -334,38 +322,15 @@ class ScenarioExecutor:
             worker = partial(_run_config_worker_obs,
                              profile=self.profiler is not None,
                              spans=self.spans is not None)
-        cache = self.cache
         batch_started = perf_counter()
-
-        results: List[Any] = [None] * len(configs)
-        miss_indices: List[int] = []
-        if cache is None:
-            miss_indices = list(range(len(configs)))
-        else:
-            for index, config in enumerate(configs):
-                cached = cache.get(config)
-                if cached is not None:
-                    results[index] = cached
-                else:
-                    miss_indices.append(index)
-        if miss_indices:
-            fresh = self.map(worker,
-                             [configs[i] for i in miss_indices])
-            if observed:
-                fresh = [packed if isinstance(packed, ErrorResult)
-                         else self._absorb_observed(packed)
-                         for packed in fresh]
-            for index, result in zip(miss_indices, fresh):
-                results[index] = result
-                # Failures are never cached: the record describes one
-                # run's misfortune, not the config's value.
-                if cache is not None and not isinstance(result,
-                                                        ErrorResult):
-                    cache.put(configs[index], result)
+        results = self.map(worker, configs)
         if observed:
+            results = [packed if isinstance(packed, ErrorResult)
+                       else self._absorb_observed(packed)
+                       for packed in results]
             failed = sum(1 for result in results
                          if isinstance(result, ErrorResult))
-            self._record_batch_metrics(len(configs), len(miss_indices),
+            self._record_batch_metrics(len(configs),
                                        perf_counter() - batch_started,
                                        failed)
         return results
@@ -387,17 +352,19 @@ class ScenarioExecutor:
             self.spans.merge_snapshot(spans_snapshot)
         return result
 
-    def _record_batch_metrics(self, total: int, fresh: int,
-                              batch_wall_s: float,
+    def _record_batch_metrics(self, total: int, batch_wall_s: float,
                               failed: int = 0) -> None:
-        """Batch-level figures: size, pool width, worker utilisation."""
+        """Batch-level figures: size, pool width, worker utilisation.
+
+        Utilisation is the registry's cumulative scenario wall time
+        over the worker capacity of every batch this executor has run
+        (each batch's wall time times its pool width).
+        """
         if self.metrics is None:
             return
         from ..obs import GLOBAL
         registry = self.metrics
-        registry.counter("exec", GLOBAL, "scenarios_run").inc(fresh)
-        registry.counter("exec", GLOBAL,
-                         "scenarios_cached").inc(total - fresh)
+        registry.counter("exec", GLOBAL, "scenarios_run").inc(total)
         if failed:
             registry.counter("exec", GLOBAL,
                              "scenarios_failed").inc(failed)
@@ -405,19 +372,18 @@ class ScenarioExecutor:
         registry.histogram("exec", GLOBAL,
                            "batch_wall_s").observe(batch_wall_s)
         busy = registry.histogram("exec", GLOBAL, "scenario_wall_s")
-        width = min(self.jobs, fresh) if fresh else 0
-        if width and batch_wall_s > 0.0:
+        self._capacity_s += batch_wall_s * min(self.jobs, total)
+        if self._capacity_s > 0.0:
             registry.gauge("exec", GLOBAL, "worker_utilization").set(
-                min(1.0, busy.total / (batch_wall_s * width)))
+                min(1.0, busy.total / self._capacity_s))
 
 
 def run_configs(configs: Sequence[Any], jobs: Optional[int] = 1,
-                cache: Optional[ResultCache] = None,
                 isolate_errors: bool = False,
                 timeout_s: Optional[float] = None,
                 retries: int = 0) -> List[Any]:
-    """One-call convenience: ``ScenarioExecutor(jobs, cache).run_configs``."""
-    return ScenarioExecutor(jobs=jobs, cache=cache,
+    """One-call convenience: ``ScenarioExecutor(jobs).run_configs``."""
+    return ScenarioExecutor(jobs=jobs,
                             isolate_errors=isolate_errors,
                             timeout_s=timeout_s,
                             retries=retries).run_configs(configs)

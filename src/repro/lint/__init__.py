@@ -2,7 +2,7 @@
 
 The paper's headline claim is an energy estimate within ~4 % of
 hardware; this reproduction's equivalent claim is *bit-exact
-determinism* — the result cache, the "merged parallel metrics equal
+determinism* — repeat runs, the "merged parallel metrics equal
 sequential" invariant and the "no-fault ledgers stay byte-identical"
 guarantee all silently break if simulation code starts drawing from the
 global RNG, reading the wall clock, or iterating a ``set`` where the
@@ -19,8 +19,6 @@ DET003    no iteration over sets in order-sensitive packages
 FLT001    no float ``==``/``!=`` on energy/time-like values
 EXC001    no bare or overbroad ``except`` without a reasoned waiver
 MUT001    no mutable default arguments
-CFG001    cache-fingerprinted config dataclasses must be annotated
-          and hash-stable
 ========  ==========================================================
 
 On top of the per-line rules sit the *flow-sensitive tree analyses*
@@ -43,8 +41,8 @@ RNG001-2  RNG provenance: every constructed generator must be seeded
           Simulator-owned stream (:mod:`repro.lint.rngprov`)
 OBS001-3  observability hooks cannot touch simulation state
           (:mod:`repro.lint.effects`)
-FPC001-2  every config field simulation code reads is covered by the
-          result-cache fingerprint (:mod:`repro.lint.fingerprint`)
+FPC001-2  every config field simulation code reads is covered by
+          ``config_fingerprint`` (:mod:`repro.lint.fingerprint`)
 LIF001-5  declared resource protocols (acquire/release pairing) hold
           on every path (:mod:`repro.lint.lifecycle`)
 SUP002    waivers whose rule no longer fires on the waived line are

@@ -32,15 +32,6 @@ FLT001_PATTERN = (
     "|_seconds|seconds_|lifetime"
 )
 
-#: Dataclasses matching this pattern in :data:`CFG001_PACKAGES` feed
-#: the result-cache fingerprint (CFG001): the cache's
-#: ``_SALTED_PACKAGES`` of :mod:`repro.exec.cache`, plus ``exec``.
-CFG001_PATTERN = "(Config|Spec)$"
-CFG001_PACKAGES: Tuple[str, ...] = (
-    "core", "sim", "tinyos", "hw", "phy", "mac", "apps", "signals",
-    "net", "faults", "exec",
-)
-
 #: Modules (path prefixes/suffixes) whose *public* float constants must
 #: carry a unit suffix or a ``# unit:`` annotation (UNI004): the
 #: calibration tables and published paper numbers the whole energy
@@ -75,7 +66,8 @@ FPC_ROOTS: Tuple[str, ...] = ("BanScenarioConfig", "MultiBanScenario")
 FPC_PATTERN = "(Config|Spec|Plan)$"
 
 #: Packages whose code counts as "simulation code" for FPC reads and
-#: derived-config construction: the cache code salt's package set.
+#: derived-config construction: every package that can influence a
+#: simulated energy figure.
 FPC_PACKAGES: Tuple[str, ...] = (
     "core", "sim", "tinyos", "hw", "phy", "mac", "apps", "signals",
     "net", "faults",
@@ -95,8 +87,6 @@ class LintConfig:
 
 
 __all__ = [
-    "CFG001_PACKAGES",
-    "CFG001_PATTERN",
     "DET002_ALLOW",
     "DET003_PACKAGES",
     "EFFECTS_HOOK_ATTRS",

@@ -1,13 +1,13 @@
-"""Cache-fingerprint coverage analysis (FPC001/FPC002).
+"""Config-fingerprint coverage analysis (FPC001/FPC002).
 
-The on-disk :class:`~repro.exec.cache.ResultCache` is keyed by
-``config_fingerprint``: a canonical serialisation that covers *exactly*
-the ``dataclasses.fields`` of :class:`BanScenarioConfig`, recursively
-through nested dataclasses, sequences and mappings.  Anything the
-simulation reads that is **not** reachable from that encoding can vary
-between two runs that hash identically — the cache-poisoning shape,
-and a cross-tenant correctness bug once the cache is shared
-(ROADMAP items 2 and 5).
+``config_fingerprint`` is a canonical serialisation that covers
+*exactly* the ``dataclasses.fields`` of :class:`BanScenarioConfig`,
+recursively through nested dataclasses, sequences and mappings.
+Anything the simulation reads that is **not** reachable from that
+encoding can vary between two configs that fingerprint identically.
+No stored result is keyed by that fingerprint, so the property guards
+nothing; the analysis stays only while the end-to-end benchmark pins
+its ``fingerprint`` timing name.
 
 This pass proves coverage statically, on top of the
 :mod:`repro.lint.callgraph` receiver typing:
@@ -17,7 +17,7 @@ This pass proves coverage statically, on top of the
   dataclass field annotations, unwrapped through
   ``Optional``/``Union``/containers exactly as ``_encode`` recurses
   (``Callable`` fields stop the walk: a config embedding a callable is
-  :class:`~repro.exec.cache.Uncacheable` and never reaches the cache).
+  :class:`~repro.exec.cache.Uncacheable` and has no fingerprint).
   Subclasses of closure members join the closure — a field typed as a
   base holds instances of its subclasses.  Non-dataclass roots
   contribute their annotated ``__init__`` parameters.
@@ -198,9 +198,8 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
                         f"read of {class_name}.{node.attr} which is "
                         f"not a dataclass field: config_fingerprint "
                         f"never encodes it, so two configs differing "
-                        f"only here hash identically (cache "
-                        f"poisoning); make it a field or derive it "
-                        f"from fields"))
+                        f"only here fingerprint identically; make "
+                        f"it a field or derive it from fields"))
                     break
                 if class_name not in closure \
                         and pattern.search(class_name) \
@@ -222,7 +221,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
                 f"code ({ctx.path}:{line} reads .{attr}) but is "
                 f"neither reachable from config_fingerprint nor "
                 f"constructed inside salted simulation code — its "
-                f"values bypass the result-cache key; fingerprint it "
+                f"values bypass config_fingerprint; fingerprint it "
                 f"or derive it from fingerprinted fields"))
 
     extras: Dict[str, object] = {

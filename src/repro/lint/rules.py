@@ -21,8 +21,6 @@ The catalog:
   turn a crash into a silently-wrong energy figure.
 * MUT001 — mutable defaults leak state between calls (and between
   scenarios sharing a config function).
-* CFG001 — config dataclasses feed the result-cache fingerprint;
-  unannotated or unordered fields make the fingerprint unstable.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .config import (CFG001_PACKAGES, CFG001_PATTERN, DET002_ALLOW,
-                     DET003_PACKAGES, FLT001_PATTERN)
+from .config import DET002_ALLOW, DET003_PACKAGES, FLT001_PATTERN
 from .engine import FileContext, Finding
 
 
@@ -427,76 +424,6 @@ def _check_mut001(context: FileContext) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# CFG001 — cache-fingerprinted configs annotated and hash-stable
-# ----------------------------------------------------------------------
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator,
-                                              ast.Call) else decorator
-        name = dotted_name(target)
-        if name is not None and name.split(".")[-1] == "dataclass":
-            return True
-    return False
-
-
-def _is_classvar(annotation: ast.AST) -> bool:
-    target = annotation
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    name = dotted_name(target)
-    return name is not None and name.split(".")[-1] == "ClassVar"
-
-
-def _check_cfg001(context: FileContext) -> List[Finding]:
-    if context.package not in CFG001_PACKAGES:
-        return []
-    pattern = re.compile(CFG001_PATTERN)
-    findings: List[Finding] = []
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if not pattern.search(node.name):
-            continue
-        if not _is_dataclass_decorated(node):
-            continue
-        for statement in node.body:
-            if isinstance(statement, ast.Assign):
-                names = [dotted_name(t) or "?"
-                         for t in statement.targets]
-                if all(name.startswith("_") or name.isupper()
-                       for name in names):
-                    continue  # private helpers / constants, not fields
-                findings.append(context.finding(
-                    "CFG001", statement,
-                    f"{node.name}.{names[0]} is unannotated: every "
-                    "field of a cache-fingerprinted config must carry "
-                    "a type annotation"))
-            elif isinstance(statement, ast.AnnAssign):
-                if _is_classvar(statement.annotation):
-                    continue
-                field_name = dotted_name(statement.target) or "?"
-                if _annotation_is_set(statement.annotation):
-                    findings.append(context.finding(
-                        "CFG001", statement,
-                        f"{node.name}.{field_name} is set-typed: sets "
-                        "have no canonical order, so the cache "
-                        "fingerprint would be unstable; use a sorted "
-                        "tuple"))
-                if (statement.value is not None
-                        and _is_mutable_default(statement.value)
-                        and not (isinstance(statement.value, ast.Call)
-                                 and (dotted_name(statement.value.func)
-                                      or "").endswith("field"))):
-                    findings.append(context.finding(
-                        "CFG001", statement,
-                        f"{node.name}.{field_name} has a mutable "
-                        "default: use field(default_factory=...) so "
-                        "instances stay independent and the "
-                        "fingerprint hash-stable"))
-    return findings
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 RULES: Dict[str, Rule] = {
@@ -538,14 +465,6 @@ RULES: Dict[str, Rule] = {
              "call — state leaks between scenarios and breaks "
              "run-to-run equality.",
              _check_mut001),
-        Rule("CFG001", "cache-fingerprinted configs annotated and "
-             "hash-stable",
-             "BanScenarioConfig and its nested dataclasses are "
-             "serialised into the result-cache key.  Unannotated "
-             "fields are invisible to dataclasses (silently dropped "
-             "from the fingerprint); set-typed fields and shared "
-             "mutable defaults make the fingerprint unstable.",
-             _check_cfg001),
     )
 }
 
@@ -656,17 +575,15 @@ ANALYSIS_RULES: Dict[str, Rule] = {
              "fields of the scenario config closure.  Simulation "
              "code reading an attribute that is not a field (nor a "
              "property/method derived from fields) depends on data "
-             "the result-cache key cannot see: two different configs "
-             "hash identically and the cache serves the wrong "
-             "result.",
+             "the fingerprint cannot see: two different configs "
+             "fingerprint identically.",
              _no_check),
         Rule("FPC002", "no unfingerprinted config classes in sim code",
              "A config-shaped dataclass read by simulation code must "
              "either be reachable from the fingerprint closure or be "
              "constructed inside salted simulation code (derived "
              "from fingerprinted fields).  Anything else smuggles "
-             "configuration past the cache key — the cache-poisoning "
-             "shape.",
+             "configuration past config_fingerprint.",
              _no_check),
         Rule("LIF001", "acquired resources are released on exit",
              "A resource acquired on every path through a declared "

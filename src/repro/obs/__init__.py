@@ -15,8 +15,8 @@ and export after it:
 * :mod:`repro.obs.profiler` — attributes host ``perf_counter`` time to
   event labels and reports sim-seconds-per-wall-second;
 * :mod:`repro.obs.instrument` — pull collectors reading the kernel,
-  MACs, radios, MCUs and caches into a registry, and periodic
-  on-sim-timer snapshots for trajectories;
+  MACs, radios and MCUs into a registry, and periodic on-sim-timer
+  snapshots for trajectories;
 * :mod:`repro.obs.spans` — causal span tracing: per-packet lifecycle
   phases with sim-time intervals and ledger-exact energy attribution,
   mergeable across workers, exportable as JSONL or Perfetto JSON.
@@ -29,7 +29,6 @@ order, RNG streams or energy figures.
 from .instrument import (
     PeriodicSnapshotter,
     attach_periodic_snapshots,
-    collect_cache_metrics,
     collect_scenario_metrics,
     collect_simulator_metrics,
 )
@@ -73,7 +72,7 @@ __all__ = [
     "read_jsonl_trace",
     "SimulationProfiler", "normalize_label", "KERNEL_LABEL",
     "collect_simulator_metrics", "collect_scenario_metrics",
-    "collect_cache_metrics", "attach_periodic_snapshots",
+    "attach_periodic_snapshots",
     "PeriodicSnapshotter",
     "Span", "SpanStore", "SpanTracer", "attach_span_tracer",
     "spans_to_sink", "write_spans_jsonl", "to_perfetto",

@@ -11,8 +11,6 @@ collectors here *pull* those numbers into a
   ``observe_metrics`` hook;
 * :func:`collect_simulator_metrics` reads the kernel's dispatch/queue
   figures;
-* :func:`collect_cache_metrics` folds a result cache's hit/miss/
-  uncacheable stats in;
 * :func:`attach_periodic_snapshots` arms a self-rescheduling sim event
   that appends per-node energy and kernel queue-depth *trajectories*
   to registry series, so long runs show how figures evolve rather
@@ -33,7 +31,6 @@ from ..sim.events import EventEntry, cancel_event
 from ..sim.simtime import seconds, to_seconds
 
 if TYPE_CHECKING:
-    from ..exec.cache import ResultCache
     from ..net.scenario import BanScenario
     from ..sim.kernel import Simulator
 from .metrics import GLOBAL, MetricsRegistry
@@ -77,16 +74,6 @@ def collect_scenario_metrics(scenario: "BanScenario",
     injector = getattr(scenario, "fault_injector", None)
     if injector is not None:
         injector.observe_metrics(registry)
-
-
-def collect_cache_metrics(cache: "ResultCache",
-                          registry: MetricsRegistry) -> None:
-    """Record a :class:`~repro.exec.cache.ResultCache`'s counters."""
-    stats = cache.stats
-    registry.counter("cache", GLOBAL, "hits").inc(stats.hits)
-    registry.counter("cache", GLOBAL, "misses").inc(stats.misses)
-    registry.counter("cache", GLOBAL,
-                     "uncacheable").inc(stats.uncacheable)
 
 
 class PeriodicSnapshotter:
@@ -171,5 +158,4 @@ def attach_periodic_snapshots(sim: "Simulator",
 
 
 __all__ = ["collect_simulator_metrics", "collect_scenario_metrics",
-           "collect_cache_metrics", "PeriodicSnapshotter",
-           "attach_periodic_snapshots"]
+           "PeriodicSnapshotter", "attach_periodic_snapshots"]

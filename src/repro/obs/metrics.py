@@ -53,7 +53,7 @@ def split_key(key: str) -> Tuple[str, str, str]:
 
 
 class Counter:
-    """A monotonically increasing count (events, frames, cache hits)."""
+    """A monotonically increasing count (events, frames, collisions)."""
 
     __slots__ = ("value",)
 

@@ -1,9 +1,9 @@
-"""Tests for the parallel scenario executor and the result cache.
+"""Tests for the parallel scenario executor and the config fingerprint.
 
 The executor's contract is *bit-identical output*: running a batch
-with N workers (or through the cache) must produce exactly the results
-the plain sequential loop produces.  These tests pin that contract for
-every batch entry point the analysis layer uses.
+with N workers must produce exactly the results the plain sequential
+loop produces.  These tests pin that contract for every batch entry
+point the analysis layer uses.
 """
 
 import dataclasses
@@ -18,12 +18,12 @@ from repro.analysis.experiments import (
 from repro.analysis.replication import default_metrics, replicate
 from repro.analysis.sensitivity import tornado
 from repro.analysis.sweep import sweep_cycle_ms
-from repro.exec import ErrorResult, ResultCache, ScenarioExecutor, \
+from repro.exec import ErrorResult, ScenarioExecutor, \
     ScenarioTimeoutError, Uncacheable, config_fingerprint, failures, \
     run_configs
-from repro.exec.cache import CacheStats
 from repro.mac.sync import DriftTrackingLead
 from repro.net.scenario import BanScenarioConfig
+from repro.obs import MetricsRegistry
 
 #: Short window keeping each scenario fast; long enough to exercise
 #: warm-up plus several TDMA cycles.
@@ -98,6 +98,23 @@ class TestExecutorDeterminism:
             ScenarioExecutor(jobs=0)
 
 
+class TestBatchMetrics:
+    def test_utilization_covers_every_batch(self):
+        """Worker utilisation is scenario wall time over the capacity
+        of every batch the executor ran, not of the last one only."""
+        registry = MetricsRegistry()
+        executor = ScenarioExecutor(jobs=1, metrics=registry)
+        executor.run_configs([_config()])
+        executor.run_configs([_config(cycle_ms=60.0)])
+        snapshot = registry.snapshot()
+        histograms = snapshot["histograms"]
+        busy_s = histograms["exec/-/scenario_wall_s"]["total"]
+        batch_s = histograms["exec/-/batch_wall_s"]["total"]
+        assert histograms["exec/-/batch_wall_s"]["count"] == 2
+        assert snapshot["gauges"]["exec/-/worker_utilization"] == \
+            pytest.approx(busy_s / batch_s)
+
+
 class TestSensitivitySimulate:
     def test_simulate_matches_across_jobs(self):
         config = _config(num_nodes=5, sampling_hz=205.0)
@@ -112,75 +129,6 @@ class TestSensitivitySimulate:
             tornado(_config(), method="guess")
 
 
-class TestResultCache:
-    def test_second_run_hits_cache_with_identical_results(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        executor = ScenarioExecutor(jobs=1, cache=cache)
-        configs = [_config(), _config(cycle_ms=60.0)]
-        first = executor.run_configs(configs)
-        assert cache.stats.misses == 2 and cache.stats.hits == 0
-        second = executor.run_configs(
-            [_config(), _config(cycle_ms=60.0)])
-        assert cache.stats.hits == 2
-        assert second == first
-
-    def test_cache_survives_fresh_instance(self, tmp_path):
-        """A new ResultCache over the same directory (a new process,
-        in practice) still hits."""
-        ScenarioExecutor(cache=ResultCache(root=tmp_path)) \
-            .run_configs([_config()])
-        reopened = ResultCache(root=tmp_path)
-        result = ScenarioExecutor(cache=reopened).run_configs([_config()])
-        assert reopened.stats.hits == 1
-        assert result[0].node("node1").radio_mj > 0
-
-    def test_different_configs_different_keys(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        assert cache.key_for(_config()) != \
-            cache.key_for(_config(cycle_ms=60.0))
-        assert cache.key_for(_config()) == cache.key_for(_config())
-
-    def test_calibration_is_part_of_the_key(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        config = _config()
-        tweaked = dataclasses.replace(
-            config, calibration=dataclasses.replace(
-                config.calibration,
-                radio_rx_a=config.calibration.radio_rx_a * 1.1))
-        assert cache.key_for(config) != cache.key_for(tweaked)
-
-    def test_code_salt_invalidates(self, tmp_path):
-        old = ResultCache(root=tmp_path, salt="old-code")
-        new = ResultCache(root=tmp_path, salt="new-code")
-        old.put(_config(), "result")
-        assert new.get(_config()) is None  # different salt -> cold
-        assert old.get(_config()) == "result"
-
-    def test_callable_config_is_uncacheable(self, tmp_path):
-        config = _config()
-        config.sync_policy_factory = lambda cal: None
-        with pytest.raises(Uncacheable):
-            config_fingerprint(config)
-        cache = ResultCache(root=tmp_path)
-        assert cache.get(config) is None
-        assert cache.stats.uncacheable == 1
-        assert cache.put(config, "anything") is False
-        # The executor still runs such configs.
-        result = ScenarioExecutor(cache=cache).run_configs([_config()])
-        assert result[0].node("node1").radio_mj > 0
-
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        cache.put(_config(), "value")
-        assert cache.clear() == 1
-        assert list(cache.entries()) == []
-
-    def test_stats_render(self):
-        stats = CacheStats(hits=2, misses=1, uncacheable=0)
-        assert stats.lookups == 3
-        assert "2 hit(s)" in str(stats)
-
-
 class TestFingerprint:
     def test_fingerprint_is_deterministic(self):
         assert config_fingerprint(_config()) == \
@@ -190,6 +138,24 @@ class TestFingerprint:
         a = config_fingerprint(_config(cycle_ms=30.0))
         b = config_fingerprint(_config(cycle_ms=30.0 + 1e-12))
         assert a != b
+
+    def test_different_configs_different_keys(self):
+        assert config_fingerprint(_config()) != \
+            config_fingerprint(_config(cycle_ms=60.0))
+
+    def test_calibration_is_part_of_the_key(self):
+        config = _config()
+        tweaked = dataclasses.replace(
+            config, calibration=dataclasses.replace(
+                config.calibration,
+                radio_rx_a=config.calibration.radio_rx_a * 1.1))
+        assert config_fingerprint(config) != config_fingerprint(tweaked)
+
+    def test_callable_config_is_uncacheable(self):
+        config = _config()
+        config.sync_policy_factory = lambda cal: None
+        with pytest.raises(Uncacheable):
+            config_fingerprint(config)
 
 
 # ----------------------------------------------------------------------
@@ -306,18 +272,6 @@ class TestFailureIsolation:
     def test_run_configs_raises_without_isolation(self):
         with pytest.raises(RuntimeError, match="failed to join"):
             run_configs([_bad_config()], jobs=1)
-
-    def test_failed_results_never_cached(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        executor = ScenarioExecutor(jobs=1, cache=cache,
-                                    isolate_errors=True)
-        first = executor.run_configs([_bad_config(), _config()])
-        assert isinstance(first[0], ErrorResult)
-        assert cache.stats.misses == 2
-        second = executor.run_configs([_bad_config(), _config()])
-        assert isinstance(second[0], ErrorResult)
-        assert second[1] == first[1]
-        assert cache.stats.hits == 1  # only the healthy config
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="timeout"):

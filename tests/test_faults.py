@@ -4,7 +4,7 @@ Covers the spec value types and their CLI parser, the injector's fault
 mechanics on real scenarios (crash/reboot, radio lockup, beacon-loss
 burst, clock step, battery brownout), the reproducibility contract
 (same seed, same schedule, same ledgers; faults participate in the
-cache fingerprint), and the promise that a config without faults is
+config fingerprint), and the promise that a config without faults is
 byte-identical to one predating the subsystem.
 """
 

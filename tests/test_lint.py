@@ -189,52 +189,6 @@ class TestMut001MutableDefaults:
         assert rules_fired("def f(x=None, y=()):\n    pass\n") == []
 
 
-class TestCfg001ConfigDataclasses:
-    def test_unannotated_field_fires(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class FooConfig:\n"
-                  "    x = 3\n")
-        assert rules_fired(source, "net/scenario.py") == ["CFG001"]
-
-    def test_set_typed_field_fires(self):
-        source = ("from dataclasses import dataclass\n"
-                  "from typing import FrozenSet\n"
-                  "@dataclass\n"
-                  "class FooConfig:\n"
-                  "    tags: FrozenSet[str] = frozenset()\n")
-        assert rules_fired(source, "net/scenario.py") == ["CFG001"]
-
-    def test_mutable_default_fires(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class FooSpec:\n"
-                  "    xs: list = []\n")
-        assert rules_fired(source, "mac/recovery.py") == ["CFG001"]
-
-    def test_field_default_factory_is_legal(self):
-        source = ("from dataclasses import dataclass, field\n"
-                  "@dataclass\n"
-                  "class FooConfig:\n"
-                  "    xs: tuple = ()\n"
-                  "    m: dict = field(default_factory=dict)\n")
-        assert rules_fired(source, "net/scenario.py") == []
-
-    def test_non_config_class_is_ignored(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class Helper:\n"
-                  "    x = 3\n")
-        assert rules_fired(source, "net/scenario.py") == []
-
-    def test_outside_fingerprinted_packages_is_silent(self):
-        source = ("from dataclasses import dataclass\n"
-                  "@dataclass\n"
-                  "class FooConfig:\n"
-                  "    x = 3\n")
-        assert rules_fired(source, "analysis/sweep.py") == []
-
-
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
@@ -354,7 +308,7 @@ class TestConfiguration:
 
     def test_rule_registry_complete(self):
         assert all_rule_codes() == (
-            "CFG001", "DET001", "DET002", "DET003", "EXC001", "FLT001",
+            "DET001", "DET002", "DET003", "EXC001", "FLT001",
             "FPC001", "FPC002", "LIF001", "LIF002", "LIF003", "LIF004",
             "LIF005", "MUT001", "OBS001", "OBS002", "OBS003",
             "RNG001", "RNG002", "SM001", "SM002", "SM003", "SM004",

@@ -338,18 +338,3 @@ class TestCliFlags:
         assert code == 0
         assert "# TYPE repro_events_dispatched counter" \
             in metrics_path.read_text()
-
-    def test_batch_command_merges_cache_stats(self, tmp_path, capsys):
-        metrics_path = tmp_path / "m.json"
-        args = ["table1", "--measure-s", "1",
-                "--cache", "--cache-dir", str(tmp_path / "cache"),
-                "--metrics", str(metrics_path)]
-        assert main(args) == 0
-        first = json.loads(metrics_path.read_text())
-        assert first["counters"]["cache/-/misses"] > 0
-        assert main(args) == 0  # second run: all hits
-        second = json.loads(metrics_path.read_text())
-        assert second["counters"]["cache/-/hits"] \
-            == first["counters"]["cache/-/misses"]
-        out = capsys.readouterr().out
-        assert "cache: CacheStats" not in out  # routed into snapshot

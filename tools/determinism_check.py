@@ -44,11 +44,11 @@ release and the reboot that waits for it.  A hidden-terminal CSMA
 config adds a partial topology and a lossy channel, so each check also
 covers per-receiver loss draws and audiences smaller than the network.
 
-Fingerprints are SHA-256 over the result cache's canonical dataclass
-encoding (:func:`repro.exec.cache.config_fingerprint`), so "equal"
-means equal to the last bit of every float.  A JSON artifact
-(``--out``) records every fingerprint for offline diffing; the exit
-code is non-zero on any divergence.
+Fingerprints are SHA-256 over the canonical dataclass encoding
+(:func:`repro.exec.cache.config_fingerprint`), so "equal" means equal
+to the last bit of every float.  A JSON artifact (``--out``) records
+every fingerprint for offline diffing; the exit code is non-zero on
+any divergence.
 
 Usage::
 
