@@ -17,14 +17,11 @@ Subcommands:
 
 Every subcommand accepts ``--jobs N`` (fan independent scenarios out
 over N worker processes; output identical to sequential).  Commands
-that run a single scenario ignore ``--jobs``.  Batch resilience:
-``--isolate-errors`` turns a failing scenario into a structured
-``ErrorResult`` instead of aborting the batch, ``--scenario-timeout S``
-bounds each pooled scenario's wall clock, and ``--retries N``
-re-dispatches work lost to worker-pool crashes.  ``run`` additionally
-takes ``--faults SPEC`` (deterministic fault injection; see
-``docs/protocols.md``) and ``--recovery`` (MAC degradation behaviour
-under faults).
+that run a single scenario ignore ``--jobs``.  A scenario that raises
+fails its command with its own error, at any ``--jobs``.  ``run``
+additionally takes ``--faults SPEC`` (deterministic fault injection;
+see ``docs/protocols.md``) and ``--recovery`` (MAC degradation
+behaviour under faults).
 
 Telemetry (see ``docs/observability.md``): ``--metrics PATH`` writes a
 metrics snapshot (JSON, or Prometheus text when PATH ends in
@@ -93,29 +90,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for independent scenarios "
                              "(default 1 = in-process; 0 = CPU count)")
-    parser.add_argument("--isolate-errors", action="store_true",
-                        help="a failing scenario yields an ErrorResult "
-                             "record instead of aborting the batch")
-    parser.add_argument("--scenario-timeout", type=float, default=None,
-                        metavar="S",
-                        help="per-scenario wall-clock limit in worker "
-                             "processes (needs --jobs >= 2)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="re-dispatch scenarios lost to worker-pool "
-                             "failures up to N times (default 0)")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="write a metrics snapshot (JSON, or "
                              "Prometheus text if PATH ends in .prom)")
     parser.add_argument("--trace-jsonl", metavar="PATH", default=None,
                         help="stream the event trace as JSON lines "
-                             "(single-scenario commands)")
+                             "(single-scenario commands: run, spans, "
+                             "interference)")
     parser.add_argument("--profile", action="store_true",
                         help="time event callbacks and print the "
                              "hottest labels")
     parser.add_argument("--metrics-period", type=float, default=5.0,
                         metavar="S",
                         help="sim-time period of trajectory snapshots "
-                             "recorded with --metrics (default 5)")
+                             "recorded with --metrics (single-scenario "
+                             "commands: run, spans, interference; "
+                             "default 5)")
     parser.add_argument("--spans", metavar="PATH", default=None,
                         help="export causal spans as JSON lines "
                              "(see docs/observability.md)")
@@ -248,22 +238,12 @@ def _executor_from_args(args: argparse.Namespace,
     if args.jobs < 0:
         raise SystemExit(
             f"repro-ban: error: --jobs must be >= 0, got {args.jobs}")
-    if args.retries < 0:
-        raise SystemExit(
-            f"repro-ban: error: --retries must be >= 0, got {args.retries}")
-    if args.scenario_timeout is not None and args.scenario_timeout <= 0:
-        raise SystemExit(
-            "repro-ban: error: --scenario-timeout must be > 0, "
-            f"got {args.scenario_timeout:g}")
     jobs = None if args.jobs == 0 else args.jobs
     return ScenarioExecutor(
         jobs=jobs,
         metrics=obs.registry if obs is not None else None,
         profiler=obs.profiler if obs is not None else None,
-        spans=obs.span_store if obs is not None else None,
-        isolate_errors=args.isolate_errors,
-        timeout_s=args.scenario_timeout,
-        retries=args.retries)
+        spans=obs.span_store if obs is not None else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,8 @@ multi-BAN studies):
 * :mod:`repro.exec.executor` — :class:`ScenarioExecutor` fans
   independent :class:`~repro.net.scenario.BanScenarioConfig`s out over
   worker processes, returning results in submission order so output is
-  bit-identical to the sequential path.
+  bit-identical to the sequential path.  The first scenario that
+  raises fails the batch with its own exception.
 * :mod:`repro.exec.cache` — :func:`config_fingerprint`, the canonical
   encoding that ``tools/determinism_check.py`` and the end-to-end
   benchmark hash scenario results with.
@@ -18,15 +19,10 @@ exposes ``--jobs N``) that routes through here.
 """
 
 from .cache import Uncacheable, config_fingerprint
-from .errors import ErrorResult, ScenarioTimeoutError, failures
-from .executor import ScenarioExecutor, run_configs
+from .executor import ScenarioExecutor
 
 __all__ = [
-    "ErrorResult",
     "ScenarioExecutor",
-    "ScenarioTimeoutError",
     "Uncacheable",
     "config_fingerprint",
-    "failures",
-    "run_configs",
 ]

@@ -18,26 +18,14 @@ Fallback rules (all silent, all order-preserving):
   in-process; the rest of the batch still uses the pool.
 * If the platform cannot start worker processes at all, the whole
   batch falls back in-process.
+* If the pool breaks mid-batch (:class:`BrokenProcessPool`), the items
+  whose results it has not yet returned run again, in-process; the
+  results already collected are kept.
 
-Failure rules (the part that keeps long batches alive):
-
-* An exception raised by ``fn`` is captured **per item**.  By default
-  the first one (in submission order) re-raises after the remaining
-  futures have been drained — never by silently recomputing the whole
-  pooled share in-process, which the old code did whenever ``fn``
-  happened to raise ``OSError``.  With ``isolate_errors=True`` the
-  failing slot instead holds a structured
-  :class:`~repro.exec.errors.ErrorResult` and the sibling results
-  survive; sequential and pooled batches produce identical outputs.
-* A mid-batch :class:`BrokenProcessPool` re-dispatches only the items
-  whose futures had not finished (bounded by ``retries`` extra pool
-  attempts, then in-process), so already-completed work is never run
-  twice.
-* ``timeout_s`` bounds each pooled item's wall-clock time; an expired
-  item becomes an ``ErrorResult`` (``isolate_errors=True``) or raises
-  :class:`~repro.exec.errors.ScenarioTimeoutError`.  Hung worker
-  processes are terminated.  In-process items cannot be preempted, so
-  the timeout only applies to the pooled path.
+Failure rule: the first item that raises fails the batch with its own
+exception, at any ``jobs``.  On the pooled path it re-raises once the
+pool has shut down.  An exception raised by the item itself — an
+``OSError`` included — is never mistaken for a pool failure.
 
 Observability: constructed with a
 :class:`~repro.obs.metrics.MetricsRegistry` (and optionally a
@@ -53,14 +41,11 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from time import perf_counter
 from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
-                    Sequence, Set, Tuple)
-
-from .errors import ErrorResult, ScenarioTimeoutError, timeout_result
+                    Sequence, Tuple)
 
 if TYPE_CHECKING:  # imported lazily at runtime (workers build their own)
     from ..obs.metrics import MetricsRegistry
@@ -126,6 +111,9 @@ def _picklable(value: Any) -> bool:
 class ScenarioExecutor:
     """Runs batches of independent scenario configs, optionally parallel.
 
+    The first scenario that raises fails the batch with its own
+    exception, whatever ``jobs`` is.
+
     Args:
         jobs: worker process count.  ``1`` (the default) executes
             in-process; ``None`` uses :func:`default_jobs`.
@@ -139,41 +127,18 @@ class ScenarioExecutor:
             given, every run is traced with a private store and the
             snapshots merge here in submission order (rebased span
             IDs), so ``jobs=N`` span output equals sequential.
-        isolate_errors: when True, an item whose evaluation raises (or
-            times out) yields an :class:`ErrorResult` in its slot and
-            the rest of the batch completes; when False (default), the
-            first failure re-raises after the in-flight futures drain.
-        timeout_s: optional per-item wall-clock bound for pooled items;
-            expired items fail (``ErrorResult`` or
-            :class:`ScenarioTimeoutError` per ``isolate_errors``) and
-            their worker processes are terminated.
-        retries: extra process-pool attempts for items whose futures
-            were lost to a *pool-level* failure (``BrokenProcessPool``
-            and kin) before falling back in-process.  Exceptions raised
-            by the item itself are never retried — the simulator is
-            deterministic, so they would fail identically.
     """
 
     def __init__(self, jobs: Optional[int] = 1,
                  metrics: Optional["MetricsRegistry"] = None,
                  profiler: Optional["SimulationProfiler"] = None,
-                 spans: Optional["SpanStore"] = None,
-                 isolate_errors: bool = False,
-                 timeout_s: Optional[float] = None,
-                 retries: int = 0) -> None:
+                 spans: Optional["SpanStore"] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = default_jobs() if jobs is None else jobs
         self.metrics = metrics
         self.profiler = profiler
         self.spans = spans
-        self.isolate_errors = isolate_errors
-        self.timeout_s = timeout_s
-        self.retries = retries
         #: Sum of batch wall time x pool width over every batch run.
         self._capacity_s = 0.0
 
@@ -186,17 +151,13 @@ class ScenarioExecutor:
         batch entry points that need a custom per-item function (e.g.
         multi-BAN runs).  Unpicklable items are evaluated in-process;
         so is everything when ``jobs == 1`` or the pool cannot start.
-        Failures follow the module-level failure rules: per-item
-        capture, pool-level retry of unfinished items only, optional
-        per-item timeout on the pooled path.
+        The first item that raises fails the batch with its own
+        exception.
         """
         items = list(items)
-        results: List[Any] = [None] * len(items)
         if self.jobs == 1 or len(items) <= 1:
-            for index in range(len(items)):
-                results[index] = self._run_one_local(fn, items, index)
-            return results
-
+            return [fn(item) for item in items]
+        results: List[Any] = [None] * len(items)
         skip = {index for index, item in enumerate(items)
                 if not _picklable(item)}
         if not _picklable(fn):
@@ -206,105 +167,38 @@ class ScenarioExecutor:
         if pooled:
             skip.update(self._run_pooled(fn, items, pooled, results))
         for index in sorted(skip):
-            results[index] = self._run_one_local(fn, items, index)
+            results[index] = fn(items[index])
         return results
-
-    # ------------------------------------------------------------------
-    # Failure-isolating execution paths
-    # ------------------------------------------------------------------
-    def _run_one_local(self, fn: Callable[[Any], Any],
-                       items: Sequence[Any], index: int) -> Any:
-        """Evaluate one item in-process under the isolation policy."""
-        try:
-            return fn(items[index])
-        # lint: allow(EXC001): isolation contract, re-raised otherwise
-        except Exception as exc:
-            if not self.isolate_errors:
-                raise
-            return ErrorResult.from_exception(index, items[index], exc)
 
     def _run_pooled(self, fn: Callable[[Any], Any], items: Sequence[Any],
                     pooled: Sequence[int], results: List[Any]
-                    ) -> Set[int]:
-        """Evaluate ``pooled`` indices via a process pool.
+                    ) -> List[int]:
+        """Evaluate the ``pooled`` indices in a process pool.
 
-        Fills ``results`` in place and returns the indices that still
-        need in-process evaluation (pool never started, or pool-level
-        failures exhausted ``retries``).  Items whose evaluation raised
-        are *finished* — recomputing a deterministic failure would only
-        duplicate side effects — so they are never re-dispatched.
+        Fills ``results`` in place and returns the indices left for
+        in-process evaluation: all of them when the pool cannot start,
+        the ones not yet collected when it breaks mid-batch.  Pool
+        errors are caught around construction and submission only; an
+        exception from ``future.result()`` is the item's own and
+        re-raises once the pool has shut down.
         """
-        remaining = list(pooled)
-        deferred: Optional[BaseException] = None
-        attempt = 0
-        while remaining:
-            attempt += 1
-            done: Set[int] = set()
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(pooled)))
+        except (OSError, ValueError):
+            return list(pooled)
+        with pool:
             try:
-                workers = min(self.jobs, len(remaining))
-                pool = ProcessPoolExecutor(max_workers=workers)
-            except (OSError, ValueError):
-                return set(remaining)
-            timed_out = False
-            try:
-                futures = [(index, pool.submit(fn, items[index]))
-                           for index in remaining]
-                for index, future in futures:
-                    try:
-                        results[index] = future.result(
-                            timeout=self.timeout_s)
-                        done.add(index)
-                    except BrokenProcessPool:
-                        raise  # pool-level: handled by the outer except
-                    except FuturesTimeoutError:
-                        timed_out = True
-                        future.cancel()
-                        if not self.isolate_errors:
-                            raise ScenarioTimeoutError(
-                                f"batch item {index} exceeded "
-                                f"{self.timeout_s:g}s") from None
-                        results[index] = timeout_result(
-                            index, items[index], self.timeout_s, attempt)
-                        done.add(index)
-                    # lint: allow(EXC001): per-item capture, deferred
-                    except Exception as exc:
-                        # Raised by fn inside the worker (including
-                        # OSError — previously mistaken for a pool
-                        # failure and silently recomputed everywhere).
-                        done.add(index)
-                        if self.isolate_errors:
-                            results[index] = ErrorResult.from_exception(
-                                index, items[index], exc, attempt)
-                        elif deferred is None:
-                            deferred = exc
-                remaining = []
-            except (OSError, BrokenProcessPool, pickle.PicklingError):
-                # Pool machinery failed: only the genuinely unfinished
-                # items go around again (or fall back in-process).
-                remaining = [index for index in remaining
-                             if index not in done]
-                if attempt > self.retries:
-                    return set(remaining)
-            finally:
-                self._drain_pool(pool, force=timed_out)
-        if deferred is not None:
-            raise deferred
-        return set()
-
-    @staticmethod
-    def _drain_pool(pool: ProcessPoolExecutor, force: bool) -> None:
-        """Shut a pool down; ``force`` terminates hung workers."""
-        if force:
-            processes = list((getattr(pool, "_processes", None)
-                              or {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for process in processes:
+                futures = [pool.submit(fn, items[index])
+                           for index in pooled]
+            except (OSError, BrokenProcessPool):
+                return list(pooled)
+            for position, future in enumerate(futures):
                 try:
-                    process.terminate()
-                except (OSError, AttributeError):
-                    pass
-        else:
-            pool.shutdown(wait=True)
+                    results[pooled[position]] = future.result()
+                except BrokenProcessPool:
+                    return list(pooled[position:])
+        return []
 
     def run_configs(self, configs: Sequence[Any]) -> List[Any]:
         """Evaluate each config; results in submission order.
@@ -317,22 +211,16 @@ class ScenarioExecutor:
         observed = (self.metrics is not None
                     or self.profiler is not None
                     or self.spans is not None)
-        worker: Callable[[Any], Any] = _run_config_worker
-        if observed:
-            worker = partial(_run_config_worker_obs,
-                             profile=self.profiler is not None,
-                             spans=self.spans is not None)
+        if not observed:
+            return self.map(_run_config_worker, configs)
+        worker = partial(_run_config_worker_obs,
+                         profile=self.profiler is not None,
+                         spans=self.spans is not None)
         batch_started = perf_counter()
-        results = self.map(worker, configs)
-        if observed:
-            results = [packed if isinstance(packed, ErrorResult)
-                       else self._absorb_observed(packed)
-                       for packed in results]
-            failed = sum(1 for result in results
-                         if isinstance(result, ErrorResult))
-            self._record_batch_metrics(len(configs),
-                                       perf_counter() - batch_started,
-                                       failed)
+        results = [self._absorb_observed(packed)
+                   for packed in self.map(worker, configs)]
+        self._record_batch_metrics(len(configs),
+                                   perf_counter() - batch_started)
         return results
 
     # ------------------------------------------------------------------
@@ -352,8 +240,8 @@ class ScenarioExecutor:
             self.spans.merge_snapshot(spans_snapshot)
         return result
 
-    def _record_batch_metrics(self, total: int, batch_wall_s: float,
-                              failed: int = 0) -> None:
+    def _record_batch_metrics(self, total: int,
+                              batch_wall_s: float) -> None:
         """Batch-level figures: size, pool width, worker utilisation.
 
         Utilisation is the registry's cumulative scenario wall time
@@ -365,9 +253,6 @@ class ScenarioExecutor:
         from ..obs import GLOBAL
         registry = self.metrics
         registry.counter("exec", GLOBAL, "scenarios_run").inc(total)
-        if failed:
-            registry.counter("exec", GLOBAL,
-                             "scenarios_failed").inc(failed)
         registry.gauge("exec", GLOBAL, "workers").set(float(self.jobs))
         registry.histogram("exec", GLOBAL,
                            "batch_wall_s").observe(batch_wall_s)
@@ -378,15 +263,4 @@ class ScenarioExecutor:
                 min(1.0, busy.total / self._capacity_s))
 
 
-def run_configs(configs: Sequence[Any], jobs: Optional[int] = 1,
-                isolate_errors: bool = False,
-                timeout_s: Optional[float] = None,
-                retries: int = 0) -> List[Any]:
-    """One-call convenience: ``ScenarioExecutor(jobs).run_configs``."""
-    return ScenarioExecutor(jobs=jobs,
-                            isolate_errors=isolate_errors,
-                            timeout_s=timeout_s,
-                            retries=retries).run_configs(configs)
-
-
-__all__ = ["ScenarioExecutor", "default_jobs", "run_configs"]
+__all__ = ["ScenarioExecutor", "default_jobs"]

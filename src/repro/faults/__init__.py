@@ -10,7 +10,7 @@ lockups, clock glitches, dying batteries.  This package provides:
   :class:`ClockStep`, :class:`BatteryBrownout`, :class:`RandomFaults`)
   collected into a :class:`FaultPlan`.  Being plain dataclasses, plans
   ride along in :class:`~repro.net.scenario.BanScenarioConfig` and
-  participate in the result-cache fingerprint.
+  participate in the config fingerprint.
 * :mod:`repro.faults.injector` — :class:`FaultInjector` turns a plan
   into simulation events on the scenario's kernel, so fault timing is
   exactly as reproducible as everything else: same seed, same schedule,

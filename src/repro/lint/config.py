@@ -16,8 +16,8 @@ from typing import Optional, Tuple
 #: no reading ever feeds a simulated quantity, which stays tick-derived.
 DET002_ALLOW: Tuple[str, ...] = (
     "obs/profiler.py",   # the profiler aggregates perf_counter spans
-    "sim/kernel.py",     # run_until dispatch-rate + profiled loop
-    "exec/executor.py",  # batch/scenario wall-clock metrics, timeouts
+    "sim/kernel.py",     # run_until dispatch-rate + observed loop
+    "exec/executor.py",  # batch/scenario wall-clock metrics
     "lint/engine.py",    # per-analysis lint timings for the CI report
 )
 

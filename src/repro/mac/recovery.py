@@ -27,7 +27,7 @@ the reproduction's recovery behaviour:
 All of it is **opt-in**: every MAC built without a ``RecoveryConfig``
 behaves exactly as before (ledger byte-identical), which is what keeps
 the no-fault golden values valid.  The dataclass is frozen and
-value-typed so it participates in the result-cache fingerprint.
+value-typed so it participates in the config fingerprint.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Answers the question the kernel fast-path work keeps asking: **where
 does the host's wall-clock time go during a run?**  The kernel's
-profiled dispatch loop (see :meth:`repro.sim.kernel.Simulator.run_until`)
+observed dispatch loop (see :meth:`repro.sim.kernel.Simulator.run_until`)
 times every callback with :func:`time.perf_counter` and hands the
 per-label aggregates to a :class:`SimulationProfiler`, which:
 
@@ -54,7 +54,7 @@ class SimulationProfiler:
     """Accumulates per-label host time across profiled ``run*`` calls.
 
     Attach one to a simulator (``sim.profiler = SimulationProfiler()``)
-    *before* running; the kernel switches to its profiled dispatch loop
+    *before* running; the kernel switches to its observed dispatch loop
     and calls :meth:`absorb` once per ``run_until``.  Attaching a
     profiler never changes event order or energies — it only spends
     host time reading the clock.
@@ -63,7 +63,7 @@ class SimulationProfiler:
     def __init__(self) -> None:
         #: label -> [cumulative seconds, call count]
         self.labels: Dict[str, List[float]] = {}
-        #: Total wall seconds measured inside profiled dispatch loops.
+        #: Total wall seconds measured inside observed dispatch loops.
         self.wall_s = 0.0
         #: Total simulated ticks advanced by profiled runs.
         self.sim_ticks = 0

@@ -16,17 +16,19 @@ Design notes
 * Exceptions raised inside callbacks propagate out of ``run*`` unchanged,
   annotated with the event label — silent event loss would make energy
   figures quietly wrong.
-* The ``run*`` loops are the simulator's hottest code: they operate on
-  the queue's raw heap of :class:`~repro.sim.events.Event` entries
-  (peek + pop fused into one pass, slots read by index) and branch on
-  ``trace is None`` once per run instead of once per event.  Event
+* ``run_until`` has two dispatch loops, chosen once per run: a bare
+  loop (the simulator's hottest code) and an observed loop.  Both
+  operate on the queue's raw heap of :class:`~repro.sim.events.Event`
+  entries (peek + pop fused into one pass, slots read by index).  Event
   *order* is identical to the straightforward peek/pop formulation —
   the heap key is still (time, seq) — so traces, goldens and energy
   figures are byte-identical.
 * Observability is opt-in and branch-free on the hot path: assigning
-  :attr:`Simulator.profiler` (a
+  :attr:`Simulator.trace` (a :class:`~repro.sim.trace.TraceRecorder`)
+  or :attr:`Simulator.profiler` (a
   :class:`~repro.obs.profiler.SimulationProfiler`) switches
-  ``run_until`` to a separate per-callback-timed loop, and assigning
+  ``run_until`` to the observed loop, which records every dispatch to
+  the trace and times every callback for the profiler; assigning
   :attr:`Simulator.metrics` (a
   :class:`~repro.obs.metrics.MetricsRegistry`) records dispatch
   counters/rates once per ``run_until`` *call* — never per event —
@@ -229,13 +231,12 @@ class Simulator:
         if end_time < self._now:
             raise SimulationError(
                 f"end time {end_time} is before current time {self._now}")
-        if self.profiler is not None:
-            self._run_until_profiled(end_time)
+        if self.trace is not None or self.profiler is not None:
+            self._run_until_observed(end_time)
             return
         metrics = self.metrics
         run_started = perf_counter() if metrics is not None else 0.0
         heap = self._queue._heap
-        trace = self.trace
         # Local aliases keep the per-event loop free of global lookups.
         # Pop first and push the (rare) past-horizon head back rather
         # than peeking every iteration; the pushed-back entry keeps its
@@ -246,48 +247,25 @@ class Simulator:
         dispatched = 0
         self._running = True
         try:
-            if trace is None:
-                while heap:
-                    event = pop(heap)
-                    time = event[time_i]
-                    if time > end_time:
-                        heappush(heap, event)
-                        break
-                    if event[cancelled_i]:
-                        continue
-                    self._now = time
-                    dispatched += 1
-                    try:
-                        event[callback_i]()
-                    except SimulationError:
-                        raise
-                    # lint: allow(EXC001): wrapped into SimulationError
-                    except Exception as exc:
-                        raise SimulationError(
-                            f"event {event[label_i]!r} at t={time} "
-                            f"failed: {exc}") from exc
-            else:
-                record = trace.record
-                while heap:
-                    event = pop(heap)
-                    time = event[time_i]
-                    if time > end_time:
-                        heappush(heap, event)
-                        break
-                    if event[cancelled_i]:
-                        continue
-                    self._now = time
-                    dispatched += 1
-                    record(time, "kernel", "dispatch", event[label_i])
-                    try:
-                        event[callback_i]()
-                    except SimulationError:
-                        raise
-                    # lint: allow(EXC001): wrapped into SimulationError
-                    except Exception as exc:
-                        raise SimulationError(
-                            f"event {event[label_i]!r} at t={time} "
-                            f"failed: {exc}") from exc
+            while heap:
+                event = pop(heap)
+                time = event[time_i]
+                if time > end_time:
+                    heappush(heap, event)
+                    break
+                if event[cancelled_i]:
+                    continue
+                self._now = time
+                dispatched += 1
+                try:
+                    event[callback_i]()
+                except SimulationError:
+                    raise
+                # lint: allow(EXC001): wrapped into SimulationError
+                except Exception as exc:
+                    raise SimulationError(
+                        f"event {event[label_i]!r} at t={time} "
+                        f"failed: {exc}") from exc
         finally:
             self._running = False
             self._dispatched += dispatched
@@ -312,14 +290,16 @@ class Simulator:
             metrics.histogram("kernel", "-", "dispatch_rate_eps").observe(
                 dispatched / elapsed_s, weight=elapsed_s)
 
-    def _run_until_profiled(self, end_time: int) -> None:
-        """The ``run_until`` loop with per-callback host timing.
+    def _run_until_observed(self, end_time: int) -> None:
+        """The ``run_until`` loop for an observed simulator.
 
-        Selected when :attr:`profiler` is set.  Dispatch order, clock
-        behaviour and error handling are identical to the fast loops;
-        the only addition is a ``perf_counter`` read around every
-        callback, aggregated per label and absorbed into the profiler
-        (including the loop's own overhead, so attribution is ~100%).
+        Selected when :attr:`trace` or :attr:`profiler` is set.
+        Dispatch order, clock behaviour and error handling are
+        identical to the bare loop.  It records every dispatch to the
+        trace, when one is set, and reads ``perf_counter`` around every
+        callback; the timings, aggregated per label, are absorbed into
+        the profiler when one is attached (including the loop's own
+        overhead, so attribution is ~100%).
         """
         heap = self._queue._heap
         trace = self.trace
@@ -368,14 +348,16 @@ class Simulator:
         except BaseException:
             self._running = False
             self._dispatched += dispatched
-            profiler.absorb(aggregate, clock() - loop_start,
-                            self._now - start_now, dispatched)
+            if profiler is not None:
+                profiler.absorb(aggregate, clock() - loop_start,
+                                self._now - start_now, dispatched)
             raise
         self._running = False
         self._dispatched += dispatched
         self._now = end_time
-        profiler.absorb(aggregate, clock() - loop_start,
-                        end_time - start_now, dispatched)
+        if profiler is not None:
+            profiler.absorb(aggregate, clock() - loop_start,
+                            end_time - start_now, dispatched)
         metrics = self.metrics
         if metrics is not None:
             self._record_run_metrics(metrics, dispatched,

@@ -41,9 +41,7 @@ class TestParser:
     def test_batteries_registry(self):
         assert set(BATTERIES) == {"cr2477", "lipo160"}
 
-    @pytest.mark.parametrize("flags", [["--jobs", "-1"],
-                                       ["--retries", "-1"],
-                                       ["--scenario-timeout", "0"]])
+    @pytest.mark.parametrize("flags", [["--jobs", "-1"]])
     def test_bad_executor_flag_is_a_usage_error(self, flags):
         with pytest.raises(SystemExit) as excinfo:
             main(["table1", "--measure-s", "0.1", *flags])

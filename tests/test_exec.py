@@ -18,9 +18,7 @@ from repro.analysis.experiments import (
 from repro.analysis.replication import default_metrics, replicate
 from repro.analysis.sensitivity import tornado
 from repro.analysis.sweep import sweep_cycle_ms
-from repro.exec import ErrorResult, ScenarioExecutor, \
-    ScenarioTimeoutError, Uncacheable, config_fingerprint, failures, \
-    run_configs
+from repro.exec import ScenarioExecutor, Uncacheable, config_fingerprint
 from repro.mac.sync import DriftTrackingLead
 from repro.net.scenario import BanScenarioConfig
 from repro.obs import MetricsRegistry
@@ -73,7 +71,8 @@ class TestExecutorDeterminism:
                    for cycle in (120.0, 30.0, 90.0)]
         # Order is by submission, not completion: the sequential run
         # defines the expected element order.
-        assert run_configs(configs, jobs=3) == run_configs(configs, jobs=1)
+        assert ScenarioExecutor(jobs=3).run_configs(configs) == \
+            ScenarioExecutor(jobs=1).run_configs(configs)
 
     def test_unpicklable_config_falls_back_in_process(self):
         """A lambda sync policy cannot cross a process boundary; the
@@ -159,7 +158,7 @@ class TestFingerprint:
 
 
 # ----------------------------------------------------------------------
-# Failure isolation, timeouts and pool-loss retries
+# Failures: the first failing item fails the batch with its own error
 # ----------------------------------------------------------------------
 
 def _double_or_boom(x):
@@ -167,12 +166,6 @@ def _double_or_boom(x):
     if x == 3:
         raise ValueError(f"bad item {x}")
     return 2 * x
-
-
-def _sleep_for(delay_s):
-    import time
-    time.sleep(delay_s)
-    return delay_s
 
 
 def _log_call_and_die_late(arg):
@@ -194,19 +187,6 @@ def _log_call_and_die_late(arg):
     return 10 * x
 
 
-def _die_once_in_worker(arg):
-    """Kill the worker on the first pooled attempt only."""
-    import multiprocessing
-    import os
-    root, x = arg
-    marker = os.path.join(root, "died.marker")
-    if multiprocessing.parent_process() is not None \
-            and not os.path.exists(marker):
-        open(marker, "w").close()
-        os._exit(1)
-    return 2 * x
-
-
 def _bad_config() -> BanScenarioConfig:
     """A config whose *run* fails deterministically: two joiners, one
     slot — the second node can never join and the deadline trips."""
@@ -214,86 +194,19 @@ def _bad_config() -> BanScenarioConfig:
                    join_deadline_s=0.5, seed=2)
 
 
-class TestFailureIsolation:
-    def test_map_isolates_fn_errors_sequentially(self):
-        executor = ScenarioExecutor(jobs=1, isolate_errors=True)
-        results = executor.map(_double_or_boom, [1, 2, 3, 4])
-        assert results[0] == 2
-        assert results[1] == 4
-        assert results[3] == 8
-        error = results[2]
-        assert isinstance(error, ErrorResult)
-        assert error.failed
-        assert error.index == 2
-        assert error.error_type == "ValueError"
-        assert "bad item 3" in error.message
-        assert "ValueError" in error.traceback
-        assert failures(results) == [error]
-
-    def test_map_raises_without_isolation(self):
+class TestFailures:
+    def test_map_raises_the_first_failure(self):
         with pytest.raises(ValueError, match="bad item 3"):
             ScenarioExecutor(jobs=1).map(_double_or_boom, [3])
         with pytest.raises(ValueError, match="bad item 3"):
             ScenarioExecutor(jobs=2).map(_double_or_boom, [1, 3, 4])
 
-    def test_isolated_errors_identical_across_jobs(self):
-        items = [1, 3, 4]
-        sequential = ScenarioExecutor(
-            jobs=1, isolate_errors=True).map(_double_or_boom, items)
-        parallel = ScenarioExecutor(
-            jobs=3, isolate_errors=True).map(_double_or_boom, items)
-        assert sequential == parallel  # traceback excluded from ==
-
-    def test_error_result_summary(self):
-        executor = ScenarioExecutor(jobs=1, isolate_errors=True)
-        error = executor.map(_double_or_boom, [3])[0]
-        summary = error.summary()
-        assert summary["index"] == 0
-        assert summary["error_type"] == "ValueError"
-        assert "bad item 3" in summary["message"]
-
-    def test_run_configs_crash_isolation_matches_across_jobs(self):
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_run_configs_raises_the_scenario_error(self, jobs):
         configs = [_config(seed=1), _bad_config(), _config(seed=5)]
-        sequential = ScenarioExecutor(
-            jobs=1, isolate_errors=True).run_configs(configs)
-        parallel = ScenarioExecutor(
-            jobs=3, isolate_errors=True).run_configs(configs)
-        assert sequential == parallel
-        # The two healthy scenarios produced full results...
-        assert sequential[0].node("node1").radio_mj > 0
-        assert sequential[2].node("node1").radio_mj > 0
-        # ...and the crashing one a structured record, not an abort.
-        error = sequential[1]
-        assert isinstance(error, ErrorResult)
-        assert error.index == 1
-        assert error.error_type == "RuntimeError"
-        assert "failed to join" in error.message
-
-    def test_run_configs_raises_without_isolation(self):
-        with pytest.raises(RuntimeError, match="failed to join"):
-            run_configs([_bad_config()], jobs=1)
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="timeout"):
-            ScenarioExecutor(timeout_s=0.0)
-        with pytest.raises(ValueError, match="retries"):
-            ScenarioExecutor(retries=-1)
-
-
-class TestPoolFailures:
-    def test_timeout_yields_error_result(self):
-        executor = ScenarioExecutor(jobs=2, isolate_errors=True,
-                                    timeout_s=0.3)
-        results = executor.map(_sleep_for, [0.0, 30.0])
-        assert results[0] == 0.0
-        error = results[1]
-        assert isinstance(error, ErrorResult)
-        assert error.error_type.endswith("ScenarioTimeoutError")
-
-    def test_timeout_raises_without_isolation(self):
-        executor = ScenarioExecutor(jobs=2, timeout_s=0.2)
-        with pytest.raises(ScenarioTimeoutError):
-            executor.map(_sleep_for, [0.0, 30.0])
+        with pytest.raises(RuntimeError, match="failed to join") as info:
+            ScenarioExecutor(jobs=jobs).run_configs(configs)
+        assert type(info.value) is RuntimeError
 
     def test_broken_pool_recomputes_only_unfinished(self, tmp_path):
         items = [(str(tmp_path), x) for x in range(4)]
@@ -304,10 +217,3 @@ class TestPoolFailures:
         assert results == [0, 10, 20, 30]
         calls = (tmp_path / "calls.log").read_text().split()
         assert sorted(calls) == ["0", "1", "2", "3", "3"]
-
-    def test_retries_redispatch_pool_losses(self, tmp_path):
-        executor = ScenarioExecutor(jobs=2, retries=2)
-        results = executor.map(_die_once_in_worker,
-                               [(str(tmp_path), 7), (str(tmp_path), 8)])
-        assert results == [14, 16]
-        assert (tmp_path / "died.marker").exists()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.profiler import SimulationProfiler
 from repro.sim.events import (
     EVT_LABEL,
     Event,
@@ -162,8 +163,12 @@ class TestSimulatorScheduling:
         sim.run_until(500)
         assert fired == [1]
 
-    def test_exception_in_callback_is_annotated(self):
-        sim = Simulator()
+    @pytest.mark.parametrize("observer", ["bare", "trace", "profiler"])
+    def test_exception_in_callback_is_annotated(self, observer):
+        sim = Simulator(trace=TraceRecorder() if observer == "trace"
+                        else None)
+        if observer == "profiler":
+            sim.profiler = SimulationProfiler()
 
         def boom():
             raise ValueError("inner failure")

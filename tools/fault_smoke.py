@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fault-injection and crash-isolation smoke test for CI.
+"""Fault-injection and failing-batch smoke test for CI.
 
 Two checks, both deterministic:
 
@@ -9,16 +9,14 @@ Two checks, both deterministic:
    Both nodes must end the run synchronised and the injector's
    counters must show every fault fired.
 
-2. **Crash isolation** — a three-config batch whose middle config
-   deterministically fails to join is executed with
-   ``isolate_errors=True``, sequentially and pooled.  Both runs must
-   return the two valid results plus one structured
-   :class:`ErrorResult` in the failing slot, and must be equal.
+2. **Failing batch** — a three-config batch whose middle config
+   deterministically fails to join is executed sequentially and
+   pooled.  Both runs must fail with the scenario's own
+   ``RuntimeError``, with the same type and message.
 
-The collected fault counters and failure summaries are written as a
+The collected fault counters and the batch failure are written as a
 JSON artifact (``--out``) so every CI run leaves an inspectable record
-of what failed and how it was contained.  Exits non-zero if any
-invariant breaks.
+of what failed.  Exits non-zero if any invariant breaks.
 
 Usage::
 
@@ -32,7 +30,7 @@ import argparse
 import json
 import sys
 
-from repro.exec import ErrorResult, failures, run_configs
+from repro.exec import ScenarioExecutor
 from repro.faults import parse_fault_spec
 from repro.mac import RecoveryConfig
 from repro.net import BanScenario, BanScenarioConfig
@@ -64,27 +62,33 @@ def check_fault_injection() -> dict:
     return summary
 
 
-def check_crash_isolation(jobs: int) -> list:
-    """One failing config must not discard its siblings' results."""
+def _batch_failure(configs: list, jobs: int) -> dict:
+    """Run a batch that must fail; return its error's type and message."""
+    try:
+        ScenarioExecutor(jobs=jobs).run_configs(configs)
+    except RuntimeError as exc:
+        return {"error_type": type(exc).__name__, "message": str(exc)}
+    raise AssertionError(f"jobs={jobs}: the failing batch did not raise")
+
+
+def check_failing_batch(jobs: int) -> dict:
+    """One failing config fails its batch with its own error."""
     bad = _config(num_slots=1, join_protocol=True, join_deadline_s=0.5,
                   seed=2)
     configs = [_config(seed=1), bad, _config(seed=3)]
-    sequential = run_configs(configs, jobs=1, isolate_errors=True)
-    pooled = run_configs(configs, jobs=jobs, isolate_errors=True)
+    sequential = _batch_failure(configs, jobs=1)
+    pooled = _batch_failure(configs, jobs=jobs)
     assert sequential == pooled, \
-        "jobs=1 and pooled runs disagree under failure isolation"
-    errors = failures(pooled)
-    assert len(errors) == 1 and errors[0].index == 1, errors
-    valid = [r for r in pooled if not isinstance(r, ErrorResult)]
-    assert len(valid) == len(configs) - 1, \
-        "sibling results were lost alongside the failure"
-    return [error.summary() for error in errors]
+        f"jobs=1 and pooled runs fail differently: {sequential} {pooled}"
+    assert sequential["error_type"] == "RuntimeError", sequential
+    assert "failed to join" in sequential["message"], sequential
+    return sequential
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=2,
-                        help="pool size for the isolation check")
+                        help="pool size for the failing-batch check")
     parser.add_argument("--out", metavar="PATH",
                         default="fault-smoke.json",
                         help="where to write the JSON artifact")
@@ -93,8 +97,8 @@ def main(argv=None) -> int:
     report = {
         "fault_spec": FAULT_SPEC,
         "fault_counters": check_fault_injection(),
-        "isolation_jobs": args.jobs,
-        "isolated_failures": check_crash_isolation(args.jobs),
+        "batch_jobs": args.jobs,
+        "batch_failure": check_failing_batch(args.jobs),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
