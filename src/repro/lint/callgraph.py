@@ -41,6 +41,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .dataflow import walk
 from .engine import FileContext
 
 #: Method names too generic to resolve by name alone: edges from an
@@ -291,7 +292,7 @@ class CallGraph:
                 names = annotation_class_names(arg.annotation)
                 if names:
                     params[arg.arg] = names
-            for sub in ast.walk(method.node):
+            for sub in walk(method.node):
                 if isinstance(sub, ast.AnnAssign) \
                         and isinstance(sub.target, ast.Attribute) \
                         and isinstance(sub.target.value, ast.Name) \
@@ -336,7 +337,7 @@ class CallGraph:
 
     def _collect_callbacks(self, ctx: FileContext) -> None:
         """Record ``obj.attr = <method/function>`` bindings tree-wide."""
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Assign):
                 continue
             bound = self._callable_targets(node.value, ctx)
@@ -452,7 +453,7 @@ class CallGraph:
         while changed and passes < 4:  # alias chains settle quickly
             changed = False
             passes += 1
-            for sub in ast.walk(node):
+            for sub in walk(node):
                 target_name: Optional[str] = None
                 value: Optional[ast.AST] = None
                 if isinstance(sub, ast.AnnAssign) \
@@ -532,7 +533,7 @@ class CallGraph:
     def _resolve_calls(self, function: FunctionNode) -> List[CallSite]:
         env = self._local_env(function)
         sites: List[CallSite] = []
-        for sub in ast.walk(function.node):
+        for sub in walk(function.node):
             if not isinstance(sub, ast.Call):
                 continue
             sites.append(self._resolve_call(function, sub, env))

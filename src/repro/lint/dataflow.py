@@ -17,6 +17,12 @@ machinery those passes share:
 * **Branch-aware walking helpers** — the ``TERMINATED`` sentinel and
   environment merge used by the forward passes to model early
   ``return``/``raise`` pruning.
+* **Shared walks** — :func:`walk` and :func:`walk_skipping_lambdas`
+  keep the node sequence of every module, class and function they
+  walk on that root, so each such tree is traversed once per run no
+  matter how many rules and analyses read it.  Every traversal in
+  :mod:`repro.lint` goes through them, as every comment lookup goes
+  through :attr:`repro.lint.engine.FileContext.comments`.
 
 The analyses themselves live in :mod:`repro.lint.units`,
 :mod:`repro.lint.statemachine` and :mod:`repro.lint.rngprov`; they are
@@ -30,7 +36,8 @@ import ast
 import io
 import re
 import tokenize
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, TypeVar)
 
 #: ``# unit: <unit-expression>`` — declares the unit of the value bound
 #: (or returned) on this line.  The expression grammar is parsed by
@@ -62,20 +69,27 @@ def comment_tokens(lines: Sequence[str]) -> Dict[int, str]:
     return found
 
 
-def unit_annotations(lines: Sequence[str]) -> Dict[int, str]:
-    """``{line_number: unit_expression}`` for every ``# unit:`` comment."""
+def unit_annotations(comments: Mapping[int, str]) -> Dict[int, str]:
+    """``{line_number: unit_expression}`` for every ``# unit:`` comment.
+
+    ``comments`` is a file's comment table (``FileContext.comments``).
+    """
     found: Dict[int, str] = {}
-    for number, text in comment_tokens(lines).items():
+    for number, text in comments.items():
         match = _UNIT_ANNOTATION_RE.search(text)
         if match is not None:
             found[number] = match.group(1).strip()
     return found
 
 
-def sm_assumptions(lines: Sequence[str]) -> Dict[int, Tuple[str, ...]]:
-    """``{line_number: states}`` for every ``# sm: assume(...)`` comment."""
+def sm_assumptions(comments: Mapping[int, str]
+                   ) -> Dict[int, Tuple[str, ...]]:
+    """``{line_number: states}`` for every ``# sm: assume(...)`` comment.
+
+    ``comments`` is a file's comment table (``FileContext.comments``).
+    """
     found: Dict[int, Tuple[str, ...]] = {}
-    for number, text in comment_tokens(lines).items():
+    for number, text in comments.items():
         match = _SM_ASSUME_RE.search(text)
         if match is not None:
             found[number] = tuple(
@@ -153,13 +167,40 @@ def is_terminal_stmt(stmt: ast.stmt) -> bool:
                              ast.Continue))
 
 
-def walk_skipping_lambdas(node: ast.AST):
-    """``ast.walk`` that does not descend into nested lambdas/defs.
+#: Roots whose walks are kept on the node.  Every rule and analysis
+#: re-reads the same modules, classes and functions; a statement or
+#: expression is walked once or twice, and keeping its walk too costs
+#: more memory than it saves time (docs/performance.md, "One walk per
+#: tree").
+_KEPT_ROOTS = (ast.Module, ast.ClassDef, ast.FunctionDef,
+               ast.AsyncFunctionDef)
 
-    A ``sim.after(delay, lambda: self._later())`` call runs *later*:
-    anything inside the lambda must not be attributed to the current
-    control point.  Nested function definitions get their own walk.
+
+def _kept(node: ast.AST, key: str,
+          walker: Callable[[ast.AST], Iterable[ast.AST]]
+          ) -> Iterable[ast.AST]:
+    """``walker(node)``, computed once and kept on a module, class or
+    function root; any other root is walked afresh."""
+    if not isinstance(node, _KEPT_ROOTS):
+        return walker(node)
+    nodes = node.__dict__.get(key)
+    if nodes is None:
+        nodes = node.__dict__[key] = tuple(walker(node))
+    return nodes
+
+
+def walk(node: ast.AST) -> Iterable[ast.AST]:
+    """Exactly ``ast.walk(node)``'s sequence, kept on def/class/module roots.
+
+    A module, class or function root keeps its sequence as an
+    attribute, so the sequence lives and dies with its tree: nothing
+    needs clearing, and a re-parsed file is a new root.  Trees must not
+    be mutated once walked.
     """
+    return _kept(node, "_lint_walk", ast.walk)
+
+
+def _skipping_lambdas(node: ast.AST) -> Iterable[ast.AST]:
     stack: List[ast.AST] = [node]
     while stack:
         current = stack.pop()
@@ -169,6 +210,18 @@ def walk_skipping_lambdas(node: ast.AST):
                                   ast.AsyncFunctionDef)):
                 continue
             stack.append(child)
+
+
+def walk_skipping_lambdas(node: ast.AST) -> Iterable[ast.AST]:
+    """``ast.walk`` that does not descend into nested lambdas/defs.
+
+    A ``sim.after(delay, lambda: self._later())`` call runs *later*:
+    anything inside the lambda must not be attributed to the current
+    control point.  Nested function definitions get their own walk.
+    Like :func:`walk`, a module, class or function root keeps its
+    sequence.
+    """
+    return _kept(node, "_lint_walk_skipping_lambdas", _skipping_lambdas)
 
 
 __all__ = [
@@ -181,5 +234,6 @@ __all__ = [
     "module_string_constants",
     "sm_assumptions",
     "unit_annotations",
+    "walk",
     "walk_skipping_lambdas",
 ]

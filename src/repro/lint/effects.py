@@ -60,7 +60,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from .callgraph import CallGraph, CallSite, FunctionNode, build_call_graph
 from .config import (EFFECTS_HOOK_ATTRS, EFFECTS_HOOK_METHODS,
                      EFFECTS_OBS_MODULES)
-from .dataflow import comment_tokens
+from .dataflow import walk
 from .engine import FileContext, Finding
 
 CODES = ("OBS001", "OBS002", "OBS003")
@@ -179,26 +179,19 @@ class EffectAnalysis:
         self.direct: Dict[str, FrozenSet[str]] = {}
         #: Fixed-point (transitive) effects per function.
         self.effects: Dict[str, FrozenSet[str]] = {}
-        self._pin_cache: Dict[str, Dict[int, str]] = {}
         self._compute()
 
     # -- pure pins ------------------------------------------------------
 
     def _is_pinned_pure(self, function: FunctionNode) -> bool:
-        ctx = function.ctx
-        comments = self._pin_cache.get(ctx.path)
-        if comments is None:
-            comments = {
-                line: text
-                for line, text in comment_tokens(ctx.lines).items()
-                if text.lstrip("# ").replace(" ", "")
-                .startswith("effect:pure")}
-            self._pin_cache[ctx.path] = comments
+        comments = function.ctx.comments
         lineno = function.lineno
         decorators = getattr(function.node, "decorator_list", ())
         first = min([lineno] + [d.lineno for d in decorators])
-        return lineno in comments or (first - 1) in comments \
-            or (lineno - 1) in comments
+        return any(
+            comments.get(line, "").lstrip("# ").replace(" ", "")
+            .startswith("effect:pure")
+            for line in (lineno, first - 1, lineno - 1))
 
     # -- direct effects -------------------------------------------------
 
@@ -281,7 +274,7 @@ class EffectAnalysis:
         module_globals = self._module_global_targets(function)
 
         for stmt in stmts:
-            for node in ast.walk(stmt):
+            for node in walk(stmt):
                 if isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef,
                                      ast.Lambda)) and node is not stmt:
@@ -401,7 +394,7 @@ class EffectAnalysis:
         """Locals only ever bound to objects this function creates."""
         fresh: Set[str] = set()
         stale: Set[str] = set()
-        for node in ast.walk(function.node):
+        for node in walk(function.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 if isinstance(node, ast.Assign):
                     targets = [t for t in node.targets
@@ -441,7 +434,7 @@ class EffectAnalysis:
     def _rngish_locals(self, function: FunctionNode) -> Set[str]:
         """Locals aliasing an RNG (``r = self._backoff_stream``)."""
         rngish: Set[str] = set()
-        for node in ast.walk(function.node):
+        for node in walk(function.node):
             if not isinstance(node, ast.Assign):
                 continue
             source = _dotted(node.value)
@@ -458,7 +451,7 @@ class EffectAnalysis:
 
     def _module_global_targets(self, function: FunctionNode) -> Set[str]:
         names: Set[str] = set()
-        for node in ast.walk(function.node):
+        for node in walk(function.node):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 names.update(node.names)
         return names
@@ -571,7 +564,7 @@ def analyze_effects(contexts: Sequence[FileContext],
                     f"state (via {' -> '.join(path)}); pull-based "
                     f"hooks must only read"))
         # Span/trace guards.
-        for node in ast.walk(function.node):
+        for node in walk(function.node):
             if not isinstance(node, ast.If):
                 continue
             hooked = None
@@ -601,7 +594,7 @@ def analyze_effects(contexts: Sequence[FileContext],
             # OBS002: transitive effects of guarded calls.
             guarded_calls = {
                 id(sub) for stmt in node.body
-                for sub in ast.walk(stmt) if isinstance(sub, ast.Call)}
+                for sub in walk(stmt) if isinstance(sub, ast.Call)}
             for site in graph.calls.get(qualname, ()):
                 if id(site.call) not in guarded_calls:
                     continue

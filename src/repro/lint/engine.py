@@ -2,7 +2,11 @@
 
 The engine is rule-agnostic: it parses each file once, builds a
 :class:`FileContext`, asks every enabled rule for findings, then
-resolves per-line suppressions.  Suppressions are *reasoned waivers*::
+resolves per-line suppressions.  Rules and analyses traverse a tree
+through :func:`repro.lint.dataflow.walk` and read comments from
+:attr:`FileContext.comments`, so a run walks each module, class and
+function once and tokenizes each file once.  Suppressions are
+*reasoned waivers*::
 
     risky_line()  # lint: allow(EXC001): re-raised annotated below
 
@@ -20,10 +24,12 @@ import ast
 import re
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import LintConfig
+from .dataflow import comment_tokens, walk
 
 #: Matches one suppression comment.  Group 1: the rule-code list;
 #: group 2: the reason (possibly empty).
@@ -83,6 +89,12 @@ class FileContext:
     tree: ast.AST
     lines: List[str]
     config: LintConfig
+
+    @cached_property
+    def comments(self) -> Dict[int, str]:
+        """``{line_number: comment_text}`` for every real comment,
+        tokenized on first use and kept for the rest of the run."""
+        return comment_tokens(self.lines)
 
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
@@ -311,7 +323,7 @@ def _string_spans(tree: ast.AST) -> set:
     is text, not a waiver; stale-waiver detection must not flag it.
     """
     spans: set = set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Constant) \
                 and isinstance(node.value, str):
             end = node.end_lineno or node.lineno

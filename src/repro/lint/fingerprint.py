@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .callgraph import (CallGraph, annotation_class_names,
                         build_call_graph, _dotted)
 from .config import FPC_PACKAGES, FPC_PATTERN, FPC_ROOTS
+from .dataflow import walk
 from .engine import FileContext, Finding
 
 CODES = ("FPC001", "FPC002")
@@ -171,7 +172,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
     for ctx in contexts:
         if not _is_salted(ctx):
             continue
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.Call):
                 callee = _dotted(node.func)
                 if callee is not None:
@@ -182,7 +183,7 @@ def analyze_fingerprint(contexts: Sequence[FileContext],
         if not _is_salted(ctx):
             continue
         env = graph._local_env(function)
-        for node in ast.walk(function.node):
+        for node in walk(function.node):
             if not isinstance(node, ast.Attribute) \
                     or not isinstance(node.ctx, ast.Load):
                 continue

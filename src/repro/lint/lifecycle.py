@@ -65,7 +65,7 @@ from typing import (Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple)
 
 from .callgraph import CallGraph, CallSite, FunctionNode, build_call_graph
-from .dataflow import literal_or_none, walk_skipping_lambdas
+from .dataflow import literal_or_none, walk, walk_skipping_lambdas
 from .engine import FileContext, Finding
 
 CODES = ("LIF001", "LIF002", "LIF003", "LIF004", "LIF005")
@@ -524,7 +524,7 @@ class _Walker:
 
     def _mark_escapes(self, value: ast.AST, env: Env) -> None:
         """Returning a tracked local transfers ownership out."""
-        for node in ast.walk(value):
+        for node in walk(value):
             if isinstance(node, ast.Name) and node.id in env:
                 env[node.id] = NULL
 
@@ -868,20 +868,20 @@ class LifecycleAnalysis:
         """Whether the local ``root`` is handed to another owner."""
         if "." in key:
             return False  # obs._sink: the *resource* stays inside obs
-        for node in ast.walk(function.node):
+        for node in walk(function.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 if any(isinstance(sub, ast.Name) and sub.id == root
-                       for sub in ast.walk(node.value)):
+                       for sub in walk(node.value)):
                     return True
             elif isinstance(node, ast.Call):
                 for arg in list(node.args) + [k.value
                                               for k in node.keywords]:
                     if any(isinstance(sub, ast.Name) and sub.id == root
-                           for sub in ast.walk(arg)):
+                           for sub in walk(arg)):
                         return True
             elif isinstance(node, ast.Assign):
                 if not any(isinstance(sub, ast.Name) and sub.id == root
-                           for sub in ast.walk(node.value)):
+                           for sub in walk(node.value)):
                     continue
                 for target in node.targets:
                     if isinstance(target, (ast.Attribute, ast.Subscript,
@@ -939,7 +939,7 @@ class LifecycleAnalysis:
         """A top-level ``if ...: return/raise`` before the re-arm."""
         for stmt in body:
             if isinstance(stmt, ast.If):
-                for sub in ast.walk(stmt):
+                for sub in walk(stmt):
                     if isinstance(sub, (ast.Return, ast.Raise)):
                         return True
         return False
@@ -950,7 +950,7 @@ class LifecycleAnalysis:
         """Whether a scheduling call's arguments re-enter ``function``."""
         name = function.name
         for arg in list(call.args) + [k.value for k in call.keywords]:
-            for sub in ast.walk(arg):
+            for sub in walk(arg):
                 if isinstance(sub, ast.Attribute) and sub.attr == name:
                     return True
                 if isinstance(sub, ast.Name) and sub.id == name:
@@ -1034,7 +1034,7 @@ class LifecycleAnalysis:
         for method in info.methods.values():  # type: ignore[attr-defined]
             if self.exempt(method, spec):
                 return
-            for node in ast.walk(method.node):
+            for node in walk(method.node):
                 if isinstance(node, ast.Assign) \
                         and len(node.targets) == 1 \
                         and isinstance(node.targets[0], ast.Attribute) \
@@ -1053,7 +1053,7 @@ class LifecycleAnalysis:
         for mro_info in self.graph.mro(
                 info.name):  # type: ignore[attr-defined]
             for method in mro_info.methods.values():
-                for node in ast.walk(method.node):
+                for node in walk(method.node):
                     if isinstance(node, ast.Call) \
                             and isinstance(node.func, ast.Attribute) \
                             and node.func.attr in spec.release:
@@ -1121,7 +1121,7 @@ class LifecycleAnalysis:
         for info in infos:
             for method in info.methods.values():  # type: ignore[attr-defined]
                 env = self.graph._local_env(method)
-                for node in ast.walk(method.node):
+                for node in walk(method.node):
                     if not (isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Attribute)
                             and node.func.attr in names):

@@ -43,7 +43,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .dataflow import merge_envs, walk_skipping_lambdas
+from .dataflow import merge_envs, walk, walk_skipping_lambdas
 from .engine import FileContext, Finding
 
 #: Substrings marking a name as seed-bearing.
@@ -256,7 +256,7 @@ def analyze_rng(contexts: Sequence[FileContext]) -> List[Finding]:
                                                 ast.AsyncFunctionDef,
                                                 ast.ClassDef))]
         scope.exec_block(module_body, set())
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef,
                                  ast.AsyncFunctionDef)):
                 scope.exec_block(node.body, _function_env(node))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .config import DET002_ALLOW, DET003_PACKAGES, FLT001_PATTERN
+from .dataflow import walk
 from .engine import FileContext, Finding
 
 
@@ -63,7 +64,7 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 def _module_aliases(tree: ast.AST, module: str) -> Set[str]:
     """Names the plain-module import of ``module`` is bound to."""
     aliases: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.name == module:
@@ -75,7 +76,7 @@ def _module_aliases(tree: ast.AST, module: str) -> Set[str]:
 def _import_from_bindings(tree: ast.AST, module: str) -> Dict[str, str]:
     """``{local_name: original_name}`` for ``from module import ...``."""
     bindings: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == module:
             for item in node.names:
                 bindings[item.asname or item.name] = item.name
@@ -104,7 +105,7 @@ def _check_det001(context: FileContext) -> List[Finding]:
         in _import_from_bindings(tree, "numpy").items()
         if original == "random"}
 
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.module == "random":
                 for item in node.names:
@@ -182,7 +183,7 @@ def _check_det002(context: FileContext) -> List[Finding]:
             "derive from sim ticks (profiling files belong in "
             "DET002_ALLOW)"))
 
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "time":
             for item in node.names:
                 if item.name in _TIME_READS:
@@ -235,7 +236,7 @@ def _annotation_is_set(annotation: Optional[ast.AST]) -> bool:
 def _collect_set_names(tree: ast.AST) -> Set[str]:
     """Identifiers bound (anywhere in the file) to an evident set."""
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.AnnAssign):
             if _annotation_is_set(node.annotation):
                 name = dotted_name(node.target)
@@ -290,7 +291,7 @@ def _check_det003(context: FileContext) -> List[Finding]:
             "ordered container"))
 
     iterables: List[ast.AST] = []
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iterables.append(node.iter)
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -327,7 +328,7 @@ def _is_fractional_float(node: ast.AST) -> bool:
 def _check_flt001(context: FileContext) -> List[Finding]:
     pattern = re.compile(FLT001_PATTERN, re.I)
     findings: List[Finding] = []
-    for node in ast.walk(context.tree):
+    for node in walk(context.tree):
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
@@ -370,7 +371,7 @@ def _broad_exception_name(node: Optional[ast.AST]) -> Optional[str]:
 
 def _check_exc001(context: FileContext) -> List[Finding]:
     findings: List[Finding] = []
-    for node in ast.walk(context.tree):
+    for node in walk(context.tree):
         if not isinstance(node, ast.ExceptHandler):
             continue
         broad = _broad_exception_name(node.type)
@@ -405,7 +406,7 @@ def _is_mutable_default(node: ast.AST) -> bool:
 
 def _check_mut001(context: FileContext) -> List[Finding]:
     findings: List[Finding] = []
-    for node in ast.walk(context.tree):
+    for node in walk(context.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda)):
             continue

@@ -65,7 +65,7 @@ from typing import (Dict, FrozenSet, List, Optional, Sequence, Set,
 
 from .config import SM_PACKAGES
 from .dataflow import (literal_or_none, merge_envs,
-                       module_string_constants, sm_assumptions,
+                       module_string_constants, sm_assumptions, walk,
                        walk_skipping_lambdas)
 from .engine import FileContext, Finding
 
@@ -129,7 +129,7 @@ def _extract_specs(contexts: Sequence[FileContext]) -> List[SpecInfo]:
 
 def _find_class(ctx: FileContext,
                 name: str) -> Optional[ast.ClassDef]:
-    for node in ast.walk(ctx.tree):
+    for node in walk(ctx.tree):
         if isinstance(node, ast.ClassDef) and node.name == name:
             return node
     return None
@@ -141,7 +141,7 @@ def _ledger_info(cls: ast.ClassDef, constants: Dict[str, str]
     attr: Optional[str] = None
     initial: Optional[str] = None
     table_states: Set[str] = set()
-    for node in ast.walk(cls):
+    for node in walk(cls):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Attribute) \
                 and isinstance(node.value, ast.Call):
@@ -539,7 +539,7 @@ def _check_spec(spec: SpecInfo, contexts: Sequence[FileContext],
     properties = _class_properties(cls, ledger_attr, constants, busy)
     walker = _MethodWalker(spec, ctx, ledger_attr, constants,
                            properties, findings)
-    assumptions = sm_assumptions(ctx.lines)
+    assumptions = sm_assumptions(ctx.comments)
     for node in cls.body:
         if not isinstance(node, (ast.FunctionDef,
                                  ast.AsyncFunctionDef)):
@@ -594,7 +594,7 @@ def _scan_unspecced(contexts: Sequence[FileContext],
                       or ctx.module_path.endswith("/" + module)
                       or str(ctx.path).endswith(module)
                       for module in spec_modules)
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 constants = module_string_constants(ctx.tree)
                 attr, _, _ = _ledger_info(node, constants)

@@ -54,7 +54,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import UNITS_CONST_MODULES
 from .dataflow import (TERMINATED, function_header_lines, merge_envs,
-                       unit_annotations)
+                       unit_annotations, walk)
 from .engine import FileContext, Finding
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ class _TreeIndex:
 
 def _index_file(ctx: FileContext, index: _TreeIndex,
                 findings: List[Finding]) -> None:
-    annotations = unit_annotations(ctx.lines)
+    annotations = unit_annotations(ctx.comments)
     if not annotations:
         annotations = {}
     parsed: Dict[int, Unit] = {}
@@ -392,7 +392,7 @@ def _index_file(ctx: FileContext, index: _TreeIndex,
     if not parsed:
         return
     consumed: set = set()
-    for node in ast.walk(ctx.tree):
+    for node in walk(ctx.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for line in function_header_lines(node):
                 unit = parsed.get(line)
@@ -840,7 +840,7 @@ def analyze_units(contexts: Sequence[FileContext]) -> List[Finding]:
                                                 ast.AsyncFunctionDef,
                                                 ast.ClassDef))]
         checker.exec_block(module_body, {}, None)
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue

@@ -3,15 +3,18 @@
 Every rule is exercised in both directions — it must fire on the
 violating fixture and stay silent on the compliant variant — plus the
 suppression machinery (including missing-reason rejection), the JSON
-reporter schema, rule selection, the CLI, and the meta-test that
-``src/repro`` itself lints clean.
+reporter schema, rule selection, the CLI, the one-walk-per-tree
+contract, and the meta-test that ``src/repro`` itself lints clean.
 """
 
+import ast
+import io
 import json
 import pathlib
 import shutil
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -365,6 +368,83 @@ class TestCli:
             env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin"})
         assert proc.returncode == 1
         assert "DET001" in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# One walk per tree: rules and analyses share traversals and comments
+# ----------------------------------------------------------------------
+FIXTURES = ROOT / "tests" / "fixtures" / "lint"
+LINT_PACKAGE = ROOT / "src" / "repro" / "lint"
+
+
+class TestOneWalkPerTree:
+    KEPT_ROOTS = (ast.Module, ast.ClassDef, ast.FunctionDef,
+                  ast.AsyncFunctionDef)
+
+    def test_each_tree_is_walked_and_tokenized_once(self, monkeypatch):
+        walks = {}  # id(root) -> [root, count]; the root pins the id
+        tokenized = {}  # source -> count
+        real_walk = ast.walk
+        real_tokens = tokenize.generate_tokens
+
+        def counting_walk(node):
+            if isinstance(node, self.KEPT_ROOTS):
+                walks.setdefault(id(node), [node, 0])[1] += 1
+            return real_walk(node)
+
+        def counting_tokens(readline):
+            source = "".join(iter(readline, ""))
+            tokenized[source] = tokenized.get(source, 0) + 1
+            return real_tokens(io.StringIO(source).readline)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
+        report = lint_paths([FIXTURES])
+        assert report.files_scanned == 9
+        assert walks and tokenized
+        rewalked = sorted(
+            f"{type(root).__name__} at line {getattr(root, 'lineno', 1)}"
+            for root, count in walks.values() if count > 1)
+        assert rewalked == []
+        retokenized = [source.splitlines()[0]
+                       for source, count in tokenized.items() if count > 1]
+        assert retokenized == []
+
+    def test_only_dataflow_traverses_trees(self):
+        # Parsed, not grepped: docstrings may name ast.walk freely.
+        banned = {"walk", "iter_child_nodes"}
+        offenders = []
+        for path in sorted(LINT_PACKAGE.glob("*.py")):
+            if path.name == "dataflow.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) \
+                        and node.attr in banned \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "ast":
+                    offenders.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.ImportFrom) \
+                        and node.module == "ast" \
+                        and banned & {item.name for item in node.names}:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    def test_runs_are_independent(self, request):
+        def fixture_run():
+            report = lint_paths([FIXTURES])
+            extras = {name: value for name, value in report.extras.items()
+                      if name != "timings"}
+            return report.findings, extras
+
+        first = fixture_run()
+        # The session's whole-tree run, first requested here in file
+        # order: nothing it walked or tokenized may leak into the next
+        # run's trees.
+        assert request.getfixturevalue("src_lint_report").files_scanned
+        second = fixture_run()
+        assert len(first[0]) == 14
+        assert second == first
 
 
 # ----------------------------------------------------------------------
