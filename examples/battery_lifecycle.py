@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Battery lifecycle: watching a node drain, alert, and (maybe) survive.
+"""Battery lifecycle: watching a node drain, raise alerts, and buy time.
 
 The platform's mission is autonomy.  This example runs one Rpeak node
 on a deliberately tiny cell so its whole battery life fits in a short
@@ -9,15 +9,12 @@ simulation, and exercises the operational side of the energy model:
    threshold alerts (50% / 20% / 5%) during the run;
 2. at the 20% alert the *deployment* reacts the way the ablations say
    it should — the simulation is re-run with the tight drift-tracking
-   guard to show the lifetime a firmware update would buy;
-3. finally the same node is judged against wearable harvesters: what
-   cell size (if any) makes it energy-neutral.
+   guard to show the lifetime a firmware update would buy.
 
 Run:  python examples/battery_lifecycle.py
 """
 
 from repro.hw.battery import Battery
-from repro.hw.scavenger import ConstantHarvest, harvesting_budget
 from repro.mac.sync import DriftTrackingLead
 from repro.net.monitor import BatteryMonitor
 from repro.net.scenario import BanScenario, BanScenarioConfig
@@ -45,13 +42,13 @@ def run_with_monitor(sync_factory=None):
                 (to_seconds(scenario.sim.now), t, soc)))
     monitor.start()
     scenario.run()
-    return scenario, monitor, alerts
+    return monitor, alerts
 
 
 def main() -> None:
     print(f"Running one Rpeak node on a {TOY_CELL.capacity_mah} mAh "
           f"cell for {RUN_S:.0f} s...")
-    scenario, monitor, alerts = run_with_monitor()
+    monitor, alerts = run_with_monitor()
     for at_s, threshold, soc in alerts:
         print(f"  t={at_s:5.1f} s  ALERT: state of charge fell past "
               f"{100 * threshold:.0f}% (now {100 * soc:.1f}%)")
@@ -64,19 +61,11 @@ def main() -> None:
 
     print("\nReacting to the 20% alert with a firmware change "
           "(drift-tracking guard, 50 ppm):")
-    _, tight_monitor, _ = run_with_monitor(
+    tight_monitor, _ = run_with_monitor(
         sync_factory=lambda cal: DriftTrackingLead(tolerance_ppm=50.0))
     print(f"  same run, tight guard: "
           f"{100 * tight_monitor.state_of_charge:.1f}% left "
           f"(vs {100 * final:.1f}%)")
-
-    print("\nEnergy-neutrality check (radio+MCU, ASIC excluded):")
-    node = scenario.nodes[0].collect_result(RUN_S)
-    for power_mw in (1.0, 3.0, 6.0):
-        budget = harvesting_budget(node,
-                                   ConstantHarvest(power_mw * 1e-3),
-                                   include_asic=False)
-        print(f"  {power_mw:.0f} mW harvester: {budget.render()}")
 
 
 if __name__ == "__main__":

@@ -85,23 +85,12 @@ def battery_sizing() -> None:
         title="Battery sizing (radio + MCU + 10.5 mW sensing ASIC)"))
 
 
-def energy_latency_frontier() -> None:
-    from repro.analysis.qos import evaluate_rpeak_cycles, render_tradeoff
-    points = evaluate_rpeak_cycles((30.0, 60.0, 90.0, 120.0),
-                                   measure_s=MEASURE_S)
-    print("Energy vs beat-report latency (Rpeak, static TDMA; "
-          "every cycle is Pareto-optimal — pick by latency budget):")
-    print(render_tradeoff(points))
-
-
 def main() -> None:
     mac_comparison()
     print()
     sync_study()
     print()
     battery_sizing()
-    print()
-    energy_latency_frontier()
     print()
     print("Note how the sensing ASIC's constant 10.5 mW dominates once "
           "the radio is tamed — the paper's Section 5 exclusion hides "

@@ -10,8 +10,7 @@ body topology — and walks the whole toolchain:
 1. heterogeneous scenario (Rpeak chest node, 8-channel decimated EEG
    head node, streaming limb nodes);
 2. per-node energy + loss taxonomy, exported as CSV;
-3. power-state waveforms dumped as a VCD file;
-4. energy-neutrality check against wearable harvesters.
+3. power-state waveforms dumped as a VCD file.
 
 Run:  python examples/heterogeneous_ban.py
 """
@@ -22,11 +21,6 @@ import tempfile
 from repro.analysis.export import network_records, to_csv
 from repro.analysis.waveforms import WaveformProbe
 from repro.core.report import render_table
-from repro.hw.scavenger import (
-    ConstantHarvest,
-    DiurnalSolarHarvest,
-    harvesting_budget,
-)
 from repro.net.scenario import BanScenario, BanScenarioConfig, NodeSpec
 from repro.phy.topology import BodyTopology
 
@@ -86,20 +80,6 @@ def main() -> None:
     print(f"\nExports: {csv_path}")
     print(f"         {vcd_path} "
           f"({len(probe.signals)} power-state signals; open in GTKWave)")
-
-    # --- Harvesting outlook --------------------------------------------
-    print("\nEnergy-neutrality against wearable harvesters "
-          "(radio+uC only — the 10.5 mW sensing ASIC is the real "
-          "barrier):")
-    harvesters = [
-        ("thermoelectric patch (1.5 mW)", ConstantHarvest(1.5e-3)),
-        ("indoor solar cell (5 mW peak)",
-         DiurnalSolarHarvest(peak_power_w=5e-3, day_fraction=0.6)),
-    ]
-    chest = result.node("node1")
-    for name, source in harvesters:
-        budget = harvesting_budget(chest, source, include_asic=False)
-        print(f"  {name}: {budget.render()}")
 
 
 if __name__ == "__main__":

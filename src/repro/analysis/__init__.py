@@ -14,14 +14,9 @@ from .experiments import (
 )
 from .closed_form import AnalyticEnergy, explain as explain_analytic, \
     predict as predict_analytic
-from .compare import MetricDelta, compare_nodes, render_comparison
 from .summary import full_report
 from .export import experiment_records, network_records, to_csv, to_json
 from .golden import GOLDENS, check_goldens, compute_goldens
-from .qos import DesignPoint, LatencyStats, beat_report_latencies, \
-    evaluate_rpeak_cycles, pareto_front, render_tradeoff
-from .replication import Summary, default_metrics, node_metric, \
-    replicate, traffic_metric
 from .sensitivity import PARAMETERS as SENSITIVITY_PARAMETERS, \
     SensitivityEntry, render_tornado, tornado
 from .figures import figure4_csv, figure4_series, render_figure4, \
@@ -56,9 +51,6 @@ __all__ = [
     "reproduce_table3",
     "reproduce_table4",
     "AnalyticEnergy",
-    "MetricDelta",
-    "compare_nodes",
-    "render_comparison",
     "full_report",
     "explain_analytic",
     "predict_analytic",
@@ -69,19 +61,8 @@ __all__ = [
     "StateChange",
     "WaveformProbe",
     "GOLDENS",
-    "DesignPoint",
-    "LatencyStats",
-    "beat_report_latencies",
-    "evaluate_rpeak_cycles",
-    "pareto_front",
-    "render_tradeoff",
     "check_goldens",
     "compute_goldens",
-    "Summary",
-    "default_metrics",
-    "node_metric",
-    "replicate",
-    "traffic_metric",
     "SENSITIVITY_PARAMETERS",
     "SensitivityEntry",
     "render_tornado",

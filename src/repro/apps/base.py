@@ -196,7 +196,10 @@ class SamplingApplication(Component):
         # The MAC reads what the samples taken so far left behind.
         self._scheduler.settle()
         self.flush_samples()
-        return self.next_payload()
+        payload = self.next_payload()
+        if payload is not None and self.spans is not None:
+            self.spans.payload_read(self.spans_node, self._sim.now)
+        return payload
 
 
 __all__ = ["SamplingApplication"]

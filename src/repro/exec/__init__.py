@@ -2,8 +2,7 @@
 
 This package is the batch layer between the single-scenario simulator
 (:mod:`repro.net.scenario`) and the analysis code that evaluates many
-independent scenarios (tables, sweeps, replications, sensitivity,
-multi-BAN studies):
+independent scenarios (tables, sweeps, sensitivity):
 
 * :mod:`repro.exec.executor` — :class:`ScenarioExecutor` fans
   independent :class:`~repro.net.scenario.BanScenarioConfig`s out over

@@ -1,12 +1,12 @@
 """Process-parallel execution of independent BAN scenarios.
 
-Every table row, sweep point, replication seed and multi-BAN parameter
-set is an independent :class:`~repro.net.scenario.BanScenarioConfig`
-evaluated by a deterministic simulator, which makes batch evaluation
-embarrassingly parallel.  :class:`ScenarioExecutor` fans a batch out
-over a :class:`concurrent.futures.ProcessPoolExecutor` and returns
-results **in submission order**, so parallel output is bit-identical to
-the sequential path — determinism is the contract, parallelism only
+Every table row, sweep point and sensitivity point is an independent
+:class:`~repro.net.scenario.BanScenarioConfig` evaluated by a
+deterministic simulator, which makes batch evaluation embarrassingly
+parallel.  :class:`ScenarioExecutor` fans a batch out over a
+:class:`concurrent.futures.ProcessPoolExecutor` and returns results
+**in submission order**, so parallel output is bit-identical to the
+sequential path — determinism is the contract, parallelism only
 changes wall-clock time.
 
 Fallback rules (all silent, all order-preserving):
@@ -147,10 +147,9 @@ class ScenarioExecutor:
             ) -> List[Any]:
         """Apply picklable ``fn`` to each item; results in item order.
 
-        The generic machinery behind :meth:`run_configs`, exposed for
-        batch entry points that need a custom per-item function (e.g.
-        multi-BAN runs).  Unpicklable items are evaluated in-process;
-        so is everything when ``jobs == 1`` or the pool cannot start.
+        The generic machinery behind :meth:`run_configs`.  Unpicklable
+        items are evaluated in-process; so is everything when
+        ``jobs == 1`` or the pool cannot start.
         The first item that raises fails the batch with its own
         exception.
         """

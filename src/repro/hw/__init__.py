@@ -13,14 +13,6 @@ from .adc import Adc12
 from .asic import ECG_CHANNEL, NUM_CHANNELS, BiopotentialAsic
 from .battery import CR2477, LIPO_160, Battery
 from .frames import BROADCAST, Frame, FrameKind
-from .scavenger import (
-    ConstantHarvest,
-    DiurnalSolarHarvest,
-    HarvestingBudget,
-    HarvestSource,
-    MotionHarvest,
-    harvesting_budget,
-)
 from .mcu import Msp430
 from .radio import Nrf2401, RadioError, TxOutcome
 
@@ -35,12 +27,6 @@ __all__ = [
     "BROADCAST",
     "Frame",
     "FrameKind",
-    "ConstantHarvest",
-    "DiurnalSolarHarvest",
-    "HarvestingBudget",
-    "HarvestSource",
-    "MotionHarvest",
-    "harvesting_budget",
     "Msp430",
     "Nrf2401",
     "RadioError",

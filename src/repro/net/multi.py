@@ -19,7 +19,7 @@ range (worst case, the default) or separate them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.report import NetworkEnergyResult
 from ..phy.channel import Channel
@@ -149,34 +149,4 @@ class MultiBanScenario:
         return "\n".join(lines)
 
 
-def _run_multi_worker(params: Mapping[str, Any]
-                      ) -> Dict[str, NetworkEnergyResult]:
-    """Build and run one multi-BAN scenario (module-level: picklable)."""
-    return MultiBanScenario(**params).run()
-
-
-def run_multi_batch(param_sets: Sequence[Mapping[str, Any]],
-                    jobs: Optional[int] = 1,
-                    ) -> List[Dict[str, NetworkEnergyResult]]:
-    """Run several independent multi-BAN studies, optionally in parallel.
-
-    A single :class:`MultiBanScenario` cannot be parallelised — its
-    BANs share one simulator and one ether — but a *batch* of them
-    (e.g. an interference study sweeping stagger offsets or RF channel
-    plans) is embarrassingly parallel.
-
-    Args:
-        param_sets: one :class:`MultiBanScenario` keyword mapping per
-            study (``configs``, ``stagger_ms``, ``seed``, ...).
-        jobs: worker processes (``None`` = CPU count); results are in
-            ``param_sets`` order either way.
-    """
-    # Imported lazily: ``repro.exec`` is the batch layer above this
-    # package, and importing it here at module scope would tie the
-    # ``repro.net`` import graph to it for every single-scenario user.
-    from ..exec import ScenarioExecutor
-    return ScenarioExecutor(jobs=jobs).map(_run_multi_worker,
-                                           list(param_sets))
-
-
-__all__ = ["MultiBanScenario", "run_multi_batch"]
+__all__ = ["MultiBanScenario"]

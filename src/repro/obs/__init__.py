@@ -9,9 +9,9 @@ and export after it:
   histograms, state-residency timers and trajectory series keyed by
   ``component/node/name``, with mergeable snapshots and JSON /
   Prometheus exporters;
-* :mod:`repro.obs.sinks` — structured trace sinks (JSONL streaming,
-  bounded ring) plus :class:`~repro.obs.sinks.SinkTraceRecorder`, the
-  adapter that keeps the in-memory ``TraceRecorder`` API intact;
+* :mod:`repro.obs.sinks` — the JSONL streaming trace sink plus
+  :class:`~repro.obs.sinks.SinkTraceRecorder`, the adapter that keeps
+  the in-memory ``TraceRecorder`` API intact;
 * :mod:`repro.obs.profiler` — attributes host ``perf_counter`` time to
   event labels and reports sim-seconds-per-wall-second;
 * :mod:`repro.obs.instrument` — pull collectors reading the kernel,
@@ -46,7 +46,6 @@ from .metrics import (
 from .profiler import KERNEL_LABEL, SimulationProfiler, normalize_label
 from .sinks import (
     JsonlTraceSink,
-    RingTraceSink,
     SinkTraceRecorder,
     TraceSink,
     read_jsonl_trace,
@@ -68,7 +67,7 @@ from .spans import (
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "StateTimer",
     "Series", "metric_key", "split_key", "GLOBAL",
-    "TraceSink", "JsonlTraceSink", "RingTraceSink", "SinkTraceRecorder",
+    "TraceSink", "JsonlTraceSink", "SinkTraceRecorder",
     "read_jsonl_trace",
     "SimulationProfiler", "normalize_label", "KERNEL_LABEL",
     "collect_simulator_metrics", "collect_scenario_metrics",

@@ -7,8 +7,6 @@ long run or post-processing outside the process.  This module adds
 
 * :class:`JsonlTraceSink` streams records as JSON Lines — one
   self-describing object per line, parseable by anything.
-* :class:`RingTraceSink` keeps the most recent N records in a
-  :class:`collections.deque` — a flight recorder for post-mortems.
 * :class:`SinkTraceRecorder` is the adapter that keeps the existing
   ``TraceRecorder`` API working: it *is* a ``TraceRecorder`` (every
   component that takes ``trace=`` accepts it unchanged, ``filter`` /
@@ -19,13 +17,9 @@ long run or post-processing outside the process.  This module adds
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import Deque, IO, Iterable, Iterator, List, Optional, Tuple
+from typing import IO, Iterable, List, Optional
 
 from ..sim.trace import TraceRecorder
-
-#: A sink-level record: the four TraceRecorder.record arguments.
-SinkRecord = Tuple[int, str, str, str]
 
 
 class TraceSink:
@@ -113,38 +107,6 @@ def read_jsonl_trace(path: str) -> List[dict]:
     return records
 
 
-class RingTraceSink(TraceSink):
-    """Keeps the most recent ``capacity`` records in memory (O(1) drop).
-
-    Args:
-        capacity: ring size; older records are evicted silently (the
-            ``emitted`` counter keeps the true total).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: Deque[SinkRecord] = deque(maxlen=capacity)
-        self.emitted = 0
-
-    def emit(self, time: int, source: str, kind: str,
-             detail: str) -> None:
-        self._ring.append((time, source, kind, detail))
-        self.emitted += 1
-
-    @property
-    def records(self) -> List[SinkRecord]:
-        """The retained records, oldest first."""
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[SinkRecord]:
-        return iter(self._ring)
-
-
 class SinkTraceRecorder(TraceRecorder):
     """A :class:`TraceRecorder` that also pushes records to sinks.
 
@@ -178,5 +140,5 @@ class SinkTraceRecorder(TraceRecorder):
             sink.close()
 
 
-__all__ = ["TraceSink", "JsonlTraceSink", "RingTraceSink",
-           "SinkTraceRecorder", "read_jsonl_trace", "SinkRecord"]
+__all__ = ["TraceSink", "JsonlTraceSink", "SinkTraceRecorder",
+           "read_jsonl_trace"]

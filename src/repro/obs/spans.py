@@ -11,7 +11,8 @@ lifetime; **child spans** cover every lifecycle phase:
 ========================  ====================================================
 phase                      interval
 ========================  ====================================================
-``app.buffer``             first pending sample tick -> MAC accepts a payload
+``app.buffer``             first sample since the previous payload read ->
+                           the app hands the MAC a payload
 ``mac.slot_wait``          beacon processed -> owned TDMA slot fires
 ``mac.ssr_wait``           SSR scheduled -> SSR transmitted (join protocol)
 ``mac.tx_jitter``          ALOHA poll -> randomised transmit instant
@@ -311,6 +312,10 @@ class SpanTracer:
         self._awaiting_task: Dict[str, List[_PacketTrace]] = {}
         # node -> (first sample tick, active MCU ticks, sample count).
         self._pending_samples: Dict[str, Tuple[int, int, int]] = {}
+        # node -> (first sample tick, active MCU ticks, sample count,
+        # payload read tick): the app.buffer phase of the node's next
+        # queued data packet.
+        self._read_samples: Dict[str, Tuple[int, int, int, int]] = {}
         # node -> (wait phase name, start, end).
         self._pending_wait: Dict[str, Tuple[str, int, int]] = {}
 
@@ -335,6 +340,7 @@ class SpanTracer:
         self._by_frame.clear()
         self._awaiting_task.clear()
         self._pending_samples.clear()
+        self._read_samples.clear()
         self._pending_wait.clear()
 
     # ------------------------------------------------------------------
@@ -353,6 +359,17 @@ class SpanTracer:
             first, total, count = entry
             self._pending_samples[node] = (first, total + ticks,
                                            count + 1)
+
+    def payload_read(self, node: str, now: int) -> None:
+        """The app handed the MAC a payload: the samples noted since
+        the previous read become the next data packet's ``app.buffer``
+        phase, ending now.  Samples noted later count toward the packet
+        after it."""
+        samples = self._pending_samples.pop(node, None)
+        if samples is None:
+            self._read_samples.pop(node, None)
+        else:
+            self._read_samples[node] = samples + (now,)
 
     # ------------------------------------------------------------------
     # MAC hooks
@@ -398,13 +415,13 @@ class SpanTracer:
         """The MAC accepted a payload and posted its preparation task."""
         node = frame.src
         trace = _PacketTrace(frame, node, now)
-        samples = self._pending_samples.pop(node, None)
+        samples = self._read_samples.pop(node, None)
         if samples is not None and frame.kind is FrameKind.DATA:
-            first, ticks, count = samples
+            first, ticks, count, read_at = samples
             binding = self._bindings.get(node)
             energy = (binding.mcu_active_w * to_seconds(ticks)
                       if binding is not None else 0.0)
-            trace.phases.append(("app.buffer", node, first, now,
+            trace.phases.append(("app.buffer", node, first, read_at,
                                  energy, f"samples={count}"))
             trace.start = min(trace.start, first)
         wait = self._pending_wait.pop(node, None)

@@ -2,9 +2,7 @@
 
 from .channel import Channel, Transmission
 from .lossmodels import (
-    DistanceLoss,
     LossModel,
-    PerLinkLoss,
     PerfectChannel,
     UniformLoss,
 )
@@ -20,9 +18,7 @@ from .topology import (
 __all__ = [
     "Channel",
     "Transmission",
-    "DistanceLoss",
     "LossModel",
-    "PerLinkLoss",
     "PerfectChannel",
     "UniformLoss",
     "BODY_PRESET",

@@ -8,11 +8,9 @@ corrupted frame fails the nRF2401's CRC and is dropped inside the radio.
 Draws use the simulator's named RNG streams, so results are reproducible
 and insensitive to node count or call order.
 
-Performance notes: stream *names* (``loss.src->dst``) are cached per
-link so the per-frame path never re-formats strings, and
-:class:`DistanceLoss` memoises each link's PER, since the topology it
-reads is immutable.  Both caches are value-transparent: a memoised PER
-is the scalar formula's value, and stream identity is untouched.
+Performance note: stream *names* (``loss.src->dst``) are cached per
+link so the per-frame path never re-formats strings; stream identity
+is untouched.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 from ..sim.rng import RngRegistry
-from .topology import BodyTopology
 
 
 class _StreamNameCache:
@@ -71,25 +68,6 @@ class UniformLoss(LossModel):
         return stream.random() < self.per
 
 
-class PerLinkLoss(LossModel):
-    """Explicit per-link packet error rates; unlisted links are perfect."""
-
-    def __init__(self, per_link: Dict[Tuple[str, str], float]) -> None:
-        for link, per in per_link.items():
-            if not 0.0 <= per <= 1.0:
-                raise ValueError(f"PER for link {link} out of range: {per}")
-        self._per_link = dict(per_link)
-        self._stream_names = _StreamNameCache()
-
-    def is_corrupted(self, rng: RngRegistry, src: str, dst: str,
-                     frame_id: int) -> bool:
-        per = self._per_link.get((src, dst), 0.0)
-        if per == 0.0:
-            return False
-        name = self._stream_names.name_for(src, dst)
-        return rng.stream(name).random() < per
-
-
 class DeterministicLoss(LossModel):
     """Drop exact occurrences of a link's traffic — no randomness.
 
@@ -126,49 +104,9 @@ class DeterministicLoss(LossModel):
         return False
 
 
-class DistanceLoss(LossModel):
-    """PER grows with link distance on a :class:`BodyTopology`.
-
-    A simple monotone model for robustness studies:
-    ``per(d) = min(1, floor_per + slope * d)``.
-    """
-
-    def __init__(self, topology: BodyTopology, floor_per: float = 0.0,
-                 slope_per_m: float = 0.05) -> None:
-        if floor_per < 0 or slope_per_m < 0:
-            raise ValueError("loss parameters must be non-negative")
-        self._topology = topology
-        self._floor = floor_per
-        self._slope = slope_per_m
-        self._stream_names = _StreamNameCache()
-        # The topology is immutable, so each link's PER is computed once.
-        self._per: Dict[Tuple[str, str], float] = {}
-
-    def per_for(self, src: str, dst: str) -> float:
-        """Packet error rate for the (src, dst) link."""
-        key = (src, dst)
-        per = self._per.get(key)
-        if per is None:
-            distance = self._topology.position_of(src).distance_to(
-                self._topology.position_of(dst))
-            per = min(1.0, self._floor + self._slope * distance)
-            self._per[key] = per
-        return per
-
-    def is_corrupted(self, rng: RngRegistry, src: str, dst: str,
-                     frame_id: int) -> bool:
-        per = self.per_for(src, dst)
-        if per == 0.0:
-            return False
-        name = self._stream_names.name_for(src, dst)
-        return rng.stream(name).random() < per
-
-
 __all__ = [
     "LossModel",
     "PerfectChannel",
     "UniformLoss",
-    "PerLinkLoss",
     "DeterministicLoss",
-    "DistanceLoss",
 ]

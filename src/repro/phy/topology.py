@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 
 class Topology:
@@ -31,18 +31,6 @@ class Topology:
     def in_range(self, src: str, dst: str) -> bool:
         """Whether a frame transmitted by ``src`` reaches ``dst``."""
         raise NotImplementedError
-
-    def connectivity_graph(self, nodes: Iterable[str]) -> Any:
-        """Reachability as a ``networkx.DiGraph`` (requires networkx)."""
-        import networkx as nx
-        graph = nx.DiGraph()
-        node_list = list(nodes)
-        graph.add_nodes_from(node_list)
-        for a in node_list:
-            for b in node_list:
-                if a != b and self.in_range(a, b):
-                    graph.add_edge(a, b)
-        return graph
 
 
 class FullConnectivity(Topology):
@@ -115,10 +103,6 @@ class BodyTopology(Topology):
             raise KeyError(
                 f"unknown node {node!r}; known: {sorted(self._positions)}"
             ) from None
-
-    def nodes(self) -> Tuple[str, ...]:
-        """Known node ids, in insertion order."""
-        return tuple(self._positions)
 
     def in_range(self, src: str, dst: str) -> bool:
         key = (src, dst)

@@ -1,7 +1,9 @@
-"""The committed API reference must match the generated one, and every
-public item must carry a docstring."""
+"""The committed API reference must match the generated one, every
+public item must carry a docstring, and the retention table must list
+every simulator module."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -30,3 +32,18 @@ class TestApiReference:
                         "repro.analysis", "repro.baselines",
                         "repro.data", "repro.exec"):
             assert f"`{package}" in text, package
+
+
+def test_retention_table_lists_every_module():
+    """docs/architecture.md has one retention row per module outside
+    ``repro.lint``, and each row names what reaches the module."""
+    text = (ROOT / "docs" / "architecture.md").read_text()
+    table = text.split("## Retention table", 1)[1]
+    rows = re.findall(r"^\| `([\w/]+\.py)` \| (.*) \|$", table, re.M)
+    src = ROOT / "src" / "repro"
+    modules = sorted(
+        path.relative_to(src).as_posix() for path in src.rglob("*.py")
+        if path.relative_to(src).parts[0] != "lint"
+        and path.stem not in ("__init__", "__main__"))
+    assert sorted(module for module, _ in rows) == modules
+    assert all(reached.strip() for _, reached in rows)

@@ -15,7 +15,6 @@ from repro.analysis.experiments import (
     reproduce_all_tables,
     reproduce_table1,
 )
-from repro.analysis.replication import default_metrics, replicate
 from repro.analysis.sensitivity import tornado
 from repro.analysis.sweep import sweep_cycle_ms
 from repro.exec import ScenarioExecutor, Uncacheable, config_fingerprint
@@ -59,12 +58,12 @@ class TestExecutorDeterminism:
         assert parallel == sequential
 
     def test_replicate_parallel_equals_sequential(self):
-        config = _config(ecg_noise_mv=0.1)
-        seeds = [1, 2, 3]
-        sequential = replicate(config, seeds, default_metrics())
-        parallel = replicate(config, seeds, default_metrics(),
-                             executor=ScenarioExecutor(jobs=3))
-        assert parallel == sequential
+        """Seed replicates of one noisy config: each worker draws
+        from its own config's seed."""
+        configs = [_config(ecg_noise_mv=0.1, seed=seed)
+                   for seed in (1, 2, 3)]
+        assert ScenarioExecutor(jobs=3).run_configs(configs) == \
+            ScenarioExecutor(jobs=1).run_configs(configs)
 
     def test_run_configs_preserves_submission_order(self):
         configs = [_config(cycle_ms=cycle)

@@ -28,7 +28,6 @@ from repro.obs import (
     GLOBAL,
     JsonlTraceSink,
     MetricsRegistry,
-    RingTraceSink,
     SimulationProfiler,
     SinkTraceRecorder,
     attach_periodic_snapshots,
@@ -193,13 +192,6 @@ class TestTraceSinks:
         assert json.loads(lines[0]) == {"t": 5, "source": "src",
                                         "kind": "kind",
                                         "detail": "detail"}
-
-    def test_ring_sink_bounds(self):
-        sink = RingTraceSink(capacity=2)
-        for time in range(5):
-            sink.emit(time, "s", "k", "")
-        assert [time for time, _, _, _ in sink.records] == [3, 4]
-        assert sink.emitted == 5
 
     def test_scenario_streams_through_sink(self, tmp_path):
         path = tmp_path / "scenario.jsonl"

@@ -11,12 +11,7 @@ from repro.core.losses import RadioEnergyCategory
 from repro.hw.frames import Frame, FrameKind
 from repro.hw.radio import Nrf2401
 from repro.phy.channel import Channel
-from repro.phy.lossmodels import (
-    DistanceLoss,
-    PerLinkLoss,
-    PerfectChannel,
-    UniformLoss,
-)
+from repro.phy.lossmodels import PerfectChannel, UniformLoss
 from repro.phy.topology import (
     BODY_PRESET,
     BodyTopology,
@@ -64,11 +59,6 @@ class TestTopologies:
         assert topo.in_range("a", "b")
         assert not topo.in_range("b", "a")
 
-    def test_connectivity_graph(self):
-        topo = ExplicitLinks([("a", "b"), ("b", "c")])
-        graph = topo.connectivity_graph(["a", "b", "c"])
-        assert set(graph.edges) == {("a", "b"), ("b", "c")}
-
 
 class TestLossModels:
     def test_perfect_channel_never_corrupts(self):
@@ -93,28 +83,6 @@ class TestLossModels:
     def test_uniform_zero_shortcut(self):
         rng = RngRegistry(0)
         assert not UniformLoss(0.0).is_corrupted(rng, "a", "b", 1)
-
-    def test_per_link_loss(self):
-        rng = RngRegistry(0)
-        model = PerLinkLoss({("a", "b"): 1.0})
-        assert model.is_corrupted(rng, "a", "b", 1)
-        assert not model.is_corrupted(rng, "b", "a", 1)
-
-    def test_per_link_validation(self):
-        with pytest.raises(ValueError):
-            PerLinkLoss({("a", "b"): 2.0})
-
-    def test_distance_loss_monotone(self):
-        topo = BodyTopology.body_preset()
-        model = DistanceLoss(topo, floor_per=0.01, slope_per_m=0.1)
-        near = model.per_for("base_station", "chest")
-        far = model.per_for("base_station", "head")
-        assert far > near > 0.0
-
-    def test_distance_loss_validation(self):
-        topo = BodyTopology.body_preset()
-        with pytest.raises(ValueError):
-            DistanceLoss(topo, floor_per=-0.1)
 
 
 class TestChannel:
@@ -208,7 +176,7 @@ class TestChannel:
         assert len(received) == 2
 
     def test_loss_model_corrupts_at_receiver(self, sim, cal):
-        channel = Channel(sim, loss_model=PerLinkLoss({("a", "b"): 1.0}))
+        channel = Channel(sim, loss_model=UniformLoss(1.0))
         a = Nrf2401(sim, cal, channel, "a")
         b = Nrf2401(sim, cal, channel, "b")
         a.power_up()
@@ -222,33 +190,6 @@ class TestChannel:
         sim.run_until(seconds(0.2))
         assert received == []
         assert b.snapshot_counters().corrupted == 1
-
-
-class TestDistanceLossVectorised:
-    """The memoised per-link PER must equal the scalar formula bit for
-    bit — the memo is value-transparent."""
-
-    def test_table_matches_scalar_formula_exactly(self):
-        topo = BodyTopology.body_preset()
-        floor, slope = 0.01, 0.4
-        model = DistanceLoss(topo, floor_per=floor, slope_per_m=slope)
-        for src in topo.nodes():
-            for dst in topo.nodes():
-                expected = min(1.0, floor + slope
-                               * topo.position_of(src).distance_to(
-                                   topo.position_of(dst)))
-                assert model.per_for(src, dst) == expected
-
-    def test_per_saturates_at_one(self):
-        topo = BodyTopology({"a": Position(0.0, 0.0),
-                             "b": Position(10.0, 0.0)})
-        model = DistanceLoss(topo, floor_per=0.5, slope_per_m=1.0)
-        assert model.per_for("a", "b") == 1.0
-
-    def test_unknown_node_still_raises_key_error(self):
-        model = DistanceLoss(BodyTopology.body_preset())
-        with pytest.raises(KeyError, match="nope"):
-            model.per_for("chest", "nope")
 
 
 def test_importing_repro_leaves_numpy_unloaded():

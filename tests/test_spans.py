@@ -63,6 +63,23 @@ def _traced(config, spans):
     return scenario, result, digest.hexdigest(), tracer
 
 
+class _NotingTracer(SpanTracer):
+    """A tracer that also keeps each node's sample ticks noted since
+    the measurement reset; whoever reads them pops them."""
+
+    def __init__(self):
+        super().__init__()
+        self.noted = {}
+
+    def note_sample(self, node, now, cycles):
+        self.noted.setdefault(node, []).append(now)
+        super().note_sample(node, now, cycles)
+
+    def reset(self):
+        self.noted.clear()
+        super().reset()
+
+
 # ----------------------------------------------------------------------
 # Zero perturbation and determinism
 # ----------------------------------------------------------------------
@@ -153,6 +170,35 @@ class TestSpanStructure:
                     1.5e-6, "x")
         again = Span.from_record(span.to_record())
         assert again.to_record() == span.to_record()
+
+    @pytest.mark.parametrize("mac, seed", [("aloha", 23), ("csma", 17),
+                                           ("static", 7)])
+    def test_app_buffer_ends_at_the_payload_read(self, mac, seed):
+        """``app.buffer`` runs from the first sample noted after the
+        node's previous payload read to the read that takes them; an
+        ALOHA node transmits up to a poll interval after that read."""
+        tracer = _NotingTracer()
+        scenario = BanScenario(_config(mac=mac, num_nodes=3, measure_s=2.0,
+                                       seed=seed, sampling_hz=205.0))
+        attach_span_tracer(scenario, tracer)
+        # (node, first sample tick, read tick) -> samples the read took
+        reads = {}
+        for node in scenario.nodes:
+            def reading(provide=node.mac.payload_provider,
+                        node_id=node.node_id):
+                payload = provide()
+                if payload is not None and tracer.noted.get(node_id):
+                    ticks = tracer.noted.pop(node_id)
+                    reads[node_id, ticks[0], scenario.sim.now] = len(ticks)
+                return payload
+            node.mac.payload_provider = reading
+        scenario.run()
+        buffers = [span for span in tracer.store.spans
+                   if span.name == "app.buffer"]
+        assert buffers
+        for span in buffers:
+            taken = reads.get((span.node, span.start, span.end))
+            assert span.status == f"samples={taken}", span
 
     def test_measurement_reset_drops_warmup(self):
         # Spans recorded before the measurement window must not leak

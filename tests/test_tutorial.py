@@ -76,10 +76,8 @@ class TestTutorialSnippets:
         from repro.net import MultiBanScenario
         from repro.tinyos import ThresholdDeepSleep
         from repro.baselines import fidelity_ladder
-        from repro.analysis import evaluate_rpeak_cycles, pareto_front
         assert all((MultiBanScenario, ThresholdDeepSleep,
-                    fidelity_ladder, evaluate_rpeak_cycles,
-                    pareto_front))
+                    fidelity_ladder))
 
     def test_section_7_fault_injection(self):
         from repro.faults import FaultPlan, NodeCrash
