@@ -1,4 +1,4 @@
-"""Ablation A10: does listen-before-talk pay for itself on this radio?
+"""Ablation A11: does listen-before-talk pay for itself on this radio?
 
 A9 (`bench_ablation_aloha.py`) showed TDMA's coordination cost against
 blind ALOHA.  The natural middle ground is 802.15.4-style CSMA/CA:
@@ -75,7 +75,7 @@ def test_ablation_csma_vs_aloha_vs_tdma(benchmark):
     csma = comparison["csma"]
     expected_frames = 5 * measure_s / 0.030
 
-    print(f"\nA10 TDMA vs ALOHA vs CSMA/CA, 5-node streaming "
+    print(f"\nA11 TDMA vs ALOHA vs CSMA/CA, 5-node streaming "
           f"({measure_s:.0f} s):")
     for mac, record in comparison.items():
         node = record["node"]

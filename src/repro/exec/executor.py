@@ -28,12 +28,17 @@ pool has shut down.  An exception raised by the item itself — an
 ``OSError`` included — is never mistaken for a pool failure.
 
 Observability: constructed with a
-:class:`~repro.obs.metrics.MetricsRegistry` (and optionally a
-:class:`~repro.obs.profiler.SimulationProfiler`), the executor has each
-worker build a private registry, run its scenario instrumented, and
-ship plain-data snapshots back; the main process merges them in
-submission order.  Counters merge additively, so ``jobs=N`` reports the
-same MAC/radio/MCU totals as a sequential run.
+:class:`~repro.obs.metrics.MetricsRegistry`, a
+:class:`~repro.obs.profiler.SimulationProfiler` or a
+:class:`~repro.obs.spans.SpanStore`, the executor has each worker
+build private ones, run its scenario instrumented, and ship them back:
+the registry and the profiler as plain-data snapshots, the span store
+as itself.  The main process merges them in submission order, at any
+``jobs`` through the same path.  Counters merge additively and span IDs
+are rebased, so ``jobs=N`` reports the same MAC/radio/MCU totals and
+the same spans as a sequential run.  None of the three changes the
+path a scenario takes: an instrumented run dispatches the same events
+as a plain one.
 """
 
 from __future__ import annotations
@@ -62,14 +67,13 @@ def _run_config_worker(config: Any) -> Any:
 def _run_config_worker_obs(config: Any, profile: bool = False,
                            spans: bool = False
                            ) -> Tuple[Any, dict, Optional[dict],
-                                      Optional[dict]]:
-    """Run one scenario instrumented; ship snapshots, not objects.
+                                      Optional["SpanStore"]]:
+    """Run one scenario instrumented; ship what it recorded back.
 
     Returns ``(result, metrics_snapshot, profiler_snapshot,
-    spans_snapshot)``.  The worker builds a private registry (and,
-    with ``spans``, a private :class:`~repro.obs.spans.SpanStore`) so
-    merging in the parent is a pure, order-preserving fold over plain
-    dicts.
+    span_store)``.  The worker builds a private registry (and, with
+    ``spans``, a private :class:`~repro.obs.spans.SpanStore`, shipped
+    as it is), so merging in the parent is an order-preserving fold.
     """
     from ..net.scenario import BanScenario
     from ..obs import (GLOBAL, MetricsRegistry, SimulationProfiler,
@@ -92,7 +96,7 @@ def _run_config_worker_obs(config: Any, profile: bool = False,
     registry.histogram("exec", GLOBAL, "scenario_wall_s").observe(wall_s)
     return (result, registry.snapshot(),
             profiler.snapshot() if profiler is not None else None,
-            tracer.store.snapshot() if tracer is not None else None)
+            tracer.store if tracer is not None else None)
 
 
 def default_jobs() -> int:
@@ -125,7 +129,7 @@ class ScenarioExecutor:
             per-scenario callback timings (implies instrumented runs).
         spans: optional :class:`~repro.obs.spans.SpanStore`; when
             given, every run is traced with a private store and the
-            snapshots merge here in submission order (rebased span
+            stores merge here in submission order (rebased span
             IDs), so ``jobs=N`` span output equals sequential.
     """
 
@@ -203,7 +207,7 @@ class ScenarioExecutor:
         """Evaluate each config; results in submission order.
 
         With ``metrics``, ``profiler`` or ``spans`` set, every run is
-        instrumented and its snapshots merged here in submission
+        instrumented and what it recorded merged here in submission
         order.
         """
         configs = list(configs)
@@ -226,17 +230,16 @@ class ScenarioExecutor:
     # Observability plumbing
     # ------------------------------------------------------------------
     def _absorb_observed(self, packed: Tuple[Any, dict, Optional[dict],
-                                             Optional[dict]]
+                                             Optional["SpanStore"]]
                          ) -> Any:
-        """Merge one worker's snapshots; return the bare result."""
-        result, metrics_snapshot, profiler_snapshot, spans_snapshot \
-            = packed
+        """Merge one worker's records; return the bare result."""
+        result, metrics_snapshot, profiler_snapshot, span_store = packed
         if self.metrics is not None:
             self.metrics.merge_snapshot(metrics_snapshot)
         if self.profiler is not None and profiler_snapshot is not None:
             self.profiler.merge_snapshot(profiler_snapshot)
-        if self.spans is not None and spans_snapshot is not None:
-            self.spans.merge_snapshot(spans_snapshot)
+        if self.spans is not None and span_store is not None:
+            self.spans.merge_snapshot(span_store)
         return result
 
     def _record_batch_metrics(self, total: int,

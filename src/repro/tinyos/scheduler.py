@@ -20,8 +20,8 @@ Coalesced dispatch
 ------------------
 
 Each task costs the per-task chain a wake, a dispatch event and an
-end-of-task event.  Unless a trace, a span tracer or a power policy
-other than :class:`~repro.tinyos.power.Lpm0Only` needs that chain
+end-of-task event.  Unless a trace or a power policy other than
+:class:`~repro.tinyos.power.Lpm0Only` needs that chain
 (:meth:`TaskScheduler.coalescing`), two shortcuts book the same ledger
 transitions at the same ticks with fewer kernel events:
 
@@ -34,6 +34,11 @@ transitions at the same ticks with fewer kernel events:
 * A task that drains the queue plans its sleep instead of scheduling
   an end-of-task event; a post before that tick schedules the one
   dispatch event at it.
+
+A span tracer does not need the chain: a coalesced sample notes itself
+when its body runs, and a packet-preparation task is still posted and
+dispatched, so its ``task_started`` hook fires.  An observed run
+therefore dispatches the same events as a plain one.
 
 Same-tick order is never guessed: a post at exactly the end tick of
 such a window, a settle at exactly a body's start tick from inside an
@@ -179,11 +184,13 @@ class TaskScheduler:
     def coalescing(self) -> bool:
         """Whether tasks may skip their dispatch events.
 
-        False when a trace, a span tracer or a power policy other than
-        LPM0-only needs the per-task chain.
+        False when a trace (it lists every dispatch) or a power policy
+        other than LPM0-only (it is asked at every drain) needs the
+        per-task chain.  A span tracer does not: a coalesced sample
+        notes itself when its body runs, and packet-preparation tasks
+        are still posted and dispatched.
         """
-        return (self.spans is None and self._sim.trace is None
-                and self._trace is None
+        return (self._sim.trace is None and self._trace is None
                 and type(self.power_policy) is Lpm0Only)
 
     def _end_planned_sleep(self, label: str) -> None:

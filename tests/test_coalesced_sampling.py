@@ -527,10 +527,11 @@ def test_trace_selects_the_per_sample_path():
     assert not any(node.scheduler.coalescing() for node in scenario.nodes)
 
 
-def test_spans_select_the_per_sample_path():
+def test_spans_keep_the_coalesced_path():
     scenario = BanScenario(_quick())
     attach_span_tracer(scenario)
-    assert not any(node.scheduler.coalescing() for node in scenario.nodes)
+    assert all(node.scheduler.coalescing() for node in scenario.nodes)
+    assert scenario.base_station.scheduler.coalescing()
 
 
 def test_deep_sleep_policy_selects_the_per_sample_path():

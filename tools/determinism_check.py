@@ -17,9 +17,12 @@ checks, each over a reference scenario set:
    explicitly out of scope) must be equal for ``jobs=1`` and
    ``jobs=2``.
 4. **Causal spans** — attaching a span tracer must not perturb the
-   run (result and trace fingerprints equal the spans-off run), the
-   span set must be bit-identical across repeat runs, and the merged
-   ``--jobs N`` span store must equal the sequential one.
+   run: traced, the result and trace fingerprints equal the spans-off
+   run's; untraced, the result fingerprint and ``events_dispatched``
+   do, so a tracer keeps the coalesced path of a plain run, and its
+   span set equals the traced run's.  The span set must be
+   bit-identical across repeat runs, and the merged ``--jobs N`` span
+   store must equal the sequential one.
 5. **Static/runtime hook agreement** (``--static-obs``) — the
    interprocedural OBS pass (``repro.lint``) must be clean over
    ``src``, and the set of classes it audited as carrying ``spans``
@@ -31,7 +34,8 @@ checks, each over a reference scenario set:
    the static pass proved effect-free.
 6. **Cross-mode** — a plain run coalesces idle-MCU samples (one
    kernel event per sample, planned ledger transitions); a traced run
-   takes the per-sample chain.  For every checked config plus two
+   takes the per-sample chain, the reference path, because its trace
+   lists every dispatch.  For every checked config plus two
    fault configs, one whose crash and reboot land mid-sample and one
    whose crash lands inside a sample's wake-up, the two result
    fingerprints must be equal.
@@ -224,6 +228,18 @@ def traced_run(config: BanScenarioConfig, spans: bool = False
     return result_fingerprint(result), digest.hexdigest(), span_fp
 
 
+def untraced_run(config: BanScenarioConfig, spans: bool = False
+                 ) -> Tuple[str, int, str]:
+    """Run once without a trace; return (result_fp, events_dispatched,
+    span_fp), ``span_fp`` as in :func:`traced_run`."""
+    scenario = BanScenario(config)
+    tracer = attach_span_tracer(scenario) if spans else None
+    result = scenario.run()
+    span_fp = tracer.store.fingerprint() if tracer is not None else ""
+    return (result_fingerprint(result), scenario.sim.events_dispatched,
+            span_fp)
+
+
 def check_repeat_run(report: Dict[str, Any]) -> List[str]:
     """Check 1: same config, same process, twice — identical.
 
@@ -306,7 +322,9 @@ def check_spans(jobs: int, report: Dict[str, Any]) -> List[str]:
     The perturbation check runs per reference config: the span hooks
     sit on different code paths per MAC family (TDMA slot machinery vs
     contention backoff/CCA phases), so one family passing proves
-    nothing about the others.
+    nothing about the others.  It runs traced, where both sides take
+    the per-task chain, and untraced, where a tracer must not move the
+    run off the coalesced path.
     """
     failures = []
     configs = checked_configs()
@@ -315,17 +333,28 @@ def check_spans(jobs: int, report: Dict[str, Any]) -> List[str]:
         base = traced_run(config)
         first = traced_run(config, spans=True)
         second = traced_run(config, spans=True)
+        plain = untraced_run(config)
+        observed = untraced_run(config, spans=True)
         entries.append({
             "mac": config.mac,
             "result_fingerprints": [base[0], first[0], second[0]],
             "trace_fingerprints": [base[1], first[1], second[1]],
-            "span_fingerprints": [first[2], second[2]],
+            "span_fingerprints": [first[2], second[2], observed[2]],
+            "untraced_result_fingerprints": [plain[0], observed[0]],
+            "untraced_events_dispatched": [plain[1], observed[1]],
         })
         where = f"(config {index}, mac={config.mac})"
         if (base[0], base[1]) != (first[0], first[1]):
             failures.append(
                 "attaching spans perturbs the run (result or trace "
                 f"fingerprint changed) {where}")
+        if plain[:2] != observed[:2]:
+            failures.append(
+                "attaching spans perturbs the untraced run (result "
+                f"fingerprint or events dispatched changed) {where}")
+        if observed[2] != first[2]:
+            failures.append(
+                f"untraced and traced span sets diverge {where}")
         if first[:2] != second[:2]:
             failures.append(f"spans-enabled repeat runs diverge {where}")
         if first[2] != second[2]:
@@ -361,7 +390,7 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
     cases.append(("fault config, crash inside a wake-up",
                   wakeup_fault_config()))
     for where, config in cases:
-        coalesced = result_fingerprint(BanScenario(config).run())
+        coalesced = untraced_run(config)[0]
         per_sample = traced_run(config)[0]
         entries.append({"case": where,
                         "result_fingerprints": [coalesced, per_sample]})
