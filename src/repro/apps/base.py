@@ -21,9 +21,14 @@ read, the next per-task sample, a simulator end hook, or the node's
 measurement reset.  A block reads each channel once
 (:meth:`~repro.hw.asic.BiopotentialAsic.read_block`,
 :meth:`~repro.hw.adc.Adc12.convert_block`) and hands the sample
-vectors to :meth:`SamplingApplication.handle_samples` in tick order,
-each stamped with its tick (:attr:`SamplingApplication.sample_tick`),
-with the values the per-sample reads would have given bit for bit.
+columns to :meth:`SamplingApplication.handle_block`, whose default
+hands each sample vector to :meth:`SamplingApplication.handle_samples`
+in tick order, stamped with its tick
+(:attr:`SamplingApplication.sample_tick`), with the values the
+per-sample reads would have given bit for bit.  An app may override
+:meth:`~SamplingApplication.handle_block` to consume a block at once
+(the Rpeak app does); :meth:`~SamplingApplication.handle_samples`
+stays the per-task reference path it must match.
 """
 
 from __future__ import annotations
@@ -107,6 +112,21 @@ class SamplingApplication(Component):
         at :attr:`sample_tick`."""
         raise NotImplementedError
 
+    def handle_block(self, ticks: Sequence[int],
+                     columns: Sequence[Sequence[int]]) -> None:
+        """Consume a block of coalesced samples.
+
+        ``ticks`` are the acquisition ticks, ascending; ``columns``
+        holds one column of ADC codes per channel, in channel order.
+        The default hands each sample vector to :meth:`handle_samples`
+        in tick order, stamped with its tick; an override must leave
+        what that loop would leave.
+        """
+        handle_samples = self.handle_samples
+        for tick, codes in zip(ticks, zip(*columns)):
+            self.sample_tick = tick
+            handle_samples(codes)
+
     def next_payload(self) -> Optional[AppPayload]:
         """What the MAC should transmit in the upcoming slot, if anything."""
         raise NotImplementedError
@@ -174,10 +194,9 @@ class SamplingApplication(Component):
 
         One :meth:`~repro.hw.asic.BiopotentialAsic.read_block` and one
         :meth:`~repro.hw.adc.Adc12.convert_block` per channel, then
-        :meth:`handle_samples` once per sample in tick order.  Called
-        wherever the samples could be observed: the payload read, a
-        per-task sample, the simulator's end hooks and the node's
-        measurement reset.
+        :meth:`handle_block` once.  Called wherever the samples could
+        be observed: the payload read, a per-task sample, the
+        simulator's end hooks and the node's measurement reset.
         """
         ticks = self._deferred_ticks
         if not ticks:
@@ -185,12 +204,8 @@ class SamplingApplication(Component):
         self._deferred_ticks = []
         read_block = self._asic.read_block
         convert_block = self._adc.convert_block
-        columns = [convert_block(read_block(c, ticks))
-                   for c in self.channels]
-        handle_samples = self.handle_samples
-        for tick, codes in zip(ticks, zip(*columns)):
-            self.sample_tick = tick
-            handle_samples(codes)
+        self.handle_block(ticks, [convert_block(read_block(c, ticks))
+                                  for c in self.channels])
 
     def _provide_payload(self) -> Optional[AppPayload]:
         # The MAC reads what the samples taken so far left behind.

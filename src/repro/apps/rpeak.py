@@ -72,18 +72,36 @@ class RpeakApp(SamplingApplication):
         for channel, code in zip(self.channels, codes):
             lag = self._detectors[channel].process(float(code))
             if lag > 0:
-                self._beat_counter += 1
-                self.beats_detected += 1
-                report = {
-                    "kind": "beat",
-                    "channel": channel,
-                    "lag_samples": lag,
-                    "beat_id": self._beat_counter,
-                    "detected_at_s": to_seconds(self.sample_tick),
-                }
-                if len(self._pending) == self._pending.maxlen:
-                    self.reports_dropped += 1
-                self._pending.append(report)
+                self._report_beat(channel, lag, self.sample_tick)
+
+    def handle_block(self, ticks: Sequence[int],
+                     columns: Sequence[Sequence[int]]) -> None:
+        """Run each channel's detector over its whole column, then
+        report the beats in (sample, channel) order, each with its own
+        tick: what :meth:`handle_samples` reports sample by sample."""
+        found = []
+        for order, (channel, column) in enumerate(zip(self.channels,
+                                                      columns)):
+            for position, lag in \
+                    self._detectors[channel].process_block(column):
+                found.append((position, order, channel, lag))
+        found.sort()
+        for position, _, channel, lag in found:
+            self._report_beat(channel, lag, ticks[position])
+
+    def _report_beat(self, channel: int, lag: int, tick: int) -> None:
+        self._beat_counter += 1
+        self.beats_detected += 1
+        report = {
+            "kind": "beat",
+            "channel": channel,
+            "lag_samples": lag,
+            "beat_id": self._beat_counter,
+            "detected_at_s": to_seconds(tick),
+        }
+        if len(self._pending) == self._pending.maxlen:
+            self.reports_dropped += 1
+        self._pending.append(report)
 
     def next_payload(self) -> Optional[AppPayload]:
         if not self._pending:

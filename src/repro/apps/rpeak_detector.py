@@ -25,7 +25,7 @@ its Python cost is O(1) per sample.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 
 class RPeakDetector:
@@ -119,6 +119,63 @@ class RPeakDetector:
         self._last_beat_index = self._candidate_index
         self.beats_detected += 1
         return self._index - self._candidate_index
+
+    def process_block(self, values: Iterable[float]) -> List[Tuple[int, int]]:
+        """Feed a block of samples; returns the confirmed beats.
+
+        Each beat is ``(position in the block, lag)``, where ``lag`` is
+        what :meth:`process` returns for that sample.  Bit for bit the
+        same as ``[process(float(v)) for v in values]``: the same
+        arithmetic, with the detector's state held in locals for the
+        block.
+        """
+        alpha, decay = self._alpha, self._decay
+        fraction, warmup = self._fraction, self._warmup
+        refractory = self._refractory
+        index = self._index
+        baseline = self._baseline
+        amplitude = self._amplitude
+        last_beat = self._last_beat_index
+        in_candidate = self._in_candidate
+        peak, peak_index = self._candidate_peak, self._candidate_index
+        beats: List[Tuple[int, int]] = []
+        for position, value in enumerate(map(float, values)):
+            index += 1
+            if baseline is None:
+                baseline = value
+            filtered = value - baseline
+            baseline += alpha * (value - baseline)
+            amplitude *= decay
+            if filtered > amplitude:
+                amplitude = filtered
+            if index < warmup:
+                continue
+            threshold = fraction * amplitude
+            if threshold <= 0:
+                continue
+            if not in_candidate:
+                if filtered >= threshold and (
+                        last_beat is None
+                        or index - last_beat >= refractory):
+                    in_candidate = True
+                    peak, peak_index = filtered, index
+                continue
+            if filtered > peak:
+                peak, peak_index = filtered, index
+                continue
+            if filtered >= threshold:
+                continue
+            in_candidate = False
+            last_beat = peak_index
+            beats.append((position, index - peak_index))
+        self._index = index
+        self._baseline = baseline
+        self._amplitude = amplitude
+        self._last_beat_index = last_beat
+        self._in_candidate = in_candidate
+        self._candidate_peak, self._candidate_index = peak, peak_index
+        self.beats_detected += len(beats)
+        return beats
 
     def _refractory_passed(self) -> bool:
         if self._last_beat_index is None:

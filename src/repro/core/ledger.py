@@ -37,10 +37,21 @@ Planned transitions
 :meth:`PowerStateLedger.plan` books a transition at an explicit future
 tick without a kernel event: the TinyOS scheduler plans an idle MCU's
 task start and its return to sleep this way.  Every entry point
-(transitions, state reads, queries, ``close``, ``reset``) first applies
-the plans whose tick has come, in tick order, each booked and reported
-to ``on_transition`` at its planned tick, so every reader sees exactly
-what an event-driven transition at that tick would have left.
+(transitions, reads of ``tag`` and ``transitions``, queries, ``close``,
+``reset``) first applies the plans whose tick has come, in tick order,
+each booked and reported to ``on_transition`` at its planned tick, so
+every reader sees exactly what an event-driven transition at that tick
+would have left.
+
+A read of ``state`` while every pending plan is due answers from the
+last plan and books nothing.  So an idle MCU's next sample checks that
+it sleeps without booking the previous sample's three plans, and the
+next entry point books them all in one pass.  The bookings, their
+order and the observer calls are those of applying each plan at once.
+Past :data:`MAX_PENDING_PLANS` pending plans,
+:meth:`~PowerStateLedger.plan` books the due ones first, so a ledger
+that only plans (an idle collector's MCU, read only when the run ends)
+stays small.
 """
 
 from __future__ import annotations
@@ -49,6 +60,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from .states import PowerStateTable
+
+#: Most plans a ledger holds pending (see "Planned transitions").
+MAX_PENDING_PLANS = 96
 
 
 class PowerStateLedger:
@@ -102,7 +116,10 @@ class PowerStateLedger:
     @property
     def state(self) -> str:
         """Name of the current power state."""
-        if self._plans:
+        plans = self._plans
+        if plans:
+            if plans[-1][0] <= self._sim._now:  # all due: the last decides
+                return plans[-1][1][0]
             self._apply_plans()
         return self._state
 
@@ -172,19 +189,26 @@ class PowerStateLedger:
         table; changes come in tick order.  A change is applied, booked
         at its tick, by the first entry point that runs at or after
         that tick.  Raises ValueError if the first change lies before
-        the last pending plan or in the past.
+        the last pending plan or in the past.  Past
+        :data:`MAX_PENDING_PLANS`, the due plans are booked first.
         """
         plans = self._plans
         if changes[0][0] < (plans[-1][0] if plans else self._sim._now):
             raise ValueError(
                 f"{self.component}: plan at {changes[0][0]} is out of order")
+        if len(plans) + len(changes) > MAX_PENDING_PLANS:
+            self._apply_plans()
+            plans = self._plans
         plans.extend(changes)
 
     def cancel_plan(self, time: int, state: str) -> None:
-        """Drop the pending plan to enter ``state`` at tick ``time``."""
-        for index, (at, (planned, _)) in enumerate(self._plans):
+        """Drop the newest pending plan to enter ``state`` at tick
+        ``time``."""
+        plans = self._plans
+        for index in range(len(plans) - 1, -1, -1):
+            at, (planned, _) = plans[index]
             if at == time and planned == state:
-                del self._plans[index]
+                del plans[index]
                 return
         raise ValueError(
             f"{self.component}: no {state!r} plan at {time} to cancel")
@@ -355,4 +379,4 @@ class PowerStateLedger:
         return self.energy_j() / to_seconds(horizon)
 
 
-__all__ = ["PowerStateLedger"]
+__all__ = ["PowerStateLedger", "MAX_PENDING_PLANS"]

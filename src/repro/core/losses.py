@@ -46,6 +46,11 @@ class RadioEnergyCategory(enum.Enum):
     #: Receiver on with no frame usefully arriving (guard windows etc.).
     IDLE_LISTENING = "idle_listening"
 
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ runs in Python, and LossAccountant.book hashes a member
+    # four times per booking.  Dict order is insertion order either way.
+    __hash__ = object.__hash__
+
 
 #: Categories that represent waste in the paper's sense (Section 4.2).
 WASTE_CATEGORIES = (

@@ -116,7 +116,9 @@ class Msp430:
         after the wake-up latency and :meth:`sleep` after ``cycles``
         would book, at the same ticks.  Returns the task's (start, end)
         ticks; None, booking nothing, unless the core sleeps in LPM0
-        with no trace attached.
+        with no trace attached.  The previous task's plans stay
+        pending: once they are all due, the last one (a sleep) answers
+        the state read, and the ledger's next booking applies them.
         """
         ledger = self.ledger
         if self._trace is not None or ledger.state != SLEEP:
@@ -131,7 +133,7 @@ class Msp430:
     def begin_task(self, label: str = "") -> None:
         """Mark the start of task execution (re-tags active time)."""
         ledger = self.ledger
-        if ledger.state != ACTIVE:  # applies the planned wake, if any
+        if ledger.state != ACTIVE:  # a planned wake counts
             raise RuntimeError(
                 f"{self.name}: task {label!r} started while sleeping; "
                 "the scheduler must wake the core first")

@@ -15,7 +15,7 @@ defaults to zero so the case-study rate is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -139,10 +139,16 @@ class SyntheticEcg:
     def values_at(self, times: Sequence[float]) -> List[float]:
         """``[value_at(t) for t in times]`` for ascending ``times``.
 
-        Bit for bit the same: each sample extends the beat list exactly
-        as :meth:`value_at` would and sums the same bumps of the same
-        bracketing beats in the same order, found by one forward index
-        instead of a bisect per sample.
+        Bit for bit the same.  The block is walked in runs of samples
+        that share their bracketing beats (the beats :meth:`value_at`
+        sums over).  Per run, each bump's centre ``beat + offset_s`` is
+        formed once, and a bump whose cutoff window misses the run is
+        dropped.  ``t - centre`` is monotone in ``t``, so the run's two
+        end samples decide the window for every sample in between; only
+        a run that holds a bump's window edge tests windows per sample.
+        The samples sum the remaining bumps in the order and with the
+        expression :meth:`value_at` uses.  The beat list grows exactly
+        as sample-by-sample reads would grow it.
         """
         if times == self._block_times:
             return self._block_values[:]
@@ -151,21 +157,55 @@ class SyntheticEcg:
         beats = self._beats
         amplitude_mv = self.amplitude_mv
         two_rr = 2.0 * self._mean_rr_s  # _ensure_beats_until's horizon
+        count = len(times)
         index = bisect_left(beats, times[0]) if times else 0
         values: List[float] = []
-        for t_seconds in times:
-            if beats[-1] < t_seconds + two_rr:
-                self._ensure_beats_until(t_seconds)
-            # First beat at or after t, as bisect_left finds it.
-            while beats[index] < t_seconds:
+        start = 0
+        while start < count:
+            first = times[start]
+            if beats[-1] < first + two_rr:
+                self._ensure_beats_until(first)
+            # First beat at or after the run, as bisect_left finds it.
+            while beats[index] < first:
                 index += 1
-            value = 0.0
+            if index + 1 < len(beats):
+                # The bracket is complete: every sample up to that beat
+                # shares it, and growing the list cannot change it.
+                stop = bisect_right(times, beats[index], start + 1)
+                last = times[stop - 1]
+                if beats[-1] < last + two_rr:
+                    self._ensure_beats_until(last)
+            else:
+                # The list may grow inside the bracket: one sample.
+                stop = start + 1
+                last = first
+            bumps = []
+            edges = False
             for beat in beats[max(0, index - 1):index + 2]:
-                for amplitude, offset_s, width_s, cutoff in waves:
-                    dt = t_seconds - (beat + offset_s)
-                    if -cutoff < dt < cutoff:
-                        value += amplitude * exp(-0.5 * (dt / width_s) ** 2)
-            values.append(amplitude_mv * value)
+                for amplitude, offset_s, width, cutoff in waves:
+                    centre = beat + offset_s
+                    head = first - centre
+                    if head >= cutoff:
+                        continue
+                    tail = last - centre
+                    if tail <= -cutoff:
+                        continue
+                    bumps.append((amplitude, centre, width, cutoff))
+                    if head <= -cutoff or tail >= cutoff:
+                        edges = True
+            for t in times[start:stop]:
+                value = 0.0
+                if edges:
+                    for amplitude, centre, width, cutoff in bumps:
+                        dt = t - centre
+                        if -cutoff < dt < cutoff:
+                            value += amplitude * exp(-0.5 * (dt / width) ** 2)
+                else:
+                    for amplitude, centre, width, _ in bumps:
+                        dt = t - centre
+                        value += amplitude * exp(-0.5 * (dt / width) ** 2)
+                values.append(amplitude_mv * value)
+            start = stop
         self._block_times = list(times)
         self._block_values = values
         return values[:]

@@ -143,7 +143,15 @@ class TaskScheduler:
         if self._dispatching or self._queue or not self.coalescing():
             return False
         if self._unsettled is not None:
-            self.settle()
+            # The scheduler is idle, so the earlier task has ended and
+            # its start lies before now: run its body as settle() would,
+            # without the same-tick check.
+            start, earlier, earlier_cycles = self._unsettled
+            self._unsettled = None
+            self._tasks_run += 1
+            self._mcu.account_cycles(earlier_cycles)
+            if earlier is not None:
+                earlier(start)
         window = self._mcu.wake_for_task(cycles)
         if window is None:
             return False

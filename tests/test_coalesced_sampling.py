@@ -6,7 +6,7 @@ sleep as planned ledger transitions instead of two dispatch events;
 its body only records the acquisition tick, and the recorded ticks are
 read as one block when something can observe them.  The per-sample
 chain, which reads every sample on its own, runs whenever the
-simulator has a ``TraceRecorder`` (or spans, or a deep-sleep policy),
+simulator has a ``TraceRecorder`` (or a deep-sleep policy),
 so every test here runs the same thing twice, once with a trace, and
 requires bit-identical results.
 """
@@ -22,13 +22,15 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "tools"))
-from determinism_check import fault_config, reference_configs  # noqa: E402
+from determinism_check import (  # noqa: E402
+    fault_config, reference_configs, station_rows)
 
 from repro.analysis.experiments import _TABLE_SPECS
 from repro.analysis.waveforms import WaveformProbe
 from repro.apps.base import SamplingApplication
+from repro.apps.rpeak import RpeakApp
 from repro.core.calibration import DEFAULT_CALIBRATION
-from repro.core.ledger import PowerStateLedger
+from repro.core.ledger import MAX_PENDING_PLANS, PowerStateLedger
 from repro.core.states import PowerState, PowerStateTable
 from repro.exec.cache import config_fingerprint
 from repro.hw.asic import BiopotentialAsic
@@ -57,29 +59,6 @@ def _fingerprint(result: Any) -> str:
     return hashlib.sha256(config_fingerprint(result).encode()).hexdigest()
 
 
-def _node_counters(bans: List[BanScenario]) -> List[Tuple[Any, ...]]:
-    rows = []
-    for ban in bans:
-        for station in [*ban.nodes, ban.base_station]:
-            app = getattr(station, "app", None)
-            asic = getattr(station, "asic", None)
-            adc = getattr(station, "adc", None)
-            rows.append((
-                station.mcu.wakeups, station.mcu.cycles_executed,
-                station.scheduler.tasks_run,
-                getattr(app, "samples_taken", None),
-                getattr(app, "codes_sent", None),
-                getattr(app, "codes_dropped", None),
-                getattr(app, "beats_detected", None),
-                list(getattr(app, "_pending", ())),
-                list(getattr(app, "_pending_reports", ())),
-                list(getattr(app, "_stream_buffer", ())),
-                getattr(app, "mode_changes", None),
-                None if asic is None else asic.reads,
-                None if adc is None else adc.conversions))
-    return rows
-
-
 def _timelines(probes: List[WaveformProbe]) -> List[Dict[str, Any]]:
     return [{name: probe.timeline(name) for name in probe.signals}
             for probe in probes]
@@ -91,7 +70,7 @@ def _run_ban(config: BanScenarioConfig, per_sample: bool
     scenario = BanScenario(config, trace=trace)
     probe = WaveformProbe.attach_to_scenario(scenario)
     result = scenario.run()
-    return (_fingerprint(result), _node_counters([scenario]),
+    return (_fingerprint(result), station_rows([scenario]),
             _timelines([probe]), scenario.sim.events_dispatched)
 
 
@@ -104,22 +83,26 @@ def test_table_rows_are_bit_identical(table_id, index, config):
     assert coalesced[3] < reference[3]
 
 
-def test_ward_is_bit_identical():
+def _ward(per_sample: bool) -> MultiBanScenario:
+    """Eight 5-node BANs on one channel, MACs mixed."""
     macs = ("static", "dynamic", "aloha", "csma")
+    configs = [BanScenarioConfig(mac=macs[index % 4],
+                                 app="ecg_streaming", num_nodes=5,
+                                 cycle_ms=120.0, sampling_hz=55.0,
+                                 measure_s=WINDOW_S, seed=0)
+               for index in range(8)]
+    return MultiBanScenario(
+        configs, stagger_ms=7.8, seed=0,
+        trace=TraceRecorder(capacity=1) if per_sample else None)
 
+
+def test_ward_is_bit_identical():
     def run(per_sample: bool) -> Tuple[str, Any, Any, int]:
-        configs = [BanScenarioConfig(mac=macs[index % 4],
-                                     app="ecg_streaming", num_nodes=5,
-                                     cycle_ms=120.0, sampling_hz=55.0,
-                                     measure_s=WINDOW_S, seed=0)
-                   for index in range(8)]
-        ward = MultiBanScenario(
-            configs, stagger_ms=7.8, seed=0,
-            trace=TraceRecorder(capacity=1) if per_sample else None)
+        ward = _ward(per_sample)
         probes = [WaveformProbe.attach_to_scenario(ban)
                   for ban in ward.bans]
         results = ward.run()
-        return (_fingerprint(results), _node_counters(ward.bans),
+        return (_fingerprint(results), station_rows(ward.bans),
                 _timelines(probes), ward.sim.events_dispatched)
 
     coalesced, reference = run(False), run(True)
@@ -588,3 +571,142 @@ def test_reset_keeps_plans_that_are_not_due():
     ledger.reset()
     sim.run_until(400)
     assert ledger.ticks_in("on") == 100
+
+
+def test_cancel_plan_removes_the_newest_match():
+    sim = Simulator()
+    ledger = _ledger(sim)
+    ledger.plan((100, ("on", "first")), (100, ("on", "second")))
+    ledger.cancel_plan(100, "on")
+    sim.run_until(200)
+    assert ledger.ticks_in(tag="first") == 100
+    assert ledger.ticks_in(tag="second") == 0
+
+
+# ----------------------------------------------------------------------
+# Plans applied in bulk: an idle MCU's samples leave their plans pending
+# until the ledger is next read
+# ----------------------------------------------------------------------
+def _eager_state(ledger: PowerStateLedger) -> str:
+    """The state read that books every due plan at once."""
+    if ledger._plans:
+        ledger._apply_plans()
+    return ledger._state
+
+
+def _ledger_reads(rig: _Rig, pending: List[int]) -> List[Any]:
+    """Read the MCU ledger inside a wake-up, inside a task, at a
+    measurement reset and at the horizon (each read books whatever is
+    due); ``pending`` gets the plans held just before the first three."""
+    ledger = rig.node.mcu.ledger
+    reads: List[Any] = []
+
+    def read(what: str) -> None:
+        reads.append((what, rig.sim.now, list(ledger._live_ticks().items()),
+                      ledger.transitions, ledger.state, ledger.tag))
+
+    def read_inside(what: str) -> None:
+        pending.append(len(ledger._plans))
+        read(what)
+
+    period, wake, task = rig.PERIOD, rig.wake, rig.task
+    rig.sim.at(rig.FIRE + 6 * period + wake // 2,
+               lambda: read_inside("wake-up"))
+    rig.sim.at(rig.FIRE + 13 * period + wake + task // 2,
+               lambda: read_inside("task"))
+
+    def reset() -> None:
+        pending.append(len(ledger._plans))
+        rig.node.reset_measurement()
+        read("reset")
+
+    rig.sim.at(rig.FIRE + 21 * period + wake // 3, reset)
+    rig.sim.run_until(rig.FIRE + 30 * period + wake + task // 3)
+    read("horizon")
+    return reads
+
+
+def test_plans_booked_in_bulk_read_as_booked_at_once(monkeypatch):
+    bulk = _Rig(per_sample=False)
+    bulk_pending: List[int] = []
+    bulk_reads = _ledger_reads(bulk, bulk_pending)
+    monkeypatch.setattr(PowerStateLedger, "state", property(_eager_state))
+    eager = _Rig(per_sample=False)
+    eager_pending: List[int] = []
+    eager_reads = _ledger_reads(eager, eager_pending)
+    # Per-(state, tag) ticks in the same key order, transitions, the
+    # state and tag, and every observer call.
+    assert bulk_reads == eager_reads
+    assert bulk.probe.timeline("mcu") == eager.probe.timeline("mcu")
+    assert bulk.outcome() == eager.outcome()
+    # The bulk ledger held several samples' plans at each read; the
+    # eager one at most the current sample's three.
+    assert min(bulk_pending) >= 3 * 6
+    assert max(eager_pending) <= 3
+
+
+def test_collectors_hold_at_most_the_cap(monkeypatch):
+    most: Dict[str, int] = {}
+    plan = PowerStateLedger.plan
+
+    def recording(ledger: PowerStateLedger, *changes: Any) -> None:
+        plan(ledger, *changes)
+        most[ledger.component] = max(most.get(ledger.component, 0),
+                                     len(ledger._plans))
+
+    monkeypatch.setattr(PowerStateLedger, "plan", recording)
+    ward = _ward(per_sample=False)
+    ward.run()
+    collectors = [ban.base_station.mcu.ledger.component
+                  for ban in ward.bans if ban.config.mac in ("aloha", "csma")]
+    assert max(most.values()) <= MAX_PENDING_PLANS
+    # Nothing reads a contention collector's MCU ledger before the
+    # horizon, so each fills to the cap.
+    assert all(most[name] > MAX_PENDING_PLANS - 3 for name in collectors)
+
+
+# ----------------------------------------------------------------------
+# Rpeak blocks: the detectors run over whole columns
+# ----------------------------------------------------------------------
+def _rpeak_rig(per_sample: bool) -> Tuple[Simulator, RpeakApp, List[Any]]:
+    """One Rpeak node whose two channels see the same ECG, so both
+    detectors confirm every beat at the same sample.  A stub MAC reads
+    a payload every 1.5 s, so a block holds several beats per
+    channel."""
+    sim = Simulator(seed=1, trace=(TraceRecorder(capacity=1)
+                                   if per_sample else None))
+    node = SensorNode(sim, Channel(sim), DEFAULT_CALIBRATION, "node1")
+    source = ScaledSource(SyntheticEcg(heart_rate_bpm=90.0), gain=0.8,
+                          offset=1.25)
+    for channel in (0, 1):
+        node.asic.connect_source(channel, source)
+    mac = _MacStub(sim, "node1.mac")
+    node.install_mac(mac)
+    app = RpeakApp(sim, node.scheduler, node.asic, node.adc, mac,
+                   DEFAULT_CALIBRATION, channels=(0, 1), name="node1.rpeak")
+    node.install_app(app)
+    payloads: List[Any] = []
+    for cycle in range(1, 4):
+        sim.at(milliseconds(1500 * cycle + 2.5),
+               lambda: payloads.append(mac.payload_provider()))
+    app.start()
+    sim.run_until(seconds(5.0))
+    return sim, app, payloads
+
+
+def test_beats_on_two_channels_at_one_sample_report_in_channel_order():
+    coalesced, reference = _rpeak_rig(False), _rpeak_rig(True)
+    reports = [payload[1] for payload in coalesced[2] if payload is not None]
+    reports += list(coalesced[1]._pending)
+    assert reports == [payload[1] for payload in reference[2]
+                       if payload is not None] \
+        + list(reference[1]._pending)
+    assert coalesced[1].beats_detected == reference[1].beats_detected > 4
+    assert coalesced[0].events_dispatched < reference[0].events_dispatched
+    by_time: Dict[float, List[Tuple[int, int]]] = {}
+    for report in reports:
+        by_time.setdefault(report["detected_at_s"], []).append(
+            (report["beat_id"], report["channel"]))
+    assert len(by_time) > 2
+    assert all(sorted(pairs) == [(pairs[0][0], 0), (pairs[0][0] + 1, 1)]
+               for pairs in by_time.values())

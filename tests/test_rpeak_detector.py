@@ -1,6 +1,10 @@
 """Unit tests for the streaming R-peak detector."""
 
+import random
+from typing import List, Sequence, Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.rpeak_detector import RPeakDetector
 from repro.signals.ecg import SyntheticEcg
@@ -126,3 +130,70 @@ class TestDetectorMechanics:
             RPeakDetector(200.0, amplitude_decay=0.0)
         with pytest.raises(ValueError):
             RPeakDetector(200.0, threshold_fraction=1.0)
+
+
+# ----------------------------------------------------------------------
+# Block form: process_block == process fed one value at a time
+# ----------------------------------------------------------------------
+def _codes(bpm: float, noise: int, seed: int, count: int) -> List[int]:
+    """A 12-bit code stream: an ECG around mid-scale plus uniform noise
+    of +/- ``noise`` codes."""
+    ecg = SyntheticEcg(heart_rate_bpm=bpm)
+    draw = random.Random(seed)
+    return [round(2048 + 800 * ecg.value_at(index / 200.0))
+            + draw.randint(-noise, noise) for index in range(count)]
+
+
+def _state(detector: RPeakDetector) -> List[Tuple[str, str]]:
+    return [(name, repr(value)) for name, value in vars(detector).items()]
+
+
+def _scalar_and_blocks(codes: Sequence[int], cuts: Sequence[int]
+                       ) -> Tuple[RPeakDetector, List[Tuple[int, int]]]:
+    """Feed ``codes`` sample by sample to one detector and as blocks
+    split at ``cuts`` to another; both must agree bit for bit."""
+    scalar, block = RPeakDetector(200.0), RPeakDetector(200.0)
+    lags = [scalar.process(float(code)) for code in codes]
+    expected = [(index, lag) for index, lag in enumerate(lags) if lag > 0]
+    got = []
+    bounds = [0, *sorted(cuts), len(codes)]
+    for start, stop in zip(bounds, bounds[1:]):
+        got.extend((start + position, lag) for position, lag
+                   in block.process_block(codes[start:stop]))
+    assert got == expected
+    assert _state(block) == _state(scalar)
+    return scalar, expected
+
+
+@given(bpm=st.floats(min_value=40.0, max_value=180.0),
+       noise=st.integers(min_value=0, max_value=300),
+       seed=st.integers(min_value=0, max_value=2**16),
+       cuts=st.lists(st.integers(min_value=0, max_value=600), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_process_block_is_process_bit_for_bit(bpm, noise, seed, cuts):
+    _scalar_and_blocks(_codes(bpm, noise, seed, 600), cuts)
+
+
+def test_process_block_splits_at_the_detector_edges():
+    """Splits at the end of the warm-up, inside a candidate peak
+    (between its opening and its confirmation) and inside the
+    refractory period after a beat."""
+    codes = _codes(75.0, 40, 3, 600)
+    probe = RPeakDetector(200.0)
+    opened, confirmed = [], []
+    for index, code in enumerate(codes):
+        was_open = probe._in_candidate
+        if probe.process(float(code)):
+            confirmed.append(index)
+        if probe._in_candidate and not was_open:
+            opened.append(index)
+    warmup = probe._warmup
+    open_at = next(index for index in opened if index > warmup)
+    confirm_at = next(index for index in confirmed if index > open_at)
+    assert confirm_at - open_at >= 2  # the candidate spans a split
+    peak = confirm_at - dict(_scalar_and_blocks(codes, [])[1])[confirm_at]
+    assert confirm_at + 2 - peak < probe._refractory
+    cuts = [warmup - 1, warmup, warmup + 1, open_at + 1, confirm_at,
+            confirm_at + 2]
+    _, beats = _scalar_and_blocks(codes, cuts)
+    assert confirm_at in dict(beats)

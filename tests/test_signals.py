@@ -236,6 +236,23 @@ def test_block_before_the_first_beat(name):
     _blocks_and_scalars(name, [0.005 * k for k in range(60)], [])
 
 
+def test_block_grows_the_beat_list_sample_by_sample():
+    # The first beat lies over two RR intervals past the block's start,
+    # so early samples bracket one beat only, and the list grows inside
+    # the block.  A wave 3.2 s ahead of its beat makes the next beat,
+    # not yet generated for those samples, visible in the values if a
+    # block generated it early.
+    def factory() -> SyntheticEcg:
+        return SyntheticEcg(heart_rate_bpm=60.0, first_beat_s=5.0,
+                            morphology=(Wave(1.0, -3.2, 0.1),))
+
+    block, scalar = factory(), factory()
+    times = [0.01 * k for k in range(150, 450)]
+    assert _bits(block.values_at(times)) \
+        == _bits([scalar.value_at(t) for t in times])
+    assert block._beats == scalar._beats
+
+
 @pytest.mark.parametrize("factory", [SyntheticEcg, _irregular])
 def test_block_straddling_the_beat_list_horizon(factory):
     # A fresh generator holds one beat; one block runs 20 s past it, so
@@ -250,3 +267,73 @@ def test_block_straddling_the_beat_list_horizon(factory):
     if isinstance(block, IrregularEcg):
         assert (block.beats_dropped, block.beats_premature) \
             == (scalar.beats_dropped, scalar.beats_premature) != (0, 0)
+
+
+# ----------------------------------------------------------------------
+# Dense blocks: consecutive samples of a sampling grid, as the apps read
+# them, so runs of samples share their bracketing beats
+# ----------------------------------------------------------------------
+ECG_SOURCES = ["SyntheticEcg", "IrregularEcg", "MixSource", "ScaledSource"]
+
+
+def _dense_times(hz: float, first: int, sizes: Sequence[int]
+                 ) -> List[List[float]]:
+    """Consecutive blocks of ``sizes`` samples on the ``hz`` tick grid,
+    from sample number ``first`` on."""
+    period = round(TICKS_PER_SECOND / hz)
+    blocks, index = [], first
+    for size in sizes:
+        blocks.append([(index + k) * period / TICKS_PER_SECOND
+                       for k in range(size)])
+        index += size
+    return blocks
+
+
+def _dense_blocks_and_scalars(name: str, blocks: List[List[float]]) -> None:
+    times = [t for block in blocks for t in block]
+    cuts = []
+    for block in blocks[:-1]:
+        cuts.append((cuts[-1] if cuts else 0) + len(block))
+    _blocks_and_scalars(name, times, cuts)
+
+
+@pytest.mark.parametrize("name", ECG_SOURCES)
+@given(hz=st.sampled_from([55.0, 200.0, 205.0]),
+       first=st.integers(min_value=0, max_value=1600),
+       sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=1,
+                      max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_dense_blocks_are_value_at_bit_for_bit(name, hz, first, sizes):
+    _dense_blocks_and_scalars(name, _dense_times(hz, first, sizes))
+
+
+def _window_edges(ecg: SyntheticEcg) -> List[float]:
+    return sorted(beat + offset_s + side * cutoff
+                  for beat in ecg._beats
+                  for _, offset_s, _, cutoff in ecg._waves
+                  for side in (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("hz", [55.0, 200.0, 205.0])
+@pytest.mark.parametrize("factory", [lambda: SyntheticEcg(hrv_fraction=0.2),
+                                     _irregular])
+def test_dense_blocks_cross_brackets_and_window_edges(factory, hz):
+    # 8 s of samples in blocks of 1..30 samples; some blocks hold a beat
+    # and some a window edge strictly between their end samples, so runs
+    # end at beats and bumps are tested sample by sample.
+    sizes = [1 + (7 * k) % 30 for k in range(200)]
+    period = round(TICKS_PER_SECOND / hz)
+    count = int(8.0 * TICKS_PER_SECOND) // period
+    while sum(sizes) > count:
+        sizes.pop()
+    blocks = _dense_times(hz, 0, sizes)
+    block, scalar = factory(), factory()
+    got = [value for times in blocks for value in block.values_at(times)]
+    assert _bits(got) == _bits([scalar.value_at(t)
+                                for times in blocks for t in times])
+    assert block._beats == scalar._beats
+    beats, edges = block._beats, _window_edges(block)
+    assert any(times[0] <= beat < times[-1]
+               for times in blocks for beat in beats)
+    assert any(times[0] < edge < times[-1]
+               for times in blocks for edge in edges)

@@ -33,12 +33,16 @@ checks, each over a reference scenario set:
    loop — the perturbation test exercises exactly the hook surface
    the static pass proved effect-free.
 6. **Cross-mode** — a plain run coalesces idle-MCU samples (one
-   kernel event per sample, planned ledger transitions); a traced run
-   takes the per-sample chain, the reference path, because its trace
-   lists every dispatch.  For every checked config plus two
-   fault configs, one whose crash and reboot land mid-sample and one
-   whose crash lands inside a sample's wake-up, the two result
-   fingerprints must be equal.
+   kernel event per sample, planned ledger transitions, block reads);
+   a traced run takes the per-sample chain, the reference path,
+   because its trace lists every dispatch.  For every checked config
+   plus two fault configs, one whose crash and reboot land mid-sample
+   and one whose crash lands inside a sample's wake-up, the two result
+   fingerprints must be equal, and so must the two station digests
+   (:func:`station_rows`): results carry energies and traffic counts,
+   not what the apps computed, so the digest covers the apps' counters,
+   the reports they still hold and every payload the base station
+   received.
 
 Every check runs the reference configs (one per MAC family, plus
 extra apps) and two fault configs whose crash lands inside a
@@ -208,12 +212,49 @@ def result_fingerprint(result: Any) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def station_rows(bans: List[BanScenario]) -> List[Tuple[Any, ...]]:
+    """One row per station of each BAN, base station last: the MCU's
+    wakeups and cycles, the tasks run, the app's counters and the
+    reports and codes it still holds, the front end's reads and
+    conversions, and the (arrival time, frame) of every data frame the
+    base station delivered."""
+    rows = []
+    for ban in bans:
+        for station in [*ban.nodes, ban.base_station]:
+            app = getattr(station, "app", None)
+            asic = getattr(station, "asic", None)
+            adc = getattr(station, "adc", None)
+            rows.append((
+                station.mcu.wakeups, station.mcu.cycles_executed,
+                station.scheduler.tasks_run,
+                getattr(app, "samples_taken", None),
+                getattr(app, "codes_sent", None),
+                getattr(app, "codes_dropped", None),
+                getattr(app, "beats_detected", None),
+                list(getattr(app, "_pending", ())),
+                list(getattr(app, "_pending_reports", ())),
+                list(getattr(app, "_stream_buffer", ())),
+                getattr(app, "mode_changes", None),
+                None if asic is None else asic.reads,
+                None if adc is None else adc.conversions,
+                list(getattr(station, "deliveries", ()))))
+    return rows
+
+
+def station_digest(scenario: BanScenario) -> str:
+    """SHA-256 of :func:`station_rows` for one scenario (floats by
+    ``repr``, so bit-exact)."""
+    return hashlib.sha256(
+        repr(station_rows([scenario])).encode()).hexdigest()
+
+
 def traced_run(config: BanScenarioConfig, spans: bool = False
-               ) -> Tuple[str, str, str]:
-    """Run once with tracing; return (result_fp, trace_fp, span_fp).
+               ) -> Tuple[str, str, str, str]:
+    """Run once with tracing; return (result_fp, trace_fp, span_fp,
+    station_fp).
 
     ``span_fp`` is the span-store fingerprint when ``spans`` is set
-    and ``""`` otherwise.
+    and ``""`` otherwise; ``station_fp`` is :func:`station_digest`.
     """
     trace = TraceRecorder()
     scenario = BanScenario(config, trace=trace)
@@ -225,19 +266,20 @@ def traced_run(config: BanScenarioConfig, spans: bool = False
             f"{record.time}|{record.source}|{record.kind}|"
             f"{record.detail}\n".encode())
     span_fp = tracer.store.fingerprint() if tracer is not None else ""
-    return result_fingerprint(result), digest.hexdigest(), span_fp
+    return (result_fingerprint(result), digest.hexdigest(), span_fp,
+            station_digest(scenario))
 
 
 def untraced_run(config: BanScenarioConfig, spans: bool = False
-                 ) -> Tuple[str, int, str]:
+                 ) -> Tuple[str, int, str, str]:
     """Run once without a trace; return (result_fp, events_dispatched,
-    span_fp), ``span_fp`` as in :func:`traced_run`."""
+    span_fp, station_fp), the fingerprints as in :func:`traced_run`."""
     scenario = BanScenario(config)
     tracer = attach_span_tracer(scenario) if spans else None
     result = scenario.run()
     span_fp = tracer.store.fingerprint() if tracer is not None else ""
     return (result_fingerprint(result), scenario.sim.events_dispatched,
-            span_fp)
+            span_fp, station_digest(scenario))
 
 
 def check_repeat_run(report: Dict[str, Any]) -> List[str]:
@@ -379,7 +421,8 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
     """Check 6: coalesced sampling == the per-sample chain.
 
     The per-sample run is the traced run of check 1 (a trace selects
-    that path); the coalesced run is the same config untraced.
+    that path); the coalesced run is the same config untraced.  Both
+    the results and the station digests must be equal.
     """
     failures = []
     entries = []
@@ -390,13 +433,20 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
     cases.append(("fault config, crash inside a wake-up",
                   wakeup_fault_config()))
     for where, config in cases:
-        coalesced = untraced_run(config)[0]
-        per_sample = traced_run(config)[0]
-        entries.append({"case": where,
-                        "result_fingerprints": [coalesced, per_sample]})
-        if coalesced != per_sample:
+        coalesced = untraced_run(config)
+        per_sample = traced_run(config)
+        entries.append({
+            "case": where,
+            "result_fingerprints": [coalesced[0], per_sample[0]],
+            "station_fingerprints": [coalesced[3], per_sample[3]],
+        })
+        if coalesced[0] != per_sample[0]:
             failures.append(
                 f"coalesced and per-sample results diverge ({where})")
+        if coalesced[3] != per_sample[3]:
+            failures.append(
+                "coalesced and per-sample station digests diverge "
+                f"({where})")
     report["cross_mode"] = {"configs": entries}
     return failures
 
