@@ -23,7 +23,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "tools"))
 from determinism_check import (  # noqa: E402
-    fault_config, reference_configs, station_rows)
+    fault_config, reference_configs, station_digest, station_rows)
 
 from repro.analysis.experiments import _TABLE_SPECS
 from repro.analysis.waveforms import WaveformProbe
@@ -39,6 +39,7 @@ from repro.net.multi import MultiBanScenario
 from repro.net.node import SensorNode
 from repro.obs import attach_span_tracer
 from repro.phy.channel import Channel
+from repro.signals import ecg as ecg_module
 from repro.signals.ecg import SyntheticEcg
 from repro.signals.sources import ScaledSource
 from repro.sim.events import SimulationError
@@ -141,6 +142,48 @@ def test_events_dispatched_is_pinned():
     reference = _run_ban(config, per_sample=True)[3]
     assert (coalesced, reference) == (3033, 5757)
     assert coalesced < 0.6 * reference
+
+
+def test_ecg_recordings_leave_the_rpeak_rows_unchanged(monkeypatch):
+    """Tables 3+4 give node i the same patient in every row, so after
+    the first row its block reads are served from the recording.  The
+    rows run forward, in reverse (every read served from what the
+    forward pass recorded) and each with the registry emptied (every
+    read synthesized) give the same results and station digests."""
+    rows = [config for table_id, _, config in TABLE_ROWS
+            if table_id in ("table3", "table4")]
+    synthesized = [0]
+    synthesize = SyntheticEcg._synthesize
+
+    def counting(self: SyntheticEcg, times: Any) -> List[float]:
+        synthesized[0] += len(times)
+        return synthesize(self, times)
+
+    monkeypatch.setattr(SyntheticEcg, "_synthesize", counting)
+
+    def run(config: BanScenarioConfig) -> Tuple[str, str]:
+        scenario = BanScenario(config)
+        result = scenario.run()
+        return _fingerprint(result), station_digest(scenario)
+
+    def recorded() -> List[int]:
+        return [len(instants)
+                for instants, _ in ecg_module._RECORDINGS.values()]
+
+    ecg_module._RECORDINGS.clear()
+    forward = [run(config) for config in rows]
+    forward_synthesized, kept = synthesized[0], recorded()
+    reverse = [run(config) for config in reversed(rows)][::-1]
+    assert recorded() == kept
+    reverse_synthesized = synthesized[0] - forward_synthesized
+    emptied = []
+    for config in rows:
+        ecg_module._RECORDINGS.clear()
+        emptied.append(run(config))
+    emptied_synthesized = (synthesized[0] - forward_synthesized
+                           - reverse_synthesized)
+    assert forward == reverse == emptied
+    assert reverse_synthesized == 0 < forward_synthesized < emptied_synthesized
 
 
 def test_crash_and_reboot_mid_sample_are_bit_identical():

@@ -6,8 +6,10 @@ from typing import Callable, Dict, List, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.signals import ecg as ecg_module
 from repro.signals.arrhythmia import IrregularEcg
-from repro.signals.ecg import PQRST, SyntheticEcg, Wave
+from repro.signals.ecg import (MAX_RECORDED_INSTANTS, MAX_RECORDINGS, PQRST,
+                               SyntheticEcg, Wave)
 from repro.signals.eeg import SyntheticEeg
 from repro.signals.sources import (
     ConstantSource,
@@ -136,6 +138,33 @@ class TestSyntheticEcg:
         mono = SyntheticEcg(morphology=[Wave(1.0, 0.0, 0.01)])
         beat = mono.r_peak_times(2.0)[0]
         assert mono.value_at(beat) == pytest.approx(1.0, abs=0.01)
+
+
+#: Each read-only parameter, the value a test builds with, and another.
+PARAMETERS = [("heart_rate_bpm", 60.0, 40.0),
+              ("amplitude_mv", 2.0, 0.5),
+              ("hrv_fraction", 0.1, 0.3),
+              ("hrv_frequency_hz", 0.2, 0.05),
+              ("morphology", (Wave(1.0, 0.0, 0.01),), PQRST)]
+
+
+@pytest.mark.parametrize("factory", [SyntheticEcg, IrregularEcg])
+@pytest.mark.parametrize("name,value,other", PARAMETERS,
+                         ids=[name for name, _, _ in PARAMETERS])
+def test_parameters_are_read_only(factory, name, value, other):
+    # The beat schedule, the waves and the shared recording are built
+    # from the parameters, so a later assignment would report a value
+    # the signal does not follow.
+    if factory is IrregularEcg and name.startswith("hrv"):
+        # IrregularEcg takes no HRV arguments: it keeps the defaults.
+        ecg, value = factory(), getattr(SyntheticEcg(), name)
+    else:
+        ecg = factory(**{name: value})
+    before = [ecg.value_at(0.01 * k) for k in range(100)]
+    with pytest.raises(AttributeError):
+        setattr(ecg, name, other)
+    assert getattr(ecg, name) == value
+    assert [ecg.value_at(0.01 * k) for k in range(100)] == before
 
 
 class TestSyntheticEeg:
@@ -337,3 +366,204 @@ def test_dense_blocks_cross_brackets_and_window_edges(factory, hz):
                for times in blocks for beat in beats)
     assert any(times[0] < edge < times[-1]
                for times in blocks for edge in edges)
+
+
+# ----------------------------------------------------------------------
+# One recording per patient: equal-parameter instances share what their
+# block reads synthesized, and serve it bit for bit
+# ----------------------------------------------------------------------
+def _patient() -> SyntheticEcg:
+    return SyntheticEcg(hrv_fraction=0.2, first_beat_s=0.57)
+
+
+def _split(times: Sequence[float], cuts: Sequence[int]
+           ) -> List[List[float]]:
+    """``times`` cut at ``cuts``; repeated cuts give empty blocks."""
+    bounds = [0, *sorted(min(cut, len(times)) for cut in cuts), len(times)]
+    return [list(times[start:stop])
+            for start, stop in zip(bounds, bounds[1:])]
+
+
+def _read(ecg: SyntheticEcg, blocks: Sequence[Sequence[float]]
+          ) -> List[float]:
+    return [value for block in blocks for value in ecg.values_at(block)]
+
+
+def _synthesized(ecg: SyntheticEcg) -> List[float]:
+    """The list that collects every instant ``ecg`` synthesizes from
+    now on."""
+    instants: List[float] = []
+    synthesize = ecg._synthesize
+
+    def counting(times: Sequence[float]) -> List[float]:
+        instants.extend(times)
+        return synthesize(times)
+
+    ecg._synthesize = counting  # type: ignore[method-assign]
+    return instants
+
+
+cuts = st.lists(st.integers(min_value=0, max_value=400), max_size=40)
+
+
+@given(first=st.integers(min_value=0, max_value=1600),
+       size=st.integers(min_value=2, max_value=400),
+       recorded=st.integers(min_value=1, max_value=399),
+       cuts_a=cuts, cuts_b=cuts,
+       other_hz=st.sampled_from([55.0, 105.0, 205.0]), cuts_c=cuts)
+@settings(max_examples=60, deadline=None)
+def test_recorded_reads_are_value_at_bit_for_bit(first, size, recorded,
+                                                 cuts_a, cuts_b, other_hz,
+                                                 cuts_c):
+    ecg_module._RECORDINGS.clear()
+    times = _dense_times(200.0, first, [size])[0]
+    recorded = min(recorded, size - 1)
+    reference = [_patient().value_at(t) for t in times]
+    # One instance records a prefix of the grid, in random blocks.
+    a = _patient()
+    assert _bits(_read(a, _split(times[:recorded], cuts_a))) \
+        == _bits(reference[:recorded])
+    # A second one reads the whole grid in its own random blocks: no cut
+    # at the recording's end, so one block straddles it and serves its
+    # recorded prefix.  It synthesizes exactly the unrecorded instants.
+    b = _patient()
+    synthesized = _synthesized(b)
+    blocks = _split(times, [cut for cut in cuts_b if cut != recorded])
+    assert _bits(_read(b, blocks)) == _bits(reference)
+    assert synthesized == times[recorded:]
+    assert any(block[0] < times[recorded] <= block[-1]
+               for block in blocks if block)
+    # A third one reads another grid over the same span.
+    c = _patient()
+    other = [t for t in _dense_times(other_hz, 0, [4000])[0]
+             if times[0] <= t <= times[-1] + 0.5]
+    assert _bits(_read(c, _split(other, cuts_c))) \
+        == _bits([_patient().value_at(t) for t in other])
+
+
+def test_served_reads_grow_the_beat_list_like_synthesis():
+    ecg_module._RECORDINGS.clear()
+    times = _dense_times(200.0, 0, [3000])[0]
+    _read(_patient(), [times])
+    served, scalar = _patient(), _patient()
+    synthesized = _synthesized(served)
+    for start in range(0, len(times), 7):
+        block = times[start:start + 7]
+        served.values_at(block)
+        for t in block:
+            scalar.value_at(t)
+        assert served._beats == scalar._beats
+    assert synthesized == []
+
+
+def test_a_reader_missing_once_is_served_again():
+    # The recording lacks one instant (a sample its recorder read on
+    # the per-sample path).  The block starting there is synthesized;
+    # the next one is bisected for and served, like every other block.
+    ecg_module._RECORDINGS.clear()
+    times = _dense_times(200.0, 0, [100])[0]
+    _read(_patient(), [times[:50], times[51:]])
+    reader = _patient()
+    synthesized = _synthesized(reader)
+    blocks = _split(times, range(5, 100, 5))
+    assert _bits(_read(reader, blocks)) \
+        == _bits([_patient().value_at(t) for t in times])
+    assert synthesized == times[50:55]
+
+
+def test_one_sample_and_empty_blocks_are_served():
+    ecg_module._RECORDINGS.clear()
+    times = _dense_times(200.0, 100, [50])[0]
+    _read(_patient(), [times])
+    ecg = _patient()
+    synthesized = _synthesized(ecg)
+    for t in times:
+        assert ecg.values_at([]) == []
+        assert _bits(ecg.values_at([t])) == _bits([_patient().value_at(t)])
+    assert synthesized == []
+
+
+def test_subclasses_and_other_patients_never_share():
+    ecg_module._RECORDINGS.clear()
+    patient = SyntheticEcg()
+    assert SyntheticEcg()._recording is patient._recording
+    assert SyntheticEcg(heart_rate_bpm=75)._recording \
+        is patient._recording
+    assert IrregularEcg()._recording is None
+
+    class Shifted(SyntheticEcg):
+        pass
+
+    assert Shifted()._recording is None
+    # Any parameter differing, even 0.0 against -0.0 (which scale the
+    # values to zeros of opposite signs), makes another patient.
+    others = [SyntheticEcg(first_beat_s=0.46),
+              SyntheticEcg(heart_rate_bpm=76.0),
+              SyntheticEcg(amplitude_mv=2.0),
+              SyntheticEcg(hrv_fraction=0.1),
+              SyntheticEcg(hrv_fraction=0.1, hrv_frequency_hz=0.2),
+              SyntheticEcg(morphology=PQRST[:4]),
+              SyntheticEcg(amplitude_mv=0.0),
+              SyntheticEcg(amplitude_mv=-0.0)]
+    recordings = [patient._recording] + [o._recording for o in others]
+    assert len({id(recording) for recording in recordings}) \
+        == len(recordings)
+    # A subclass reads its own synthesis, never the patient's recording.
+    times = _dense_times(200.0, 0, [400])[0]
+    _read(patient, [times])
+    irregular = IrregularEcg(first_beat_s=0.35)
+    synthesized = _synthesized(irregular)
+    _read(irregular, [times])
+    assert synthesized == times
+
+
+@given(blocks=st.lists(ticks, min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_a_recording_grows_only_past_its_end(blocks):
+    ecg_module._RECORDINGS.clear()
+    instants, values = _patient()._recording
+    for block in blocks:
+        times = [tick / TICKS_PER_SECOND for tick in block]
+        before = instants.tolist(), values.tolist()
+        assert _bits(_patient().values_at(times)) \
+            == _bits([_patient().value_at(t) for t in times])
+        grown = instants.tolist()
+        assert grown[:len(before[0])] == before[0]
+        assert values.tolist()[:len(before[1])] == before[1]
+        assert grown == sorted(grown)
+        end = before[0][-1] if before[0] else -math.inf
+        assert grown[len(before[0]):] == [t for t in times if t > end]
+    reference = _patient()
+    assert _bits(values) == _bits([reference.value_at(t) for t in instants])
+
+
+def test_a_recording_stops_at_its_instant_cap(monkeypatch):
+    ecg_module._RECORDINGS.clear()
+    monkeypatch.setattr(ecg_module, "MAX_RECORDED_INSTANTS", 30)
+    times = _dense_times(200.0, 0, [100])[0]
+    ecg = _patient()
+    assert _bits(_read(ecg, _split(times, [7, 25, 40]))) \
+        == _bits([_patient().value_at(t) for t in times])
+    assert ecg._recording[0].tolist() == times[:30]
+    assert MAX_RECORDED_INSTANTS >= 60 * 205
+
+
+def test_the_registry_stays_within_its_constant():
+    ecg_module._RECORDINGS.clear()
+    patients = [SyntheticEcg(first_beat_s=0.01 * k)
+                for k in range(MAX_RECORDINGS + 5)]
+    assert len(ecg_module._RECORDINGS) == MAX_RECORDINGS
+    # The least recently built patients went first; building a kept one
+    # again shares its recording and makes it the most recent.
+    kept = patients[5]
+    assert SyntheticEcg(first_beat_s=0.05)._recording is kept._recording
+    SyntheticEcg(first_beat_s=1.0)
+    assert len(ecg_module._RECORDINGS) == MAX_RECORDINGS
+    assert SyntheticEcg(first_beat_s=0.05)._recording is kept._recording
+    assert SyntheticEcg(first_beat_s=0.06)._recording \
+        is not patients[6]._recording
+    # An instance whose patient went keeps reading its own recording.
+    times = _dense_times(200.0, 0, [40])[0]
+    first = patients[0]
+    _read(first, [times])
+    assert first._recording[0].tolist() == times

@@ -8,7 +8,11 @@ checks, each over a reference scenario set:
 
 1. **Repeat-run** — the same config run twice in one process must
    produce an identical energy result *and* an identical event trace
-   (every dispatched ``(tick, source, kind, detail)`` record).
+   (every dispatched ``(tick, source, kind, detail)`` record).  It is
+   also run untraced twice: the second run's ECG block reads are
+   served from the per-patient recording the first run made
+   (:mod:`repro.signals.ecg`), and the two result fingerprints,
+   ``events_dispatched`` and station digests (check 6) must be equal.
 2. **Parallel-equals-sequential** — a mixed batch executed with
    ``jobs=1`` and ``jobs=2`` must produce identical per-config result
    fingerprints in the same order.
@@ -287,26 +291,36 @@ def check_repeat_run(report: Dict[str, Any]) -> List[str]:
 
     Every reference config is exercised, so each MAC family (including
     the contention ones, whose backoff/jitter draws are the likeliest
-    determinism hazard) proves repeatability separately.
+    determinism hazard) proves repeatability separately.  The untraced
+    pair checks the ECG recordings: the first run synthesizes what the
+    second reads back, so a recording that served a value other than
+    the synthesis gave would change the second run's station digest.
     """
     failures = []
     entries = []
     for index, config in enumerate(checked_configs()):
         first = traced_run(config)
         second = traced_run(config)
+        recording = untraced_run(config)
+        replaying = untraced_run(config)
         entries.append({
             "mac": config.mac,
             "result_fingerprints": [first[0], second[0]],
             "trace_fingerprints": [first[1], second[1]],
+            "untraced_result_fingerprints": [recording[0], replaying[0]],
+            "untraced_events_dispatched": [recording[1], replaying[1]],
+            "untraced_station_fingerprints": [recording[3],
+                                              replaying[3]],
         })
+        where = f"(config {index}, mac={config.mac})"
         if first[0] != second[0]:
-            failures.append(
-                f"repeat-run energy results diverge "
-                f"(config {index}, mac={config.mac})")
+            failures.append(f"repeat-run energy results diverge {where}")
         if first[1] != second[1]:
+            failures.append(f"repeat-run event traces diverge {where}")
+        if recording != replaying:
             failures.append(
-                f"repeat-run event traces diverge "
-                f"(config {index}, mac={config.mac})")
+                "untraced repeat runs diverge (result fingerprint, events "
+                f"dispatched or station digest) {where}")
     report["repeat_run"] = {"configs": entries}
     return failures
 
