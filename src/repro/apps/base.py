@@ -28,7 +28,11 @@ in tick order, stamped with its tick
 per-sample reads would have given bit for bit.  An app may override
 :meth:`~SamplingApplication.handle_block` to consume a block at once
 (the Rpeak app does); :meth:`~SamplingApplication.handle_samples`
-stays the per-task reference path it must match.
+stays the per-task reference path it must match.  An app whose values
+nothing reads during the run may instead override
+:meth:`~SamplingApplication.flush_samples` to count the block's reads
+and conversions and compute the values when they are first read (the
+ECG streaming app does, see :mod:`repro.apps.ecg_streaming`).
 """
 
 from __future__ import annotations
@@ -196,7 +200,12 @@ class SamplingApplication(Component):
         :meth:`~repro.hw.adc.Adc12.convert_block` per channel, then
         :meth:`handle_block` once.  Called wherever the samples could
         be observed: the payload read, a per-task sample, the
-        simulator's end hooks and the node's measurement reset.
+        simulator's end hooks and the node's measurement reset.  An
+        override must count what this counts
+        (:meth:`~repro.hw.asic.BiopotentialAsic.count_reads`,
+        :meth:`~repro.hw.adc.Adc12.count_conversions`) and leave what
+        :meth:`handle_block` would leave, up to values it computes
+        when they are first read.
         """
         ticks = self._deferred_ticks
         if not ticks:

@@ -12,12 +12,25 @@ The on-air payload size is *fixed* (padding if the buffer runs short,
 as the platform does), so radio energy per cycle is deterministic; the
 packed codes travel as the frame's content for the base station to
 unpack.
+
+No energy, counter or table figure depends on the codes a payload
+carries, so a coalesced sample's codes are computed when a reader
+first reads them.  The app's flush counts the block's ASIC reads and
+ADC conversions as an eager read would, and queues one ``int``
+reference per code (the acquisition tick and channel, stored negative
+so it never equals a code); a per-task sample queues its codes as
+read.  A payload (:class:`StreamPayload`) computes the codes of the
+references it carries on first access, one block per channel, with
+the ASIC's and ADC's non-counting transfer functions, which the block
+reads also use.  The channel sources are pure functions of time, so
+the codes equal those an eager read gives, whenever they are read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from collections.abc import Iterator, Mapping
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.calibration import ModelCalibration
 from ..hw.adc import Adc12
@@ -73,6 +86,55 @@ def unpack_codes(packed: bytes, count: int) -> List[int]:
     return codes
 
 
+#: The keys of a stream payload, in the order its ``repr`` lists them.
+_PAYLOAD_KEYS = ("kind", "codes", "packed", "channels")
+
+
+class StreamPayload(Mapping[str, Any]):
+    """A read-only ECG stream payload whose codes are computed when
+    first read.
+
+    It reads as the dict ``{"kind": "ecg_stream", "codes": [...],
+    "packed": pack_codes(codes), "channels": (...)}``: its keys, items,
+    ``repr`` and ``==`` (:class:`~collections.abc.Mapping`'s) are that
+    dict's.  It holds the app that queued the codes and the queued
+    entries (a code, or a reference to a coalesced sample's code), and
+    caches the dict when first read.
+    """
+
+    __slots__ = ("_app", "_entries", "_content")
+
+    def __init__(self, app: "EcgStreamingApp", entries: List[int]) -> None:
+        self._app = app
+        self._entries = entries
+        self._content: Optional[Dict[str, Any]] = None
+
+    def _read(self) -> Dict[str, Any]:
+        content = self._content
+        if content is None:
+            app = self._app
+            codes = app._codes_of(self._entries)
+            content = self._content = {
+                "kind": "ecg_stream",
+                "codes": codes,
+                "packed": pack_codes(codes),
+                "channels": app.channels,
+            }
+        return content
+
+    def __getitem__(self, key: str) -> Any:
+        return self._read()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_PAYLOAD_KEYS)
+
+    def __len__(self) -> int:
+        return len(_PAYLOAD_KEYS)
+
+    def __repr__(self) -> str:
+        return repr(self._read())
+
+
 class EcgStreamingApp(SamplingApplication):
     """Stream packed ECG samples to the base station every cycle.
 
@@ -112,25 +174,69 @@ class EcgStreamingApp(SamplingApplication):
         return len(self._buffer)
 
     def handle_samples(self, codes: Tuple[int, ...]) -> None:
-        for code in codes:
-            if len(self._buffer) == self._buffer.maxlen:
-                self.codes_dropped += 1
-            self._buffer.append(code)
+        self._enqueue(codes)
+
+    def flush_samples(self) -> None:
+        """Queue the recorded coalesced samples, read later.
+
+        Counts one ASIC read per channel and sample and one ADC
+        conversion per code, as :meth:`SamplingApplication.flush_samples`
+        does, and queues a reference to each code in its place, in the
+        order :meth:`handle_samples` would queue the codes.
+        """
+        ticks = self._deferred_ticks
+        if not ticks:
+            return
+        self._deferred_ticks = []
+        channels = self.channels
+        width = len(channels)
+        for channel in channels:
+            self._asic.count_reads(channel, len(ticks))
+        self._adc.count_conversions(width * len(ticks))
+        self.sample_tick = ticks[-1]
+        # ~n is negative for every n >= 0, and a code never is.
+        self._enqueue([~(tick * width + index) for tick in ticks
+                       for index in range(width)])
+
+    def _enqueue(self, entries: Sequence[int]) -> None:
+        """Append codes or references, dropping the oldest past the
+        buffer's bound."""
+        buffer = self._buffer
+        overflow = len(buffer) + len(entries) - (buffer.maxlen or 0)
+        if overflow > 0:
+            self.codes_dropped += overflow
+        buffer.extend(entries)
+
+    def _codes_of(self, entries: List[int]) -> List[int]:
+        """The codes ``entries`` stand for: a code is itself, and the
+        references are read as one block per channel, counting nothing
+        (the flush counted them)."""
+        width = len(self.channels)
+        ticks: List[List[int]] = [[] for _ in range(width)]
+        slots: List[List[int]] = [[] for _ in range(width)]
+        for slot, entry in enumerate(entries):
+            if entry < 0:
+                tick, index = divmod(~entry, width)
+                ticks[index].append(tick)
+                slots[index].append(slot)
+        codes = list(entries)
+        block_values = self._asic.block_values
+        quantize_block = self._adc.quantize_block
+        for index, channel in enumerate(self.channels):
+            if ticks[index]:
+                read = quantize_block(block_values(channel, ticks[index]))
+                for slot, code in zip(slots[index], read):
+                    codes[slot] = code
+        return codes
 
     def next_payload(self) -> Optional[AppPayload]:
         take = min(len(self._buffer), self._capacity)
-        codes = [self._buffer.popleft() for _ in range(take)]
+        entries = [self._buffer.popleft() for _ in range(take)]
         self.packets_provided += 1
         self.codes_sent += take
-        content = {
-            "kind": "ecg_stream",
-            "codes": codes,
-            "packed": pack_codes(codes),
-            "channels": self.channels,
-        }
         # Fixed-size frame: the platform always fills the ShockBurst
         # payload, padding when the buffer runs short.
-        return (self.payload_bytes, content)
+        return (self.payload_bytes, StreamPayload(self, entries))
 
 
 __all__ = [
@@ -139,5 +245,6 @@ __all__ = [
     "codes_per_payload",
     "pack_codes",
     "unpack_codes",
+    "StreamPayload",
     "EcgStreamingApp",
 ]

@@ -46,9 +46,23 @@ class Adc12:
         return code if code < FULL_SCALE_CODE else FULL_SCALE_CODE
 
     def convert_block(self, volts: Sequence[float]) -> List[int]:
-        """``[convert(v) for v in volts]`` in one call (same rounding,
-        same clamping, one conversion counted per value)."""
+        """``[convert(v) for v in volts]`` in one call: one conversion
+        counted per value (:meth:`count_conversions`), the codes of
+        :meth:`quantize_block`."""
         self._conversions += len(volts)
+        return self.quantize_block(volts)
+
+    def count_conversions(self, count: int) -> None:
+        """Count ``count`` conversions without performing them.
+
+        A reader that needs the codes later takes them from
+        :meth:`quantize_block`, which counts nothing.
+        """
+        self._conversions += count
+
+    def quantize_block(self, volts: Sequence[float]) -> List[int]:
+        """The codes :meth:`convert_block` returns, without counting
+        (same rounding and clamping as :meth:`convert`)."""
         low, span = self.vref_low, self._span
         codes = [round((v - low) / span * FULL_SCALE_CODE) for v in volts]
         return [0 if code < 0 else

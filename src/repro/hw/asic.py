@@ -77,12 +77,30 @@ class BiopotentialAsic:
     def read_block(self, channel: int, ticks: Sequence[int]) -> List[float]:
         """``[read_channel(channel, t) for t in ticks]`` in one call.
 
-        ``ticks`` ascending; counts one read per tick.  The source
-        evaluates the whole block with ``values_at``, bit for bit the
-        values :meth:`read_channel` returns.
+        ``ticks`` ascending; counts one read per tick
+        (:meth:`count_reads`) and returns :meth:`block_values`.
+        """
+        self.count_reads(channel, len(ticks))
+        return self.block_values(channel, ticks)
+
+    def count_reads(self, channel: int, count: int) -> None:
+        """Count ``count`` reads of ``channel`` without evaluating them.
+
+        A reader that needs the values later takes them from
+        :meth:`block_values`, which counts nothing.
         """
         self._check_channel(channel)
-        self._reads += len(ticks)
+        self._reads += count
+
+    def block_values(self, channel: int,
+                     ticks: Sequence[int]) -> List[float]:
+        """The values :meth:`read_block` returns, without counting.
+
+        ``ticks`` ascending.  The source evaluates the whole block with
+        ``values_at``, bit for bit the values :meth:`read_channel`
+        returns; sources are pure functions of time, so the values do
+        not depend on when they are asked for.
+        """
         source = self._sources.get(channel)
         if source is None:
             return [0.0] * len(ticks)

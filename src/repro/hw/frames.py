@@ -44,8 +44,11 @@ class Frame:
         dest: destination address, or :data:`BROADCAST`.
         kind: frame classification (see :class:`FrameKind`).
         payload_bytes: on-air payload size in bytes; drives airtime.
-        payload: the modelled payload content (dict or dataclass); not
-            serialised, but available to the receiver's MAC/application.
+        payload: the modelled payload content (a mapping, such as a
+            dict or an ECG stream's lazily read
+            :class:`~repro.apps.ecg_streaming.StreamPayload`, or a
+            dataclass); not serialised, but available to the
+            receiver's MAC/application.
         frame_id: serial for tracing and in-flight bookkeeping.  0
             means "not yet transmitted": the radio stamps a
             per-simulation serial on first send, so ids restart at 1

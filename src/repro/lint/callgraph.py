@@ -126,6 +126,7 @@ class FunctionNode:
 
     @property
     def lineno(self) -> int:
+        """Line of the definition in its file (1 when the node has none)."""
         return getattr(self.node, "lineno", 1)
 
 

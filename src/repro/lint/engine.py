@@ -123,10 +123,12 @@ class LintReport:
 
     @property
     def unsuppressed(self) -> List[Finding]:
+        """The findings no waiver suppresses."""
         return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed(self) -> List[Finding]:
+        """The findings a waiver suppresses."""
         return [f for f in self.findings if f.suppressed]
 
     @property

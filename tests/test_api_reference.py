@@ -4,21 +4,19 @@ every simulator module."""
 
 import pathlib
 import re
-import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from gen_api_reference import generate  # noqa: E402
 
 
 class TestApiReference:
     def test_reference_is_current(self):
-        generated = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "gen_api_reference.py")],
-            capture_output=True, text=True, check=True).stdout
         committed = (ROOT / "docs" / "api_reference.md").read_text()
-        assert generated == committed, (
+        assert generate() == committed, (
             "docs/api_reference.md is stale; regenerate with "
-            "python tools/gen_api_reference.py > docs/api_reference.md")
+            "python tools/gen_api_reference.py")
 
     def test_no_undocumented_public_items(self):
         text = (ROOT / "docs" / "api_reference.md").read_text()

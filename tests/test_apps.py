@@ -4,6 +4,7 @@ import pytest
 
 from conftest import run_quick
 from repro.apps.ecg_streaming import (
+    StreamPayload,
     codes_per_payload,
     pack_codes,
     unpack_codes,
@@ -92,6 +93,32 @@ class TestStreamingApp:
         app = scenario.nodes[0].app
         assert app.codes_dropped > 0
         assert app.buffered_codes <= 8 * codes_per_payload(18)
+
+    def test_queued_codes_and_unread_payloads_hold_plain_ints(self):
+        """A coalesced sample's code waits as one ``int`` (a negative
+        reference), in the buffer and in a payload no one has read, next
+        to the codes of samples read on the per-task path; the payload
+        holds the app, those ints and an empty cache."""
+        scenario, _ = run_quick(app="ecg_streaming", cycle_ms=30.0,
+                                sampling_hz=400.0, measure_s=1.0)
+        app = scenario.nodes[0].app
+        assert app.buffered_codes == 8 * codes_per_payload(18)
+        assert all(type(entry) is int for entry in app._buffer)
+        assert min(app._buffer) < 0
+        payload = scenario.base_station.frames_from("node1")[-1].payload
+        assert isinstance(payload, StreamPayload)
+        assert not hasattr(payload, "__dict__")
+        assert (payload._app, payload._content) == (app, None)
+        assert len(payload._entries) == codes_per_payload(18)
+        assert all(type(entry) is int for entry in payload._entries)
+        assert min(payload._entries) < 0
+        codes = payload["codes"]
+        assert all(0 <= code <= 0xFFF for code in codes)
+        assert payload["codes"] is codes
+        assert dict(payload) == {"kind": "ecg_stream", "codes": codes,
+                                 "packed": pack_codes(codes),
+                                 "channels": app.channels}
+        assert repr(payload) == repr(dict(payload))
 
 
 class TestRpeakApp:

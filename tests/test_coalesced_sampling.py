@@ -28,6 +28,7 @@ from determinism_check import (  # noqa: E402
 from repro.analysis.experiments import _TABLE_SPECS
 from repro.analysis.waveforms import WaveformProbe
 from repro.apps.base import SamplingApplication
+from repro.apps.ecg_streaming import StreamPayload
 from repro.apps.rpeak import RpeakApp
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.core.ledger import MAX_PENDING_PLANS, PowerStateLedger
@@ -131,6 +132,88 @@ def test_noisy_and_adaptive_configs_are_bit_identical(config):
         # A mode change logged: the alarm fired, so raw codes streamed
         # from coalesced blocks.
         assert any(row[10] for row in coalesced[1])
+
+
+# Streaming configs whose payloads carry codes of coalesced samples:
+# every MAC family, one that oversamples (24 codes per 30 ms cycle for
+# 12 sent, so the bounded buffer drops) and a noisy one.
+STREAMING = {
+    "static": {},
+    "dynamic": {"mac": "dynamic"},
+    "aloha": {"mac": "aloha", "sampling_hz": 205.0},
+    "csma": {"mac": "csma", "sampling_hz": 205.0},
+    "oversampled": {"sampling_hz": 400.0},
+    "noisy": {"ecg_noise_mv": 0.05},
+}
+
+
+def _stream_run(config: BanScenarioConfig, mode: str) -> Tuple[Any, ...]:
+    """Run ``config`` and read every delivered payload's codes.
+
+    ``mode``: "per_sample" (traced, codes read as sampled), "after"
+    (coalesced, payloads read newest first once the run is over) or
+    "during" (coalesced, each payload read as the base station
+    delivers it).  Returns the result fingerprint, (arrival, source,
+    codes, packed) per delivered frame, and each node's ASIC reads,
+    ADC conversions and dropped codes at the measurement reset and at
+    the horizon.
+    """
+    scenario = BanScenario(config, trace=(TraceRecorder(capacity=1)
+                                          if mode == "per_sample" else None))
+
+    def counters(node: SensorNode) -> Tuple[int, int, int]:
+        return (node.asic.reads, node.adc.conversions,
+                node.app.codes_dropped)
+
+    at_reset: Dict[str, Tuple[int, int, int]] = {}
+    for node in scenario.nodes:
+        def reset(node: SensorNode = node,
+                  zero: Callable[[], None] = node.asic.reset_measurement
+                  ) -> None:
+            # The node has flushed its warm-up samples by now.
+            at_reset[node.node_id] = counters(node)
+            zero()
+
+        node.asic.reset_measurement = reset  # type: ignore[method-assign]
+    if mode == "during":
+        mac = scenario.base_station.mac
+        deliver = mac.data_sink
+
+        def reading(frame: Any) -> None:
+            deliver(frame)
+            frame.payload.get("codes")
+
+        mac.data_sink = reading
+    result = scenario.run()
+    deliveries = scenario.base_station.deliveries
+    payloads = [frame.payload for _, frame in deliveries]
+    assert all(isinstance(payload, StreamPayload) for payload in payloads)
+    newest_first = [payload["codes"] for payload in reversed(payloads)]
+    frames = [(time, frame.src, frame.payload["codes"],
+               frame.payload["packed"]) for time, frame in deliveries]
+    # Read twice: the same codes.
+    assert [row[2] for row in frames] == newest_first[::-1]
+    return (_fingerprint(result), frames, at_reset,
+            [counters(node) for node in scenario.nodes])
+
+
+@pytest.mark.parametrize("name", list(STREAMING))
+def test_stream_payloads_equal_the_per_task_run(name):
+    """Codes read when first looked at, in any order or during the run,
+    are the codes the per-task chain reads as it samples; the flush
+    counts the reads, conversions and drops an eager read counts."""
+    params: Dict[str, Any] = dict(mac="static", app="ecg_streaming",
+                                  num_nodes=3, measure_s=WINDOW_S, seed=5)
+    params.update(STREAMING[name])
+    config = BanScenarioConfig(**params)
+    reference = _stream_run(config, "per_sample")
+    assert _stream_run(config, "after") == reference
+    assert _stream_run(config, "during") == reference
+    _, frames, at_reset, at_horizon = reference
+    assert len(frames) > 20 and all(row[2] for row in frames)
+    assert len(at_reset) == config.num_nodes
+    dropped = [node[2] for node in at_horizon]
+    assert (min(dropped) > 0) if name == "oversampled" else not any(dropped)
 
 
 def test_events_dispatched_is_pinned():

@@ -11,8 +11,10 @@ checks, each over a reference scenario set:
    (every dispatched ``(tick, source, kind, detail)`` record).  It is
    also run untraced twice: the second run's ECG block reads are
    served from the per-patient recording the first run made
-   (:mod:`repro.signals.ecg`), and the two result fingerprints,
-   ``events_dispatched`` and station digests (check 6) must be equal.
+   (:mod:`repro.signals.ecg`), and it reads every delivered stream
+   payload's codes newest-first before its station digest (check 6)
+   reads them in delivery order; the two result fingerprints,
+   ``events_dispatched`` and station digests must be equal.
 2. **Parallel-equals-sequential** — a mixed batch executed with
    ``jobs=1`` and ``jobs=2`` must produce identical per-config result
    fingerprints in the same order.
@@ -77,6 +79,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
+from repro.apps.ecg_streaming import StreamPayload
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.exec import ScenarioExecutor
 from repro.exec.cache import config_fingerprint
@@ -274,13 +277,29 @@ def traced_run(config: BanScenarioConfig, spans: bool = False
             station_digest(scenario))
 
 
-def untraced_run(config: BanScenarioConfig, spans: bool = False
+def read_codes_newest_first(scenario: BanScenario) -> None:
+    """Read the codes of every stream payload the base station
+    delivered, newest first (each computes them on first read)."""
+    for _, frame in reversed(scenario.base_station.deliveries):
+        if isinstance(frame.payload, StreamPayload):
+            frame.payload.get("codes")
+
+
+def untraced_run(config: BanScenarioConfig, spans: bool = False,
+                 newest_first: bool = False
                  ) -> Tuple[str, int, str, str]:
     """Run once without a trace; return (result_fp, events_dispatched,
-    span_fp, station_fp), the fingerprints as in :func:`traced_run`."""
+    span_fp, station_fp), the fingerprints as in :func:`traced_run`.
+
+    With ``newest_first``, the delivered stream payloads' codes are
+    read newest first (:func:`read_codes_newest_first`) before the
+    station digest reads them in delivery order.
+    """
     scenario = BanScenario(config)
     tracer = attach_span_tracer(scenario) if spans else None
     result = scenario.run()
+    if newest_first:
+        read_codes_newest_first(scenario)
     span_fp = tracer.store.fingerprint() if tracer is not None else ""
     return (result_fingerprint(result), scenario.sim.events_dispatched,
             span_fp, station_digest(scenario))
@@ -295,6 +314,9 @@ def check_repeat_run(report: Dict[str, Any]) -> List[str]:
     pair checks the ECG recordings: the first run synthesizes what the
     second reads back, so a recording that served a value other than
     the synthesis gave would change the second run's station digest.
+    The second run also reads its stream payloads newest first, so a
+    payload whose codes depended on when or in what order payloads are
+    read would change it too.
     """
     failures = []
     entries = []
@@ -302,7 +324,7 @@ def check_repeat_run(report: Dict[str, Any]) -> List[str]:
         first = traced_run(config)
         second = traced_run(config)
         recording = untraced_run(config)
-        replaying = untraced_run(config)
+        replaying = untraced_run(config, newest_first=True)
         entries.append({
             "mac": config.mac,
             "result_fingerprints": [first[0], second[0]],
