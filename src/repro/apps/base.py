@@ -14,7 +14,12 @@ cost) — exactly the calibrated per-sample decomposition.
 
 A fire that finds the MCU idle books that task through
 :meth:`~repro.tinyos.scheduler.TaskScheduler.run_idle` instead: its
-body, run later, only records the acquisition tick.  The recorded
+body, run later, only records the acquisition tick.  Where the
+scheduler coalesces, the fires are no kernel events either: the app
+hands its grid to the scheduler
+(:meth:`~repro.tinyos.scheduler.TaskScheduler.start_grid`), which
+books every fire that has come due at its next entry point; a trace
+or a deep-sleep policy keeps the timer.  The recorded
 ticks are evaluated as one block at the first point that can observe
 them (:meth:`SamplingApplication.flush_samples`): the MAC's payload
 read, the next per-task sample, a simulator end hook, or the node's
@@ -143,11 +148,15 @@ class SamplingApplication(Component):
     # Lifecycle
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        period = round(TICKS_PER_SECOND / self.sampling_hz)
-        self._timer.start_periodic(period)
+        period = self.sample_period_ticks
+        if not self._scheduler.start_grid(
+                self._sim.now + period, period, self._tick_cost,
+                self._defer, self._acquire, self._label_sample):
+            self._timer.start_periodic(period)
 
     def on_stop(self) -> None:
         self._timer.stop()
+        self._scheduler.stop_grid()
 
     @property
     def samples_taken(self) -> int:
@@ -160,7 +169,10 @@ class SamplingApplication(Component):
         return round(TICKS_PER_SECOND / self.sampling_hz)
 
     def next_wake_hint(self) -> Optional[int]:
-        """Absolute time of the next sampling tick (power-policy hint)."""
+        """Absolute time of the next sampling tick (power-policy hint).
+
+        None while the scheduler holds the grid: a deep-sleep policy,
+        the hint's reader, keeps the kernel timer."""
         return self._timer.next_fire_ticks
 
     # ------------------------------------------------------------------

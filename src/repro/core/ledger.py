@@ -52,11 +52,18 @@ Past :data:`MAX_PENDING_PLANS` pending plans,
 :meth:`~PowerStateLedger.plan` books the due ones first, so a ledger
 that only plans (an idle collector's MCU, read only when the run ends)
 stays small.
+
+A plan may lie in the past, as long as nothing after it is booked: a
+node's scheduler books the sampling fires that came due since its last
+entry point this way, at their ticks.  Every read other than ``state``
+(queries, ``tag``, ``transitions``, ``close``, ``reset``) first calls
+:attr:`PowerStateLedger.sync`, so the owner books such fires before
+anyone sees the ledger.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from .states import PowerStateTable
@@ -79,7 +86,8 @@ class PowerStateLedger:
 
     __slots__ = ("_sim", "component", "table", "supply_v", "_state",
                  "_tag", "_entered", "_ticks", "_transitions", "_closed",
-                 "on_transition", "_current_a", "_iv_coeff", "_plans")
+                 "on_transition", "_current_a", "_iv_coeff", "_plans",
+                 "sync")
 
     def __init__(self, sim: Simulator, component: str,
                  table: PowerStateTable, supply_v: float,
@@ -108,6 +116,9 @@ class PowerStateLedger:
         self.on_transition = None
         #: Planned ``(tick, (state, tag))`` transitions, in tick order.
         self._plans: List[Tuple[int, Tuple[str, str]]] = []
+        #: Optional callable run before every read but ``state`` (see
+        #: "Planned transitions"); None costs nothing.
+        self.sync: Optional[Callable[[], None]] = None
         sim.add_end_hook(self.close)
 
     # ------------------------------------------------------------------
@@ -126,6 +137,8 @@ class PowerStateLedger:
     @property
     def tag(self) -> str:
         """Tag under which the open interval is being booked."""
+        if self.sync is not None:
+            self.sync()
         if self._plans:
             self._apply_plans()
         return self._tag
@@ -133,6 +146,8 @@ class PowerStateLedger:
     @property
     def transitions(self) -> int:
         """Number of state/tag transitions performed so far."""
+        if self.sync is not None:
+            self.sync()
         if self._plans:
             self._apply_plans()
         return self._transitions
@@ -189,11 +204,11 @@ class PowerStateLedger:
         table; changes come in tick order.  A change is applied, booked
         at its tick, by the first entry point that runs at or after
         that tick.  Raises ValueError if the first change lies before
-        the last pending plan or in the past.  Past
+        the last pending plan or the last booked transition.  Past
         :data:`MAX_PENDING_PLANS`, the due plans are booked first.
         """
         plans = self._plans
-        if changes[0][0] < (plans[-1][0] if plans else self._sim._now):
+        if changes[0][0] < (plans[-1][0] if plans else self._entered):
             raise ValueError(
                 f"{self.component}: plan at {changes[0][0]} is out of order")
         if len(plans) + len(changes) > MAX_PENDING_PLANS:
@@ -257,6 +272,8 @@ class PowerStateLedger:
         Idempotent; called by the simulator's end hook so that queries
         after a run cover exactly the simulated duration.
         """
+        if self.sync is not None:
+            self.sync()
         if self._plans:
             self._apply_plans()
         self._book_open_interval()
@@ -271,6 +288,8 @@ class PowerStateLedger:
         exact steady-state horizon, as the paper's 60 s measurements do.
         The current state is preserved; plans not yet due stay pending.
         """
+        if self.sync is not None:
+            self.sync()
         if self._plans:
             self._apply_plans()
         self._ticks.clear()
@@ -289,6 +308,8 @@ class PowerStateLedger:
     # Queries (all implicitly include the open interval)
     # ------------------------------------------------------------------
     def _live_ticks(self) -> Dict[Tuple[str, str], int]:
+        if self.sync is not None:
+            self.sync()
         if self._plans:
             self._apply_plans()
         result = dict(self._ticks)

@@ -155,7 +155,9 @@ FIGURE_4 = (
 #: and the resulting saving ("the total energy can be reduced to 246.2
 #: mJ, with a energy save of 65%").
 FIGURE_4_STREAMING_TOTAL_MJ = 710.8
+#: Figure 4's Rpeak total ("can be reduced to 246.2 mJ").
 FIGURE_4_RPEAK_TOTAL_MJ = 246.2
+#: Figure 4's saving of Rpeak over streaming ("energy save of 65%").
 FIGURE_4_SAVING_FRACTION = 0.65  # unit: ratio
 
 #: Overall average estimation error the abstract/conclusion report.

@@ -109,22 +109,29 @@ class Msp430:
             self._trace.record(self._sim.now, self.name, "wake", "")
         return self._wake_latency_ticks
 
-    def wake_for_task(self, cycles: int) -> Optional[Tuple[int, int]]:
-        """Wake from LPM0 now for one task, without dispatch events.
+    @property
+    def wake_latency_ticks(self) -> int:
+        """The LPM0 wake-up latency, in ticks."""
+        return self._wake_latency_ticks
 
-        Plans on the ledger what :meth:`wake` now, :meth:`begin_task`
-        after the wake-up latency and :meth:`sleep` after ``cycles``
-        would book, at the same ticks.  Returns the task's (start, end)
-        ticks; None, booking nothing, unless the core sleeps in LPM0
-        with no trace attached.  The previous task's plans stay
-        pending: once they are all due, the last one (a sleep) answers
-        the state read, and the ledger's next booking applies them.
+    def wake_for_task(self, cycles: int,
+                      now: int) -> Optional[Tuple[int, int]]:
+        """Wake from LPM0 at tick ``now`` for one task, without events.
+
+        Plans on the ledger what :meth:`wake` at ``now``,
+        :meth:`begin_task` after the wake-up latency and :meth:`sleep`
+        after ``cycles`` would book, at the same ticks; ``now`` may lie
+        in the past if nothing after it is booked.  Returns the task's
+        (start, end) ticks; None, booking nothing, unless the core
+        sleeps in LPM0 with no trace attached.  The previous task's
+        plans stay pending: once they are all due, the last one (a
+        sleep) answers the state read, and the ledger's next booking
+        applies them.
         """
         ledger = self.ledger
         if self._trace is not None or ledger.state != SLEEP:
             return None
         self._wakeups += 1
-        now = self._sim._now
         start = now + self._wake_latency_ticks
         end = start + self.cycles_to_ticks(cycles)
         ledger.plan((now, _WAKEUP), (start, _TASK), (end, _ASLEEP))

@@ -53,11 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..obs.spans import SpanTracer
     from ..phy.channel import Channel, Transmission
 
-#: Radio power-state names.
+#: Radio power-state names: chip off.
 POWER_DOWN = "power_down"
+#: Powered, chains off (the ShockBurst FIFO is clocked in here).
 STANDBY = "standby"
+#: Transmitting a ShockBurst (PLL settle, airtime and shutdown tail).
 TX = "tx"
+#: Receive chain on: listening or receiving a frame.
 RX = "rx"
+#: Clear-channel assessment: the receive chain sensing, not decoding.
 CCA = "cca"
 
 

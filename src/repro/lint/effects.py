@@ -63,6 +63,7 @@ from .config import (EFFECTS_HOOK_ATTRS, EFFECTS_HOOK_METHODS,
 from .dataflow import walk
 from .engine import FileContext, Finding
 
+#: The finding codes this analysis reports.
 CODES = ("OBS001", "OBS002", "OBS003")
 
 #: The full effect lattice (alphabetical; serialised in this order).

@@ -48,6 +48,7 @@ from .config import FPC_PACKAGES, FPC_PATTERN, FPC_ROOTS
 from .dataflow import walk
 from .engine import FileContext, Finding
 
+#: The finding codes this analysis reports.
 CODES = ("FPC001", "FPC002")
 
 #: Annotation heads that stop the closure walk: values of these types

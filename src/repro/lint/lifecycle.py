@@ -68,6 +68,7 @@ from .callgraph import CallGraph, CallSite, FunctionNode, build_call_graph
 from .dataflow import literal_or_none, walk, walk_skipping_lambdas
 from .engine import FileContext, Finding
 
+#: The finding codes this analysis reports.
 CODES = ("LIF001", "LIF002", "LIF003", "LIF004", "LIF005")
 
 State = FrozenSet[str]

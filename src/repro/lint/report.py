@@ -73,6 +73,7 @@ from typing import Any, Dict, List
 
 from .engine import STALE_RULE, Finding, LintReport
 
+#: Version of the JSON report's schema (bumped on any layout change).
 SCHEMA_VERSION = 5
 
 

@@ -265,6 +265,7 @@ def analyze_rng(contexts: Sequence[FileContext]) -> List[Finding]:
     return findings
 
 
+#: The finding codes this analysis reports.
 CODES = ("RNG001", "RNG002")
 
 __all__ = ["CODES", "analyze_rng"]

@@ -427,6 +427,7 @@ def _check_mut001(context: FileContext) -> List[Finding]:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
+#: Every per-file rule, by code.
 RULES: Dict[str, Rule] = {
     rule.code: rule for rule in (
         Rule("DET001", "no global/module-level RNG",

@@ -27,7 +27,9 @@ from .engine import (PARSE_RULE, STALE_RULE, SUPPRESSION_RULE, Finding,
                      LintReport)
 from .rules import iter_rules
 
+#: The SARIF version the exported log declares.
 SARIF_VERSION = "2.1.0"
+#: URL of the JSON schema for that SARIF version.
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
                 "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 

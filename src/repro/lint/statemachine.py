@@ -633,6 +633,7 @@ def analyze_statemachines(contexts: Sequence[FileContext]
     return findings, {"state_machines": graphs}
 
 
+#: The finding codes this analysis reports.
 CODES = ("SM001", "SM002", "SM003", "SM004", "SM005")
 
 __all__ = ["CODES", "SpecInfo", "analyze_statemachines"]

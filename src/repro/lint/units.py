@@ -84,6 +84,7 @@ def make_unit(dims: Dict[str, int],
                              if exp != 0)), scale)
 
 
+#: The unit of a pure number (no base dimensions).
 DIMENSIONLESS = make_unit({})
 _SECOND = {"s": 1}
 _AMPERE = {"a": 1}
@@ -852,6 +853,7 @@ def analyze_units(contexts: Sequence[FileContext]) -> List[Finding]:
     return findings
 
 
+#: The finding codes this analysis reports.
 CODES = ("UNI001", "UNI002", "UNI003", "UNI004")
 
 __all__ = [

@@ -9,9 +9,10 @@ stable same-time ordering.
 Fast-path layout
 ----------------
 
-A scheduled event *is* its heap entry: a plain 5-slot list
-``[time, seq, cancelled, callback, label]`` (indices :data:`EVT_TIME` ..
-:data:`EVT_LABEL`).  Scheduling costs a single exact-``list``
+A scheduled event *is* its heap entry: a plain 6-slot list
+``[time, seq, cancelled, callback, label, stamp]`` (indices
+:data:`EVT_TIME` .. :data:`EVT_STAMP`), where ``stamp`` is the tick the
+entry was scheduled at.  Scheduling costs a single exact-``list``
 allocation; heap sift comparisons only ever touch ``time`` and the
 unique ``seq`` (plain int comparisons, no attribute lookups, no
 tie-breaking object comparison); and the kernel's dispatch loop reads
@@ -41,9 +42,12 @@ EVT_CANCELLED = 2
 EVT_CALLBACK = 3
 #: Index of the human-readable label.
 EVT_LABEL = 4
+#: Index of the tick the entry was scheduled at (same-tick ordering of
+#: work that skips its kernel events, see :mod:`repro.tinyos.scheduler`).
+EVT_STAMP = 5
 
 #: Type alias for a scheduled event as stored on (and returned from) the
-#: queue: ``[time, seq, cancelled, callback, label]``.
+#: queue: ``[time, seq, cancelled, callback, label, stamp]``.
 EventEntry = list
 
 
@@ -73,13 +77,15 @@ class Event(list):
         label: human-readable description, used by tracing and error
             messages.  Keep it short; it is emitted once per fire when
             tracing is enabled.
+        stamp: the tick it was scheduled at (a view built by hand
+            counts as scheduled at its own ``time``).
     """
 
     __slots__ = ()
 
     def __init__(self, time: int, seq: int,
                  callback: Callable[[], None], label: str = "") -> None:
-        list.__init__(self, (time, seq, False, callback, label))
+        list.__init__(self, (time, seq, False, callback, label, time))
 
     @property
     def time(self) -> int:
@@ -100,6 +106,11 @@ class Event(list):
     def label(self) -> str:
         """Human-readable description for traces and error messages."""
         return self[EVT_LABEL]
+
+    @property
+    def stamp(self) -> int:
+        """The tick the event was scheduled at."""
+        return self[EVT_STAMP]
 
     @property
     def cancelled(self) -> bool:
@@ -140,11 +151,14 @@ class EventQueue:
              label: str = "") -> EventEntry:
         """Schedule ``callback`` at absolute ``time``; return its entry.
 
-        The returned entry can be cancelled with :func:`cancel_event`.
+        The entry is stamped as scheduled at ``time`` itself: the
+        simulator pushes here only for its current tick
+        (:meth:`~repro.sim.kernel.Simulator.call_soon`).  The returned
+        entry can be cancelled with :func:`cancel_event`.
         """
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = [time, seq, False, callback, label]
+        event = [time, seq, False, callback, label, time]
         heappush(self._heap, event)
         return event
 
@@ -188,4 +202,4 @@ class SimulationError(RuntimeError):
 __all__ = ["Event", "EventEntry", "EventQueue", "SimulationError",
            "cancel_event", "event_cancelled",
            "EVT_TIME", "EVT_SEQ", "EVT_CANCELLED", "EVT_CALLBACK",
-           "EVT_LABEL"]
+           "EVT_LABEL", "EVT_STAMP"]

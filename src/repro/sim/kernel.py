@@ -47,6 +47,8 @@ from .events import (
     EVT_CALLBACK,
     EVT_CANCELLED,
     EVT_LABEL,
+    EVT_SEQ,
+    EVT_STAMP,
     EVT_TIME,
     EventEntry,
     EventQueue,
@@ -73,7 +75,7 @@ class Simulator:
 
     __slots__ = ("_now", "_queue", "_running", "_dispatched", "rng",
                  "trace", "_end_hooks", "profiler", "metrics",
-                 "_serial")
+                 "_serial", "_current", "_mark")
 
     def __init__(self, seed: int = 0,
                  trace: Optional[TraceRecorder] = None) -> None:
@@ -82,6 +84,10 @@ class Simulator:
         self._running = False
         self._dispatched = 0
         self._serial = 0
+        #: The entry being dispatched, and :meth:`mark` as its dispatch
+        #: began (read only while running).
+        self._current: EventEntry = []
+        self._mark = 0
         self.rng = RngRegistry(seed)
         self.trace = trace
         self._end_hooks: List[Callable[[], None]] = []
@@ -106,6 +112,47 @@ class Simulator:
     def running(self) -> bool:
         """Whether a ``run*`` loop is dispatching events right now."""
         return self._running
+
+    # ------------------------------------------------------------------
+    # Scheduling order
+    # ------------------------------------------------------------------
+    def mark(self) -> int:
+        """Where scheduling stands: the sequence number the next entry
+        takes.  Every entry scheduled so far keys below it, every later
+        one at or above it."""
+        return self._queue._next_seq
+
+    def dispatch_mark(self) -> int:
+        """:meth:`mark` as the running entry's dispatch began, before
+        its callback scheduled anything (a periodic entry's re-arm takes
+        exactly this number); outside a dispatch, :meth:`mark`."""
+        return self._mark if self._running else self._queue._next_seq
+
+    def scheduled_after(self, tick: int, after: Optional[int] = None,
+                        before: Optional[int] = None) -> Optional[bool]:
+        """Whether the entry being dispatched was scheduled after a
+        point at ``tick`` whose mark lies in ``[before, after]``.
+
+        True if the entry was scheduled at a later tick, or at ``tick``
+        with a sequence number from ``after`` on; False if at an earlier
+        tick, or at ``tick`` below ``before``; None if that is unknown
+        (a bound is None, or the number falls between them).  Only
+        meaningful inside a callback (while :attr:`running`).  Work
+        that stands in for a periodic entry (:meth:`every`) without
+        queueing it orders itself this way: the entry would precede
+        exactly the same-tick entries scheduled after its previous fire
+        (:mod:`repro.tinyos.scheduler`, "Sampling grid").
+        """
+        event = self._current
+        stamp = event[EVT_STAMP]
+        if stamp != tick:
+            return stamp > tick
+        seq = event[EVT_SEQ]
+        if after is not None and seq >= after:
+            return True
+        if before is not None and seq < before:
+            return False
+        return None
 
     @property
     def events_dispatched(self) -> int:
@@ -134,7 +181,7 @@ class Simulator:
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        event = [time, seq, False, callback, label]
+        event = [time, seq, False, callback, label, self._now]
         heappush(queue._heap, event)
         return event
 
@@ -148,7 +195,8 @@ class Simulator:
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        event = [self._now + delay, seq, False, callback, label]
+        now = self._now
+        event = [now + delay, seq, False, callback, label, now]
         heappush(queue._heap, event)
         return event
 
@@ -162,18 +210,25 @@ class Simulator:
               first_delay: Optional[int] = None) -> EventEntry:
         """Schedule ``callback`` every ``period`` ticks; return the entry.
 
-        The fast path for periodic ticks (sampling timers fire at
-        hundreds of hertz per node): one persistent heap entry is
-        re-armed *in place* on each fire — advance its time by
-        ``period``, stamp a fresh sequence number, push it back — so a
-        period costs one heap push instead of an ``at()`` call
-        allocating a new entry through the scheduling checks.
+        The fast path for periodic kernel timers: one persistent heap
+        entry is re-armed *in place* on each fire — advance its time by
+        ``period``, take a fresh sequence number, and push it back with
+        that number and the current tick as stamp once the callback
+        returns — so a period costs one heap push instead of an
+        ``at()`` call allocating a new entry through the scheduling
+        checks.  A coalescing node's sampling timer does not come here:
+        its scheduler books the fires itself
+        (:meth:`~repro.tinyos.scheduler.TaskScheduler.start_grid`), and
+        this path stays the reference that traced runs take.
 
         Dispatch order is exactly what per-fire ``at()`` re-arming
         produced: the re-arm consumes the next sequence number at the
-        same point (before the callback body runs), the grid advances
-        from the *scheduled* time, and the (time, seq) heap key is
-        identical.  Cancelling the returned entry (or any entry a later
+        same point (before the callback body runs, so it is the
+        :meth:`dispatch_mark`), the grid advances from the *scheduled*
+        time, and the (time, seq) heap key is identical.  So a fire
+        precedes exactly the same-tick entries scheduled after the
+        previous fire ran (:meth:`scheduled_after`).  Cancelling the
+        returned entry (or any entry a later
         fire re-pushed — it is the same list object) stops the cycle:
         the kernel discards cancelled entries on pop, so no re-arm
         happens.  The first fire comes after ``first_delay`` ticks
@@ -189,19 +244,27 @@ class Simulator:
                 f"cannot schedule {label!r} with negative delay {delay}")
         queue = self._queue
         heap = queue._heap
-        entry: EventEntry = [self._now + delay, 0, False, None, label]
+        entry: EventEntry = [self._now + delay, 0, False, None, label,
+                             self._now]
 
         def fire() -> None:
             # Re-arm from the scheduled time (entry[0] is the fire time
             # the kernel just dispatched), consuming the next sequence
             # number before the callback body — exactly as a per-fire
-            # at() re-arm did.
-            entry[0] += period
+            # at() re-arm did.  The body sees its entry with the next
+            # fire's time but the sequence number and stamp it was
+            # dispatched under; the push after it keys the entry as a
+            # push before it would have.
+            tick = entry[0]
+            entry[0] = tick + period
             seq = queue._next_seq
             queue._next_seq = seq + 1
-            entry[1] = seq
-            heappush(heap, entry)
-            callback()
+            try:
+                callback()
+            finally:
+                entry[1] = seq
+                entry[5] = tick
+                heappush(heap, entry)
 
         entry[3] = fire
         seq = queue._next_seq
@@ -236,7 +299,8 @@ class Simulator:
             return
         metrics = self.metrics
         run_started = perf_counter() if metrics is not None else 0.0
-        heap = self._queue._heap
+        queue = self._queue
+        heap = queue._heap
         # Local aliases keep the per-event loop free of global lookups.
         # Pop first and push the (rare) past-horizon head back rather
         # than peeking every iteration; the pushed-back entry keeps its
@@ -256,6 +320,8 @@ class Simulator:
                 if event[cancelled_i]:
                     continue
                 self._now = time
+                self._current = event
+                self._mark = queue._next_seq
                 dispatched += 1
                 try:
                     event[callback_i]()
@@ -301,7 +367,8 @@ class Simulator:
         the profiler when one is attached (including the loop's own
         overhead, so attribution is ~100%).
         """
-        heap = self._queue._heap
+        queue = self._queue
+        heap = queue._heap
         trace = self.trace
         profiler = self.profiler
         pop, clock = heappop, perf_counter
@@ -322,6 +389,8 @@ class Simulator:
                 if event[cancelled_i]:
                     continue
                 self._now = time
+                self._current = event
+                self._mark = queue._next_seq
                 dispatched += 1
                 label = event[label_i]
                 if trace is not None:

@@ -44,6 +44,35 @@ Same-tick order is never guessed: a post at exactly the end tick of
 such a window, a settle at exactly a body's start tick from inside an
 event, or a :meth:`TaskScheduler.clear` at exactly that tick, raises
 :class:`~repro.sim.events.SimulationError`.
+
+Sampling grid
+-------------
+
+A coalescing node's sampling application hands its periodic fire to
+the scheduler (:meth:`TaskScheduler.start_grid`) instead of arming a
+kernel timer, so an idle fire costs no kernel event.  At its next entry
+point (a post, :meth:`~TaskScheduler.run_idle`,
+:meth:`~TaskScheduler.settle`, :meth:`~TaskScheduler.clear`, a
+dispatch, a read of :attr:`~TaskScheduler.tasks_run`,
+:attr:`~TaskScheduler.is_idle` or :attr:`~TaskScheduler.pending`, the
+grid's stop, and every read of the MCU ledger through its
+:attr:`~repro.core.ledger.PowerStateLedger.sync` hook) the scheduler
+books every fire that has come due, one by one, as the timer's
+handler would have at its tick: a :meth:`~TaskScheduler.run_idle`
+booking when idle, a queued task inside a dispatch chain.  A fire that
+lands inside a coalesced window gets a kernel event at its tick, so it
+takes the post path that plans the window's dispatch.
+
+Same-tick order is reproduced: the timer's kernel entry is re-armed
+when the previous fire runs, so a fire at the current tick precedes
+the dispatching event exactly when that event was scheduled after the
+previous fire (:meth:`~repro.sim.kernel.Simulator.scheduled_after`).
+For an event scheduled at exactly the previous fire's tick, that is
+known where the grid holds a mark of the fire (it is the grid's
+arming, was booked at its own tick, or followed an event at its tick);
+otherwise the event raises :class:`~repro.sim.events.SimulationError`.
+Traced and deep-sleep runs keep the kernel timer: they are the
+reference the grid must match.
 """
 
 from __future__ import annotations
@@ -96,6 +125,23 @@ class TaskScheduler:
             Tuple[int, Optional[Callable[[int], None]], int]] = None
         #: The dispatch a post planned at the end of a coalesced task.
         self._planned_dispatch: Optional[EventEntry] = None
+        #: Sampling grid (see "Sampling grid"): the next fire not yet
+        #: booked (None: no grid) and the fire before it (or the
+        #: arming tick).  That fire's kernel mark lies in
+        #: [``_grid_before``, ``_grid_after``] (None: unbounded);
+        #: ``_grid_early`` is a lower bound on the next fire's, while it
+        #: waits for events that precede it.  Then (period, cycles,
+        #: idle body, task body, label) and the kernel event of a fire
+        #: inside a coalesced window.
+        self._grid_next: Optional[int] = None
+        self._grid_prev = 0
+        self._grid_after: Optional[int] = None
+        self._grid_before: Optional[int] = None
+        self._grid_early: Optional[int] = None
+        self._grid: Tuple[int, int, Callable[[int], None],
+                          Callable[[], None], str] = \
+            (0, 0, lambda tick: None, lambda: None, "")
+        self._grid_event: Optional[EventEntry] = None
         sim.add_end_hook(self.settle)
 
     # ------------------------------------------------------------------
@@ -110,6 +156,11 @@ class TaskScheduler:
             cycles: MCU active cost in core clock cycles.
             label: trace name.
         """
+        self._sync()
+        return self._post(body, cycles, label)
+
+    def _post(self, body: Callable[[], None], cycles: int,
+              label: str) -> Task:
         task = Task(body=body, cycles=cycles, label=label,
                     task_id=self._next_task_id)
         self._next_task_id += 1
@@ -136,12 +187,23 @@ class TaskScheduler:
         (:meth:`settle`).  Returns False, booking nothing, otherwise;
         the caller then posts.
         """
+        self._sync()
+        now = self._sim._now
         idle_at = self._idle_at
-        if idle_at is not None and idle_at < self._sim._now:
+        if idle_at is not None and idle_at < now:
             self._idle_at = None  # the planned sleep has begun
             self._dispatching = False
         if self._dispatching or self._queue or not self.coalescing():
             return False
+        if not self._book_idle(now, body, cycles):
+            return False
+        self._arm_grid_event()
+        return True
+
+    def _book_idle(self, now: int, body: Optional[Callable[[int], None]],
+                   cycles: int) -> bool:
+        """The booking of :meth:`run_idle` at tick ``now``, once the
+        scheduler is known idle."""
         if self._unsettled is not None:
             # The scheduler is idle, so the earlier task has ended and
             # its start lies before now: run its body as settle() would,
@@ -152,7 +214,7 @@ class TaskScheduler:
             self._mcu.account_cycles(earlier_cycles)
             if earlier is not None:
                 earlier(start)
-        window = self._mcu.wake_for_task(cycles)
+        window = self._mcu.wake_for_task(cycles, now)
         if window is None:
             return False
         self._dispatching = True
@@ -171,6 +233,7 @@ class TaskScheduler:
         :class:`SimulationError`: whether the per-task chain would have
         run it before that event is unknown.
         """
+        self._sync()
         unsettled = self._unsettled
         if unsettled is None:
             return
@@ -188,6 +251,147 @@ class TaskScheduler:
         self._mcu.account_cycles(cycles)
         if body is not None:
             body(start)
+
+    # ------------------------------------------------------------------
+    # Sampling grid
+    # ------------------------------------------------------------------
+    def start_grid(self, first: int, period: int, cycles: int,
+                   idle_body: Callable[[int], None],
+                   task_body: Callable[[], None], label: str) -> bool:
+        """Take over a periodic sampling fire (see "Sampling grid").
+
+        From tick ``first`` on, every ``period`` ticks, a fire books a
+        task of ``cycles`` as :meth:`run_idle` with ``idle_body`` when
+        idle, and otherwise posts ``task_body`` under ``label``.
+        Returns False, taking nothing, unless :meth:`coalescing` holds
+        and an idle fire's wake-up and task end before the next fire;
+        the caller then arms a kernel timer.
+        """
+        mcu = self._mcu
+        if (not self.coalescing() or mcu.wake_latency_ticks
+                + mcu.cycles_to_ticks(cycles) >= period):
+            return False
+        sim = self._sim
+        self._grid = (period, cycles, idle_body, task_body, label)
+        self._grid_prev = sim._now
+        self._grid_after = self._grid_before = sim.mark()
+        self._grid_early = None
+        self._grid_next = first
+        mcu.ledger.sync = self._ledger_sync
+        self._arm_grid_event()
+        return True
+
+    def stop_grid(self) -> None:
+        """Stop the sampling grid, booking the fires due so far."""
+        self._sync()
+        self._grid_next = None
+        self._mcu.ledger.sync = None
+        if self._grid_event is not None:
+            cancel_event(self._grid_event)
+            self._grid_event = None
+
+    def _sync(self) -> None:
+        """Book the grid fires due by now (every entry point)."""
+        grid = self._grid_next
+        if grid is not None and grid <= self._sim._now:
+            self._catch_up()
+
+    # The MCU ledger's sync hook.  Booking the due fires leaves the
+    # scheduler, MCU and app as the kernel timer's fires left them at
+    # their ticks, whichever entry point books them first, so a ledger
+    # read sees a function of the clock, as with the ledger's own due
+    # plans.  Not pure: it runs sample bodies, may schedule the
+    # dispatch a fire inside a coalesced window plans, and raises
+    # where a read's same-tick order against a fire is unknown.
+    # Pinned so that readers of the ledger (battery monitors, metrics
+    # hooks), which must see every fire due, can read it.
+    # effect: pure
+    def _ledger_sync(self) -> None:
+        self._sync()
+
+    def _catch_up(self, own: bool = False) -> None:
+        """Book every grid fire that has come due, in tick order
+        (``own``: from the kernel event of the fire at this tick)."""
+        sim = self._sim
+        now = sim._now
+        first = self._grid_next
+        assert first is not None
+        period = self._grid[0]
+        last = now - (now - first) % period  # the last fire so far
+        early = None
+        if last == now and sim.running and not own \
+                and not self._fire_first(first):
+            early = sim.mark()  # all scheduled so far precede the fire
+            last -= period
+        if last >= first:
+            self._grid_before = self._grid_early if last == first else None
+            # Booked at its tick, the fire precedes all the running
+            # entry schedules.
+            self._grid_after = sim.dispatch_mark() if last == now else None
+            self._grid_prev = last
+            self._grid_next = last + period
+            self._book_fires(first, (last - first) // period + 1, now)
+        self._grid_early = early
+
+    def _grid_fire(self) -> None:
+        """The kernel event of a fire inside a coalesced window."""
+        self._catch_up(own=True)
+
+    def _fire_first(self, first: int) -> bool:
+        """Whether the fire at the current tick precedes the entry
+        being dispatched, with ``first`` the first fire not booked: the
+        fire's kernel entry would have been re-armed when the previous
+        fire ran."""
+        now = self._sim._now
+        after = before = None
+        if first == now:
+            prev, after, before = \
+                self._grid_prev, self._grid_after, self._grid_before
+        else:
+            prev = now - self._grid[0]
+            if first == prev:
+                before = self._grid_early
+        order = self._sim.scheduled_after(prev, after, before)
+        if order is not None:
+            return order
+        raise SimulationError(
+            f"{self.name}: an event scheduled at tick {prev}, the "
+            f"previous sampling fire's, runs at the next fire's tick "
+            f"{now}; their order is unknown")
+
+    def _book_fires(self, first: int, count: int, now: int) -> None:
+        """``count`` grid fires from tick ``first``, as the timer's
+        handler would run them at their ticks."""
+        period, cycles, idle_body, task_body, label = self._grid
+        if self._grid_event is not None:
+            cancel_event(self._grid_event)
+            self._grid_event = None
+        idle_at = self._idle_at
+        if idle_at is not None and idle_at < first:
+            self._idle_at = None  # the planned sleep has begun
+            self._dispatching = False
+        if not self._dispatching and not self._queue:
+            # Each fire's task ends before the next fire: all are idle.
+            for tick in range(first, first + count * period, period):
+                if not self._book_idle(tick, idle_body, cycles):
+                    raise SimulationError(
+                        f"{self.name}: idle but the MCU is awake at {tick}")
+        elif self._idle_at is not None and first < now:
+            raise SimulationError(
+                f"{self.name}: a sampling fire at {first} inside a "
+                "coalesced window got no event")
+        else:  # queued in a dispatch chain, or posted into the window
+            for _ in range(count):
+                self._post(task_body, cycles, label)
+
+    def _arm_grid_event(self) -> None:
+        """Give the next fire a kernel event if it lands inside the
+        coalesced window."""
+        fire = self._grid_next
+        if (fire is not None and self._grid_event is None
+                and self._idle_at is not None and fire <= self._idle_at):
+            self._grid_event = self._sim.at(fire, self._grid_fire,
+                                            label=self._grid[4])
 
     def coalescing(self) -> bool:
         """Whether tasks may skip their dispatch events.
@@ -221,6 +425,7 @@ class TaskScheduler:
         running one ends as booked.  A :meth:`run_idle` task still in its
         wake-up goes too: its planned start and sleep become a sleep at
         its start tick, as when a dispatch finds the queue empty."""
+        self._sync()
         self._queue.clear()
         if self._unsettled is None:
             return
@@ -255,11 +460,13 @@ class TaskScheduler:
     @property
     def pending(self) -> int:
         """Tasks currently queued (excluding the one executing)."""
+        self._sync()
         return len(self._queue)
 
     @property
     def tasks_run(self) -> int:
         """Total tasks dispatched so far."""
+        self._sync()
         unsettled = self._unsettled
         if unsettled is not None and unsettled[0] <= self._sim.now:
             return self._tasks_run + 1
@@ -268,6 +475,7 @@ class TaskScheduler:
     @property
     def is_idle(self) -> bool:
         """True when nothing is queued or executing."""
+        self._sync()
         if self._idle_at is not None and self._idle_at <= self._sim.now:
             return not self._queue
         return not self._dispatching and not self._queue
@@ -284,6 +492,7 @@ class TaskScheduler:
                         label=self._dispatch_label)
 
     def _dispatch_next(self) -> None:
+        self._sync()
         if not self._queue:
             self._dispatching = False
             self._mcu.sleep(deep=self._choose_deep())
@@ -312,6 +521,7 @@ class TaskScheduler:
         else:  # nothing queued behind: plan the sleep, no end event
             self._idle_at = end = self._sim._now + duration
             mcu.ledger.plan((end, (SLEEP, SLEEP)))
+            self._arm_grid_event()
 
     def _choose_deep(self) -> bool:
         if self.wake_hint_provider is None:

@@ -21,6 +21,10 @@ class TestApiReference:
     def test_no_undocumented_public_items(self):
         text = (ROOT / "docs" / "api_reference.md").read_text()
         assert "(undocumented)" not in text
+        # A constant prints its #: comment after a dash, or nothing.
+        bare = re.findall(r"^- \*\*const `\w+`\*\* \(`[^`]*`\)$", text,
+                          re.M)
+        assert not bare, bare
 
     def test_reference_covers_every_package(self):
         text = (ROOT / "docs" / "api_reference.md").read_text()

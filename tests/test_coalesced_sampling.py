@@ -1,14 +1,17 @@
 """Coalesced sampling against the per-sample reference path.
 
-A sampling-timer fire (or a cost-only post) that finds the node's
-scheduler idle and its MCU in LPM0 books the task's wake, run and
-sleep as planned ledger transitions instead of two dispatch events;
-its body only records the acquisition tick, and the recorded ticks are
-read as one block when something can observe them.  The per-sample
-chain, which reads every sample on its own, runs whenever the
-simulator has a ``TraceRecorder`` (or a deep-sleep policy),
-so every test here runs the same thing twice, once with a trace, and
-requires bit-identical results.
+A sampling fire (or a cost-only post) that finds the node's scheduler
+idle and its MCU in LPM0 books the task's wake, run and sleep as
+planned ledger transitions instead of two dispatch events; its body
+only records the acquisition tick, and the recorded ticks are read as
+one block when something can observe them.  The sampling fires
+themselves are no kernel events: the scheduler holds the app's grid
+and books every fire that has come due at its next entry point.  The
+per-sample chain, which fires a
+kernel timer and reads every sample on its own, runs whenever the
+simulator has a ``TraceRecorder`` (or a deep-sleep policy), so every
+test here runs the same thing twice, once with a trace, and requires
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "tools"))
@@ -35,7 +39,9 @@ from repro.core.ledger import MAX_PENDING_PLANS, PowerStateLedger
 from repro.core.states import PowerState, PowerStateTable
 from repro.exec.cache import config_fingerprint
 from repro.hw.asic import BiopotentialAsic
+from repro.hw.battery import Battery
 from repro.net import BanScenario, BanScenarioConfig
+from repro.net.monitor import BatteryMonitor
 from repro.net.multi import MultiBanScenario
 from repro.net.node import SensorNode
 from repro.obs import attach_span_tracer
@@ -217,13 +223,13 @@ def test_stream_payloads_equal_the_per_task_run(name):
 
 
 def test_events_dispatched_is_pinned():
-    """Table 1 row 1 (205 Hz, 30 ms): three events per idle sample
-    become one, so the run dispatches under 60 % of the per-sample
-    chain's events."""
+    """Table 1 row 1 (205 Hz, 30 ms): the three events of an idle
+    sample become none, so the run dispatches under 60 % of the
+    per-sample chain's events."""
     config = TABLE_ROWS[0][2]
     coalesced = _run_ban(config, per_sample=False)[3]
     reference = _run_ban(config, per_sample=True)[3]
-    assert (coalesced, reference) == (3033, 5757)
+    assert (coalesced, reference) == (2145, 5757)
     assert coalesced < 0.6 * reference
 
 
@@ -381,10 +387,10 @@ def _both(script: Callable[[_Rig], None], until: int = milliseconds(30)
     return rigs[0], rigs[1]
 
 
-def test_an_idle_sample_costs_one_event():
+def test_an_idle_sample_costs_no_event():
     coalesced, reference = _both(lambda rig: None,
                                  until=milliseconds(7))
-    assert coalesced.sim.events_dispatched == 1
+    assert coalesced.sim.events_dispatched == 0
     assert reference.sim.events_dispatched == 3
 
 
@@ -397,9 +403,9 @@ def test_a_cost_only_post_on_an_idle_mcu_costs_no_event():
                    lambda: rig.node.scheduler.post_cost_only(PREP, "proc"))
 
     coalesced, reference = _both(script, until=milliseconds(7))
-    # The fire and the posting event; the per-task chain adds the
+    # The posting event; the per-task chain adds the fire, the
     # sample's two dispatches and the cost-only task's first one.
-    assert coalesced.sim.events_dispatched == 2
+    assert coalesced.sim.events_dispatched == 1
     assert reference.sim.events_dispatched == 5
 
 
@@ -617,6 +623,230 @@ def test_sample_straddling_the_horizon(phase):
 
 
 # ----------------------------------------------------------------------
+# The sampling grid: fires booked at the scheduler's next entry point
+# ----------------------------------------------------------------------
+def test_fires_pending_at_the_horizon_are_booked_before_the_ledger_closes():
+    """Nothing enters the scheduler between the first fire and the
+    horizon, and the MCU ledger's end hook runs before the
+    scheduler's: reading the ledger to close it books the six fires."""
+    coalesced, _ = _both(lambda rig: None,
+                         until=_Rig.FIRE + 5 * _Rig.PERIOD + 1)
+    hooks = coalesced.sim._end_hooks
+    assert hooks.index(coalesced.node.mcu.ledger.close) \
+        < hooks.index(coalesced.node.scheduler.settle)
+    assert coalesced.sim.events_dispatched == 0
+    assert coalesced.node.mcu.wakeups == 6
+    assert coalesced.app.samples_taken == 5  # the sixth is still waking
+
+
+def test_post_at_the_end_tick_of_a_stretch_raises():
+    """Four fires are due when a post lands at exactly the fourth one's
+    end tick: the stretch's last sleep is planned for that tick, and
+    the post must raise as at a single sample's end, not treat the
+    stretch as over."""
+    def end(rig: _Rig) -> int:
+        return rig.FIRE + 3 * rig.PERIOD + rig.wake + rig.task
+
+    reference = _Rig(per_sample=True)
+    reference.post_at(end(reference), PREP)
+    reference.sim.run_until(milliseconds(30))
+    coalesced = _Rig(per_sample=False)
+    coalesced.post_at(end(coalesced), PREP)
+    with pytest.raises(SimulationError, match=f"node1.*{end(coalesced)}"):
+        coalesced.sim.run_until(milliseconds(30))
+
+
+@pytest.mark.parametrize("scheduled", ["before", "after"])
+def test_a_post_on_a_grid_tick_is_ordered_by_when_it_was_scheduled(
+        scheduled):
+    """A post at the third fire's tick, scheduled one tick before or
+    after the second fire's: the timer re-arms its entry for the third
+    fire when the second runs, so the fire precedes exactly the posts
+    scheduled later.  Before: the post wakes the MCU and the sample
+    queues behind it.  After: the sample is booked idle and the post
+    waits for its end."""
+    fire = _Rig.FIRE + 2 * _Rig.PERIOD
+
+    def script(rig: _Rig) -> None:
+        at = rig.FIRE + rig.PERIOD + (-1 if scheduled == "before" else 1)
+        rig.sim.at(at, lambda: rig.post_at(fire, PREP))
+
+    coalesced, _ = _both(script)
+    wake, task = coalesced.wake, coalesced.task
+    ran = [entry[:2] for entry in coalesced.log]
+    if scheduled == "before":
+        assert ("mac", fire + wake) in ran
+        assert ("sample", fire + wake) not in ran
+    else:
+        assert ("sample", fire + wake) in ran
+        assert ("mac", fire + wake + task) in ran
+
+
+def test_a_post_scheduled_at_a_late_booked_fire_tick_raises():
+    """Scheduled at exactly the second fire's tick, when nothing booked
+    that fire then: whether the post precedes the third fire is
+    unknown."""
+    def script(rig: _Rig) -> None:
+        rig.sim.at(rig.FIRE + rig.PERIOD,
+                   lambda: rig.post_at(rig.FIRE + 2 * rig.PERIOD, PREP))
+
+    reference = _Rig(per_sample=True)
+    script(reference)
+    reference.sim.run_until(milliseconds(30))
+    coalesced = _Rig(per_sample=False)
+    script(coalesced)
+    with pytest.raises(SimulationError, match="previous sampling fire"):
+        coalesced.sim.run_until(milliseconds(30))
+
+
+@pytest.mark.parametrize("case", ["arming", "booked"])
+def test_a_post_scheduled_at_the_previous_fire_tick_is_ordered(case):
+    """The same tie, where the order is known: a post scheduled at the
+    arming tick after the grid was armed, or at the second fire's tick
+    after an entry point booked that fire, follows the next fire."""
+    def script(rig: _Rig) -> None:
+        if case == "arming":
+            rig.post_at(rig.FIRE, PREP)
+            return
+        second = rig.FIRE + rig.PERIOD
+
+        def enter() -> None:
+            rig.node.scheduler.pending  # an entry point: books the fire
+            rig.post_at(second + rig.PERIOD, PREP)
+
+        rig.sim.at(rig.FIRE + 1, lambda: rig.sim.at(second, enter))
+
+    coalesced, _ = _both(script)
+    fire = _Rig.FIRE + (0 if case == "arming" else 2 * _Rig.PERIOD)
+    assert ("sample", fire + coalesced.wake) in [entry[:2] for entry
+                                                 in coalesced.log]
+
+
+@pytest.mark.parametrize("armed", ["before", "after"])
+def test_a_ledger_reader_on_the_sampling_period_is_ordered(armed):
+    """A kernel timer reads the MCU ledger on every fire's tick, armed
+    before or after the grid: each read is ordered as its timer entry
+    is against the fire's, and reads what the per-task chain left."""
+    def reads(per_sample: bool) -> List[Any]:
+        rig = _Rig(per_sample)
+        ledger, seen = rig.node.mcu.ledger, []
+
+        def read() -> None:
+            seen.append((rig.sim.now, ledger.transitions,
+                         ledger.energy_j(), rig.node.mcu.wakeups))
+
+        if armed == "before":
+            rig.app.stop()
+        rig.sim.every(rig.PERIOD, read)
+        if armed == "before":
+            rig.app.start()
+        rig.sim.run_until(milliseconds(30))
+        return seen
+
+    coalesced, reference = reads(False), reads(True)
+    assert coalesced == reference
+    # Armed before, a read precedes the fire at its tick; after, it
+    # follows it and sees the wake-up.
+    assert [row[3] for row in coalesced[:3]] \
+        == ([0, 1, 2] if armed == "before" else [1, 2, 3])
+
+
+def test_a_battery_monitor_on_the_sampling_period_reads_per_task():
+    """The battery monitor reads the node's ledgers mid-run, every
+    5 ms, on the 200 Hz grid of an R-peak node."""
+    def history(per_sample: bool) -> Tuple[Any, ...]:
+        config = BanScenarioConfig(mac="static", app="rpeak", num_nodes=2,
+                                   measure_s=WINDOW_S, seed=5)
+        scenario = BanScenario(config, trace=(TraceRecorder(capacity=1)
+                                              if per_sample else None))
+        monitor = BatteryMonitor(scenario.nodes[0],
+                                 Battery(capacity_mah=1.0, voltage_v=2.8),
+                                 sample_period_s=0.005)
+        monitor.start()
+        return _fingerprint(scenario.run()), monitor.history
+
+    coalesced, reference = history(False), history(True)
+    assert coalesced == reference
+    assert len(coalesced[1]) > 200
+
+
+def test_a_fire_inside_a_coalesced_window_gets_an_event():
+    """The 4.19 ms packet task covers the second fire, which gets a
+    kernel event at its tick and posts its sample behind the task."""
+    coalesced, reference = _both(
+        lambda rig: rig.post_at(rig.FIRE + milliseconds(1), PREP))
+    # The posting event, the packet task's dispatch, the fire, and the
+    # dispatch its post plans at the packet task's end.
+    assert coalesced.sim.events_dispatched == 4
+    assert reference.sim.events_dispatched == 18
+
+
+def test_crash_and_reboot_mid_grid():
+    """node1 crashes halfway through the fourth sample's wake-up, with
+    all four fires unbooked, and reboots 7.5 ms later: the crash books
+    them, drops the fourth as the per-task chain drops it from the
+    queue, and the reboot starts a new grid."""
+    def script(rig: _Rig) -> None:
+        def reset() -> None:  # the rig's node runs no MAC: crash the app
+            rig.app.stop()
+            rig.node.scheduler.clear()
+
+        crash = rig.FIRE + 3 * rig.PERIOD + rig.wake // 2
+        rig.sim.at(crash, reset)
+        rig.sim.at(crash + milliseconds(7.5), rig.app.start)
+
+    coalesced, _ = _both(script, until=milliseconds(40))
+    samples = [entry[1] for entry in coalesced.log if entry[0] == "sample"]
+    wake = coalesced.wake
+    reboot = _Rig.FIRE + 3 * _Rig.PERIOD + wake // 2 + milliseconds(7.5)
+    assert samples[:3] == [_Rig.FIRE + k * _Rig.PERIOD + wake
+                           for k in range(3)]
+    assert samples[3] == reboot + _Rig.PERIOD + wake
+    assert coalesced.sim.events_dispatched == 2
+
+
+# Random configs over the whole space the CLI accepts for the paper's
+# apps: every MAC, 1-8 nodes, short and long cycles and slots, and
+# sampling from 20 Hz to 4 kHz (or the app's derived rate).
+cross_mode_configs = st.builds(
+    BanScenarioConfig,
+    mac=st.sampled_from(["static", "dynamic", "aloha", "csma"]),
+    app=st.sampled_from(["ecg_streaming", "rpeak"]),
+    num_nodes=st.integers(min_value=1, max_value=8),
+    cycle_ms=st.floats(min_value=10.0, max_value=200.0).map(
+        lambda ms: round(ms, 1)),
+    slot_ms=st.floats(min_value=2.0, max_value=20.0).map(
+        lambda ms: round(ms, 1)),
+    sampling_hz=st.one_of(st.none(), st.floats(
+        min_value=20.0, max_value=4000.0).map(lambda hz: round(hz, 1))),
+    measure_s=st.just(0.5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
+
+def _outcome(config: BanScenarioConfig, traced: bool) -> Tuple[Any, ...]:
+    """(fingerprint, station digest), or the error the run raised."""
+    scenario = BanScenario(config, trace=(TraceRecorder(capacity=1)
+                                          if traced else None))
+    try:
+        result = scenario.run()
+    except SimulationError as exc:
+        return ("raised", str(exc))
+    return _fingerprint(result), station_digest(scenario)
+
+
+@given(cross_mode_configs)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_grid_and_kernel_timer_agree_on_random_configs(config):
+    """Untraced runs book their sampling fires on the scheduler's grid;
+    traced runs fire a kernel timer and run the per-task chain.  Every
+    config gives equal fingerprints and station digests, or raises the
+    same error in both modes."""
+    assert _outcome(config, traced=False) == _outcome(config, traced=True)
+
+
+# ----------------------------------------------------------------------
 # Which path runs
 # ----------------------------------------------------------------------
 def _quick(**overrides: Any) -> BanScenarioConfig:
@@ -710,8 +940,8 @@ def test_cancel_plan_removes_the_newest_match():
 
 
 # ----------------------------------------------------------------------
-# Plans applied in bulk: an idle MCU's samples leave their plans pending
-# until the ledger is next read
+# Fires booked in bulk: an idle MCU's samples are booked when the
+# ledger is next read, and their plans stay pending until then
 # ----------------------------------------------------------------------
 def _eager_state(ledger: PowerStateLedger) -> str:
     """The state read that books every due plan at once."""
@@ -720,10 +950,16 @@ def _eager_state(ledger: PowerStateLedger) -> str:
     return ledger._state
 
 
-def _ledger_reads(rig: _Rig, pending: List[int]) -> List[Any]:
+def _due(rig: _Rig) -> int:
+    """Grid fires that have come due and are not booked yet."""
+    grid = rig.node.scheduler._grid_next
+    return 0 if grid is None else (rig.sim.now - grid) // rig.PERIOD + 1
+
+
+def _ledger_reads(rig: _Rig, due: List[int]) -> List[Any]:
     """Read the MCU ledger inside a wake-up, inside a task, at a
     measurement reset and at the horizon (each read books whatever is
-    due); ``pending`` gets the plans held just before the first three."""
+    due); ``due`` gets the fires due just before the first three."""
     ledger = rig.node.mcu.ledger
     reads: List[Any] = []
 
@@ -732,7 +968,7 @@ def _ledger_reads(rig: _Rig, pending: List[int]) -> List[Any]:
                       ledger.transitions, ledger.state, ledger.tag))
 
     def read_inside(what: str) -> None:
-        pending.append(len(ledger._plans))
+        due.append(_due(rig))
         read(what)
 
     period, wake, task = rig.PERIOD, rig.wake, rig.task
@@ -742,7 +978,7 @@ def _ledger_reads(rig: _Rig, pending: List[int]) -> List[Any]:
                lambda: read_inside("task"))
 
     def reset() -> None:
-        pending.append(len(ledger._plans))
+        due.append(_due(rig))
         rig.node.reset_measurement()
         read("reset")
 
@@ -752,23 +988,28 @@ def _ledger_reads(rig: _Rig, pending: List[int]) -> List[Any]:
     return reads
 
 
-def test_plans_booked_in_bulk_read_as_booked_at_once(monkeypatch):
+def test_fires_booked_in_bulk_read_as_booked_at_their_ticks(monkeypatch):
+    """Each read finds several fires due and books them then, one by
+    one, at their ticks.  Every read sees the same per-(state, tag)
+    ticks in the same key order, transitions, state and tag as the
+    per-task chain, which fires a kernel timer at every tick, and as a
+    ledger that books every due plan at each state read."""
     bulk = _Rig(per_sample=False)
-    bulk_pending: List[int] = []
-    bulk_reads = _ledger_reads(bulk, bulk_pending)
+    bulk_due: List[int] = []
+    bulk_reads = _ledger_reads(bulk, bulk_due)
+    reference = _Rig(per_sample=True)
+    reference_reads = _ledger_reads(reference, [])
     monkeypatch.setattr(PowerStateLedger, "state", property(_eager_state))
     eager = _Rig(per_sample=False)
-    eager_pending: List[int] = []
-    eager_reads = _ledger_reads(eager, eager_pending)
-    # Per-(state, tag) ticks in the same key order, transitions, the
-    # state and tag, and every observer call.
-    assert bulk_reads == eager_reads
-    assert bulk.probe.timeline("mcu") == eager.probe.timeline("mcu")
-    assert bulk.outcome() == eager.outcome()
-    # The bulk ledger held several samples' plans at each read; the
-    # eager one at most the current sample's three.
-    assert min(bulk_pending) >= 3 * 6
-    assert max(eager_pending) <= 3
+    eager_due: List[int] = []
+    eager_reads = _ledger_reads(eager, eager_due)
+    assert bulk_reads == eager_reads == reference_reads
+    assert bulk.probe.timeline("mcu") == eager.probe.timeline("mcu") \
+        == reference.probe.timeline("mcu")
+    assert bulk.outcome() == eager.outcome() == reference.outcome()
+    # Each read found several fires due and booked them at once.
+    assert bulk_due == eager_due
+    assert min(bulk_due) >= 6
 
 
 def test_collectors_hold_at_most_the_cap(monkeypatch):

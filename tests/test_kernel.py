@@ -5,6 +5,8 @@ import pytest
 from repro.obs.profiler import SimulationProfiler
 from repro.sim.events import (
     EVT_LABEL,
+    EVT_SEQ,
+    EVT_STAMP,
     Event,
     EventQueue,
     SimulationError,
@@ -210,6 +212,71 @@ class TestSimulatorScheduling:
         records = trace.filter(source="kernel")
         assert len(records) == 1
         assert records[0].detail == "tick"
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_entries_carry_the_tick_they_were_scheduled_at(self, observed):
+        """Every way of scheduling stamps the entry with the current
+        tick, so the entry being dispatched reads as scheduled after
+        every earlier tick and before every later one.  A periodic
+        entry, re-armed in place, reads as scheduled at its previous
+        fire."""
+        sim = Simulator(trace=TraceRecorder() if observed else None)
+        seen = []
+
+        def record(label: str):
+            def fire() -> None:
+                orders = [sim.scheduled_after(tick)
+                          for tick in range(sim.now + 1)]
+                stamp = orders.index(None)
+                assert orders == [True] * stamp + [None] \
+                    + [False] * (sim.now - stamp)
+                seen.append((sim.now, label, stamp))
+            return fire
+
+        sim.at(30, record("at"))
+        periodic = sim.every(10, record("every"), first_delay=5)
+
+        def later() -> None:
+            sim.after(3, record("after"))
+            sim.call_soon(record("soon"))
+
+        sim.at(7, later)
+        sim.run_until(26)
+        assert seen == [(5, "every", 0), (7, "soon", 7), (10, "after", 7),
+                        (15, "every", 5), (25, "every", 15)]
+        assert periodic[EVT_STAMP] == 25 and periodic[0] == 35
+        assert Event(4, 0, lambda: None).stamp == 4
+
+    def test_marks_order_entries_scheduled_at_one_tick(self):
+        """Entries scheduled at one tick order against a mark taken
+        there: from ``after`` on they follow it, below ``before`` they
+        precede it, and otherwise the order is unknown.  A dispatch
+        mark comes before all the callback schedules, and a periodic
+        entry's re-arm takes exactly it."""
+        sim = Simulator()
+        marks, orders, rearms = {}, [], []
+
+        def read(name: str) -> None:
+            mark = marks["at 10"]
+            orders.append((name, sim.scheduled_after(10, after=mark),
+                           sim.scheduled_after(10, before=mark)))
+
+        def arm() -> None:
+            assert sim.dispatch_mark() == sim.mark()
+            sim.at(20, lambda: read("before"))
+            marks["at 10"] = sim.mark()
+            sim.at(20, lambda: read("after"))
+            assert sim.mark() == sim.dispatch_mark() + 2
+
+        sim.at(10, arm)
+        periodic = sim.every(
+            50, lambda: rearms.append((sim.dispatch_mark(), sim.mark())),
+            first_delay=30)
+        assert sim.dispatch_mark() == sim.mark()  # outside a dispatch
+        sim.run_until(40)
+        assert orders == [("before", None, False), ("after", True, None)]
+        (dispatch, mark), = rearms
+        assert mark == dispatch + 1 and periodic[EVT_SEQ] == dispatch
 
 
 class TestDeterminism:

@@ -38,10 +38,11 @@ checks, each over a reference scenario set:
    receives it is audited.  Together with check 4 this closes the
    loop — the perturbation test exercises exactly the hook surface
    the static pass proved effect-free.
-6. **Cross-mode** — a plain run coalesces idle-MCU samples (one
-   kernel event per sample, planned ledger transitions, block reads);
-   a traced run takes the per-sample chain, the reference path,
-   because its trace lists every dispatch.  For every checked config
+6. **Cross-mode** — a plain run coalesces idle-MCU samples (no
+   kernel event for an idle sample's fire, planned ledger transitions,
+   block reads); a traced run fires a kernel timer and takes the
+   per-sample chain, the reference path, because its trace lists
+   every dispatch.  For every checked config
    plus two fault configs, one whose crash and reboot land mid-sample
    and one whose crash lands inside a sample's wake-up, the two result
    fingerprints must be equal, and so must the two station digests
@@ -57,6 +58,10 @@ inside the burst.  So each check also reaches the radio's deferred
 release and the reboot that waits for it.  A hidden-terminal CSMA
 config adds a partial topology and a lossy channel, so each check also
 covers per-receiver loss draws and audiences smaller than the network.
+Two more configs meet a node's sampling grid with other work: one
+samples fast enough that a fire lands inside every beacon processing
+task, and one skews its crystals so far that its slot posts land on
+fire ticks.
 
 Fingerprints are SHA-256 over the canonical dataclass encoding
 (:func:`repro.exec.cache.config_fingerprint`), so "equal" means equal
@@ -84,6 +89,7 @@ from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.exec import ScenarioExecutor
 from repro.exec.cache import config_fingerprint
 from repro.faults import FaultPlan, NodeCrash
+from repro.mac.sync import FixedLead
 from repro.net import BanScenario, BanScenarioConfig
 from repro.obs import MetricsRegistry, SpanStore, attach_span_tracer
 from repro.phy.lossmodels import UniformLoss
@@ -205,12 +211,35 @@ def hidden_terminal_config() -> BanScenarioConfig:
                    loss_model=UniformLoss(0.05))
 
 
+def beacon_window_config() -> BanScenarioConfig:
+    """The static reference config sampling at 600 Hz: each node's
+    2.24 ms beacon processing covers a sampling fire every cycle, so
+    an untraced run gives those fires kernel events that post into the
+    coalesced window."""
+    return replace(reference_configs()[0], seed=29, sampling_hz=600.0)
+
+
+def skew_beyond_guard_config() -> BanScenarioConfig:
+    """Two static nodes at 4,000 ppm of crystal skew behind a fixed
+    50 us lead: they miss beacons and resync, and their slot posts
+    land on sampling-fire ticks, so an untraced run orders those
+    entries by when they were scheduled."""
+    return BanScenarioConfig(
+        mac="static", app="ecg_streaming", num_nodes=2, measure_s=6.0,
+        seed=7, clock_skew_ppm=4000.0,
+        sync_policy_factory=lambda cal: FixedLead(microseconds(50)))
+
+
 def checked_configs() -> List[BanScenarioConfig]:
     """What checks 1-6 run: the reference configs, the two mid-burst
-    fault configs and the hidden-terminal config."""
+    fault configs, the hidden-terminal config, and two configs whose
+    sampling fires meet other work: inside beacon processing, and at
+    the tick of a slot post."""
     return reference_configs() + [contention_fault_config(),
                                   reboot_fault_config(),
-                                  hidden_terminal_config()]
+                                  hidden_terminal_config(),
+                                  beacon_window_config(),
+                                  skew_beyond_guard_config()]
 
 
 def result_fingerprint(result: Any) -> str:
