@@ -18,12 +18,13 @@ body, run later, only records the acquisition tick.  Where the
 scheduler coalesces, the fires are no kernel events either: the app
 hands its grid to the scheduler
 (:meth:`~repro.tinyos.scheduler.TaskScheduler.start_grid`), which
-books every fire that has come due at its next entry point; a trace
+books every fire that has come due at its next entry point, a fire
+that finds the MCU busy too, with the same recording body; a trace
 or a deep-sleep policy keeps the timer.  The recorded
 ticks are evaluated as one block at the first point that can observe
 them (:meth:`SamplingApplication.flush_samples`): the MAC's payload
-read, the next per-task sample, a simulator end hook, or the node's
-measurement reset.  A block reads each channel once
+read, a per-task sample of the timer, a simulator end hook, or the
+node's measurement reset.  A block reads each channel once
 (:meth:`~repro.hw.asic.BiopotentialAsic.read_block`,
 :meth:`~repro.hw.adc.Adc12.convert_block`) and hands the sample
 columns to :meth:`SamplingApplication.handle_block`, whose default
@@ -151,7 +152,7 @@ class SamplingApplication(Component):
         period = self.sample_period_ticks
         if not self._scheduler.start_grid(
                 self._sim.now + period, period, self._tick_cost,
-                self._defer, self._acquire, self._label_sample):
+                self._defer, self._label_sample):
             self._timer.start_periodic(period)
 
     def on_stop(self) -> None:

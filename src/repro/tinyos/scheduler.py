@@ -40,17 +40,17 @@ when its body runs, and a packet-preparation task is still posted and
 dispatched, so its ``task_started`` hook fires.  An observed run
 therefore dispatches the same events as a plain one.
 
-Same-tick order is never guessed: a post at exactly the end tick of
-such a window, a settle at exactly a body's start tick from inside an
-event, or a :meth:`TaskScheduler.clear` at exactly that tick, raises
-:class:`~repro.sim.events.SimulationError`.
+Same-tick order is never guessed: a post (or a sampling fire) at
+exactly the end tick of such a window, a settle at exactly a body's
+start tick from inside an event, or a :meth:`TaskScheduler.clear` at
+exactly that tick, raises :class:`~repro.sim.events.SimulationError`.
 
 Sampling grid
 -------------
 
 A coalescing node's sampling application hands its periodic fire to
 the scheduler (:meth:`TaskScheduler.start_grid`) instead of arming a
-kernel timer, so an idle fire costs no kernel event.  At its next entry
+kernel timer, so no fire costs a kernel event.  At its next entry
 point (a post, :meth:`~TaskScheduler.run_idle`,
 :meth:`~TaskScheduler.settle`, :meth:`~TaskScheduler.clear`, a
 dispatch, a read of :attr:`~TaskScheduler.tasks_run`,
@@ -59,9 +59,12 @@ grid's stop, and every read of the MCU ledger through its
 :attr:`~repro.core.ledger.PowerStateLedger.sync` hook) the scheduler
 books every fire that has come due, one by one, as the timer's
 handler would have at its tick: a :meth:`~TaskScheduler.run_idle`
-booking when idle, a queued task inside a dispatch chain.  A fire that
-lands inside a coalesced window gets a kernel event at its tick, so it
-takes the post path that plans the window's dispatch.
+booking when idle, a queued task behind real dispatches, and, for a
+fire inside a coalesced window (from a coalesced task's wake to its
+planned sleep), the window's *continuation*: a task start planned at
+the window's end in place of its sleep, then a sleep after the task.
+Every fire runs the grid's body with its task's start tick, so the app
+only records that tick.
 
 Same-tick order is reproduced: the timer's kernel entry is re-armed
 when the previous fire runs, so a fire at the current tick precedes
@@ -89,6 +92,10 @@ from .tasks import Task
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..obs.spans import SpanTracer
+
+# Ledger (state, tag) keys of a planned task start and sleep.
+_TASK = (ACTIVE, "task")
+_ASLEEP = (SLEEP, SLEEP)
 
 
 class TaskScheduler:
@@ -119,10 +126,11 @@ class TaskScheduler:
         #: End tick of a task whose sleep is planned, not an event; the
         #: scheduler counts as busy until then.
         self._idle_at: Optional[int] = None
-        #: A task booked by run_idle whose body has not run yet:
-        #: (start tick, body taking that tick or None, cycles).
-        self._unsettled: Optional[
-            Tuple[int, Optional[Callable[[int], None]], int]] = None
+        #: Tasks booked without a dispatch whose bodies have not run
+        #: yet, in start order: (start tick, body taking that tick or
+        #: None, cycles).
+        self._unsettled: Deque[
+            Tuple[int, Optional[Callable[[int], None]], int]] = deque()
         #: The dispatch a post planned at the end of a coalesced task.
         self._planned_dispatch: Optional[EventEntry] = None
         #: Sampling grid (see "Sampling grid"): the next fire not yet
@@ -131,17 +139,14 @@ class TaskScheduler:
         #: [``_grid_before``, ``_grid_after``] (None: unbounded);
         #: ``_grid_early`` is a lower bound on the next fire's, while it
         #: waits for events that precede it.  Then (period, cycles,
-        #: idle body, task body, label) and the kernel event of a fire
-        #: inside a coalesced window.
+        #: body, label).
         self._grid_next: Optional[int] = None
         self._grid_prev = 0
         self._grid_after: Optional[int] = None
         self._grid_before: Optional[int] = None
         self._grid_early: Optional[int] = None
-        self._grid: Tuple[int, int, Callable[[int], None],
-                          Callable[[], None], str] = \
-            (0, 0, lambda tick: None, lambda: None, "")
-        self._grid_event: Optional[EventEntry] = None
+        self._grid: Tuple[int, int, Callable[[int], None], str] = \
+            (0, 0, lambda tick: None, "")
         sim.add_end_hook(self.settle)
 
     # ------------------------------------------------------------------
@@ -157,14 +162,7 @@ class TaskScheduler:
             label: trace name.
         """
         self._sync()
-        return self._post(body, cycles, label)
-
-    def _post(self, body: Callable[[], None], cycles: int,
-              label: str) -> Task:
-        task = Task(body=body, cycles=cycles, label=label,
-                    task_id=self._next_task_id)
-        self._next_task_id += 1
-        self._queue.append(task)
+        task = self._enqueue(body, cycles, label)
         idle_at = self._idle_at
         if idle_at is not None and idle_at < self._sim._now:
             self._idle_at = None  # the planned sleep has begun
@@ -173,6 +171,15 @@ class TaskScheduler:
             self._start_dispatch()
         elif self._idle_at is not None:
             self._end_planned_sleep(label)
+        return task
+
+    def _enqueue(self, body: Callable[[], None], cycles: int,
+                 label: str) -> Task:
+        """Queue a task, starting no dispatch."""
+        task = Task(body=body, cycles=cycles, label=label,
+                    task_id=self._next_task_id)
+        self._next_task_id += 1
+        self._queue.append(task)
         return task
 
     def run_idle(self, body: Optional[Callable[[int], None]],
@@ -195,21 +202,18 @@ class TaskScheduler:
             self._dispatching = False
         if self._dispatching or self._queue or not self.coalescing():
             return False
-        if not self._book_idle(now, body, cycles):
-            return False
-        self._arm_grid_event()
-        return True
+        return self._book_idle(now, body, cycles)
 
     def _book_idle(self, now: int, body: Optional[Callable[[int], None]],
                    cycles: int) -> bool:
         """The booking of :meth:`run_idle` at tick ``now``, once the
         scheduler is known idle."""
-        if self._unsettled is not None:
-            # The scheduler is idle, so the earlier task has ended and
-            # its start lies before now: run its body as settle() would,
-            # without the same-tick check.
-            start, earlier, earlier_cycles = self._unsettled
-            self._unsettled = None
+        unsettled = self._unsettled
+        while unsettled:
+            # The scheduler is idle, so the earlier tasks have ended and
+            # their starts lie before now: run their bodies as settle()
+            # would, without the same-tick check.
+            start, earlier, earlier_cycles = unsettled.popleft()
             self._tasks_run += 1
             self._mcu.account_cycles(earlier_cycles)
             if earlier is not None:
@@ -220,13 +224,15 @@ class TaskScheduler:
         self._dispatching = True
         self._idle_at = window[1]
         self._next_task_id += 1
-        self._unsettled = (window[0], body, cycles)
+        unsettled.append((window[0], body, cycles))
         return True
 
     def settle(self) -> None:
-        """Run the body of a :meth:`run_idle` task whose start has come.
+        """Run the bodies of the tasks booked without a dispatch (by
+        :meth:`run_idle` or a grid fire) whose start has come, in start
+        order.
 
-        Called before anything can observe what the body changes: the
+        Called before anything can observe what the bodies change: the
         next :meth:`run_idle`, the next dispatched task body, a payload
         read, a simulator end hook and a measurement reset.  Inside an
         event, a body starting at the current tick raises
@@ -235,50 +241,46 @@ class TaskScheduler:
         """
         self._sync()
         unsettled = self._unsettled
-        if unsettled is None:
-            return
-        start, body, cycles = unsettled
         now = self._sim._now
-        if start > now:
-            return
-        if start == now and body is not None and self._sim.running:
-            raise SimulationError(
-                f"{self.name}: a coalesced task starts at tick {now}, "
-                "the tick it is observed at; the per-task order of the "
-                "two is unknown")
-        self._unsettled = None
-        self._tasks_run += 1
-        self._mcu.account_cycles(cycles)
-        if body is not None:
-            body(start)
+        while unsettled and unsettled[0][0] <= now:
+            start, body, cycles = unsettled[0]
+            if start == now and body is not None and self._sim.running:
+                raise SimulationError(
+                    f"{self.name}: a coalesced task starts at tick {now}, "
+                    "the tick it is observed at; the per-task order of "
+                    "the two is unknown")
+            unsettled.popleft()
+            self._tasks_run += 1
+            self._mcu.account_cycles(cycles)
+            if body is not None:
+                body(start)
 
     # ------------------------------------------------------------------
     # Sampling grid
     # ------------------------------------------------------------------
     def start_grid(self, first: int, period: int, cycles: int,
-                   idle_body: Callable[[int], None],
-                   task_body: Callable[[], None], label: str) -> bool:
+                   body: Callable[[int], None], label: str) -> bool:
         """Take over a periodic sampling fire (see "Sampling grid").
 
         From tick ``first`` on, every ``period`` ticks, a fire books a
-        task of ``cycles`` as :meth:`run_idle` with ``idle_body`` when
-        idle, and otherwise posts ``task_body`` under ``label``.
-        Returns False, taking nothing, unless :meth:`coalescing` holds
-        and an idle fire's wake-up and task end before the next fire;
-        the caller then arms a kernel timer.
+        task of ``cycles`` whose body is ``body``, called with the
+        task's start tick: as :meth:`run_idle` when idle, as the
+        continuation of a coalesced window, or queued under ``label``
+        behind real dispatches.  Returns False, taking nothing, unless
+        :meth:`coalescing` holds and an idle fire's wake-up and task
+        end before the next fire; the caller then arms a kernel timer.
         """
         mcu = self._mcu
         if (not self.coalescing() or mcu.wake_latency_ticks
                 + mcu.cycles_to_ticks(cycles) >= period):
             return False
         sim = self._sim
-        self._grid = (period, cycles, idle_body, task_body, label)
+        self._grid = (period, cycles, body, label)
         self._grid_prev = sim._now
         self._grid_after = self._grid_before = sim.mark()
         self._grid_early = None
         self._grid_next = first
         mcu.ledger.sync = self._ledger_sync
-        self._arm_grid_event()
         return True
 
     def stop_grid(self) -> None:
@@ -286,9 +288,6 @@ class TaskScheduler:
         self._sync()
         self._grid_next = None
         self._mcu.ledger.sync = None
-        if self._grid_event is not None:
-            cancel_event(self._grid_event)
-            self._grid_event = None
 
     def _sync(self) -> None:
         """Book the grid fires due by now (every entry point)."""
@@ -300,18 +299,17 @@ class TaskScheduler:
     # scheduler, MCU and app as the kernel timer's fires left them at
     # their ticks, whichever entry point books them first, so a ledger
     # read sees a function of the clock, as with the ledger's own due
-    # plans.  Not pure: it runs sample bodies, may schedule the
-    # dispatch a fire inside a coalesced window plans, and raises
-    # where a read's same-tick order against a fire is unknown.
-    # Pinned so that readers of the ledger (battery monitors, metrics
-    # hooks), which must see every fire due, can read it.
+    # plans.  Not pure: it runs sample bodies, plans MCU transitions
+    # and queues tasks, and raises where a read's same-tick order
+    # against a fire is unknown.  It schedules no event.  Pinned so
+    # that readers of the ledger (battery monitors, metrics hooks),
+    # which must see every fire due, can read it.
     # effect: pure
     def _ledger_sync(self) -> None:
         self._sync()
 
-    def _catch_up(self, own: bool = False) -> None:
-        """Book every grid fire that has come due, in tick order
-        (``own``: from the kernel event of the fire at this tick)."""
+    def _catch_up(self) -> None:
+        """Book every grid fire that has come due, in tick order."""
         sim = self._sim
         now = sim._now
         first = self._grid_next
@@ -319,8 +317,7 @@ class TaskScheduler:
         period = self._grid[0]
         last = now - (now - first) % period  # the last fire so far
         early = None
-        if last == now and sim.running and not own \
-                and not self._fire_first(first):
+        if last == now and sim.running and not self._fire_first(first):
             early = sim.mark()  # all scheduled so far precede the fire
             last -= period
         if last >= first:
@@ -330,12 +327,8 @@ class TaskScheduler:
             self._grid_after = sim.dispatch_mark() if last == now else None
             self._grid_prev = last
             self._grid_next = last + period
-            self._book_fires(first, (last - first) // period + 1, now)
+            self._book_fires(first, (last - first) // period + 1)
         self._grid_early = early
-
-    def _grid_fire(self) -> None:
-        """The kernel event of a fire inside a coalesced window."""
-        self._catch_up(own=True)
 
     def _fire_first(self, first: int) -> bool:
         """Whether the fire at the current tick precedes the entry
@@ -359,39 +352,48 @@ class TaskScheduler:
             f"previous sampling fire's, runs at the next fire's tick "
             f"{now}; their order is unknown")
 
-    def _book_fires(self, first: int, count: int, now: int) -> None:
+    def _book_fires(self, first: int, count: int) -> None:
         """``count`` grid fires from tick ``first``, as the timer's
         handler would run them at their ticks."""
-        period, cycles, idle_body, task_body, label = self._grid
-        if self._grid_event is not None:
-            cancel_event(self._grid_event)
-            self._grid_event = None
-        idle_at = self._idle_at
-        if idle_at is not None and idle_at < first:
-            self._idle_at = None  # the planned sleep has begun
-            self._dispatching = False
-        if not self._dispatching and not self._queue:
-            # Each fire's task ends before the next fire: all are idle.
-            for tick in range(first, first + count * period, period):
-                if not self._book_idle(tick, idle_body, cycles):
-                    raise SimulationError(
-                        f"{self.name}: idle but the MCU is awake at {tick}")
-        elif self._idle_at is not None and first < now:
-            raise SimulationError(
-                f"{self.name}: a sampling fire at {first} inside a "
-                "coalesced window got no event")
-        else:  # queued in a dispatch chain, or posted into the window
-            for _ in range(count):
-                self._post(task_body, cycles, label)
+        period, cycles, body, label = self._grid
+        tick, stop = first, first + count * period
+        while tick < stop:  # the fires that find the scheduler busy
+            idle_at = self._idle_at
+            if idle_at is not None and idle_at < tick:
+                self._idle_at = None  # the planned sleep has begun
+                self._dispatching = False
+            if not self._dispatching:
+                break
+            if idle_at is None:  # queued behind real dispatches
+                self._enqueue(self._grid_task, cycles, label)
+            else:
+                self._continue_window(idle_at, tick, body, cycles, label)
+            tick += period
+        # Each idle fire's task ends before the next fire: all are idle.
+        for tick in range(tick, stop, period):
+            if not self._book_idle(tick, body, cycles):
+                raise SimulationError(
+                    f"{self.name}: idle but the MCU is awake at {tick}")
 
-    def _arm_grid_event(self) -> None:
-        """Give the next fire a kernel event if it lands inside the
-        coalesced window."""
-        fire = self._grid_next
-        if (fire is not None and self._grid_event is None
-                and self._idle_at is not None and fire <= self._idle_at):
-            self._grid_event = self._sim.at(fire, self._grid_fire,
-                                            label=self._grid[4])
+    def _continue_window(self, end: int, tick: int,
+                         body: Callable[[int], None], cycles: int,
+                         label: str) -> None:
+        """A fire at ``tick`` inside the coalesced window that sleeps
+        at ``end``: its task starts at ``end`` in place of the sleep,
+        and the MCU sleeps after it."""
+        if tick == end:
+            raise _end_tick_error(self.name, label, end)
+        ledger = self._mcu.ledger
+        ledger.cancel_plan(end, SLEEP)
+        self._idle_at = task_end = end + self._mcu.cycles_to_ticks(cycles)
+        ledger.plan((end, _TASK), (task_end, _ASLEEP))
+        self._next_task_id += 1
+        self._unsettled.append((end, body, cycles))
+
+    def _grid_task(self) -> None:
+        """Body of a fire queued behind real dispatches: the grid's
+        body, with the task's start tick."""
+        self._grid[2](self._sim._now)
 
     def coalescing(self) -> bool:
         """Whether tasks may skip their dispatch events.
@@ -411,10 +413,7 @@ class TaskScheduler:
         end = self._idle_at
         assert end is not None
         if end == self._sim._now:
-            raise SimulationError(
-                f"{self.name}: task {label!r} posted at tick {end}, the "
-                "end tick of a coalesced task; the per-task order of the "
-                "post and that task's end is unknown")
+            raise _end_tick_error(self.name, label, end)
         self._idle_at = None
         self._mcu.ledger.cancel_plan(end, SLEEP)
         self._planned_dispatch = self._sim.at(
@@ -422,28 +421,30 @@ class TaskScheduler:
 
     def clear(self) -> None:
         """Drop every task that has not started (an MCU reset); the
-        running one ends as booked.  A :meth:`run_idle` task still in its
-        wake-up goes too: its planned start and sleep become a sleep at
-        its start tick, as when a dispatch finds the queue empty."""
+        running one ends as booked.  Booked tasks that have not started
+        go too (a :meth:`run_idle` task still in its wake-up, a fire's
+        task waiting in a coalesced window): their planned starts and
+        sleep become a sleep at the first one's start tick, as when a
+        dispatch finds the queue empty."""
         self._sync()
         self._queue.clear()
-        if self._unsettled is None:
-            return
-        start, now = self._unsettled[0], self._sim._now
-        if start == now and self._sim.running:
+        unsettled, now = self._unsettled, self._sim._now
+        if self._sim.running and any(entry[0] == now
+                                     for entry in unsettled):
             raise SimulationError(
                 f"{self.name}: cleared at tick {now}, the start tick of a "
                 "coalesced task; the per-task order of the two is unknown")
-        if start <= now:
-            return  # started
-        self._unsettled = None
+        if not unsettled or unsettled[-1][0] <= now:
+            return  # all started
         ledger = self._mcu.ledger
-        ledger.cancel_plan(start, ACTIVE)
         if self._idle_at is not None:
             ledger.cancel_plan(self._idle_at, SLEEP)
         elif self._planned_dispatch is not None:  # a post moved the sleep
             cancel_event(self._planned_dispatch)
-        ledger.plan((start, (SLEEP, SLEEP)))
+        while unsettled and unsettled[-1][0] > now:
+            start = unsettled.pop()[0]
+            ledger.cancel_plan(start, ACTIVE)
+        ledger.plan((start, _ASLEEP))
         self._idle_at = start
 
     def post_cost_only(self, cycles: int, label: str = "") -> Optional[Task]:
@@ -461,16 +462,17 @@ class TaskScheduler:
     def pending(self) -> int:
         """Tasks currently queued (excluding the one executing)."""
         self._sync()
-        return len(self._queue)
+        now = self._sim._now
+        return len(self._queue) + sum(1 for entry in self._unsettled
+                                      if entry[0] > now)
 
     @property
     def tasks_run(self) -> int:
         """Total tasks dispatched so far."""
         self._sync()
-        unsettled = self._unsettled
-        if unsettled is not None and unsettled[0] <= self._sim.now:
-            return self._tasks_run + 1
-        return self._tasks_run
+        now = self._sim._now
+        return self._tasks_run + sum(1 for entry in self._unsettled
+                                     if entry[0] <= now)
 
     @property
     def is_idle(self) -> bool:
@@ -512,16 +514,15 @@ class TaskScheduler:
             self.spans.task_started(task.label, self._sim.now, duration)
         # The body's side effects happen at task start; the MCU then
         # stays active for the task's duration before the next dispatch.
-        if self._unsettled is not None:
-            self.settle()  # an earlier coalesced body goes first
+        if self._unsettled:
+            self.settle()  # earlier coalesced bodies go first
         task.body()
         if self._queue or not self.coalescing():
             self._sim.after(duration, self._dispatch_next,
                             label=self._dispatch_label)
         else:  # nothing queued behind: plan the sleep, no end event
             self._idle_at = end = self._sim._now + duration
-            mcu.ledger.plan((end, (SLEEP, SLEEP)))
-            self._arm_grid_event()
+            mcu.ledger.plan((end, _ASLEEP))
 
     def _choose_deep(self) -> bool:
         if self.wake_hint_provider is None:
@@ -529,6 +530,14 @@ class TaskScheduler:
         hint = self.wake_hint_provider()
         gap = None if hint is None else max(0, hint - self._sim.now)
         return self.power_policy.choose_deep(gap)
+
+
+def _end_tick_error(name: str, label: str, end: int) -> SimulationError:
+    """A task posted at ``end``, the end tick of a coalesced task."""
+    return SimulationError(
+        f"{name}: task {label!r} posted at tick {end}, the end tick of a "
+        "coalesced task; the per-task order of the post and that task's "
+        "end is unknown")
 
 
 __all__ = ["TaskScheduler"]

@@ -54,6 +54,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.simtime import milliseconds, seconds
 from repro.sim.trace import TraceRecorder
 from repro.tinyos.components import Component
+from repro.tinyos.scheduler import TaskScheduler
 
 WINDOW_S = 1.0
 
@@ -224,13 +225,39 @@ def test_stream_payloads_equal_the_per_task_run(name):
 
 def test_events_dispatched_is_pinned():
     """Table 1 row 1 (205 Hz, 30 ms): the three events of an idle
-    sample become none, so the run dispatches under 60 % of the
-    per-sample chain's events."""
+    sample and the two of a sample that fires inside a coalesced task
+    become none, so the run dispatches under 30 % of the per-sample
+    chain's events."""
     config = TABLE_ROWS[0][2]
     coalesced = _run_ban(config, per_sample=False)[3]
     reference = _run_ban(config, per_sample=True)[3]
-    assert (coalesced, reference) == (2145, 5757)
-    assert coalesced < 0.6 * reference
+    assert (coalesced, reference) == (1681, 5757)
+    assert coalesced < 0.3 * reference
+
+
+def test_table_rows_read_no_sample_on_the_scalar_path(monkeypatch):
+    """Untraced, every Table 1-4 row reads its samples in blocks, those
+    that fire inside a coalesced task included, also when every
+    delivered payload's codes are read."""
+    def no_scalar(*args: Any) -> None:
+        raise AssertionError("scalar read of a coalesced sample")
+
+    continued = [0]
+    continue_window = TaskScheduler._continue_window
+
+    def counting(scheduler: TaskScheduler, *args: Any) -> None:
+        continued[0] += 1
+        continue_window(scheduler, *args)
+
+    monkeypatch.setattr(BiopotentialAsic, "read_channel", no_scalar)
+    monkeypatch.setattr(SyntheticEcg, "value_at", no_scalar)
+    monkeypatch.setattr(TaskScheduler, "_continue_window", counting)
+    for _, _, config in TABLE_ROWS:
+        scenario = BanScenario(config)
+        scenario.run()
+        station_digest(scenario)  # reads every payload's codes
+        assert all(node.asic.reads > 0 for node in scenario.nodes)
+    assert continued[0] > 100  # busy fires
 
 
 def test_ecg_recordings_leave_the_rpeak_rows_unchanged(monkeypatch):
@@ -504,23 +531,51 @@ def test_payload_read_evaluates_the_deferred_block():
     assert coalesced.node.asic.reads == reference.node.asic.reads
 
 
-def test_a_posted_sample_flushes_earlier_ticks_first():
-    # The 4.19 ms packet task starts 1 ms after the first (coalesced)
-    # sample; the second sample fires inside it, so it is posted and
-    # read on the scalar path, after the first sample's recorded tick.
+def test_a_posted_sample_flushes_earlier_ticks_first(monkeypatch):
+    """The 4.19 ms packet task starts 1 ms after the first (coalesced)
+    sample, and the second sample fires inside it.  On the grid, the
+    second sample is the task's continuation: its tick is recorded
+    like the first's, and the two are read as one block.  A coalescing
+    node without a grid (the scheduler refuses one whose idle fire
+    would not end before the next) keeps the kernel timer: its busy
+    fire posts the sample, which reads the first sample's recorded
+    tick before its own, on the scalar path."""
     def script(rig: _Rig) -> None:
         rig.post_at(rig.FIRE + milliseconds(1), PREP)
 
-    coalesced, reference = _both(script)
-    samples = [entry[1] for entry in coalesced.log if entry[0] == "sample"]
-    assert samples == sorted(samples)
-    first, second = samples[:2]
-    assert first == _Rig.FIRE + coalesced.wake
-    assert second > _Rig.FIRE + _Rig.PERIOD + coalesced.wake
-    # Host order: the MAC task ran before the first sample's values
-    # were read, and the posted sample read them first.
-    assert [entry[0] for entry in coalesced.log[:3]] \
-        == ["mac", "sample", "sample"]
+    scalar = [0]
+    read_channel = BiopotentialAsic.read_channel
+
+    def counting(asic: BiopotentialAsic, *args: Any) -> float:
+        scalar[0] += 1
+        return read_channel(asic, *args)
+
+    monkeypatch.setattr(BiopotentialAsic, "read_channel", counting)
+
+    def run(per_sample: bool) -> Tuple[_Rig, int]:
+        scalar[0] = 0
+        rig = _Rig(per_sample)
+        script(rig)
+        rig.sim.run_until(milliseconds(30))
+        return rig, scalar[0]
+
+    reference, _ = run(True)
+    for grid in (True, False):
+        if not grid:
+            monkeypatch.setattr(TaskScheduler, "start_grid",
+                                lambda *args: False)
+        coalesced, scalar_reads = run(False)
+        assert coalesced.outcome() == reference.outcome()
+        samples = _samples(coalesced)
+        assert samples == sorted(samples)
+        first, second = samples[:2]
+        assert first == _Rig.FIRE + coalesced.wake
+        assert second > _Rig.FIRE + _Rig.PERIOD + coalesced.wake
+        # Host order: the MAC task ran before the first sample's values
+        # were read; without a grid, the posted sample read them first.
+        assert [entry[0] for entry in coalesced.log[:3]] \
+            == ["mac", "sample", "sample"]
+        assert scalar_reads == (0 if grid else 1)
     assert [entry[0] for entry in reference.log[:3]] \
         == ["sample", "mac", "sample"]
 
@@ -542,6 +597,8 @@ def test_coalesced_samples_read_in_blocks_only(monkeypatch):
     monkeypatch.setattr(BiopotentialAsic, "read_channel", no_scalar)
     monkeypatch.setattr(SyntheticEcg, "value_at", no_scalar)
     coalesced = _Rig(per_sample=False)
+    # The second fire lands inside this packet task.
+    coalesced.post_at(coalesced.FIRE + milliseconds(1), PREP)
     coalesced.sim.run_until(milliseconds(30))
     assert coalesced.app.samples_taken == 5
     assert coalesced.node.asic.reads == 5
@@ -770,15 +827,217 @@ def test_a_battery_monitor_on_the_sampling_period_reads_per_task():
     assert len(coalesced[1]) > 200
 
 
-def test_a_fire_inside_a_coalesced_window_gets_an_event():
-    """The 4.19 ms packet task covers the second fire, which gets a
-    kernel event at its tick and posts its sample behind the task."""
-    coalesced, reference = _both(
-        lambda rig: rig.post_at(rig.FIRE + milliseconds(1), PREP))
-    # The posting event, the packet task's dispatch, the fire, and the
-    # dispatch its post plans at the packet task's end.
-    assert coalesced.sim.events_dispatched == 4
+# ----------------------------------------------------------------------
+# Busy fires: a fire inside a coalesced window is its continuation
+# ----------------------------------------------------------------------
+PROC = DEFAULT_CALIBRATION.mcu_costs.beacon_processing
+
+
+def _samples(rig: _Rig) -> List[int]:
+    """The acquisition ticks of the samples handled so far."""
+    return [entry[1] for entry in rig.log if entry[0] == "sample"]
+
+
+def _ticks(rig: _Rig, cycles: int) -> int:
+    return rig.node.mcu.cycles_to_ticks(cycles)
+
+
+def _prep_end(rig: _Rig) -> int:
+    """End of the packet task :func:`_prep_inside` posts."""
+    return rig.FIRE + milliseconds(1) + rig.wake + _ticks(rig, PREP)
+
+
+def _prep_inside(rig: _Rig) -> None:
+    """A 4.19 ms packet task from 1 ms after the first fire: it covers
+    the second fire."""
+    rig.post_at(rig.FIRE + milliseconds(1), PREP)
+
+
+def test_a_fire_inside_a_coalesced_window_costs_no_event():
+    """The packet task covers the second fire, which becomes the task's
+    continuation: its sample starts at the task's end, in place of the
+    planned sleep, without a kernel event."""
+    coalesced, reference = _both(_prep_inside)
+    assert _samples(coalesced)[1] == _prep_end(coalesced)
+    # The posting event and the packet task's dispatch.
+    assert coalesced.sim.events_dispatched == 2
     assert reference.sim.events_dispatched == 18
+
+
+def test_pending_counts_tasks_booked_to_start_later():
+    """The per-task chain queues a sample while its wake-up runs, and
+    a busy fire's sample while the packet task runs; ``pending``
+    counts both in coalesced runs too, where neither sits in the
+    queue."""
+    def script(rig: _Rig) -> None:
+        _prep_inside(rig)
+        for at in (rig.FIRE + rig.wake // 2,
+                   _prep_end(rig) - milliseconds(0.1)):
+            rig.sim.at(at, lambda: rig.log.append(
+                ("pending", rig.sim.now, rig.node.scheduler.pending)))
+
+    coalesced, _ = _both(script)
+    assert [entry[2] for entry in coalesced.log
+            if entry[0] == "pending"] == [1, 1]
+
+
+@pytest.mark.parametrize("at", ["wake_tick", "mid_wake"])
+def test_a_fire_inside_a_wakeup_waits_for_the_window_task(at):
+    """A cost-only post books an idle window whose 6 us wake-up holds
+    the third fire: at its wake tick (the post was scheduled before the
+    second fire, so it goes first) or halfway through.  The sample
+    starts where the window's task ends."""
+    fire = _Rig.FIRE + 2 * _Rig.PERIOD
+
+    def post(rig: _Rig) -> int:
+        return fire if at == "wake_tick" else fire - rig.wake // 2
+
+    def script(rig: _Rig) -> None:
+        rig.sim.at(post(rig), lambda: rig.node.scheduler.post_cost_only(
+            PROC, "proc"))
+
+    coalesced, _ = _both(script)
+    end = post(coalesced) + coalesced.wake + _ticks(coalesced, PROC)
+    assert _samples(coalesced)[2] == end
+    assert coalesced.sim.events_dispatched == 1
+
+
+def test_two_fires_inside_one_window_run_back_to_back():
+    """A 9 ms task covers the second and third fires: the two samples
+    run one after the other from the task's end."""
+    long_task = 72_000  # 9 ms at 8 MHz
+
+    coalesced, _ = _both(
+        lambda rig: rig.post_at(rig.FIRE + milliseconds(1), long_task))
+    end = _Rig.FIRE + milliseconds(1) + coalesced.wake \
+        + _ticks(coalesced, long_task)
+    assert end > _Rig.FIRE + 2 * _Rig.PERIOD
+    assert _samples(coalesced)[1:3] == [end, end + coalesced.task]
+    assert coalesced.sim.events_dispatched == 2
+
+
+def test_a_continuation_is_booked_after_its_window_ended():
+    """Nothing enters the scheduler from the busy fire until a payload
+    read 15 ms later, long after the packet task and the sample behind
+    it ended: the read books the continuation at the ticks where the
+    per-task chain ran it."""
+    unbooked: List[Optional[int]] = []
+
+    def script(rig: _Rig) -> None:
+        _prep_inside(rig)
+        # No entry point: reads the grid without booking anything.
+        rig.sim.at(_prep_end(rig) + milliseconds(1),
+                   lambda: unbooked.append(rig.node.scheduler._grid_next))
+        rig.read_at(rig.FIRE + 3 * rig.PERIOD + milliseconds(1))
+
+    coalesced, _ = _both(script)
+    assert unbooked[0] == _Rig.FIRE + _Rig.PERIOD  # the busy fire
+    assert _samples(coalesced)[1] == _prep_end(coalesced)
+    assert ("read", _Rig.FIRE + 3 * _Rig.PERIOD + milliseconds(1), 4) \
+        in coalesced.log
+
+
+@pytest.mark.parametrize("when", ["before_the_fire", "waiting", "running"])
+def test_a_post_around_a_continuation(when):
+    """A post inside the packet task before the busy fire queues the
+    sample behind it; one after the fire, while the continuation waits
+    or runs, starts at the continuation's end."""
+    def at(rig: _Rig) -> int:
+        end = _prep_end(rig)
+        return {"before_the_fire": rig.FIRE + milliseconds(3),
+                "waiting": end - milliseconds(0.1),
+                "running": end + rig.task // 2}[when]
+
+    def script(rig: _Rig) -> None:
+        _prep_inside(rig)
+        rig.post_at(at(rig), PROC, "proc")
+
+    coalesced, _ = _both(script)
+    end, proc = _prep_end(coalesced), _ticks(coalesced, PROC)
+    if when == "before_the_fire":
+        assert ("proc", end) in coalesced.log
+        assert _samples(coalesced)[1] == end + proc
+    else:
+        assert _samples(coalesced)[1] == end
+        assert ("proc", end + coalesced.task) in coalesced.log
+
+
+@pytest.mark.parametrize("reset", ["waiting", "running", "crash"])
+def test_clear_around_a_continuation(reset):
+    """An MCU reset after the busy fire, while its sample waits for the
+    packet task to end, drops the sample as the per-task chain drops it
+    from the queue, and the MCU sleeps at the task's end; a crash also
+    stops the grid, and the reboot 7.5 ms later starts a new one.  A
+    reset while the sample runs lets it end as booked."""
+    def script(rig: _Rig) -> None:
+        _prep_inside(rig)
+        end = _prep_end(rig)
+        at = end + rig.task // 2 if reset == "running" \
+            else end - milliseconds(0.1)
+        if reset != "crash":
+            rig.sim.at(at, rig.node.scheduler.clear)
+            return
+
+        def crash() -> None:  # the rig's node runs no MAC
+            rig.app.stop()
+            rig.node.scheduler.clear()
+
+        rig.sim.at(at, crash)
+        rig.sim.at(at + milliseconds(7.5), rig.app.start)
+
+    coalesced, _ = _both(script)
+    ran = _prep_end(coalesced) in _samples(coalesced)
+    assert ran == (reset == "running")
+
+
+def test_a_battery_monitor_reads_across_busy_fires(monkeypatch):
+    """Streaming nodes whose packet tasks cover sampling fires, with the
+    battery monitor reading node1's ledgers every 0.25 ms: reads land
+    between a busy fire and its sample, and after it."""
+    continued: List[str] = []
+    continue_window = TaskScheduler._continue_window
+
+    def counting(scheduler: TaskScheduler, *args: Any) -> None:
+        continued.append(scheduler.name)
+        continue_window(scheduler, *args)
+
+    monkeypatch.setattr(TaskScheduler, "_continue_window", counting)
+
+    def history(per_sample: bool) -> Tuple[Any, ...]:
+        config = BanScenarioConfig(mac="static", app="ecg_streaming",
+                                   num_nodes=3, measure_s=WINDOW_S, seed=5)
+        scenario = BanScenario(config, trace=(TraceRecorder(capacity=1)
+                                              if per_sample else None))
+        monitor = BatteryMonitor(scenario.nodes[0],
+                                 Battery(capacity_mah=1.0, voltage_v=2.8),
+                                 sample_period_s=0.00025)
+        monitor.start()
+        result = scenario.run()
+        return (_fingerprint(result), station_digest(scenario),
+                monitor.history)
+
+    coalesced, reference = history(False), history(True)
+    assert coalesced == reference
+    assert len(coalesced[2]) > 4000
+    assert continued.count("node1.sched") > 20
+
+
+def test_a_fire_at_a_window_end_tick_raises():
+    """The packet task ends at exactly the second fire's tick.  The
+    per-task chain orders the fire against the task's end; the
+    coalesced window does not know that order, and the fire raises as
+    a post at that tick does."""
+    def post(rig: _Rig) -> int:
+        return rig.FIRE + rig.PERIOD - rig.wake - _ticks(rig, PREP)
+
+    reference = _Rig(per_sample=True)
+    reference.post_at(post(reference), PREP)
+    reference.sim.run_until(milliseconds(30))
+    coalesced = _Rig(per_sample=False)
+    coalesced.post_at(post(coalesced), PREP)
+    end = _Rig.FIRE + _Rig.PERIOD
+    with pytest.raises(SimulationError, match=f"node1.*{end}, the end tick"):
+        coalesced.sim.run_until(milliseconds(30))
 
 
 def test_crash_and_reboot_mid_grid():

@@ -214,9 +214,17 @@ def hidden_terminal_config() -> BanScenarioConfig:
 def beacon_window_config() -> BanScenarioConfig:
     """The static reference config sampling at 600 Hz: each node's
     2.24 ms beacon processing covers a sampling fire every cycle, so
-    an untraced run gives those fires kernel events that post into the
-    coalesced window."""
+    an untraced run books those fires as the coalesced window's
+    continuations."""
     return replace(reference_configs()[0], seed=29, sampling_hz=600.0)
+
+
+def rpeak_beacon_window_config() -> BanScenarioConfig:
+    """The R-peak reference config sampling at 210 Hz: some fires land
+    inside beacon processing, so blocks holding those continuations'
+    ticks reach the detector (``RpeakApp.handle_block``) during the
+    run, at every payload read."""
+    return replace(reference_configs()[2], sampling_hz=210.0)
 
 
 def skew_beyond_guard_config() -> BanScenarioConfig:
@@ -232,13 +240,14 @@ def skew_beyond_guard_config() -> BanScenarioConfig:
 
 def checked_configs() -> List[BanScenarioConfig]:
     """What checks 1-6 run: the reference configs, the two mid-burst
-    fault configs, the hidden-terminal config, and two configs whose
-    sampling fires meet other work: inside beacon processing, and at
-    the tick of a slot post."""
+    fault configs, the hidden-terminal config, and three configs whose
+    sampling fires meet other work: inside beacon processing (ECG
+    streaming and R-peak), and at the tick of a slot post."""
     return reference_configs() + [contention_fault_config(),
                                   reboot_fault_config(),
                                   hidden_terminal_config(),
                                   beacon_window_config(),
+                                  rpeak_beacon_window_config(),
                                   skew_beyond_guard_config()]
 
 
