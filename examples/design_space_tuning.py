@@ -4,19 +4,16 @@
 "This model can be employed to tune the node architecture and
 communication layer for different working conditions, applications and
 topologies of BANs" (abstract).  This example does exactly that for a
-hypothetical EEG+ECG patient monitor:
+5-node BAN detecting R-peaks on the node:
 
 1. **MAC choice** — static vs dynamic TDMA at equal network size;
 2. **Sync policy** — the platform's calibrated guard vs a drift-
-   tracking guard, across crystal qualities;
-3. **Battery sizing** — lifetime per configuration on two batteries.
+   tracking guard, across crystal qualities.
 
 Run:  python examples/design_space_tuning.py
 """
 
-from repro.analysis.lifetime import project_lifetime
 from repro.core.report import render_table
-from repro.hw.battery import CR2477, LIPO_160
 from repro.mac.sync import DriftTrackingLead
 from repro.net.scenario import BanScenario, BanScenarioConfig
 
@@ -66,35 +63,10 @@ def sync_study() -> None:
               "(nodes skewed to 80% of tolerance)"))
 
 
-def battery_sizing() -> None:
-    rows = []
-    for label, sync_factory in (
-            ("platform guard", None),
-            ("50 ppm drift guard",
-             lambda cal: DriftTrackingLead(tolerance_ppm=50.0))):
-        node, _ = run(sync_factory=sync_factory)
-        for battery, name in ((CR2477, "CR2477 coin"),
-                              (LIPO_160, "160 mAh LiPo patch")):
-            projection = project_lifetime(node, battery,
-                                          include_asic=True)
-            rows.append((label, name, projection.average_power_mw,
-                         projection.days))
-    print(render_table(
-        ["configuration", "battery", "avg power (mW)", "lifetime (days)"],
-        rows,
-        title="Battery sizing (radio + MCU + 10.5 mW sensing ASIC)"))
-
-
 def main() -> None:
     mac_comparison()
     print()
     sync_study()
-    print()
-    battery_sizing()
-    print()
-    print("Note how the sensing ASIC's constant 10.5 mW dominates once "
-          "the radio is tamed — the paper's Section 5 exclusion hides "
-          "the next bottleneck.")
 
 
 if __name__ == "__main__":

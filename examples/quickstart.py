@@ -8,15 +8,13 @@ channel, 18-byte packets) — runs 60 simulated seconds, and prints:
 * the ECG node's radio and microcontroller energy (the paper's
   headline numbers: 502.9 mJ and 161.2 mJ),
 * the Section 4.2 loss taxonomy (where every radio joule went),
-* a battery-lifetime projection.
+* the whole network's energy.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import run_scenario
-from repro.analysis.lifetime import project_lifetime
 from repro.core.report import render_loss_breakdown, render_table
-from repro.hw.battery import CR2477
 
 
 def main() -> None:
@@ -43,13 +41,6 @@ def main() -> None:
 
     print()
     print(render_loss_breakdown(node))
-
-    print()
-    projection = project_lifetime(node, CR2477, include_asic=True)
-    print(f"Projected lifetime on a CR2477 coin cell: "
-          f"{projection.days:.1f} days "
-          f"({projection.average_power_mw:.2f} mW average, "
-          f"ASIC included)")
 
     print()
     print(f"Whole network (5 nodes, radio+MCU): "

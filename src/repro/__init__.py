@@ -21,11 +21,11 @@ Package map:
 * :mod:`repro.sim` — discrete-event kernel (the TOSSIM substrate),
 * :mod:`repro.core` — the energy model: ledgers, calibration, losses,
 * :mod:`repro.tinyos` — TinyOS scheduler/timers/components,
-* :mod:`repro.hw` — MSP430, nRF2401, biopotential ASIC, battery,
+* :mod:`repro.hw` — MSP430, nRF2401, biopotential ASIC,
 * :mod:`repro.phy` — channel, topologies, loss models,
 * :mod:`repro.mac` — static & dynamic TDMA, sync policies,
 * :mod:`repro.apps` — ECG streaming and Rpeak applications,
-* :mod:`repro.signals` — synthetic ECG/EEG,
+* :mod:`repro.signals` — synthetic ECG,
 * :mod:`repro.net` — node/base-station assembly, scenario runner,
 * :mod:`repro.data` — the paper's published tables,
 * :mod:`repro.analysis` — experiment reproduction, validation, sweeps.

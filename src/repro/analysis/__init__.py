@@ -1,4 +1,4 @@
-"""Experiment reproduction, validation metrics, sweeps and projections."""
+"""Experiment reproduction, validation metrics and sweeps."""
 
 from .experiments import (
     REPORTED_NODE,
@@ -22,7 +22,6 @@ from .sensitivity import PARAMETERS as SENSITIVITY_PARAMETERS, \
 from .figures import figure4_csv, figure4_series, render_figure4, \
     table_series
 from .waveforms import StateChange, WaveformProbe
-from .lifetime import LifetimeProjection, project_lifetime
 from .sweep import (
     SweepPoint,
     as_table,
@@ -71,8 +70,6 @@ __all__ = [
     "figure4_series",
     "render_figure4",
     "table_series",
-    "LifetimeProjection",
-    "project_lifetime",
     "SweepPoint",
     "as_table",
     "sweep_cycle_ms",

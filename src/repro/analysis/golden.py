@@ -6,8 +6,8 @@ that moves a golden number is either a bug or an intentional
 recalibration (in which case the goldens are regenerated with
 :func:`compute_goldens` and reviewed like any other diff).
 
-The canonical set is chosen for coverage, not speed alone: both MACs,
-three applications, the join protocol and a lossy channel.
+The canonical set is chosen for coverage, not speed alone: both TDMA
+MACs, both applications and the join protocol.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ _register("streaming_dynamic_3n",
 _register("rpeak_static_120ms",
           mac="static", app="rpeak", num_nodes=3, cycle_ms=120.0,
           heart_rate_bpm=75.0, measure_s=4.0, seed=0)
-_register("eeg_static_60ms",
-          mac="static", app="eeg_streaming", num_nodes=2, cycle_ms=60.0,
-          measure_s=4.0, seed=0)
 _register("join_dynamic_3n",
           mac="dynamic", app="rpeak", num_nodes=3, join_protocol=True,
           measure_s=4.0, seed=0)
@@ -64,9 +61,6 @@ GOLDENS: Dict[str, GoldenValue] = {
     "rpeak_static_120ms": GoldenValue(
         radio_mj=7.858938304, mcu_mj=9.00265856,
         data_tx=8, control_rx=34),
-    "eeg_static_60ms": GoldenValue(
-        radio_mj=16.756585832, mcu_mj=9.20095176,
-        data_tx=67, control_rx=67),
     "join_dynamic_3n": GoldenValue(
         radio_mj=20.161398208, mcu_mj=9.55735424,
         data_tx=8, control_rx=100),

@@ -1,9 +1,6 @@
-"""Applications: the paper's ECG streaming and Rpeak case studies, plus
-the EEG-streaming and adaptive-cardiac extensions."""
+"""Applications: the paper's ECG streaming and Rpeak case studies."""
 
-from .adaptive import AdaptiveCardiacApp, CardiacMode
 from .base import SamplingApplication
-from .eeg_streaming import DEFAULT_EEG_SAMPLING_HZ, EegStreamingApp
 from .ecg_streaming import (
     BITS_PER_CODE,
     DEFAULT_PAYLOAD_BYTES,
@@ -16,11 +13,7 @@ from .rpeak import BEAT_PAYLOAD_BYTES, RPEAK_SAMPLING_HZ, RpeakApp
 from .rpeak_detector import RPeakDetector
 
 __all__ = [
-    "AdaptiveCardiacApp",
-    "CardiacMode",
     "SamplingApplication",
-    "DEFAULT_EEG_SAMPLING_HZ",
-    "EegStreamingApp",
     "BITS_PER_CODE",
     "DEFAULT_PAYLOAD_BYTES",
     "EcgStreamingApp",

@@ -6,9 +6,8 @@ Subcommands:
   it next to the paper's Real/Sim columns;
 * ``figure4`` — reproduce the streaming-vs-Rpeak comparison;
 * ``validate`` — reproduce everything and print the error summary;
-* ``run`` — run an arbitrary scenario and print the node's energy,
-  loss-taxonomy breakdown and battery-lifetime projection; optional
-  CSV/JSON/VCD exports;
+* ``run`` — run an arbitrary scenario and print the node's energy and
+  loss-taxonomy breakdown; optional CSV/JSON/VCD exports;
 * ``explain`` — the closed-form analytic derivation for a scenario;
 * ``baseline`` — the model-fidelity ladder (airtime-only vs full);
 * ``interference`` — two adjacent BANs on one channel;
@@ -49,14 +48,12 @@ from .analysis.experiments import (
 )
 from .analysis.export import network_records, to_csv, to_json
 from .analysis.figures import render_figure4
-from .analysis.lifetime import project_lifetime
 from .analysis.validation import validate_all
 from .analysis.waveforms import WaveformProbe
 from .baselines.naive import fidelity_ladder
 from .core.report import render_loss_breakdown, render_table
 from .exec import ScenarioExecutor
 from .faults import parse_fault_spec
-from .hw.battery import CR2477, LIPO_160
 from .mac.recovery import RecoveryConfig
 from .net.multi import MultiBanScenario
 from .net.scenario import APPS, MACS, BanScenario, BanScenarioConfig, \
@@ -77,9 +74,6 @@ from .obs import (
     write_perfetto,
     write_spans_jsonl,
 )
-
-#: Named batteries selectable from the command line.
-BATTERIES = {"cr2477": CR2477, "lipo160": LIPO_160}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -291,15 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a deterministic fault schedule, e.g. "
              "'crash,node=node1,at=5,reboot=3; "
              "beacons,node=node2,at=8,count=4' "
-             "(kinds: crash, lockup, beacons, clockstep, brownout, "
-             "random; see docs/protocols.md)")
+             "(kinds: crash, lockup, beacons, clockstep, random; "
+             "see docs/protocols.md)")
     run_parser.add_argument(
         "--recovery", action="store_true",
         help="enable MAC degradation/recovery behaviour (widened "
              "beacon windows, duty-cycled reacquisition, SSR backoff) "
              "- typically combined with --faults")
-    run_parser.add_argument("--battery", choices=sorted(BATTERIES),
-                            default="cr2477")
     run_parser.add_argument("--losses", action="store_true",
                             help="print the loss-taxonomy breakdown")
     run_parser.add_argument("--csv", metavar="PATH", default=None,
@@ -454,11 +446,6 @@ def _run_scenario_command(args: argparse.Namespace, obs: _Observability,
         headers, rows,
         title=f"{args.app} over {args.mac} MAC, {args.nodes} nodes, "
               f"{args.measure_s:.0f} s"))
-    battery = BATTERIES[args.battery]
-    print()
-    for node_id in sorted(result.nodes):
-        projection = project_lifetime(result.nodes[node_id], battery)
-        print(projection.render())
     if args.losses:
         print()
         for node_id in sorted(result.nodes):

@@ -3,11 +3,11 @@
 The paper's energy model exists to account for the ugly cases —
 collisions, idle listening, overhearing, lost beacons — but a
 reproduction also needs the *node-level* ugly cases: crashes, radio
-lockups, clock glitches, dying batteries.  This package provides:
+lockups and clock glitches.  This package provides:
 
 * :mod:`repro.faults.spec` — frozen, value-typed fault descriptions
   (:class:`NodeCrash`, :class:`RadioLockup`, :class:`BeaconLossBurst`,
-  :class:`ClockStep`, :class:`BatteryBrownout`, :class:`RandomFaults`)
+  :class:`ClockStep`, :class:`RandomFaults`)
   collected into a :class:`FaultPlan`.  Being plain dataclasses, plans
   ride along in :class:`~repro.net.scenario.BanScenarioConfig` and
   participate in the config fingerprint.
@@ -26,7 +26,6 @@ identical scenario to one predating this package.
 
 from .injector import FaultCounters, FaultInjector
 from .spec import (
-    BatteryBrownout,
     BeaconLossBurst,
     ClockStep,
     FaultPlan,
@@ -38,7 +37,6 @@ from .spec import (
 )
 
 __all__ = [
-    "BatteryBrownout",
     "BeaconLossBurst",
     "ClockStep",
     "FaultCounters",

@@ -22,8 +22,6 @@ protocol:
   fault_drop_beacons`; the next N captured beacons CRC-fail.
 * **Clock step** — calls :meth:`~repro.mac.base.NodeMac.
   apply_clock_step`, shifting the node's beacon bookkeeping.
-* **Battery brownout** — attaches a :class:`~repro.net.monitor.
-  BatteryMonitor`; the threshold crossing crashes the node permanently.
 
 Everything is driven by the scenario's own kernel, so fault timing is
 exactly as reproducible as the rest of the simulation.
@@ -35,7 +33,6 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:
-    from ..net.monitor import BatteryMonitor
     from ..net.node import SensorNode
     from ..net.scenario import BanScenario
     from ..obs.metrics import MetricsRegistry
@@ -43,7 +40,6 @@ if TYPE_CHECKING:
 from ..mac.base import NodeMac
 from ..sim.simtime import milliseconds, seconds
 from .spec import (
-    BatteryBrownout,
     BeaconLossBurst,
     ClockStep,
     FaultPlan,
@@ -65,7 +61,6 @@ class FaultCounters:
     lockup_recoveries: int = 0
     beacon_bursts: int = 0
     clock_steps: int = 0
-    brownouts: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Counter values keyed by field name."""
@@ -98,8 +93,6 @@ class FaultInjector:
         self._armed = False
         self._counters: Dict[str, FaultCounters] = {}
         self._lockup_until: Dict[str, int] = {}
-        #: Battery monitors attached for brownout faults (read-only).
-        self.monitors: List["BatteryMonitor"] = []
         self._by_name: Dict[str, "SensorNode"] = {}
         prefix = scenario.prefix
         for node in scenario.nodes:
@@ -126,9 +119,6 @@ class FaultInjector:
         self._armed = True
         for fault in self._expand():
             node = self._resolve(fault)
-            if isinstance(fault, BatteryBrownout):
-                self._arm_brownout(node, fault)
-                continue
             at = seconds(fault.at_s)
             if isinstance(fault, NodeCrash):
                 self._sim.at(at, lambda n=node: self._crash(n),
@@ -215,14 +205,10 @@ class FaultInjector:
     # Fault mechanics
     # ------------------------------------------------------------------
     def _crash(self, node: "SensorNode") -> None:
-        if self._stop_stack(node):
-            self.counters_for(node.node_id).crashes += 1
-
-    def _stop_stack(self, node: "SensorNode") -> bool:
         if node.mac is None or not node.mac.started:
-            return False  # already down (e.g. brownout after a crash)
+            return  # already down: an earlier crash has not rebooted
         node.crash()
-        return True
+        self.counters_for(node.node_id).crashes += 1
 
     def _reboot(self, node: "SensorNode") -> None:
         if node.mac is not None and node.mac.started:
@@ -256,33 +242,6 @@ class FaultInjector:
                     offset_ms: float) -> None:
         node.mac.apply_clock_step(milliseconds(offset_ms))
         self.counters_for(node.node_id).clock_steps += 1
-
-    # ------------------------------------------------------------------
-    # Brownout (battery-driven crash)
-    # ------------------------------------------------------------------
-    def _arm_brownout(self, node: "SensorNode",
-                      fault: BatteryBrownout) -> None:
-        # Imported lazily: repro.faults must stay importable from
-        # repro.net.scenario without closing an import cycle through
-        # the net package.
-        from ..hw.battery import Battery
-        from ..net.monitor import BatteryMonitor
-
-        battery = Battery(capacity_mah=fault.capacity_mah)
-        monitor = BatteryMonitor(node, battery,
-                                 sample_period_s=fault.sample_period_s,
-                                 thresholds=(fault.soc_threshold,))
-
-        def browned_out(node_id: str, threshold: float,
-                        soc: float) -> None:
-            monitor.stop()
-            self.counters_for(node.node_id).brownouts += 1
-            # The cell is flat: permanent crash, no reboot.
-            self._stop_stack(node)
-
-        monitor.on_threshold(fault.soc_threshold, browned_out)
-        monitor.start()
-        self.monitors.append(monitor)
 
 
 __all__ = ["FaultCounters", "FaultInjector"]

@@ -16,7 +16,6 @@ semicolon-separated list of entries; each entry is a kind followed by
     lockup,node=node2,at=8,dur=2
     beacons,node=node1,at=12,count=5
     clockstep,node=node1,at=20,ms=40
-    brownout,node=node3,mah=0.02,soc=0.1
     random,count=4,horizon=30
 """
 
@@ -101,35 +100,6 @@ class ClockStep:
 
 
 @dataclass(frozen=True)
-class BatteryBrownout:
-    """Crash the node permanently when its battery SoC falls below
-    ``soc_threshold``.
-
-    The injector attaches a :class:`~repro.net.monitor.BatteryMonitor`
-    with a cell of ``capacity_mah``; the threshold crossing triggers an
-    unrecoverable crash (no reboot — the cell is flat).
-    """
-
-    node: str
-    capacity_mah: float
-    soc_threshold: float = 0.05
-    sample_period_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not self.node:
-            raise ValueError("fault needs a node id")
-        if self.capacity_mah <= 0:
-            raise ValueError(
-                f"capacity_mah must be positive: {self.capacity_mah}")
-        if not 0.0 < self.soc_threshold < 1.0:
-            raise ValueError(
-                f"soc_threshold out of (0,1): {self.soc_threshold}")
-        if self.sample_period_s <= 0:
-            raise ValueError(
-                f"sample_period_s must be positive: {self.sample_period_s}")
-
-
-@dataclass(frozen=True)
 class RandomFaults:
     """Placeholder expanded by the injector into ``count`` concrete
     transient faults (crash/reboot, lockup, beacon burst, clock step)
@@ -149,7 +119,7 @@ class RandomFaults:
 
 #: Any single fault entry a plan can hold.
 FaultSpec = Union[NodeCrash, RadioLockup, BeaconLossBurst, ClockStep,
-                  BatteryBrownout, RandomFaults]
+                  RandomFaults]
 
 
 @dataclass(frozen=True)
@@ -251,17 +221,12 @@ def _build_entry(kind: str, fields: dict) -> FaultSpec:
     if kind == "clockstep":
         return ClockStep(node=fields["node"], at_s=float(fields["at"]),
                          offset_ms=float(fields["ms"]))
-    if kind == "brownout":
-        return BatteryBrownout(
-            node=fields["node"], capacity_mah=float(fields["mah"]),
-            soc_threshold=float(fields.get("soc", 0.05)),
-            sample_period_s=float(fields.get("period", 0.5)))
     if kind == "random":
         return RandomFaults(count=int(fields["count"]),
                             horizon_s=float(fields.get("horizon", 30.0)))
     raise ValueError(
         f"unknown fault kind {kind!r} (expected crash, lockup, beacons, "
-        f"clockstep, brownout or random)")
+        f"clockstep or random)")
 
 
 __all__ = [
@@ -269,7 +234,6 @@ __all__ = [
     "RadioLockup",
     "BeaconLossBurst",
     "ClockStep",
-    "BatteryBrownout",
     "RandomFaults",
     "FaultSpec",
     "FaultPlan",

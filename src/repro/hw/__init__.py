@@ -5,13 +5,11 @@
   and address filtering,
 * :mod:`repro.hw.asic` — 25-channel biopotential front-end,
 * :mod:`repro.hw.adc` — on-chip 12-bit ADC transfer function,
-* :mod:`repro.hw.battery` — lifetime projection,
 * :mod:`repro.hw.frames` — over-the-air frame representation.
 """
 
 from .adc import Adc12
 from .asic import ECG_CHANNEL, NUM_CHANNELS, BiopotentialAsic
-from .battery import CR2477, LIPO_160, Battery
 from .frames import BROADCAST, Frame, FrameKind
 from .mcu import Msp430
 from .radio import Nrf2401, RadioError, TxOutcome
@@ -21,9 +19,6 @@ __all__ = [
     "ECG_CHANNEL",
     "NUM_CHANNELS",
     "BiopotentialAsic",
-    "CR2477",
-    "LIPO_160",
-    "Battery",
     "BROADCAST",
     "Frame",
     "FrameKind",

@@ -3,9 +3,9 @@
 The IMEC front-end ASIC extracts up to 24 EEG channels plus 1 ECG channel
 (Section 3).  Its power consumption is constant — 10.5 mW at 3.0 V — and
 the paper therefore excludes it from the validation tables; we model it
-anyway so whole-node budgets and battery-lifetime projections are
-possible (:class:`~repro.core.report.NodeEnergyResult` carries it in a
-separate field).
+anyway so whole-node budgets are possible
+(:class:`~repro.core.report.NodeEnergyResult` carries it in a separate
+field).
 
 Electrically the ASIC has a single "on" state; functionally it exposes
 analog channel outputs the MCU's ADC samples.  Channels are backed by

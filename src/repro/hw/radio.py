@@ -575,7 +575,7 @@ class Nrf2401:
         cut = self._fault_cut.pop(frame_id, None) if self._fault_cut \
             else None
         if cut is not None:
-            # The radio went dark (NodeCrash / BatteryBrownout) while
+            # The radio went dark (a NodeCrash) while
             # capturing this frame: the receive chain spent RX energy
             # from first bit to the cut, then went dark.  Book the
             # truncated capture as a collision-class loss and surface an

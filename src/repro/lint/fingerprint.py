@@ -70,7 +70,7 @@ def field_type_names(annotation: Optional[ast.AST]) -> Tuple[str, ...]:
     Unlike :func:`~repro.lint.callgraph.annotation_class_names` (which
     types a receiver, so container element types must not leak), the
     fingerprint encoder recurses into sequences and mappings — so
-    ``Optional[Sequence[NodeSpec]]`` contributes ``NodeSpec`` here.
+    ``Optional[Sequence[Spec]]`` contributes ``Spec`` here.
     """
     if annotation is None:
         return ()

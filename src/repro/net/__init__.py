@@ -1,22 +1,19 @@
 """Network roles and scenario assembly: nodes, base station, the BAN
-runner, multi-BAN coexistence and battery monitoring."""
+runner and multi-BAN coexistence."""
 
 from .basestation import BaseStation
-from .monitor import BatteryMonitor
 from .multi import MultiBanScenario
 from .node import SensorNode
 from .scenario import APPS, MACS, BanScenario, BanScenarioConfig, \
-    NodeSpec, run_scenario
+    run_scenario
 
 __all__ = [
     "BaseStation",
-    "BatteryMonitor",
     "MultiBanScenario",
     "SensorNode",
     "APPS",
     "MACS",
     "BanScenario",
     "BanScenarioConfig",
-    "NodeSpec",
     "run_scenario",
 ]

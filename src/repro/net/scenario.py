@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from ..apps.adaptive import AdaptiveCardiacApp
 from ..apps.ecg_streaming import EcgStreamingApp, codes_per_payload
-from ..apps.eeg_streaming import DEFAULT_EEG_SAMPLING_HZ, EegStreamingApp
 from ..apps.rpeak import RPEAK_SAMPLING_HZ, RpeakApp
 from ..core.calibration import DEFAULT_CALIBRATION, ModelCalibration
 from ..core.report import NetworkEnergyResult
@@ -42,8 +40,7 @@ from ..phy.channel import Channel
 from ..phy.lossmodels import LossModel
 from ..phy.topology import Topology
 from ..signals.ecg import SyntheticEcg
-from ..signals.eeg import SyntheticEeg
-from ..signals.sources import HashNoiseSource, MixSource, ScaledSource
+from ..signals.sources import ScaledSource
 from ..sim.kernel import Simulator
 from ..sim.simtime import milliseconds, seconds
 from ..sim.trace import TraceRecorder
@@ -58,42 +55,7 @@ if TYPE_CHECKING:
 MACS = ("static", "dynamic", "aloha", "csma")
 
 #: Supported application identifiers.
-APPS = ("ecg_streaming", "rpeak", "eeg_streaming", "adaptive")
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """Per-node configuration for heterogeneous BANs.
-
-    A list of these in :attr:`BanScenarioConfig.node_specs` overrides
-    the homogeneous ``app``/``sampling_hz`` settings, enabling the
-    paper's "typical configuration" — limb/chest/head nodes running
-    different applications in one network (Section 3).
-
-    Attributes:
-        app: one of :data:`APPS`.
-        sampling_hz: per-channel rate (None = the app's derived default).
-        channels: acquired ASIC channels.
-        transmit_channels: EEG only — subset actually streamed.
-        decimation: EEG only — block-average factor.
-        payload_bytes: streaming payload size per cycle.
-        label: optional human-readable role ("chest", "head", ...).
-    """
-
-    app: str = "ecg_streaming"
-    sampling_hz: Optional[float] = None
-    channels: Sequence[int] = (0, 1)
-    transmit_channels: Optional[Sequence[int]] = None
-    decimation: int = 4
-    payload_bytes: int = 18
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.app not in APPS:
-            raise ValueError(
-                f"app must be one of {APPS}, got {self.app!r}")
-        if not self.channels:
-            raise ValueError("a node needs at least one channel")
+APPS = ("ecg_streaming", "rpeak")
 
 
 @dataclass
@@ -121,8 +83,6 @@ class BanScenarioConfig:
     #: Fixed streaming payload per cycle [bytes].
     payload_bytes: int = 18
     heart_rate_bpm: float = 75.0
-    #: Peak-to-peak ECG measurement noise [mV] at the ASIC input.
-    ecg_noise_mv: float = 0.0
     measure_s: float = 60.0
     warmup_cycles: int = 3
     join_protocol: bool = False
@@ -141,9 +101,6 @@ class BanScenarioConfig:
     trace_capacity: Optional[int] = None
     #: Maximum simulated seconds to wait for all joins.
     join_deadline_s: float = 60.0
-    #: Heterogeneous BAN: one spec per node, overriding ``app``/
-    #: ``sampling_hz``/``payload_bytes`` (num_nodes must match).
-    node_specs: Optional[Sequence[NodeSpec]] = None
     #: Absolute time of the first beacon [ms]; None = the MAC default.
     #: Multi-BAN studies stagger this to de-phase the networks.
     first_beacon_ms: Optional[float] = None
@@ -164,11 +121,6 @@ class BanScenarioConfig:
             raise ValueError(f"mac must be one of {MACS}, got {self.mac!r}")
         if self.app not in APPS:
             raise ValueError(f"app must be one of {APPS}, got {self.app!r}")
-        if self.node_specs is not None:
-            if not self.node_specs:
-                raise ValueError("node_specs must not be empty")
-            # Heterogeneous mode: the node count follows the specs.
-            self.num_nodes = len(self.node_specs)
         if self.num_nodes < 1:
             raise ValueError(f"need >= 1 node: {self.num_nodes}")
         if self.measure_s <= 0:
@@ -200,10 +152,8 @@ class BanScenarioConfig:
         """The per-channel sampling frequency actually used."""
         if self.sampling_hz is not None:
             return self.sampling_hz
-        if self.app in ("rpeak", "adaptive"):
+        if self.app == "rpeak":
             return RPEAK_SAMPLING_HZ
-        if self.app == "eeg_streaming":
-            return DEFAULT_EEG_SAMPLING_HZ
         # Streaming: exactly one full payload of codes per TDMA cycle
         # ("the sampling frequency is set accordingly to the TDMA cycle,
         #  so that a packet of 18 bytes is sent every cycle").
@@ -342,10 +292,8 @@ class BanScenario:
                 if preassigned is not None:
                     bs_mac.schedule.assign(preassigned, node_id)
             node.install_mac(mac)
-            spec = (config.node_specs[index - 1]
-                    if config.node_specs is not None else None)
-            self._attach_signals(node, index, spec)
-            app = self._build_app(node, mac, sampling_hz, spec)
+            self._attach_signals(node, index)
+            app = self._build_app(node, mac, sampling_hz)
             node.install_app(app)
             if config.deep_sleep_threshold_ms is not None:
                 self._install_deep_sleep(node, mac, app)
@@ -380,84 +328,28 @@ class BanScenario:
         stream = self.sim.rng.stream(f"{node_id}.skew")
         return stream.uniform(-magnitude, magnitude)
 
-    def _attach_signals(self, node: SensorNode, index: int,
-                        spec: Optional[NodeSpec]) -> None:
-        config = self.config
-        app = spec.app if spec is not None else config.app
-        channels = tuple(spec.channels) if spec is not None else (0, 1)
-        if app == "eeg_streaming":
-            # One independent EEG waveform per channel, scaled from
-            # microvolts into the ADC range by the ASIC gain stage.
-            for channel in channels:
-                eeg = SyntheticEeg(
-                    seed=config.seed * 10_000 + 100 * index + channel)
-                node.asic.connect_source(
-                    channel, ScaledSource(eeg, gain=0.02, offset=1.25))
-            return
-        # ECG-based applications: stagger beat phases across nodes so
-        # transmissions de-correlate.
-        ecg = SyntheticEcg(heart_rate_bpm=config.heart_rate_bpm,
+    def _attach_signals(self, node: SensorNode, index: int) -> None:
+        # Stagger beat phases across nodes so transmissions de-correlate.
+        ecg = SyntheticEcg(heart_rate_bpm=self.config.heart_rate_bpm,
                            first_beat_s=0.35 + 0.11 * index)
         self.ecg_sources[node.node_id] = ecg
-        sources = [ecg]
-        if config.ecg_noise_mv > 0.0:
-            sources.append(HashNoiseSource(config.ecg_noise_mv,
-                                           seed=config.seed * 1000 + index))
-        mixed = MixSource(sources) if len(sources) > 1 else ecg
         # ASIC gain stage: lead I full gain, lead II reduced, both
         # centred in the ADC's 0..2.5 V range.
-        gains = (0.8, 0.5)
-        for position, channel in enumerate(channels):
-            gain = gains[position % len(gains)]
-            node.asic.connect_source(
-                channel, ScaledSource(mixed, gain=gain, offset=1.25))
+        node.asic.connect_source(0, ScaledSource(ecg, gain=0.8, offset=1.25))
+        node.asic.connect_source(1, ScaledSource(ecg, gain=0.5, offset=1.25))
 
-    def _spec_sampling_hz(self, spec: NodeSpec) -> float:
-        """Per-channel rate for one heterogeneous node."""
-        if spec.sampling_hz is not None:
-            return spec.sampling_hz
-        if spec.app in ("rpeak", "adaptive"):
-            return RPEAK_SAMPLING_HZ
-        if spec.app == "eeg_streaming":
-            return DEFAULT_EEG_SAMPLING_HZ
-        cycle_s = self.config.cycle_ticks / seconds(1.0)
-        codes = codes_per_payload(spec.payload_bytes)
-        return codes / len(spec.channels) / cycle_s
-
-    def _build_app(self, node: SensorNode, mac: Any, sampling_hz: float,
-                   spec: Optional[NodeSpec]) -> "SamplingApplication":
+    def _build_app(self, node: SensorNode, mac: Any,
+                   sampling_hz: float) -> "SamplingApplication":
         config = self.config
-        cal = config.calibration
-        app = spec.app if spec is not None else config.app
-        channels = tuple(spec.channels) if spec is not None else (0, 1)
-        rate = self._spec_sampling_hz(spec) if spec is not None \
-            else sampling_hz
-        payload = spec.payload_bytes if spec is not None \
-            else config.payload_bytes
-        if app == "ecg_streaming":
+        if config.app == "ecg_streaming":
             return EcgStreamingApp(
-                self.sim, node.scheduler, node.asic, node.adc, mac, cal,
-                channels=channels, sampling_hz=rate,
-                payload_bytes=payload,
-                name=f"{node.node_id}.app", trace=self.trace)
-        if app == "eeg_streaming":
-            return EegStreamingApp(
-                self.sim, node.scheduler, node.asic, node.adc, mac, cal,
-                channels=channels, sampling_hz=rate,
-                transmit_channels=(spec.transmit_channels
-                                   if spec is not None else None),
-                decimation=spec.decimation if spec is not None else 4,
-                payload_bytes=payload,
-                name=f"{node.node_id}.app", trace=self.trace)
-        if app == "adaptive":
-            return AdaptiveCardiacApp(
-                self.sim, node.scheduler, node.asic, node.adc, mac, cal,
-                channels=channels, sampling_hz=rate,
-                payload_bytes=payload,
+                self.sim, node.scheduler, node.asic, node.adc, mac,
+                config.calibration, channels=(0, 1),
+                sampling_hz=sampling_hz, payload_bytes=config.payload_bytes,
                 name=f"{node.node_id}.app", trace=self.trace)
         return RpeakApp(
-            self.sim, node.scheduler, node.asic, node.adc, mac, cal,
-            channels=channels, sampling_hz=rate,
+            self.sim, node.scheduler, node.asic, node.adc, mac,
+            config.calibration, channels=(0, 1), sampling_hz=sampling_hz,
             name=f"{node.node_id}.app", trace=self.trace)
 
     # ------------------------------------------------------------------
@@ -543,5 +435,5 @@ def run_scenario(**kwargs: Any) -> NetworkEnergyResult:
     return BanScenario(BanScenarioConfig(**kwargs)).run()
 
 
-__all__ = ["BanScenarioConfig", "BanScenario", "NodeSpec",
-           "run_scenario", "MACS", "APPS"]
+__all__ = ["BanScenarioConfig", "BanScenario", "run_scenario", "MACS",
+           "APPS"]

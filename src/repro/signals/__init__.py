@@ -1,12 +1,9 @@
-"""Biosignal generation: synthetic ECG/EEG and source primitives."""
+"""Biosignal generation: synthetic ECG and source primitives."""
 
 from .arrhythmia import IrregularEcg
 from .ecg import PQRST, SyntheticEcg, Wave
-from .eeg import DEFAULT_BANDS, Band, SyntheticEeg
 from .sources import (
     ConstantSource,
-    HashNoiseSource,
-    MixSource,
     ScaledSource,
     SignalSource,
     SineSource,
@@ -17,12 +14,7 @@ __all__ = [
     "PQRST",
     "SyntheticEcg",
     "Wave",
-    "DEFAULT_BANDS",
-    "Band",
-    "SyntheticEeg",
     "ConstantSource",
-    "HashNoiseSource",
-    "MixSource",
     "ScaledSource",
     "SignalSource",
     "SineSource",

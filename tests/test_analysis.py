@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.experiments import (
     Figure4Result,
-    REPORTED_NODE,
     reproduce_figure4,
     reproduce_table1,
     reproduce_table2,
@@ -22,7 +21,6 @@ from repro.analysis.figures import (
     render_figure4,
     table_series,
 )
-from repro.analysis.lifetime import project_lifetime
 from repro.analysis.sweep import (
     as_table,
     sweep_cycle_ms,
@@ -32,7 +30,6 @@ from repro.analysis.sweep import (
 )
 from repro.analysis.validation import validate_all, validate_table
 from repro.data.paper_tables import ALL_TABLES, TABLE_1, TABLE_3
-from repro.hw.battery import CR2477
 from repro.net.scenario import BanScenarioConfig
 
 WINDOW_S = 6.0
@@ -213,25 +210,3 @@ class TestSweeps:
         records = as_table(points, value_name="cycle_ms")
         assert records[0]["cycle_ms"] == 60.0
         assert records[0]["total_mj"] > 0
-
-
-class TestLifetime:
-    def test_projection_from_result(self):
-        table = reproduce_table3(measure_s=2.0)
-        # Build a node result through a real run instead:
-        from conftest import run_quick
-        _, result = run_quick(app="rpeak", cycle_ms=120.0, measure_s=2.0)
-        node = result.node(REPORTED_NODE)
-        projection = project_lifetime(node, CR2477)
-        assert projection.hours > 0
-        assert projection.days == pytest.approx(projection.hours / 24.0)
-        assert "radio+MCU+ASIC" in projection.render()
-        del table
-
-    def test_asic_dominates_lifetime(self):
-        from conftest import run_quick
-        _, result = run_quick(app="rpeak", cycle_ms=120.0, measure_s=2.0)
-        node = result.node(REPORTED_NODE)
-        with_asic = project_lifetime(node, CR2477, include_asic=True)
-        without = project_lifetime(node, CR2477, include_asic=False)
-        assert without.hours > 1.5 * with_asic.hours

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import BATTERIES, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -27,19 +27,15 @@ class TestParser:
     def test_run_flags(self):
         args = build_parser().parse_args([
             "run", "--mac", "dynamic", "--app", "rpeak", "--nodes", "2",
-            "--battery", "lipo160", "--losses", "--join"])
+            "--losses", "--join"])
         assert args.mac == "dynamic"
         assert args.app == "rpeak"
         assert args.nodes == 2
-        assert args.battery == "lipo160"
         assert args.losses and args.join
 
     def test_invalid_mac_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--mac", "tokenring"])
-
-    def test_batteries_registry(self):
-        assert set(BATTERIES) == {"cr2477", "lipo160"}
 
     @pytest.mark.parametrize("flags", [["--jobs", "-1"]])
     def test_bad_executor_flag_is_a_usage_error(self, flags):
@@ -66,7 +62,6 @@ class TestExecution:
                      "--losses"]) == 0
         out = capsys.readouterr().out
         assert "node1" in out and "node2" in out
-        assert "days" in out
         assert "idle_listening" in out
 
     def test_run_dynamic_with_join(self, capsys):

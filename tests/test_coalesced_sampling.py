@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "tools"))
 from determinism_check import (  # noqa: E402
-    fault_config, reference_configs, station_digest, station_rows)
+    fault_config, station_digest, station_rows)
 
 from repro.analysis.experiments import _TABLE_SPECS
 from repro.analysis.waveforms import WaveformProbe
@@ -39,9 +39,7 @@ from repro.core.ledger import MAX_PENDING_PLANS, PowerStateLedger
 from repro.core.states import PowerState, PowerStateTable
 from repro.exec.cache import config_fingerprint
 from repro.hw.asic import BiopotentialAsic
-from repro.hw.battery import Battery
 from repro.net import BanScenario, BanScenarioConfig
-from repro.net.monitor import BatteryMonitor
 from repro.net.multi import MultiBanScenario
 from repro.net.node import SensorNode
 from repro.obs import attach_span_tracer
@@ -55,6 +53,7 @@ from repro.sim.simtime import milliseconds, seconds
 from repro.sim.trace import TraceRecorder
 from repro.tinyos.components import Component
 from repro.tinyos.scheduler import TaskScheduler
+from repro.tinyos.timers import VirtualTimer
 
 WINDOW_S = 1.0
 
@@ -119,38 +118,15 @@ def test_ward_is_bit_identical():
     assert coalesced[3] < reference[3]
 
 
-NOISY_AND_ADAPTIVE = [
-    BanScenarioConfig(mac="static", app="ecg_streaming", num_nodes=3,
-                      measure_s=WINDOW_S, seed=5, ecg_noise_mv=0.05),
-    BanScenarioConfig(mac="static", app="rpeak", num_nodes=2,
-                      measure_s=WINDOW_S, seed=5, ecg_noise_mv=0.05),
-    reference_configs()[-1],
-]
-
-
-@pytest.mark.parametrize("config", NOISY_AND_ADAPTIVE,
-                         ids=["noisy-streaming", "noisy-rpeak",
-                              "adaptive-alarm"])
-def test_noisy_and_adaptive_configs_are_bit_identical(config):
-    coalesced = _run_ban(config, per_sample=False)
-    reference = _run_ban(config, per_sample=True)
-    assert coalesced[:3] == reference[:3]
-    if config.app == "adaptive":
-        # A mode change logged: the alarm fired, so raw codes streamed
-        # from coalesced blocks.
-        assert any(row[10] for row in coalesced[1])
-
-
 # Streaming configs whose payloads carry codes of coalesced samples:
-# every MAC family, one that oversamples (24 codes per 30 ms cycle for
-# 12 sent, so the bounded buffer drops) and a noisy one.
+# every MAC family and one that oversamples (24 codes per 30 ms cycle
+# for 12 sent, so the bounded buffer drops).
 STREAMING = {
     "static": {},
     "dynamic": {"mac": "dynamic"},
     "aloha": {"mac": "aloha", "sampling_hz": 205.0},
     "csma": {"mac": "csma", "sampling_hz": 205.0},
     "oversampled": {"sampling_hz": 400.0},
-    "noisy": {"ecg_noise_mv": 0.05},
 }
 
 
@@ -808,19 +784,33 @@ def test_a_ledger_reader_on_the_sampling_period_is_ordered(armed):
         == ([0, 1, 2] if armed == "before" else [1, 2, 3])
 
 
+def _energy_reads(scenario: BanScenario, period_s: float
+                  ) -> List[Tuple[int, float, float]]:
+    """Read node1's MCU and radio energy mid-run every ``period_s``, as
+    a battery monitor would; returns the (tick, MCU J, radio J) reads
+    taken so far."""
+    node = scenario.nodes[0]
+    reads: List[Tuple[int, float, float]] = []
+
+    def read() -> None:
+        reads.append((scenario.sim.now, node.mcu.ledger.energy_j(),
+                      node.radio.ledger.energy_j()))
+
+    VirtualTimer(scenario.sim, read, name="node1.reader").start_periodic(
+        seconds(period_s))
+    return reads
+
+
 def test_a_battery_monitor_on_the_sampling_period_reads_per_task():
-    """The battery monitor reads the node's ledgers mid-run, every
-    5 ms, on the 200 Hz grid of an R-peak node."""
+    """A timer reads the node's ledgers mid-run, every 5 ms, on the
+    200 Hz grid of an R-peak node."""
     def history(per_sample: bool) -> Tuple[Any, ...]:
         config = BanScenarioConfig(mac="static", app="rpeak", num_nodes=2,
                                    measure_s=WINDOW_S, seed=5)
         scenario = BanScenario(config, trace=(TraceRecorder(capacity=1)
                                               if per_sample else None))
-        monitor = BatteryMonitor(scenario.nodes[0],
-                                 Battery(capacity_mah=1.0, voltage_v=2.8),
-                                 sample_period_s=0.005)
-        monitor.start()
-        return _fingerprint(scenario.run()), monitor.history
+        reads = _energy_reads(scenario, 0.005)
+        return _fingerprint(scenario.run()), reads
 
     coalesced, reference = history(False), history(True)
     assert coalesced == reference
@@ -991,9 +981,9 @@ def test_clear_around_a_continuation(reset):
 
 
 def test_a_battery_monitor_reads_across_busy_fires(monkeypatch):
-    """Streaming nodes whose packet tasks cover sampling fires, with the
-    battery monitor reading node1's ledgers every 0.25 ms: reads land
-    between a busy fire and its sample, and after it."""
+    """Streaming nodes whose packet tasks cover sampling fires, with a
+    timer reading node1's ledgers every 0.25 ms: reads land between a
+    busy fire and its sample, and after it."""
     continued: List[str] = []
     continue_window = TaskScheduler._continue_window
 
@@ -1008,13 +998,9 @@ def test_a_battery_monitor_reads_across_busy_fires(monkeypatch):
                                    num_nodes=3, measure_s=WINDOW_S, seed=5)
         scenario = BanScenario(config, trace=(TraceRecorder(capacity=1)
                                               if per_sample else None))
-        monitor = BatteryMonitor(scenario.nodes[0],
-                                 Battery(capacity_mah=1.0, voltage_v=2.8),
-                                 sample_period_s=0.00025)
-        monitor.start()
+        reads = _energy_reads(scenario, 0.00025)
         result = scenario.run()
-        return (_fingerprint(result), station_digest(scenario),
-                monitor.history)
+        return _fingerprint(result), station_digest(scenario), reads
 
     coalesced, reference = history(False), history(True)
     assert coalesced == reference

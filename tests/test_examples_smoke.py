@@ -1,10 +1,5 @@
-"""Smoke tests: the example scripts must import cleanly, and the fast
-ones must run end-to-end as subprocesses.
-
-Long examples (60 s simulations, multi-arrangement sweeps) are covered
-indirectly — every scenario they build is exercised elsewhere in the
-suite — so only import-checked here to keep the suite fast.
-"""
+"""Smoke tests: every example script must compile and run end-to-end as
+a subprocess (each takes a few seconds)."""
 
 import pathlib
 import py_compile
@@ -18,27 +13,22 @@ EXAMPLES = ROOT / "examples"
 
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES.glob("*.py"))
 
-#: Examples fast enough to execute fully in CI (< ~30 s each).
-FAST_EXAMPLES = ("quickstart.py", "battery_lifecycle.py")
-
 
 class TestExamples:
     def test_expected_examples_present(self):
-        assert set(ALL_EXAMPLES) >= {
+        assert set(ALL_EXAMPLES) == {
             "quickstart.py",
             "rpeak_vs_streaming.py",
             "dynamic_join.py",
             "design_space_tuning.py",
-            "heterogeneous_ban.py",
             "ward_interference.py",
-            "battery_lifecycle.py",
         }
 
     @pytest.mark.parametrize("name", ALL_EXAMPLES)
     def test_example_compiles(self, name):
         py_compile.compile(str(EXAMPLES / name), doraise=True)
 
-    @pytest.mark.parametrize("name", FAST_EXAMPLES)
+    @pytest.mark.parametrize("name", ALL_EXAMPLES)
     def test_fast_example_runs(self, name):
         proc = subprocess.run(
             [sys.executable, str(EXAMPLES / name)],

@@ -7,6 +7,7 @@ point the analysis layer uses.
 """
 
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -58,12 +59,14 @@ class TestExecutorDeterminism:
         assert parallel == sequential
 
     def test_replicate_parallel_equals_sequential(self):
-        """Seed replicates of one noisy config: each worker draws
-        from its own config's seed."""
-        configs = [_config(ecg_noise_mv=0.1, seed=seed)
+        """Seed replicates of one skewed-clock config: each worker draws
+        its nodes' crystal skews from its own config's seed."""
+        configs = [_config(clock_skew_ppm=40.0, seed=seed)
                    for seed in (1, 2, 3)]
-        assert ScenarioExecutor(jobs=3).run_configs(configs) == \
-            ScenarioExecutor(jobs=1).run_configs(configs)
+        sequential = ScenarioExecutor(jobs=1).run_configs(configs)
+        assert ScenarioExecutor(jobs=3).run_configs(configs) == sequential
+        assert all(left != right for left, right
+                   in itertools.combinations(sequential, 2))
 
     def test_run_configs_preserves_submission_order(self):
         configs = [_config(cycle_ms=cycle)

@@ -1,181 +1,12 @@
-"""Tests for the extension features: EEG streaming, heterogeneous BANs,
-battery monitoring, dynamic slot reclaim and irregular-rhythm signals."""
+"""Tests for the extension features: dynamic slot reclaim and
+irregular-rhythm signals."""
 
 import pytest
 
-from repro.hw.battery import Battery
-from repro.net.monitor import BatteryMonitor
-from repro.net.scenario import BanScenario, BanScenarioConfig, NodeSpec
+from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.signals.arrhythmia import IrregularEcg
 from repro.apps.rpeak_detector import RPeakDetector
 from repro.sim.simtime import milliseconds, seconds
-
-
-class TestEegStreaming:
-    def run_eeg(self, **spec_kw):
-        spec = NodeSpec(app="eeg_streaming",
-                        channels=tuple(range(spec_kw.pop("n_channels", 8))),
-                        **spec_kw)
-        config = BanScenarioConfig(mac="static", cycle_ms=60.0,
-                                   node_specs=[spec], measure_s=4.0)
-        scenario = BanScenario(config)
-        return scenario, scenario.run()
-
-    def test_decimation_reduces_rate(self):
-        scenario, _ = self.run_eeg(n_channels=8, decimation=8,
-                                   transmit_channels=(0, 1, 2, 3))
-        app = scenario.nodes[0].app
-        assert app.effective_rate_hz == pytest.approx(32.0)
-        assert app.required_payload_rate_bps() \
-            == pytest.approx(4 * 32.0 * 12.0)
-
-    def test_codes_flow_to_base_station(self):
-        scenario, result = self.run_eeg(n_channels=4, decimation=4)
-        frames = scenario.base_station.frames_from("node1")
-        assert frames
-        assert frames[0].payload["kind"] == "eeg_stream"
-        assert frames[0].payload["decimation"] == 4
-        assert result.node("node1").traffic.data_tx == len(frames)
-
-    def test_backlog_bounded_when_link_sufficient(self):
-        # 4 tx channels at 256/8 = 32 Hz -> 128 codes/s; link carries
-        # 12 codes / 60 ms = 200 codes/s: no drops.
-        scenario, _ = self.run_eeg(n_channels=8, decimation=8,
-                                   transmit_channels=(0, 1, 2, 3))
-        app = scenario.nodes[0].app
-        assert app.codes_dropped == 0
-
-    def test_drops_when_link_oversubscribed(self):
-        # 8 channels at 256 Hz raw -> 2048 codes/s >> 200 codes/s link.
-        scenario, _ = self.run_eeg(n_channels=8, decimation=1)
-        app = scenario.nodes[0].app
-        assert app.codes_dropped > 0
-
-    def test_acquisition_cost_scales_with_channels(self):
-        _, few = self.run_eeg(n_channels=2, decimation=4)
-        _, many = self.run_eeg(n_channels=8, decimation=4)
-        assert many.node("node1").mcu_mj > few.node("node1").mcu_mj
-
-    def test_validation(self):
-        from repro.hw.adc import Adc12
-        with pytest.raises(ValueError, match="decimation"):
-            self.run_eeg(n_channels=2, decimation=0)
-        with pytest.raises(ValueError, match="transmit channels"):
-            self.run_eeg(n_channels=2, transmit_channels=(5,))
-        del Adc12
-
-
-class TestHeterogeneousBan:
-    SPECS = [
-        NodeSpec(app="rpeak", label="chest"),
-        NodeSpec(app="eeg_streaming", channels=tuple(range(8)),
-                 transmit_channels=(0, 1, 2, 3), decimation=8,
-                 label="head"),
-        NodeSpec(app="ecg_streaming", label="left_arm"),
-    ]
-
-    def test_mixed_apps_in_one_network(self):
-        config = BanScenarioConfig(mac="static", cycle_ms=60.0,
-                                   node_specs=self.SPECS, measure_s=4.0)
-        scenario = BanScenario(config)
-        result = scenario.run()
-        apps = [type(node.app).__name__ for node in scenario.nodes]
-        assert apps == ["RpeakApp", "EegStreamingApp", "EcgStreamingApp"]
-        # Streaming nodes send every cycle; the Rpeak node rarely.
-        assert result.node("node1").traffic.data_tx \
-            < result.node("node3").traffic.data_tx
-
-    def test_num_nodes_follows_specs(self):
-        config = BanScenarioConfig(mac="static", cycle_ms=60.0,
-                                   num_nodes=99, node_specs=self.SPECS,
-                                   measure_s=1.0)
-        assert config.num_nodes == 3
-
-    def test_empty_specs_rejected(self):
-        with pytest.raises(ValueError):
-            BanScenarioConfig(node_specs=[])
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NodeSpec(app="video")
-        with pytest.raises(ValueError):
-            NodeSpec(channels=())
-
-    def test_heterogeneous_dynamic_join(self):
-        config = BanScenarioConfig(mac="dynamic", node_specs=self.SPECS,
-                                   join_protocol=True, measure_s=2.0)
-        scenario = BanScenario(config)
-        scenario.run()
-        assert all(node.mac.is_synced for node in scenario.nodes)
-
-
-class TestBatteryMonitor:
-    def make(self, capacity_mah=0.02, thresholds=(0.5, 0.2)):
-        """A deliberately tiny cell so a short run drains it."""
-        config = BanScenarioConfig(mac="static", app="ecg_streaming",
-                                   num_nodes=1, cycle_ms=30.0,
-                                   sampling_hz=205.0, measure_s=8.0)
-        scenario = BanScenario(config)
-        battery = Battery(capacity_mah=capacity_mah, voltage_v=2.8,
-                          usable_fraction=1.0)
-        monitor = BatteryMonitor(scenario.nodes[0], battery,
-                                 sample_period_s=0.25,
-                                 thresholds=thresholds)
-        return scenario, monitor
-
-    def test_soc_decreases_monotonically(self):
-        scenario, monitor = self.make()
-        monitor.start()
-        scenario.run()
-        history = [soc for _, soc in monitor.history]
-        assert history
-        assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
-
-    def test_thresholds_fire_in_order(self):
-        scenario, monitor = self.make()
-        events = []
-        monitor.on_threshold(0.5, lambda n, t, s: events.append((t, s)))
-        monitor.on_threshold(0.2, lambda n, t, s: events.append((t, s)))
-        monitor.start()
-        scenario.run()
-        assert [t for t, _ in events] == [0.5, 0.2]
-        assert all(soc <= t for t, soc in events)
-        assert monitor.thresholds_fired == [0.5, 0.2]
-
-    def test_remaining_estimate_plausible(self):
-        scenario, monitor = self.make(capacity_mah=1.0)
-        monitor.start()
-        scenario.run()
-        remaining = monitor.estimated_remaining_s()
-        assert remaining is not None
-        # ~21 mW (with ASIC) on 1 mAh*2.8V*3600 ~ 10.1 J -> ~480 s left.
-        assert 200 < remaining < 2000
-
-    def test_depletion_flag(self):
-        scenario, monitor = self.make(capacity_mah=0.01)
-        monitor.start()
-        scenario.run()
-        assert monitor.is_depleted
-        assert monitor.state_of_charge == 0.0
-
-    def test_validation(self):
-        scenario, _ = self.make()
-        battery = Battery(capacity_mah=1.0)
-        with pytest.raises(ValueError):
-            BatteryMonitor(scenario.nodes[0], battery,
-                           sample_period_s=0.0)
-        with pytest.raises(ValueError):
-            BatteryMonitor(scenario.nodes[0], battery,
-                           thresholds=(1.5,))
-        monitor = BatteryMonitor(scenario.nodes[0], battery)
-        with pytest.raises(ValueError):
-            monitor.on_threshold(0.99, lambda *a: None)
-
-    def test_double_start_rejected(self):
-        scenario, monitor = self.make()
-        monitor.start()
-        with pytest.raises(RuntimeError):
-            monitor.start()
 
 
 class TestSlotReclaim:

@@ -2,7 +2,7 @@
 
 Covers the spec value types and their CLI parser, the injector's fault
 mechanics on real scenarios (crash/reboot, radio lockup, beacon-loss
-burst, clock step, battery brownout), the reproducibility contract
+burst, clock step), the reproducibility contract
 (same seed, same schedule, same ledgers; faults participate in the
 config fingerprint), and the promise that a config without faults is
 byte-identical to one predating the subsystem.
@@ -14,7 +14,6 @@ import pytest
 
 from repro.exec import config_fingerprint
 from repro.faults import (
-    BatteryBrownout,
     BeaconLossBurst,
     ClockStep,
     FaultInjector,
@@ -55,11 +54,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ClockStep(node="node1", at_s=1.0, offset_ms=0.0)
         with pytest.raises(ValueError):
-            BatteryBrownout(node="node1", capacity_mah=0.0)
-        with pytest.raises(ValueError):
-            BatteryBrownout(node="node1", capacity_mah=1.0,
-                            soc_threshold=1.5)
-        with pytest.raises(ValueError):
             RandomFaults(count=0)
 
     def test_plan_truthiness(self):
@@ -80,11 +74,10 @@ class TestParser:
             "lockup,node=node2,at=8,dur=2; "
             "beacons,node=node1,at=12,count=5; "
             "clockstep,node=node1,at=20,ms=-40; "
-            "brownout,node=node3,mah=0.02,soc=0.1; "
             "random,count=4,horizon=30")
         kinds = [type(fault).__name__ for fault in plan.faults]
         assert kinds == ["NodeCrash", "RadioLockup", "BeaconLossBurst",
-                         "ClockStep", "BatteryBrownout", "RandomFaults"]
+                         "ClockStep", "RandomFaults"]
         assert plan.faults[0].reboot_after_s == 3.0
         assert plan.faults[3].offset_ms == -40.0
 
@@ -208,16 +201,6 @@ class TestInjection:
             == 1
         assert mac.counters.beacons_missed > missed_clean
         assert mac.is_synced
-
-    def test_brownout_crashes_permanently(self):
-        plan = FaultPlan(faults=(
-            BatteryBrownout(node="node2", capacity_mah=0.001,
-                            soc_threshold=0.5, sample_period_s=0.05),))
-        scenario = BanScenario(_config(faults=plan))
-        scenario.run()
-        assert scenario.fault_injector.counters_for("node2").brownouts == 1
-        assert not scenario.nodes[1].mac.started
-        assert len(scenario.fault_injector.monitors) == 1
 
     def test_unknown_node_rejected(self):
         plan = FaultPlan(faults=(NodeCrash(node="node9", at_s=0.5),))

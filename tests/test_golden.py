@@ -16,7 +16,7 @@ class TestGoldens:
         assert {"static", "dynamic"} \
             == {config.mac for config in configs.values()}
         apps = {config.app for config in configs.values()}
-        assert {"ecg_streaming", "rpeak", "eeg_streaming"} <= apps
+        assert apps == {"ecg_streaming", "rpeak"}
         assert any(config.join_protocol for config in configs.values())
 
     def test_every_canonical_scenario_has_a_golden(self):

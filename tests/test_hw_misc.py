@@ -1,10 +1,9 @@
-"""Unit tests for ADC, ASIC, battery and frame models."""
+"""Unit tests for ADC, ASIC and frame models."""
 
 import pytest
 
 from repro.hw.adc import Adc12, FULL_SCALE_CODE
 from repro.hw.asic import BiopotentialAsic, ECG_CHANNEL, NUM_CHANNELS
-from repro.hw.battery import Battery, CR2477, LIPO_160
 from repro.hw.frames import BROADCAST, Frame, FrameKind
 from repro.signals.sources import ConstantSource, SineSource
 from repro.sim.simtime import seconds
@@ -129,43 +128,6 @@ class TestBiopotentialAsic:
             with pytest.raises(ValueError):
                 asic.read_block(channel, [0])
         assert asic.reads == 0
-
-
-class TestBattery:
-    def test_usable_energy(self):
-        battery = Battery(capacity_mah=100.0, voltage_v=3.0,
-                          usable_fraction=1.0)
-        assert battery.usable_energy_j == pytest.approx(1080.0)
-
-    def test_lifetime_hours(self):
-        battery = Battery(capacity_mah=100.0, voltage_v=3.0,
-                          usable_fraction=1.0)
-        # 1080 J at 1 mW -> 1080000 s = 300 h.
-        assert battery.lifetime_hours(1e-3) == pytest.approx(300.0)
-
-    def test_lifetime_days(self):
-        battery = Battery(capacity_mah=100.0, voltage_v=3.0,
-                          usable_fraction=1.0)
-        assert battery.lifetime_days(1e-3) == pytest.approx(12.5)
-
-    def test_fraction_used(self):
-        battery = Battery(capacity_mah=100.0, voltage_v=3.0,
-                          usable_fraction=1.0)
-        assert battery.fraction_used(108.0) == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Battery(capacity_mah=0.0)
-        with pytest.raises(ValueError):
-            Battery(capacity_mah=100.0, usable_fraction=0.0)
-        with pytest.raises(ValueError):
-            Battery(capacity_mah=100.0).lifetime_hours(0.0)
-        with pytest.raises(ValueError):
-            Battery(capacity_mah=100.0).fraction_used(-1.0)
-
-    def test_presets_plausible(self):
-        assert CR2477.capacity_mah == 1000.0
-        assert LIPO_160.capacity_mah == 160.0
 
 
 class TestFrames:

@@ -468,9 +468,9 @@ class TestTreeIsClean:
             (f.path, f.line) for f in report.suppressed]
         waived_files = {pathlib.Path(f.path).name
                         for f in report.suppressed}
-        # ecg.py / sources.py waive FLT001 for exact-identity sample
-        # memos (pure-function-of-time sources; == is intentional).
-        assert waived_files <= {"kernel.py", "ecg.py", "sources.py"}
+        # ecg.py waives FLT001 for an exact-identity sample memo (a
+        # pure-function-of-time source; == is intentional).
+        assert waived_files <= {"kernel.py", "ecg.py"}
 
 
 @pytest.mark.skipif(shutil.which("mypy") is None,

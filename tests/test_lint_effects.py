@@ -454,9 +454,9 @@ class TestFpcRules:
 
     def test_field_type_names_unwraps_containers(self):
         import ast
-        ann = ast.parse("Optional[Sequence[NodeSpec]]",
+        ann = ast.parse("Optional[Sequence[Spec]]",
                         mode="eval").body
-        assert "NodeSpec" in field_type_names(ann)
+        assert "Spec" in field_type_names(ann)
         callable_ann = ast.parse("Callable[[int], float]",
                                  mode="eval").body
         assert field_type_names(callable_ann) == ()

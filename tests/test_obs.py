@@ -10,8 +10,8 @@ The two load-bearing contracts:
   the counters the sequential path reports.
 
 Plus the satellites that ride along: the JSONL sink round-trip, the
-profiler's attribution floor, the O(1) trace eviction, the bounded
-battery-monitor history, the Prometheus exporter and the CLI flags.
+profiler's attribution floor, the O(1) trace eviction, the Prometheus
+exporter and the CLI flags.
 """
 
 import dataclasses
@@ -21,8 +21,6 @@ import pytest
 
 from repro.cli import main
 from repro.exec import ScenarioExecutor
-from repro.hw.battery import Battery
-from repro.net.monitor import BatteryMonitor
 from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.obs import (
     GLOBAL,
@@ -33,7 +31,6 @@ from repro.obs import (
     attach_periodic_snapshots,
     collect_scenario_metrics,
     collect_simulator_metrics,
-    metric_key,
     normalize_label,
     read_jsonl_trace,
 )
@@ -239,39 +236,6 @@ class TestProfiler:
         labels = set(profiler.labels)
         assert any(label.startswith("node*.") for label in labels)
         assert not any("node1." in label for label in labels)
-
-
-class TestBatteryMonitorBounds:
-    def _monitor(self, **kwargs):
-        config = _config(num_nodes=1, app="ecg_streaming",
-                         sampling_hz=205.0, measure_s=2.0)
-        scenario = BanScenario(config)
-        battery = Battery(capacity_mah=0.02, voltage_v=2.8,
-                          usable_fraction=1.0)
-        monitor = BatteryMonitor(scenario.nodes[0], battery,
-                                 sample_period_s=0.1, **kwargs)
-        return scenario, monitor
-
-    def test_history_bounded(self):
-        scenario, monitor = self._monitor(history_capacity=5)
-        monitor.start()
-        scenario.run()
-        assert len(monitor.history) == 5
-        assert monitor.history_capacity == 5
-        times = [time for time, _ in monitor.history]
-        assert times == sorted(times)  # kept the *newest* samples
-
-    def test_soc_flows_into_registry(self):
-        registry = MetricsRegistry()
-        scenario, monitor = self._monitor(metrics=registry)
-        monitor.start()
-        scenario.run()
-        snapshot = registry.snapshot()
-        node_id = scenario.nodes[0].node_id
-        key = metric_key("battery", node_id, "soc")
-        assert 0.0 <= snapshot["gauges"][key] <= 1.0
-        series = snapshot["series"][key]
-        assert len(series) == len(monitor.history)
 
 
 class TestExporters:

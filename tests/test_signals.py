@@ -1,4 +1,4 @@
-"""Unit tests for signal sources and the synthetic ECG/EEG generators."""
+"""Unit tests for signal sources and the synthetic ECG generators."""
 
 import math
 from typing import Callable, Dict, List, Sequence
@@ -10,11 +10,8 @@ from repro.signals import ecg as ecg_module
 from repro.signals.arrhythmia import IrregularEcg
 from repro.signals.ecg import (MAX_RECORDED_INSTANTS, MAX_RECORDINGS, PQRST,
                                SyntheticEcg, Wave)
-from repro.signals.eeg import SyntheticEeg
 from repro.signals.sources import (
     ConstantSource,
-    HashNoiseSource,
-    MixSource,
     ScaledSource,
     SignalSource,
     SineSource,
@@ -34,42 +31,6 @@ class TestSources:
     def test_sine_validation(self):
         with pytest.raises(ValueError):
             SineSource(0.0)
-
-    def test_hash_noise_deterministic(self):
-        a = HashNoiseSource(1.0, seed=7)
-        b = HashNoiseSource(1.0, seed=7)
-        times = [0.001 * k for k in range(100)]
-        assert [a.value_at(t) for t in times] == \
-            [b.value_at(t) for t in times]
-
-    def test_hash_noise_bounded_and_varied(self):
-        source = HashNoiseSource(0.5, seed=1)
-        values = [source.value_at(0.001 * k) for k in range(500)]
-        assert all(-0.5 <= v <= 0.5 for v in values)
-        assert len(set(values)) > 400
-
-    def test_hash_noise_seed_changes_sequence(self):
-        a = HashNoiseSource(1.0, seed=1).value_at(0.5)
-        b = HashNoiseSource(1.0, seed=2).value_at(0.5)
-        assert a != b
-
-    def test_hash_noise_zero_amplitude(self):
-        assert HashNoiseSource(0.0).value_at(1.0) == 0.0
-
-    def test_hash_noise_validation(self):
-        with pytest.raises(ValueError):
-            HashNoiseSource(-1.0)
-
-    def test_mix_weighted_sum(self):
-        mix = MixSource([ConstantSource(1.0), ConstantSource(2.0)],
-                        weights=[2.0, 0.5])
-        assert mix.value_at(0.0) == pytest.approx(3.0)
-
-    def test_mix_validation(self):
-        with pytest.raises(ValueError):
-            MixSource([])
-        with pytest.raises(ValueError):
-            MixSource([ConstantSource()], weights=[1.0, 2.0])
 
     def test_scaled(self):
         scaled = ScaledSource(ConstantSource(2.0), gain=0.8, offset=1.25)
@@ -167,34 +128,6 @@ def test_parameters_are_read_only(factory, name, value, other):
     assert [ecg.value_at(0.01 * k) for k in range(100)] == before
 
 
-class TestSyntheticEeg:
-    def test_deterministic_per_seed(self):
-        a = SyntheticEeg(seed=3)
-        b = SyntheticEeg(seed=3)
-        assert a.value_at(1.234) == b.value_at(1.234)
-
-    def test_seed_changes_waveform(self):
-        assert SyntheticEeg(seed=1).value_at(0.5) \
-            != SyntheticEeg(seed=2).value_at(0.5)
-
-    def test_band_rms_matches_spec(self):
-        eeg = SyntheticEeg(seed=0)
-        rms = eeg.band_rms()
-        assert rms["alpha"] == pytest.approx(20.0, rel=1e-6)
-        assert rms["beta"] == pytest.approx(6.0, rel=1e-6)
-
-    def test_amplitude_plausible(self):
-        eeg = SyntheticEeg(seed=0)
-        values = [eeg.value_at(0.01 * k) for k in range(1000)]
-        rms = math.sqrt(sum(v * v for v in values) / len(values))
-        total = math.sqrt(sum(r * r for r in eeg.band_rms().values()))
-        assert rms == pytest.approx(total, rel=0.3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticEeg(tones_per_band=0)
-
-
 # ----------------------------------------------------------------------
 # Block evaluation: values_at == [value_at(t) ...], bit for bit
 # ----------------------------------------------------------------------
@@ -208,14 +141,9 @@ def _irregular() -> IrregularEcg:
 SOURCES: Dict[str, Callable[[], SignalSource]] = {
     "SyntheticEcg": lambda: SyntheticEcg(hrv_fraction=0.2),
     "IrregularEcg": _irregular,
-    "SyntheticEeg": lambda: SyntheticEeg(seed=3),
     "SineSource": lambda: SineSource(7.0, amplitude=0.3, phase_rad=0.2,
                                      offset=1.0),
     "ConstantSource": lambda: ConstantSource(1.25),
-    "HashNoiseSource": lambda: HashNoiseSource(0.05, seed=9),
-    "MixSource": lambda: MixSource(
-        [SyntheticEcg(), HashNoiseSource(0.05, seed=2)],
-        weights=[1.0, 0.5]),
     "ScaledSource": lambda: ScaledSource(_irregular(), gain=0.8,
                                          offset=1.25),
 }
@@ -302,7 +230,7 @@ def test_block_straddling_the_beat_list_horizon(factory):
 # Dense blocks: consecutive samples of a sampling grid, as the apps read
 # them, so runs of samples share their bracketing beats
 # ----------------------------------------------------------------------
-ECG_SOURCES = ["SyntheticEcg", "IrregularEcg", "MixSource", "ScaledSource"]
+ECG_SOURCES = ["SyntheticEcg", "IrregularEcg", "ScaledSource"]
 
 
 def _dense_times(hz: float, first: int, sizes: Sequence[int]

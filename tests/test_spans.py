@@ -116,7 +116,7 @@ class TestSpanDeterminism:
 
     def test_executor_jobs_merge_equals_sequential(self):
         configs = [_config(seed=3), _config(mac="dynamic", seed=4),
-                   _config(mac="aloha", app="eeg_streaming", seed=5)]
+                   _config(mac="aloha", app="rpeak", seed=5)]
         fingerprints = []
         for jobs in (1, 2):
             store = SpanStore()

@@ -48,20 +48,22 @@ checks, each over a reference scenario set:
    fingerprints must be equal, and so must the two station digests
    (:func:`station_rows`): results carry energies and traffic counts,
    not what the apps computed, so the digest covers the apps' counters,
-   the reports they still hold and every payload the base station
+   the beat reports they still hold and every payload the base station
    received.
 
-Every check runs the reference configs (one per MAC family, plus
-extra apps) and two fault configs whose crash lands inside a
+Every check runs the reference configs (each MAC family, both apps on
+both TDMA MACs) and two fault configs whose crash lands inside a
 ShockBurst: a contention one, and a static-TDMA one that also reboots
 inside the burst.  So each check also reaches the radio's deferred
 release and the reboot that waits for it.  A hidden-terminal CSMA
 config adds a partial topology and a lossy channel, so each check also
 covers per-receiver loss draws and audiences smaller than the network.
-Two more configs meet a node's sampling grid with other work: one
+Three configs meet a node's sampling grid with other work: one
 samples fast enough that a fire lands inside every beacon processing
-task, and one skews its crystals so far that its slot posts land on
-fire ticks.
+task, one skews its crystals so far that its slot posts land on fire
+ticks, and a dynamic-TDMA R-peak reference config samples so fast that
+fires land in a coalesced task's wake-up and queue behind real
+dispatches.
 
 Fingerprints are SHA-256 over the canonical dataclass encoding
 (:func:`repro.exec.cache.config_fingerprint`), so "equal" means equal
@@ -103,7 +105,7 @@ def reference_configs() -> List[BanScenarioConfig]:
     return [
         BanScenarioConfig(mac="static", app="ecg_streaming",
                           num_nodes=3, measure_s=2.0, seed=7),
-        BanScenarioConfig(mac="dynamic", app="eeg_streaming",
+        BanScenarioConfig(mac="dynamic", app="ecg_streaming",
                           num_nodes=2, measure_s=2.0, seed=11),
         BanScenarioConfig(mac="static", app="rpeak", num_nodes=2,
                           measure_s=2.0, seed=13,
@@ -114,12 +116,12 @@ def reference_configs() -> List[BanScenarioConfig]:
         BanScenarioConfig(mac="aloha", app="ecg_streaming",
                           num_nodes=3, measure_s=2.0, seed=23,
                           sampling_hz=205.0),
-        # Noisy ECG (a MixSource over a HashNoiseSource) into the
-        # adaptive app, fast enough to raise a tachycardia alarm and
-        # stream raw codes.
-        BanScenarioConfig(mac="dynamic", app="adaptive", num_nodes=2,
-                          measure_s=3.0, seed=19, ecg_noise_mv=0.05,
-                          heart_rate_bpm=140.0),
+        # R-peak nodes sampling at 1,370 Hz: an untraced run books
+        # fires inside a coalesced task's 6 us wake-up and queues fires
+        # behind real dispatches.
+        BanScenarioConfig(mac="dynamic", app="rpeak", num_nodes=2,
+                          measure_s=3.0, seed=13, sampling_hz=1370.0,
+                          slot_ms=7.0),
     ]
 
 
@@ -220,11 +222,13 @@ def beacon_window_config() -> BanScenarioConfig:
 
 
 def rpeak_beacon_window_config() -> BanScenarioConfig:
-    """The R-peak reference config sampling at 210 Hz: some fires land
-    inside beacon processing, so blocks holding those continuations'
-    ticks reach the detector (``RpeakApp.handle_block``) during the
-    run, at every payload read."""
-    return replace(reference_configs()[2], sampling_hz=210.0)
+    """The static R-peak reference config sampling at 210 Hz: some
+    fires land inside beacon processing, so blocks holding those
+    continuations' ticks reach the detector (``RpeakApp.handle_block``)
+    during the run, at every payload read."""
+    config = next(c for c in reference_configs()
+                  if (c.mac, c.app) == ("static", "rpeak"))
+    return replace(config, sampling_hz=210.0)
 
 
 def skew_beyond_guard_config() -> BanScenarioConfig:
@@ -259,10 +263,10 @@ def result_fingerprint(result: Any) -> str:
 
 def station_rows(bans: List[BanScenario]) -> List[Tuple[Any, ...]]:
     """One row per station of each BAN, base station last: the MCU's
-    wakeups and cycles, the tasks run, the app's counters and the
-    reports and codes it still holds, the front end's reads and
-    conversions, and the (arrival time, frame) of every data frame the
-    base station delivered."""
+    wakeups and cycles, the tasks run, the app's counters and the beat
+    reports it still holds, the front end's reads and conversions, and
+    the (arrival time, frame) of every data frame the base station
+    delivered."""
     rows = []
     for ban in bans:
         for station in [*ban.nodes, ban.base_station]:
@@ -277,9 +281,6 @@ def station_rows(bans: List[BanScenario]) -> List[Tuple[Any, ...]]:
                 getattr(app, "codes_dropped", None),
                 getattr(app, "beats_detected", None),
                 list(getattr(app, "_pending", ())),
-                list(getattr(app, "_pending_reports", ())),
-                list(getattr(app, "_stream_buffer", ())),
-                getattr(app, "mode_changes", None),
                 None if asic is None else asic.reads,
                 None if adc is None else adc.conversions,
                 list(getattr(station, "deliveries", ()))))
