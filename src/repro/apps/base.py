@@ -19,8 +19,10 @@ scheduler coalesces, the fires are no kernel events either: the app
 hands its grid to the scheduler
 (:meth:`~repro.tinyos.scheduler.TaskScheduler.start_grid`), which
 books every fire that has come due at its next entry point, a fire
-that finds the MCU busy too, with the same recording body; a trace
-or a deep-sleep policy keeps the timer.  The recorded
+that finds the MCU busy too, with the same recording body, and hands
+the idle fires that have already ended to a block body that records
+all their ticks at once; a trace or a deep-sleep policy keeps the
+timer.  The recorded
 ticks are evaluated as one block at the first point that can observe
 them (:meth:`SamplingApplication.flush_samples`): the MAC's payload
 read, a per-task sample of the timer, a simulator end hook, or the
@@ -152,7 +154,7 @@ class SamplingApplication(Component):
         period = self.sample_period_ticks
         if not self._scheduler.start_grid(
                 self._sim.now + period, period, self._tick_cost,
-                self._defer, self._label_sample):
+                self._defer, self._defer_block, self._label_sample):
             self._timer.start_periodic(period)
 
     def on_stop(self) -> None:
@@ -190,6 +192,16 @@ class SamplingApplication(Component):
             self.spans.note_sample(self.spans_node, tick, self._tick_cost)
         self._samples_taken += 1
         self._deferred_ticks.append(tick)
+
+    def _defer_block(self, ticks: range) -> None:
+        """Body of counted coalesced samples: :meth:`_defer` at each of
+        ``ticks``, ascending."""
+        spans = self.spans
+        if spans is not None:
+            for tick in ticks:
+                spans.note_sample(self.spans_node, tick, self._tick_cost)
+        self._samples_taken += len(ticks)
+        self._deferred_ticks.extend(ticks)
 
     def _acquire(self) -> None:
         """Body of a per-task sample: the scalar reference path."""

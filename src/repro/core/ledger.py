@@ -59,6 +59,25 @@ entry point this way, at their ticks.  Every read other than ``state``
 (queries, ``tag``, ``transitions``, ``close``, ``reset``) first calls
 :attr:`PowerStateLedger.sync`, so the owner books such fires before
 anyone sees the ledger.
+
+Round trips in closed form
+--------------------------
+
+:meth:`PowerStateLedger.book_round_trips` books ``count`` trips out of
+a resting ``(state, tag)`` and back, each through the same legs, in
+one call: the scheduler books the idle sampling fires that ended
+before its entry point this way (an MCU's wake-up and task inside its
+LPM0 time).  The legs' ticks are added to their keys and taken from
+the resting key, and each trip adds its transitions to the count, so
+nothing enters the plans.  The sums are those of booking each trip
+at its ticks: every trip lies inside one interval spent resting,
+which is booked or still open, and integer sums do not depend on
+their order.  The energy queries add floats in the tick table's key
+order, so a trip is booked only once every key it touches is in the
+table, where it changes no key's place; until then (after a
+:meth:`~PowerStateLedger.reset`, say), and while an ``on_transition``
+observer must see each transition at its tick, the caller books each
+trip as plans.
 """
 
 from __future__ import annotations
@@ -215,6 +234,32 @@ class PowerStateLedger:
             self._apply_plans()
             plans = self._plans
         plans.extend(changes)
+
+    def book_round_trips(self, rest: Tuple[str, str],
+                         legs: Tuple[Tuple[Tuple[str, str], int], ...],
+                         count: int) -> bool:
+        """Book ``count`` round trips out of ``rest`` and back, without
+        plans (see "Round trips in closed form").
+
+        Each trip spends ``legs`` ``((state, tag), ticks)`` in order and
+        returns to ``rest``; every trip must lie wholly inside time that
+        is booked, or will be, under ``rest``.  Returns False, booking
+        nothing, while an ``on_transition`` observer is attached or a
+        key is not in the tick table yet.
+        """
+        ticks = self._ticks
+        if self.on_transition is not None or rest not in ticks:
+            return False
+        for key, _ in legs:
+            if key not in ticks:
+                return False
+        trip = 0
+        for key, length in legs:
+            ticks[key] += count * length
+            trip += length
+        ticks[rest] -= count * trip
+        self._transitions += count * (len(legs) + 1)
+        return True
 
     def cancel_plan(self, time: int, state: str) -> None:
         """Drop the newest pending plan to enter ``state`` at tick

@@ -13,6 +13,10 @@ task runs.
 
 The model deliberately does *not* interpret instructions: like the
 paper's, it is a time-in-state model driven by the TinyOS scheduler.
+So a task that wakes the core from LPM0 adds only the fixed wake-up
+and its cycles' active time: :meth:`Msp430.wake_for_task` plans one
+such task's transitions, and :meth:`Msp430.count_idle_tasks` books
+any number that have already ended as counts.
 """
 
 from __future__ import annotations
@@ -136,6 +140,29 @@ class Msp430:
         end = start + self.cycles_to_ticks(cycles)
         ledger.plan((now, _WAKEUP), (start, _TASK), (end, _ASLEEP))
         return start, end
+
+    def count_idle_tasks(self, cycles: int, count: int) -> bool:
+        """Book ``count`` tasks of ``cycles`` that each woke the core
+        from LPM0 and slept again, all inside the LPM0 time before now.
+
+        Counts their wake-ups and cycles, and books their wake-ups and
+        task times in closed form
+        (:meth:`~repro.core.ledger.PowerStateLedger.book_round_trips`),
+        as :meth:`wake_for_task` per task would once its plans were
+        applied.  Returns False, booking nothing, unless the core
+        sleeps in LPM0 with no trace attached and the ledger books the
+        round trips.
+        """
+        ledger = self.ledger
+        if (self._trace is not None or ledger.state != SLEEP
+                or not ledger.book_round_trips(
+                    _ASLEEP, ((_WAKEUP, self._wake_latency_ticks),
+                              (_TASK, self.cycles_to_ticks(cycles))),
+                    count)):
+            return False
+        self._wakeups += count
+        self._cycles_executed += count * cycles
+        return True
 
     def begin_task(self, label: str = "") -> None:
         """Mark the start of task execution (re-tags active time)."""

@@ -38,9 +38,10 @@ from ..sim.trace import TraceRecorder
 from .lossmodels import LossModel, PerfectChannel
 from .topology import FullConnectivity, Topology
 from ..hw.frames import Frame
+from ..hw.radio import TxOutcome
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..hw.radio import Nrf2401, TxOutcome
+    from ..hw.radio import Nrf2401
     from ..obs.spans import SpanTracer
 
 #: A sender's receivers, in attach order, and the set of their addresses.
@@ -253,9 +254,8 @@ class Channel:
             radio.frame_arrival_start(transmission)
         return transmission
 
-    def end_transmission(self, transmission: Transmission) -> "TxOutcome":
+    def end_transmission(self, transmission: Transmission) -> TxOutcome:
         """Last bit off air: notify listeners and summarise the outcome."""
-        from ..hw.radio import TxOutcome
         frame = transmission.frame
         self._live.pop(frame.frame_id, None)
         if self._trace is not None:

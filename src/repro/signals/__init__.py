@@ -2,20 +2,13 @@
 
 from .arrhythmia import IrregularEcg
 from .ecg import PQRST, SyntheticEcg, Wave
-from .sources import (
-    ConstantSource,
-    ScaledSource,
-    SignalSource,
-    SineSource,
-)
+from .sources import ScaledSource, SignalSource
 
 __all__ = [
     "IrregularEcg",
     "PQRST",
     "SyntheticEcg",
     "Wave",
-    "ConstantSource",
     "ScaledSource",
     "SignalSource",
-    "SineSource",
 ]

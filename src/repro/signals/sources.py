@@ -11,7 +11,6 @@ and independent of sampling order.
 
 from __future__ import annotations
 
-import math
 from typing import List, Protocol, Sequence
 
 
@@ -26,42 +25,6 @@ class SignalSource(Protocol):
         """``[value_at(t) for t in times]``, bit for bit; ``times``
         ascending."""
         ...  # pragma: no cover - protocol
-
-
-class ConstantSource:
-    """A DC level (unconnected inputs, calibration signals)."""
-
-    def __init__(self, level: float = 0.0) -> None:
-        self.level = level
-
-    def value_at(self, t_seconds: float) -> float:
-        return self.level
-
-    def values_at(self, times: Sequence[float]) -> List[float]:
-        return [self.level] * len(times)
-
-
-class SineSource:
-    """A pure tone: ``amplitude * sin(2*pi*f*t + phase) + offset``."""
-
-    def __init__(self, frequency_hz: float, amplitude: float = 1.0,
-                 phase_rad: float = 0.0, offset: float = 0.0) -> None:
-        if frequency_hz <= 0:
-            raise ValueError(f"frequency must be positive: {frequency_hz}")
-        self.frequency_hz = frequency_hz
-        self.amplitude = amplitude
-        self.phase_rad = phase_rad
-        self.offset = offset
-
-    def value_at(self, t_seconds: float) -> float:
-        return self.offset + self.amplitude * math.sin(
-            2.0 * math.pi * self.frequency_hz * t_seconds + self.phase_rad)
-
-    def values_at(self, times: Sequence[float]) -> List[float]:
-        sin = math.sin
-        offset, amplitude, phase = self.offset, self.amplitude, self.phase_rad
-        omega = 2.0 * math.pi * self.frequency_hz
-        return [offset + amplitude * sin(omega * t + phase) for t in times]
 
 
 class ScaledSource:
@@ -83,7 +46,5 @@ class ScaledSource:
 
 __all__ = [
     "SignalSource",
-    "ConstantSource",
-    "SineSource",
     "ScaledSource",
 ]

@@ -66,6 +66,19 @@ the window's end in place of its sleep, then a sleep after the task.
 Every fire runs the grid's body with its task's start tick, so the app
 only records that tick.
 
+Idle fires whose task ended before the entry point's tick are counted
+instead: one booking adds their number to the run tasks, the task
+serials and the MCU's wake-ups and cycles, books their wake-ups and
+task times in the MCU ledger in closed form
+(:meth:`~repro.hw.mcu.Msp430.count_idle_tasks`), and hands their
+start ticks to the grid's block body at once.  Each such fire lies
+inside one stretch of LPM0, so the ledger's sums are those of booking
+it at its ticks.  A fire still running at the entry point, a busy
+fire, and every fire while the MCU ledger has an ``on_transition``
+observer (which must see each transition at its tick) or lacks one of
+the keys a fire books (after a measurement reset) are booked one by
+one as above.
+
 Same-tick order is reproduced: the timer's kernel entry is re-armed
 when the previous fire runs, so a fire at the current tick precedes
 the dispatching event exactly when that event was scheduled after the
@@ -139,14 +152,15 @@ class TaskScheduler:
         #: [``_grid_before``, ``_grid_after``] (None: unbounded);
         #: ``_grid_early`` is a lower bound on the next fire's, while it
         #: waits for events that precede it.  Then (period, cycles,
-        #: body, label).
+        #: body, block body, label).
         self._grid_next: Optional[int] = None
         self._grid_prev = 0
         self._grid_after: Optional[int] = None
         self._grid_before: Optional[int] = None
         self._grid_early: Optional[int] = None
-        self._grid: Tuple[int, int, Callable[[int], None], str] = \
-            (0, 0, lambda tick: None, "")
+        self._grid: Tuple[int, int, Callable[[int], None],
+                          Callable[[range], None], str] = \
+            (0, 0, lambda tick: None, lambda ticks: None, "")
         sim.add_end_hook(self.settle)
 
     # ------------------------------------------------------------------
@@ -208,24 +222,28 @@ class TaskScheduler:
                    cycles: int) -> bool:
         """The booking of :meth:`run_idle` at tick ``now``, once the
         scheduler is known idle."""
-        unsettled = self._unsettled
-        while unsettled:
-            # The scheduler is idle, so the earlier tasks have ended and
-            # their starts lie before now: run their bodies as settle()
-            # would, without the same-tick check.
-            start, earlier, earlier_cycles = unsettled.popleft()
-            self._tasks_run += 1
-            self._mcu.account_cycles(earlier_cycles)
-            if earlier is not None:
-                earlier(start)
+        self._run_ended()
         window = self._mcu.wake_for_task(cycles, now)
         if window is None:
             return False
         self._dispatching = True
         self._idle_at = window[1]
         self._next_task_id += 1
-        unsettled.append((window[0], body, cycles))
+        self._unsettled.append((window[0], body, cycles))
         return True
+
+    def _run_ended(self) -> None:
+        """Run the bodies of every booked task, once the scheduler is
+        known idle: the tasks have ended and their starts lie before
+        now, so run them as :meth:`settle` would, without the same-tick
+        check."""
+        unsettled = self._unsettled
+        while unsettled:
+            start, earlier, earlier_cycles = unsettled.popleft()
+            self._tasks_run += 1
+            self._mcu.account_cycles(earlier_cycles)
+            if earlier is not None:
+                earlier(start)
 
     def settle(self) -> None:
         """Run the bodies of the tasks booked without a dispatch (by
@@ -259,23 +277,28 @@ class TaskScheduler:
     # Sampling grid
     # ------------------------------------------------------------------
     def start_grid(self, first: int, period: int, cycles: int,
-                   body: Callable[[int], None], label: str) -> bool:
+                   body: Callable[[int], None],
+                   block: Callable[[range], None], label: str) -> bool:
         """Take over a periodic sampling fire (see "Sampling grid").
 
         From tick ``first`` on, every ``period`` ticks, a fire books a
         task of ``cycles`` whose body is ``body``, called with the
         task's start tick: as :meth:`run_idle` when idle, as the
         continuation of a coalesced window, or queued under ``label``
-        behind real dispatches.  Returns False, taking nothing, unless
-        :meth:`coalescing` holds and an idle fire's wake-up and task
-        end before the next fire; the caller then arms a kernel timer.
+        behind real dispatches.  Idle fires that ended before the entry
+        point booking them are counted instead, and ``block`` is called
+        once with their start ticks, ascending; it must leave what
+        ``body`` at each of them would.  Returns False, taking nothing,
+        unless :meth:`coalescing` holds and an idle fire's wake-up and
+        task end before the next fire; the caller then arms a kernel
+        timer.
         """
         mcu = self._mcu
         if (not self.coalescing() or mcu.wake_latency_ticks
                 + mcu.cycles_to_ticks(cycles) >= period):
             return False
         sim = self._sim
-        self._grid = (period, cycles, body, label)
+        self._grid = (period, cycles, body, block, label)
         self._grid_prev = sim._now
         self._grid_after = self._grid_before = sim.mark()
         self._grid_early = None
@@ -356,7 +379,7 @@ class TaskScheduler:
     def _book_fires(self, first: int, count: int) -> None:
         """``count`` grid fires from tick ``first``, as the timer's
         handler would run them at their ticks."""
-        period, cycles, body, label = self._grid
+        period, cycles, body, _, label = self._grid
         tick, stop = first, first + count * period
         while tick < stop:  # the fires that find the scheduler busy
             idle_at = self._idle_at
@@ -371,10 +394,41 @@ class TaskScheduler:
                 self._continue_window(idle_at, tick, body, cycles, label)
             tick += period
         # Each idle fire's task ends before the next fire: all are idle.
+        if tick < stop:
+            tick = self._count_ended(tick, stop)
         for tick in range(tick, stop, period):
             if not self._book_idle(tick, body, cycles):
                 raise SimulationError(
                     f"{self.name}: idle but the MCU is awake at {tick}")
+
+    def _count_ended(self, tick: int, stop: int) -> int:
+        """Count the idle fires from ``tick`` (before ``stop``) whose
+        task ended before now, in one booking; return the first fire
+        left to book one by one.
+
+        Each such fire lies inside the MCU's LPM0 time, so its task
+        adds one to the run tasks, the serials, the MCU's wake-ups and
+        its ledger's round trips
+        (:meth:`~repro.hw.mcu.Msp430.count_idle_tasks`), and its start
+        tick goes to the grid's block body.  Counts nothing where the
+        MCU declines; the caller then books the fires one by one.
+        """
+        period, cycles, _, block, _ = self._grid
+        mcu = self._mcu
+        wake = mcu.wake_latency_ticks
+        # The last fire tick whose task ends before now.
+        ended = self._sim._now - wake - mcu.cycles_to_ticks(cycles) - 1
+        if ended < tick:
+            return tick
+        count = min((ended - tick) // period + 1, (stop - tick) // period)
+        self._run_ended()
+        if not mcu.count_idle_tasks(cycles, count):
+            return tick
+        self._tasks_run += count
+        self._next_task_id += count
+        start = tick + wake
+        block(range(start, start + count * period, period))
+        return tick + count * period
 
     def _continue_window(self, end: int, tick: int,
                          body: Callable[[int], None], cycles: int,

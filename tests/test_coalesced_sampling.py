@@ -39,6 +39,7 @@ from repro.core.ledger import MAX_PENDING_PLANS, PowerStateLedger
 from repro.core.states import PowerState, PowerStateTable
 from repro.exec.cache import config_fingerprint
 from repro.hw.asic import BiopotentialAsic
+from repro.hw.mcu import Msp430
 from repro.net import BanScenario, BanScenarioConfig
 from repro.net.multi import MultiBanScenario
 from repro.net.node import SensorNode
@@ -322,14 +323,16 @@ class _MacStub(Component):
 
 
 class _Rig:
-    """One sampling node; ``per_sample`` puts a trace on the kernel."""
+    """One sampling node; ``per_sample`` puts a trace on the kernel,
+    and ``probe`` a waveform probe on the MCU ledger (an observer, so
+    the grid books every fire one by one)."""
 
     #: The first sample fire.
     FIRE = milliseconds(5)
     #: The sampling period (200 Hz).
     PERIOD = milliseconds(5)
 
-    def __init__(self, per_sample: bool) -> None:
+    def __init__(self, per_sample: bool, probe: bool = True) -> None:
         self.sim = Simulator(seed=1, trace=(TraceRecorder(capacity=1)
                                             if per_sample else None))
         self.node = SensorNode(self.sim, Channel(self.sim),
@@ -343,7 +346,8 @@ class _Rig:
         self.app = _RecordingApp(self.node, self.mac, self.log)
         self.node.install_app(self.app)
         self.probe = WaveformProbe()
-        self.probe.attach("mcu", self.node.mcu.ledger)
+        if probe:
+            self.probe.attach("mcu", self.node.mcu.ledger)
         self.app.start()
 
     @property
@@ -371,18 +375,20 @@ class _Rig:
         # its tick, so the log compares in simulated-time order.
         mcu = self.node.mcu
         log = sorted(self.log, key=lambda entry: entry[1])
-        return (log, self.probe.timeline("mcu"), mcu.wakeups,
+        timeline = (self.probe.timeline("mcu")
+                    if "mcu" in self.probe.signals else None)
+        return (log, timeline, mcu.wakeups,
                 mcu.cycles_executed, self.node.scheduler.tasks_run,
                 self.app.samples_taken, mcu.ledger.energy_j(),
                 dict(mcu.ledger.energy_by_tag()), self.node.asic.reads,
                 self.node.adc.conversions)
 
 
-def _both(script: Callable[[_Rig], None], until: int = milliseconds(30)
-          ) -> Tuple[_Rig, _Rig]:
+def _both(script: Callable[[_Rig], None], until: int = milliseconds(30),
+          probe: bool = True) -> Tuple[_Rig, _Rig]:
     rigs = []
     for per_sample in (False, True):
-        rig = _Rig(per_sample)
+        rig = _Rig(per_sample, probe)
         script(rig)
         rig.sim.run_until(until)
         rigs.append(rig)
@@ -1235,7 +1241,8 @@ def _ledger_reads(rig: _Rig, due: List[int]) -> List[Any]:
 
 def test_fires_booked_in_bulk_read_as_booked_at_their_ticks(monkeypatch):
     """Each read finds several fires due and books them then, one by
-    one, at their ticks.  Every read sees the same per-(state, tag)
+    one, at their ticks (the rig's probe is an observer, so no fire is
+    counted).  Every read sees the same per-(state, tag)
     ticks in the same key order, transitions, state and tag as the
     per-task chain, which fires a kernel timer at every tick, and as a
     ledger that books every due plan at each state read."""
@@ -1255,6 +1262,152 @@ def test_fires_booked_in_bulk_read_as_booked_at_their_ticks(monkeypatch):
     # Each read found several fires due and booked them at once.
     assert bulk_due == eager_due
     assert min(bulk_due) >= 6
+
+
+# ----------------------------------------------------------------------
+# Fires counted in closed form: with no observer on the MCU ledger, the
+# idle fires that ended before an entry point are counted, not planned
+# ----------------------------------------------------------------------
+@pytest.fixture
+def counted(monkeypatch: pytest.MonkeyPatch) -> List[int]:
+    """The size of every stretch of fires the MCU books in closed
+    form, in booking order."""
+    counts: List[int] = []
+    count_idle_tasks = Msp430.count_idle_tasks
+
+    def recording(mcu: Msp430, cycles: int, count: int) -> bool:
+        booked = count_idle_tasks(mcu, cycles, count)
+        if booked:
+            counts.append(count)
+        return booked
+
+    monkeypatch.setattr(Msp430, "count_idle_tasks", recording)
+    return counts
+
+
+def _read_ledger_at(rig: _Rig, time: int) -> None:
+    """Log the MCU ledger's live ticks in key order, transitions, state
+    and tag, read at ``time``."""
+    ledger = rig.node.mcu.ledger
+
+    def read() -> None:
+        rig.log.append(("ledger", rig.sim.now,
+                        list(ledger._live_ticks().items()),
+                        ledger.transitions, ledger.state, ledger.tag))
+
+    rig.sim.at(time, read)
+
+
+def _mid_period(k: int) -> int:
+    """Halfway between the ``k``-th fire after the first and the next."""
+    return _Rig.FIRE + k * _Rig.PERIOD + _Rig.PERIOD // 2
+
+
+def test_fires_counted_in_closed_form_read_as_booked_at_their_ticks(
+        counted):
+    """The reads of the bulk-booking test, with no probe on the ledger:
+    the first read books the seven fires due one by one (the ledger
+    holds none of the MCU's keys yet), and it puts them in the table;
+    the read inside a task and the reset then count the fires that
+    ended before them.  Every read equals the per-task chain's."""
+    coalesced = _Rig(per_sample=False, probe=False)
+    coalesced_reads = _ledger_reads(coalesced, [])
+    reference = _Rig(per_sample=True, probe=False)
+    assert coalesced_reads == _ledger_reads(reference, [])
+    assert coalesced.outcome() == reference.outcome()
+    assert counted == [6, 7]
+
+
+@pytest.mark.parametrize("phase", ["wake", "task"])
+def test_a_read_and_a_post_inside_the_last_fire_of_a_stretch(phase,
+                                                             counted):
+    """A ledger read and a MAC post land in the wake-up or the task of
+    the sixth fire: the four fires before it, ended, are counted, and
+    the sixth is booked with its plans, so the post waits for its
+    end."""
+    def script(rig: _Rig) -> None:
+        _read_ledger_at(rig, _mid_period(0))  # the keys enter the table
+        at = rig.FIRE + 5 * rig.PERIOD + (
+            rig.wake // 2 if phase == "wake" else rig.wake + rig.task // 2)
+        _read_ledger_at(rig, at)
+        rig.post_at(at, PREP)
+
+    coalesced, _ = _both(script, until=milliseconds(45), probe=False)
+    assert counted == [4, 2]  # then the two that end before the horizon
+    assert ("mac", _Rig.FIRE + 5 * _Rig.PERIOD + coalesced.wake
+            + coalesced.task) in coalesced.log
+
+
+def test_a_fire_ending_at_the_entry_tick_is_booked_one_by_one(counted):
+    """A post lands at exactly the fifth fire's end tick: the three
+    fires before it are counted, but the fifth, whose task ends at the
+    post's tick, is booked with its planned sleep, so the post raises
+    as at a single sample's end."""
+    reference = _Rig(per_sample=True, probe=False)
+    end = reference.FIRE + 4 * reference.PERIOD + reference.wake \
+        + reference.task
+    reference.post_at(end, PREP)
+    reference.sim.run_until(milliseconds(30))
+    coalesced = _Rig(per_sample=False, probe=False)
+    _read_ledger_at(coalesced, _mid_period(0))
+    coalesced.post_at(end, PREP)
+    with pytest.raises(SimulationError, match=f"node1.*{end}, the end tick"):
+        coalesced.sim.run_until(milliseconds(30))
+    assert counted == [3]
+
+
+def test_a_reset_right_after_a_counted_stretch(counted):
+    """The measurement reset lands one tick after the seventh fire's
+    end, so its entry counts the six fires since the first read and
+    then discards them with the rest of the warm-up."""
+    def script(rig: _Rig) -> None:
+        _read_ledger_at(rig, _mid_period(0))
+        rig.sim.at(rig.FIRE + 6 * rig.PERIOD + rig.wake + rig.task + 1,
+                   rig.node.reset_measurement)
+        _read_ledger_at(rig, _mid_period(8))
+
+    _both(script, until=milliseconds(60), probe=False)
+    assert counted == [6, 2]  # then the two since the read after it
+
+
+def test_counters_read_mid_run_include_the_counted_fires(counted):
+    """Between two fires, the scheduler's run tasks (an entry point),
+    then the MCU's wake-ups and executed cycles and the app's samples
+    count every fire so far, as the per-task chain's do."""
+    def script(rig: _Rig) -> None:
+        def read() -> None:
+            mcu = rig.node.mcu
+            rig.log.append(("counters", rig.sim.now,
+                            rig.node.scheduler.tasks_run, mcu.wakeups,
+                            mcu.cycles_executed, rig.app.samples_taken))
+
+        _read_ledger_at(rig, _mid_period(0))
+        rig.sim.at(_mid_period(5), read)
+
+    coalesced, _ = _both(script, until=milliseconds(45), probe=False)
+    assert counted == [5, 2]
+    assert ("counters", _mid_period(5), 6, 6,
+            6 * DEFAULT_CALIBRATION.mcu_costs.sample_acquisition,
+            6) in coalesced.log
+
+
+def test_the_first_read_after_a_reset_pins_the_key_order(counted):
+    """A reset inside the first sample's task leaves the MCU active,
+    so the per-task chain books its keys as task, sleep, wake-up.  The
+    fires after the reset are booked one by one until their keys are
+    in the table, so the first read sees that order; the next read
+    counts the fires since."""
+    def script(rig: _Rig) -> None:
+        rig.sim.at(rig.FIRE + rig.wake + rig.task // 2,
+                   rig.node.reset_measurement)
+        _read_ledger_at(rig, _mid_period(5))
+        _read_ledger_at(rig, _mid_period(10))
+
+    coalesced, _ = _both(script, until=milliseconds(60), probe=False)
+    assert counted == [5]
+    first = next(entry for entry in coalesced.log if entry[0] == "ledger")
+    assert [key for key, _ in first[2]] == [
+        ("active", "task"), ("sleep", "sleep"), ("active", "wakeup")]
 
 
 def test_collectors_hold_at_most_the_cap(monkeypatch):

@@ -1,12 +1,26 @@
 """Unit tests for ADC, ASIC and frame models."""
 
+import math
+from typing import List, Sequence
+
 import pytest
 
 from repro.hw.adc import Adc12, FULL_SCALE_CODE
 from repro.hw.asic import BiopotentialAsic, ECG_CHANNEL, NUM_CHANNELS
 from repro.hw.frames import BROADCAST, Frame, FrameKind
-from repro.signals.sources import ConstantSource, SineSource
+from repro.signals.ecg import SyntheticEcg
+from repro.signals.sources import ScaledSource
 from repro.sim.simtime import seconds
+
+
+class _UnitTone:
+    """A 1 Hz unit sine, so a read shows the instant it was taken at."""
+
+    def value_at(self, t_seconds: float) -> float:
+        return math.sin(2.0 * math.pi * t_seconds)
+
+    def values_at(self, times: Sequence[float]) -> List[float]:
+        return [self.value_at(t) for t in times]
 
 
 class TestAdc12:
@@ -73,12 +87,13 @@ class TestBiopotentialAsic:
 
     def test_connected_source(self, sim, cal):
         asic = BiopotentialAsic(sim, cal)
-        asic.connect_source(3, ConstantSource(1.5))
+        asic.connect_source(3, ScaledSource(SyntheticEcg(), gain=0.0,
+                                                offset=1.5))
         assert asic.read_channel(3) == 1.5
 
     def test_source_sees_simulation_time(self, sim, cal):
         asic = BiopotentialAsic(sim, cal)
-        asic.connect_source(0, SineSource(1.0, amplitude=1.0))
+        asic.connect_source(0, _UnitTone())
         values = []
         sim.at(seconds(0.25), lambda: values.append(asic.read_channel(0)))
         sim.run_until(seconds(1.0))
@@ -89,7 +104,7 @@ class TestBiopotentialAsic:
         with pytest.raises(ValueError):
             asic.read_channel(NUM_CHANNELS)
         with pytest.raises(ValueError):
-            asic.connect_source(-1, ConstantSource())
+            asic.connect_source(-1, _UnitTone())
 
     def test_25_channels_with_ecg_last(self):
         assert NUM_CHANNELS == 25
@@ -110,7 +125,8 @@ class TestBiopotentialAsic:
 
     def test_read_block_is_read_channel(self, sim, cal):
         asic = BiopotentialAsic(sim, cal)
-        asic.connect_source(2, SineSource(3.0, amplitude=0.4, offset=1.0))
+        asic.connect_source(2, ScaledSource(SyntheticEcg(), gain=0.4,
+                                                offset=1.0))
         ticks = [0, 7, seconds(0.1), seconds(0.25), seconds(1.0) + 3]
         values = asic.read_block(2, ticks)
         assert asic.reads == len(ticks)

@@ -10,31 +10,16 @@ from repro.signals import ecg as ecg_module
 from repro.signals.arrhythmia import IrregularEcg
 from repro.signals.ecg import (MAX_RECORDED_INSTANTS, MAX_RECORDINGS, PQRST,
                                SyntheticEcg, Wave)
-from repro.signals.sources import (
-    ConstantSource,
-    ScaledSource,
-    SignalSource,
-    SineSource,
-)
+from repro.signals.sources import ScaledSource, SignalSource
 from repro.sim.simtime import TICKS_PER_SECOND, seconds
 
 
 class TestSources:
-    def test_constant(self):
-        assert ConstantSource(1.5).value_at(123.0) == 1.5
-
-    def test_sine(self):
-        source = SineSource(2.0, amplitude=3.0, offset=1.0)
-        assert source.value_at(0.0) == pytest.approx(1.0)
-        assert source.value_at(0.125) == pytest.approx(4.0)
-
-    def test_sine_validation(self):
-        with pytest.raises(ValueError):
-            SineSource(0.0)
-
     def test_scaled(self):
-        scaled = ScaledSource(ConstantSource(2.0), gain=0.8, offset=1.25)
-        assert scaled.value_at(0.0) == pytest.approx(2.85)
+        ecg = SyntheticEcg()
+        scaled = ScaledSource(ecg, gain=0.8, offset=1.25)
+        for t in (0.0, 0.35, 0.5):
+            assert scaled.value_at(t) == 0.8 * ecg.value_at(t) + 1.25
 
 
 class TestSyntheticEcg:
@@ -141,9 +126,6 @@ def _irregular() -> IrregularEcg:
 SOURCES: Dict[str, Callable[[], SignalSource]] = {
     "SyntheticEcg": lambda: SyntheticEcg(hrv_fraction=0.2),
     "IrregularEcg": _irregular,
-    "SineSource": lambda: SineSource(7.0, amplitude=0.3, phase_rad=0.2,
-                                     offset=1.0),
-    "ConstantSource": lambda: ConstantSource(1.25),
     "ScaledSource": lambda: ScaledSource(_irregular(), gain=0.8,
                                          offset=1.25),
 }

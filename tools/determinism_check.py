@@ -49,7 +49,9 @@ checks, each over a reference scenario set:
    (:func:`station_rows`): results carry energies and traffic counts,
    not what the apps computed, so the digest covers the apps' counters,
    the beat reports they still hold and every payload the base station
-   received.
+   received.  Each node's ordered acquisition ticks must be equal too
+   (:func:`acquisition_ticks`), since a sample taken at the wrong tick
+   often changes no code, report or counter.
 
 Every check runs the reference configs (each MAC family, both apps on
 both TDMA MACs) and two fault configs whose crash lands inside a
@@ -58,12 +60,12 @@ inside the burst.  So each check also reaches the radio's deferred
 release and the reboot that waits for it.  A hidden-terminal CSMA
 config adds a partial topology and a lossy channel, so each check also
 covers per-receiver loss draws and audiences smaller than the network.
-Three configs meet a node's sampling grid with other work: one
+Four configs meet a node's sampling grid with other work: one
 samples fast enough that a fire lands inside every beacon processing
 task, one skews its crystals so far that its slot posts land on fire
-ticks, and a dynamic-TDMA R-peak reference config samples so fast that
-fires land in a coalesced task's wake-up and queue behind real
-dispatches.
+ticks, and a dynamic-TDMA R-peak reference config and a dynamic-TDMA
+ECG streaming config sample so fast that fires land in coalesced
+tasks and queue behind real dispatches.
 
 Fingerprints are SHA-256 over the canonical dataclass encoding
 (:func:`repro.exec.cache.config_fingerprint`), so "equal" means equal
@@ -83,10 +85,12 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from repro.apps.ecg_streaming import StreamPayload
+from repro.apps.base import SamplingApplication
+from repro.apps.ecg_streaming import EcgStreamingApp, StreamPayload
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.exec import ScenarioExecutor
 from repro.exec.cache import config_fingerprint
@@ -242,17 +246,29 @@ def skew_beyond_guard_config() -> BanScenarioConfig:
         sync_policy_factory=lambda cal: FixedLead(microseconds(50)))
 
 
+def dynamic_streaming_busy_config() -> BanScenarioConfig:
+    """The dynamic-TDMA ECG streaming reference config sampling at
+    1,370 Hz with 7 ms slots: an untraced run books fires inside
+    coalesced windows and queues fires behind real dispatches, on
+    Table 2's path."""
+    config = next(c for c in reference_configs()
+                  if (c.mac, c.app) == ("dynamic", "ecg_streaming"))
+    return replace(config, sampling_hz=1370.0, slot_ms=7.0)
+
+
 def checked_configs() -> List[BanScenarioConfig]:
     """What checks 1-6 run: the reference configs, the two mid-burst
-    fault configs, the hidden-terminal config, and three configs whose
+    fault configs, the hidden-terminal config, and four configs whose
     sampling fires meet other work: inside beacon processing (ECG
-    streaming and R-peak), and at the tick of a slot post."""
+    streaming and R-peak), at the tick of a slot post, and inside and
+    behind dynamic-TDMA packet tasks (ECG streaming)."""
     return reference_configs() + [contention_fault_config(),
                                   reboot_fault_config(),
                                   hidden_terminal_config(),
                                   beacon_window_config(),
                                   rpeak_beacon_window_config(),
-                                  skew_beyond_guard_config()]
+                                  skew_beyond_guard_config(),
+                                  dynamic_streaming_busy_config()]
 
 
 def result_fingerprint(result: Any) -> str:
@@ -314,6 +330,50 @@ def traced_run(config: BanScenarioConfig, spans: bool = False
     span_fp = tracer.store.fingerprint() if tracer is not None else ""
     return (result_fingerprint(result), digest.hexdigest(), span_fp,
             station_digest(scenario))
+
+
+@contextmanager
+def acquisition_ticks() -> Iterator[Dict[str, List[int]]]:
+    """Record every sampling app's acquisition ticks, per app name, in
+    the order its samples are handled, for scenarios built and run
+    inside the block.
+
+    A per-task sample is acquired at the tick its task runs
+    (``SamplingApplication._acquire``); coalesced ones at the ticks
+    each flush takes from the app's recorded ticks (the base
+    ``flush_samples`` and ``EcgStreamingApp``'s).  The payload read,
+    the end hook and the measurement reset all flush, so every sample
+    is seen.  The app classes are patched while the block runs, so
+    the end hooks that apps register when built call the recorders.
+    """
+    log: Dict[str, List[int]] = {}
+
+    def recording_acquire(acquire: Callable[[Any], None]
+                          ) -> Callable[[Any], None]:
+        def record(app: Any) -> None:
+            acquire(app)  # flushes the earlier, coalesced ticks first
+            log.setdefault(app.name, []).append(app.sample_tick)
+        return record
+
+    def recording_flush(flush: Callable[[Any], None]
+                        ) -> Callable[[Any], None]:
+        def record(app: Any) -> None:
+            log.setdefault(app.name, []).extend(app._deferred_ticks)
+            flush(app)
+        return record
+
+    patches = [(SamplingApplication, "_acquire", recording_acquire),
+               (SamplingApplication, "flush_samples", recording_flush),
+               (EcgStreamingApp, "flush_samples", recording_flush)]
+    originals = [(cls, name, cls.__dict__[name])
+                 for cls, name, _ in patches]
+    for cls, name, wrap in patches:
+        setattr(cls, name, wrap(cls.__dict__[name]))
+    try:
+        yield log
+    finally:
+        for cls, name, original in originals:
+            setattr(cls, name, original)
 
 
 def read_codes_newest_first(scenario: BanScenario) -> None:
@@ -508,12 +568,17 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
     cases.append(("fault config, crash inside a wake-up",
                   wakeup_fault_config()))
     for where, config in cases:
-        coalesced = untraced_run(config)
-        per_sample = traced_run(config)
+        with acquisition_ticks() as coalesced_ticks:
+            coalesced = untraced_run(config)
+        with acquisition_ticks() as per_sample_ticks:
+            per_sample = traced_run(config)
         entries.append({
             "case": where,
             "result_fingerprints": [coalesced[0], per_sample[0]],
             "station_fingerprints": [coalesced[3], per_sample[3]],
+            "acquisitions": [
+                sum(len(ticks) for ticks in coalesced_ticks.values()),
+                sum(len(ticks) for ticks in per_sample_ticks.values())],
         })
         if coalesced[0] != per_sample[0]:
             failures.append(
@@ -521,6 +586,10 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
         if coalesced[3] != per_sample[3]:
             failures.append(
                 "coalesced and per-sample station digests diverge "
+                f"({where})")
+        if coalesced_ticks != per_sample_ticks:
+            failures.append(
+                "coalesced and per-sample acquisition ticks diverge "
                 f"({where})")
     report["cross_mode"] = {"configs": entries}
     return failures
