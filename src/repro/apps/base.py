@@ -157,10 +157,6 @@ class SamplingApplication(Component):
                 self._defer, self._defer_block, self._label_sample):
             self._timer.start_periodic(period)
 
-    def on_stop(self) -> None:
-        self._timer.stop()
-        self._scheduler.stop_grid()
-
     @property
     def samples_taken(self) -> int:
         """Sample vectors acquired so far (one per timer fire)."""

@@ -17,10 +17,7 @@ Subcommands:
 Every subcommand accepts ``--jobs N`` (fan independent scenarios out
 over N worker processes; output identical to sequential).  Commands
 that run a single scenario ignore ``--jobs``.  A scenario that raises
-fails its command with its own error, at any ``--jobs``.  ``run``
-additionally takes ``--faults SPEC`` (deterministic fault injection;
-see ``docs/protocols.md``) and ``--recovery`` (MAC degradation
-behaviour under faults).
+fails its command with its own error, at any ``--jobs``.
 
 Telemetry (see ``docs/observability.md``): ``--metrics PATH`` writes a
 metrics snapshot (JSON, or Prometheus text when PATH ends in
@@ -53,8 +50,6 @@ from .analysis.waveforms import WaveformProbe
 from .baselines.naive import fidelity_ladder
 from .core.report import render_loss_breakdown, render_table
 from .exec import ScenarioExecutor
-from .faults import parse_fault_spec
-from .mac.recovery import RecoveryConfig
 from .net.multi import MultiBanScenario
 from .net.scenario import APPS, MACS, BanScenario, BanScenarioConfig, \
     run_scenario
@@ -280,18 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_flags(run_parser)
     run_parser.add_argument("--join", action="store_true",
                             help="exercise the over-the-air join protocol")
-    run_parser.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="inject a deterministic fault schedule, e.g. "
-             "'crash,node=node1,at=5,reboot=3; "
-             "beacons,node=node2,at=8,count=4' "
-             "(kinds: crash, lockup, beacons, clockstep, random; "
-             "see docs/protocols.md)")
-    run_parser.add_argument(
-        "--recovery", action="store_true",
-        help="enable MAC degradation/recovery behaviour (widened "
-             "beacon windows, duty-cycled reacquisition, SSR backoff) "
-             "- typically combined with --faults")
     run_parser.add_argument("--losses", action="store_true",
                             help="print the loss-taxonomy breakdown")
     run_parser.add_argument("--csv", metavar="PATH", default=None,
@@ -408,15 +391,7 @@ def _scenario_config(args: argparse.Namespace,
 
 def _cmd_run(args: argparse.Namespace) -> int:
     obs = _Observability(args)
-    extra = {}
-    if args.faults:
-        try:
-            extra["faults"] = parse_fault_spec(args.faults)
-        except ValueError as exc:
-            raise SystemExit(f"repro-ban: error: --faults: {exc}")
-    if args.recovery:
-        extra["recovery"] = RecoveryConfig()
-    config = _scenario_config(args, join_protocol=args.join, **extra)
+    config = _scenario_config(args, join_protocol=args.join)
     scenario = BanScenario(
         config, trace=obs.make_trace(config.trace_capacity))
     try:
@@ -451,17 +426,6 @@ def _run_scenario_command(args: argparse.Namespace, obs: _Observability,
         for node_id in sorted(result.nodes):
             print(render_loss_breakdown(result.nodes[node_id]))
             print()
-    if scenario.fault_injector is not None:
-        print()
-        summary = scenario.fault_injector.summary()
-        if summary:
-            print("injected faults:")
-            for node_id, counts in summary.items():
-                details = ", ".join(f"{name}={value}" for name, value
-                                    in sorted(counts.items()))
-                print(f"  {node_id}: {details}")
-        else:
-            print("injected faults: none fired within the horizon")
     records = network_records(result)
     if args.csv:
         with open(args.csv, "w") as handle:

@@ -4,8 +4,7 @@ The energy model is an integral of per-state current over time, so a
 *leaked* resource state never crashes — it silently corrupts the
 estimate.  A radio left in stand-by after its MAC stops keeps accruing
 0.9 mA forever; a periodic timer never cancelled keeps the MCU waking;
-a trace sink never flushed loses the post-mortem.  PR 8 fixed one
-instance of this bug class dynamically (``AlohaNodeMac.on_stop``);
+a trace sink never flushed loses the post-mortem.
 :class:`LifecycleSpec` declares the whole pairing discipline so the
 lint suite (:mod:`repro.lint.lifecycle`, rules LIF001–LIF005) can
 prove it at analysis time.
@@ -118,19 +117,18 @@ class LifecycleSpec:
                 f"acquire and release")
 
 
-#: nRF2401 transceiver: ``power_up`` must pair with a release across
-#: every Component ``on_start``/``on_stop`` boundary.  MACs release
-#: with ``release()``, which the radio itself defers to the end of a
-#: ShockBurst in flight (the chip cannot switch off while
-#: transmitting).  ``send``/``start_rx``/``cca`` after a release is
-#: the use-after-release the runtime RadioError guards catch
-#: dynamically — LIF003 proves it statically.
+#: nRF2401 transceiver: in a class declaring both hooks, a ``power_up``
+#: in ``on_start`` must pair with a release on every path out of
+#: ``on_stop`` (the simulator's components never stop, so none
+#: declares ``on_stop``).  ``send``/``start_rx``/``cca`` after a
+#: release is the use-after-release the runtime RadioError guards
+#: catch dynamically — LIF003 proves it statically.
 RADIO_LIFECYCLE = LifecycleSpec(
     resource="radio",
     module="hw/radio.py",
     class_names=("Nrf2401",),
     acquire=("power_up",),
-    release=("power_down", "release"),
+    release=("power_down",),
     uses=("send", "start_rx", "stop_rx", "cca"),
     idempotent_release=False,
     boundary=(("on_start", "on_stop"),),

@@ -150,9 +150,9 @@ MCU_TRANSITIONS = TransitionSpec(
 #: sensing window are entered only from stand-by (plus the RX -> TX
 #: ShockBurst mode switch); the chip must power up to stand-by before
 #: doing anything, which is why there is no ``power_down -> tx``/``rx``
-#: edge.  ``cca`` is a bounded receive-chain dwell (carrier sense at RX
-#: current) that always returns to stand-by, except when a fault
-#: quiesces the radio mid-sense.
+#: edge, and powers down only from stand-by.  ``cca`` is a bounded
+#: receive-chain dwell (carrier sense at RX current) that always
+#: returns to stand-by.
 RADIO_TRANSITIONS = TransitionSpec(
     component="radio",
     module="hw/radio.py",
@@ -162,7 +162,6 @@ RADIO_TRANSITIONS = TransitionSpec(
     transitions=(
         ("power_down", "standby"),  # power_up()
         ("standby", "power_down"),  # power_down()
-        ("rx", "power_down"),       # power_down() while listening
         ("standby", "rx"),          # start_rx()
         ("rx", "standby"),          # rx tail complete
         ("standby", "tx"),          # send() (ShockBurst event)
@@ -170,7 +169,6 @@ RADIO_TRANSITIONS = TransitionSpec(
         ("tx", "standby"),          # ShockBurst event complete
         ("standby", "cca"),         # cca() carrier-sense window
         ("cca", "standby"),         # sensing window complete
-        ("cca", "power_down"),      # power_down() mid-sense (faults)
     ),
     busy_flags=(("_tx_busy", ("tx",)),),
 )

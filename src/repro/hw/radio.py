@@ -36,7 +36,7 @@ via the node's :class:`~repro.core.losses.LossAccountant`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from ..core.calibration import ModelCalibration
 from ..core.ledger import PowerStateLedger
@@ -45,7 +45,7 @@ from ..core.states import PowerState, PowerStateTable
 from ..sim.kernel import Simulator
 from ..sim.simtime import seconds, to_seconds
 from ..sim.trace import TraceRecorder
-from .frames import Frame, FrameKind
+from .frames import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..core.report import TrafficCounters
@@ -132,36 +132,12 @@ class Nrf2401:
         #: Hardware destination-address filter (ablation switch).
         self.address_filter_enabled = True
         self._rf_channel = 0
-        #: Fault injection (:mod:`repro.faults`): while True, the
-        #: receive chain is locked up — every captured frame is lost
-        #: inside the radio exactly like a CRC failure (RX energy
-        #: spent, MCU never woken).
-        self.fault_rx_deaf = False
-        #: Fault injection: CRC-fail the next N captured beacons.
-        self.fault_drop_beacons = 0
-        #: Frames lost to the two injected receive-path faults above.
-        self.fault_frames_dropped = 0
         #: Optional causal-span tracer (:mod:`repro.obs.spans`); hooks
         #: are plain calls, so None costs one attribute test.
         self.spans: Optional["SpanTracer"] = None
 
         self._rx_since: Optional[int] = None
         self._tx_busy = False
-        # when_idle() callbacks waiting for the ShockBurst in flight.
-        self._idle_waiters: List[Callable[[], None]] = []
-        # Frames whose airtime this radio is actively capturing (RX on
-        # since before first bit).  A fault-driven power_down() moves
-        # them to _fault_cut with the cut tick, so frame_arrival_end
-        # can report an explicit fault_dropped outcome instead of a
-        # silent non-capture.
-        self._capturing: Set[int] = set()
-        # Captures abandoned by a software mode switch (stop_rx/send),
-        # keyed by frame id -> abandon tick.  Normally these drain
-        # silently at frame_arrival_end; if the radio powers down
-        # before that, the teardown was a crash (release) and they are
-        # promoted to fault cuts at their abandon tick.
-        self._rx_abandoned: Dict[int, int] = {}
-        self._fault_cut: Dict[int, int] = {}
         # Carrier-sense window bookkeeping: _cca_busy latches a carrier
         # on the air at the window's start or first reaching it during
         # the window.
@@ -237,56 +213,26 @@ class Nrf2401:
         if self.ledger.state == POWER_DOWN:
             self.ledger.transition(STANDBY)
 
-    def when_idle(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` now or, mid-ShockBurst, at the burst's last
-        tick after its ``on_complete`` (in call order)."""
-        if self._tx_busy:
-            self._idle_waiters.append(callback)
-        else:
-            callback()
-
-    def release(self) -> None:
-        """Stop listening, then power down: the radio side of a MAC stop.
-
-        Mid-ShockBurst the chip cannot be switched off, so the
-        power-down waits for the burst (:meth:`when_idle`).
-        """
-        self.stop_rx()
-        self.when_idle(self.power_down)
-
     def power_down(self) -> None:
-        """Switch everything off.  Illegal mid-transmission."""
+        """Switch everything off, from stand-by.
+
+        Illegal while transmitting, while the receive chain is on (its
+        turn-off tail included) and while sensing: the radio books a
+        capture's energy when the frame leaves the air and a sensing
+        window's when it completes, so a chip switched off in between
+        would leave a cut capture's energy in the wrong loss category
+        and a cut sensing window's in none.
+        """
         if self._tx_busy:
             raise RadioError(f"{self.name}: power_down during transmission")
-        if self._cca_since is not None:
-            # A crash released the radio mid-sense: book the truncated
-            # window (the ledger stops accruing CCA-state energy at
-            # this instant) and drop the pending result callback.
-            partial = (to_seconds(self._sim.now - self._cca_since)
-                       * self._cal.radio_rx_a * self._cal.supply_v)
-            self.accountant.book(RadioEnergyCategory.IDLE_LISTENING,
-                                 partial, frames=0)
-            self._cca_since = None
-            self._cca_on_result = None
-        if self._capturing:
-            # Frames whose airtime we were capturing are cut here; the
-            # channel will still deliver frame_arrival_end (listeners
-            # are fixed at first bit), where the cut becomes an
-            # explicit fault_dropped outcome.
-            for frame_id in self._capturing:
-                self._fault_cut[frame_id] = self._sim.now
-            self._capturing.clear()
-        if self._rx_abandoned:
-            # The MAC's teardown stopped the receive chain moments ago
-            # (stop_rx mid-capture) and now the whole radio goes dark:
-            # that is a crash, not a routine mode switch.  The
-            # abandoned captures become fault cuts at the tick the
-            # chain actually stopped, so the energy booked at
-            # frame_arrival_end matches what the ledger accrued.
-            for frame_id, cut in self._rx_abandoned.items():
-                self._fault_cut.setdefault(frame_id, cut)
-            self._rx_abandoned.clear()
-        self._rx_since = None
+        if self.ledger.state == RX:
+            raise RadioError(
+                f"{self.name}: power_down while the receive chain is on "
+                f"(stop_rx() and wait for its tail first)")
+        if self.ledger.state == CCA:
+            raise RadioError(
+                f"{self.name}: power_down during carrier sensing "
+                f"(wait for the CCA result)")
         self.ledger.transition(POWER_DOWN)
 
     # ------------------------------------------------------------------
@@ -331,13 +277,6 @@ class Nrf2401:
         if self.ledger.state != RX:
             return
         self._rx_since = None
-        # Frames mid-capture are abandoned (legitimately — the chain is
-        # being turned off by the MAC, not cut by a fault).  Remember
-        # the abandon tick: should the radio power down before the
-        # frame drains, power_down() reclassifies these as fault cuts.
-        for frame_id in self._capturing:
-            self._rx_abandoned[frame_id] = self._sim.now
-        self._capturing.clear()
         self.ledger.retag("tail")
         self._sim.after(self._rx_tail_ticks, self._finish_rx_tail,
                         label=self._label_rxtail)
@@ -359,11 +298,10 @@ class Nrf2401:
         The receive chain dwells at RX current without decoding frames;
         ``on_result`` is invoked with ``True`` when any foreign carrier
         overlapped the window (energy-detect style: one on the air when
-        the window opens, or one whose first bit arrives during it) or
-        the receive chain is locked up and reads noise.  The window's
-        energy is booked as idle listening — carrier sensing
-        never captures a frame.  Like RX/TX, sensing is reachable only
-        from stand-by.
+        the window opens, or one whose first bit arrives during it).
+        The window's energy is booked as idle listening — carrier
+        sensing never captures a frame.  Like RX/TX, sensing is
+        reachable only from stand-by.
         """
         if self._tx_busy:
             raise RadioError(f"{self.name}: cca during transmission")
@@ -389,10 +327,8 @@ class Nrf2401:
                         label=self._label_ccadone)
 
     def _finish_cca(self) -> None:
-        if self.ledger.state != CCA:
-            return  # a fault powered the radio down mid-sense
         on_result = self._cca_on_result
-        busy = self._cca_busy or self.fault_rx_deaf
+        busy = self._cca_busy
         # _cca_since can be later than the window start: a measurement
         # reset mid-sense advances it so the booking matches the ledger.
         elapsed = self._sim.now - self._cca_since \
@@ -467,9 +403,6 @@ class Nrf2401:
             # Mode switch: abandon listening immediately (no RX tail; the
             # chip retunes the synthesizer, accounted in the TX settle).
             self._rx_since = None
-            for frame_id in self._capturing:
-                self._rx_abandoned[frame_id] = self._sim.now
-            self._capturing.clear()
         self._tx_busy = True
         if frame.frame_id == 0:
             # First transmit: stamp the per-simulation serial (Frame is
@@ -517,10 +450,6 @@ class Nrf2401:
             self.spans.tx_finish(outcome, self._sim.now)
         if on_complete is not None:
             on_complete(outcome)
-        if self._idle_waiters:
-            waiters, self._idle_waiters = self._idle_waiters, []
-            for waiter in waiters:
-                waiter()
 
     def _book_tx_energy(self, outcome: TxOutcome) -> None:
         frame = outcome.frame
@@ -548,15 +477,12 @@ class Nrf2401:
         """Channel notification: a frame's first bit reaches this radio
         while its chain is on.
 
-        Receiving, the radio captures the frame (tracked so a
-        fault-driven power_down mid-airtime becomes an explicit
-        fault_dropped, not a silent miss).  Sensing, the CCA window now
-        reads busy.
+        Sensing, the CCA window now reads busy.  Receiving, nothing
+        happens until the frame leaves the air
+        (:meth:`frame_arrival_end` decides the capture).
         """
         if self._rx_since is None:
             self._cca_busy = True
-        else:
-            self._capturing.add(transmission.frame.frame_id)
 
     def frame_arrival_end(self, transmission: "Transmission",
                           corrupted: bool) -> None:
@@ -567,28 +493,7 @@ class Nrf2401:
         hardware CRC and address filters and books the RX energy to the
         appropriate loss category.
         """
-        frame_id = transmission.frame.frame_id
-        self._capturing.discard(frame_id)
-        if self._rx_abandoned:
-            self._rx_abandoned.pop(frame_id, None)
         start = transmission.start_time
-        cut = self._fault_cut.pop(frame_id, None) if self._fault_cut \
-            else None
-        if cut is not None:
-            # The radio went dark (a NodeCrash) while
-            # capturing this frame: the receive chain spent RX energy
-            # from first bit to the cut, then went dark.  Book the
-            # truncated capture as a collision-class loss and surface an
-            # explicit fault_dropped outcome instead of a silent miss.
-            partial = (to_seconds(cut - start)
-                       * self._cal.radio_rx_a * self._cal.supply_v)
-            self.accountant.book(RadioEnergyCategory.COLLISION, partial)
-            self._count_corrupted += 1
-            self.fault_frames_dropped += 1
-            if self.spans is not None:
-                self.spans.rx_outcome(transmission.frame, self.address,
-                                      start, cut, "fault_dropped")
-            return
         captured = (self._rx_since is not None and self._rx_since <= start)
         if not captured:
             return  # receiver was off (or turned on mid-frame): nothing seen
@@ -599,23 +504,8 @@ class Nrf2401:
             rx_energy = (to_seconds(airtime)
                          * self._cal.radio_rx_a * self._cal.supply_v)
             self._rx_energy_memo[airtime] = rx_energy
-        faulted = self.fault_rx_deaf
-        if (not faulted and self.fault_drop_beacons > 0
-                and frame.kind is FrameKind.BEACON):
-            self.fault_drop_beacons -= 1
-            faulted = True
         spans = self.spans
         end = transmission.end_time
-        if faulted:
-            # Injected receive-path fault: lost inside the radio like a
-            # CRC failure — the energy is spent, the MCU stays asleep.
-            self.fault_frames_dropped += 1
-            self.accountant.book(RadioEnergyCategory.COLLISION, rx_energy)
-            self._count_corrupted += 1
-            if spans is not None:
-                spans.rx_outcome(frame, self.address, start, end,
-                                 "fault_dropped")
-            return
         if corrupted and self.crc_enabled:
             self.accountant.book(RadioEnergyCategory.COLLISION, rx_energy)
             self._count_corrupted += 1
@@ -695,9 +585,6 @@ class Nrf2401:
         counter("radio", node, "corrupted").inc(self._count_corrupted)
         counter("radio", node,
                 "transitions").inc(self.ledger.transitions)
-        if self.fault_frames_dropped:
-            counter("radio", node,
-                    "fault_frames_dropped").inc(self.fault_frames_dropped)
 
     def reset_measurement(self) -> None:
         """Clear ledger, attribution and counters at measurement start."""

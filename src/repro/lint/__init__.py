@@ -2,11 +2,10 @@
 
 The paper's headline claim is an energy estimate within ~4 % of
 hardware; this reproduction's equivalent claim is *bit-exact
-determinism* — repeat runs, the "merged parallel metrics equal
-sequential" invariant and the "no-fault ledgers stay byte-identical"
-guarantee all silently break if simulation code starts drawing from the
-global RNG, reading the wall clock, or iterating a ``set`` where the
-order can reach the event queue.  ``repro.lint`` turns those reviewer
+determinism* — repeat runs and the "merged parallel metrics equal
+sequential" invariant both silently break if simulation code starts
+drawing from the global RNG, reading the wall clock, or iterating a
+``set`` where the order can reach the event queue.  ``repro.lint`` turns those reviewer
 rules into named, machine-checked ones:
 
 ========  ==========================================================

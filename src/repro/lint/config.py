@@ -23,7 +23,7 @@ DET002_ALLOW: Tuple[str, ...] = (
 
 #: Packages where a set-iteration order could reach the event queue or
 #: a ledger (DET003).
-DET003_PACKAGES: Tuple[str, ...] = ("sim", "mac", "net", "faults")
+DET003_PACKAGES: Tuple[str, ...] = ("sim", "mac", "net")
 
 #: Identifier fragments FLT001 treats as energy/time-like (matched
 #: case-insensitively with ``re.search``).
@@ -70,7 +70,7 @@ FPC_PATTERN = "(Config|Spec|Plan)$"
 #: simulated energy figure.
 FPC_PACKAGES: Tuple[str, ...] = (
     "core", "sim", "tinyos", "hw", "phy", "mac", "apps", "signals",
-    "net", "faults",
+    "net",
 )
 
 

@@ -446,7 +446,7 @@ RULES: Dict[str, Rule] = {
              _check_det002),
         Rule("DET003", "no set iteration in order-sensitive packages",
              "Set iteration order varies across processes (hash "
-             "randomisation); in sim/, mac/, net/ and faults/ that "
+             "randomisation); in sim/, mac/ and net/ that "
              "order can reach the event queue and break bit-exact "
              "replay.  Iterate sorted(...) instead.",
              _check_det003),

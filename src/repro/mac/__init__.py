@@ -4,7 +4,6 @@ the contention family (unslotted ALOHA and 802.15.4-style CSMA/CA)."""
 from .aloha import AlohaBaseMac, AlohaConfig, AlohaNodeMac
 from .base import AppPayload, BaseStationMac, MacCounters, NodeMac, NodeState
 from .csma import CsmaConfig, CsmaNodeMac
-from .recovery import RecoveryConfig
 from .messages import (
     BEACON_BASE_BYTES,
     SLOT_REQUEST_BYTES,
@@ -45,7 +44,6 @@ __all__ = [
     "MacCounters",
     "NodeMac",
     "NodeState",
-    "RecoveryConfig",
     "BEACON_BASE_BYTES",
     "SLOT_REQUEST_BYTES",
     "BeaconPayload",

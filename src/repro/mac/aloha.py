@@ -38,7 +38,6 @@ from ..tinyos.components import Component
 from ..tinyos.scheduler import TaskScheduler
 from .base import AppPayload, MacCounters
 from .messages import make_data
-from .recovery import RecoveryConfig
 
 if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
@@ -83,8 +82,6 @@ class AlohaNodeMac(Component):
         scheduler: this node's TinyOS task scheduler (MCU cost sink).
         calibration: model constants.
         config: poll-loop parameters.
-        recovery: opt-in recovery policy; only CSMA's backoff-cap
-            widening reads it (plain ALOHA has nothing to recover).
     """
 
     #: RNG stream of the first poll's jitter (``<address>.aloha_start``).
@@ -94,7 +91,6 @@ class AlohaNodeMac(Component):
                  scheduler: TaskScheduler,
                  calibration: ModelCalibration,
                  config: AlohaConfig,
-                 recovery: Optional[RecoveryConfig] = None,
                  name: Optional[str] = None,
                  trace: Optional[TraceRecorder] = None) -> None:
         super().__init__(sim, name or f"{radio.address}.mac", trace)
@@ -102,7 +98,6 @@ class AlohaNodeMac(Component):
         self._scheduler = scheduler
         self._cal = calibration
         self.config = config
-        self.recovery = recovery
         self.counters = MacCounters()
         #: Application hook, identical contract to the TDMA MACs.
         self.payload_provider: Optional[Callable[[], Optional[AppPayload]]] \
@@ -112,8 +107,6 @@ class AlohaNodeMac(Component):
         #: A frame still in contention from an earlier poll; polls skip
         #: while one is held (plain ALOHA never holds one).
         self._pending: Optional[Frame] = None
-        #: Consecutive busy CCAs (CSMA's recovery signal).
-        self._busy_streak = 0
         self._label_poll = f"{self.name}.poll"
         self._label_prep = f"{self.name}.pkt_prep"
 
@@ -126,9 +119,6 @@ class AlohaNodeMac(Component):
         return self.config.poll_interval_ticks
 
     def on_start(self) -> None:
-        # A (re)boot starts clean: nothing in contention, no busy streak.
-        self._pending = None
-        self._busy_streak = 0
         self._radio.power_up()
         interval = self.config.poll_interval_ticks
         if self.config.start_jitter:
@@ -137,14 +127,11 @@ class AlohaNodeMac(Component):
                 0, interval - 1)
         else:
             first = 0
-        self.after(first, self._poll, label=self._label_poll)
-
-    def on_stop(self) -> None:
-        self._radio.release()
+        self._sim.after(first, self._poll, label=self._label_poll)
 
     def _poll(self) -> None:
-        self.after(self.config.poll_interval_ticks, self._poll,
-                   label=self._label_poll)
+        self._sim.after(self.config.poll_interval_ticks, self._poll,
+                        label=self._label_poll)
         if self._pending is not None or self.payload_provider is None:
             return
         payload = self.payload_provider()
@@ -173,8 +160,8 @@ class AlohaNodeMac(Component):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.tx_jitter",
                                  self._sim.now, self._sim.now + offset)
-        self.after(offset, lambda: self._queue_tx(frame),
-                   label=f"{self.name}.tx_at")
+        self._sim.after(offset, lambda: self._queue_tx(frame),
+                        label=f"{self.name}.tx_at")
 
     def _queue_tx(self, frame: Frame) -> None:
         if self.spans is not None:
@@ -238,11 +225,6 @@ class AlohaBaseMac(Component):
     def on_start(self) -> None:
         self._radio.power_up()
         self._radio.start_rx()
-
-    def on_stop(self) -> None:
-        # Release the radio, not just the RX state: a collector left in
-        # stand-by after its window keeps booking 0.9 mA forever.
-        self._radio.release()
 
     def _on_frame(self, frame: Frame) -> None:
         if frame.kind is not FrameKind.DATA:

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 from ..core.calibration import ModelCalibration
 from ..hw.frames import Frame, FrameKind
 from ..hw.radio import Nrf2401, TxOutcome
+from ..sim.events import EVT_TIME, EventEntry
 from ..sim.kernel import Simulator
 from ..sim.simtime import TICKS_PER_SECOND, microseconds
 from ..sim.trace import TraceRecorder
@@ -48,7 +49,6 @@ from ..tinyos.components import Component
 from ..tinyos.scheduler import TaskScheduler
 from .messages import BeaconPayload, SlotRequestPayload, make_beacon, \
     make_data, make_slot_request
-from .recovery import RecoveryConfig
 from .slots import SlotSchedule
 from .sync import SyncPolicy
 
@@ -72,10 +72,9 @@ class NodeState(enum.Enum):
 class MacCounters:
     """Protocol-level event counters (per node / base station).
 
-    The recovery-path counters (``windows_widened`` onward) stay zero
-    unless a :class:`~repro.mac.recovery.RecoveryConfig` is installed
-    or the protocol hits the corresponding degraded path — they make
-    degradation measurable rather than silent.
+    The degraded-path counters (``slot_revocations``, ``recoveries``,
+    ``sync_anomalies``) stay zero unless the protocol takes that path:
+    they make degradation measurable rather than silent.
     """
 
     beacons_sent: int = 0
@@ -88,9 +87,6 @@ class MacCounters:
     grants_observed: int = 0
     resyncs: int = 0
     software_discards: int = 0
-    windows_widened: int = 0
-    scan_pauses: int = 0
-    ssr_backoffs: int = 0
     slot_revocations: int = 0
     recoveries: int = 0
     sync_anomalies: int = 0
@@ -131,15 +127,7 @@ class NodeMac(Component):
             estimates drift accordingly (0 = ideal crystal).
         max_missed_beacons: consecutive misses before falling back to
             acquisition.
-        recovery: opt-in degradation/recovery behaviour (guard-window
-            widening, bounded reacquisition scan, SSR backoff).  None
-            (the default) keeps the pre-recovery protocol bit-for-bit.
     """
-
-    #: Variant gate for the exponential slot-re-request backoff: the
-    #: dynamic protocol's ES window benefits from it; the static
-    #: protocol's slot-randomised SSR keeps the paper's behaviour.
-    _supports_ssr_backoff = False
 
     def __init__(self, sim: Simulator, radio: Nrf2401,
                  scheduler: TaskScheduler,
@@ -150,7 +138,6 @@ class NodeMac(Component):
                  first_beacon_ticks: Optional[int] = None,
                  clock_skew_ppm: float = 0.0,
                  max_missed_beacons: int = 3,
-                 recovery: Optional[RecoveryConfig] = None,
                  name: Optional[str] = None,
                  trace: Optional[TraceRecorder] = None) -> None:
         super().__init__(sim, name or f"{radio.address}.mac", trace)
@@ -163,7 +150,6 @@ class NodeMac(Component):
         self._first_beacon = first_beacon_ticks
         self._skew_ppm = clock_skew_ppm
         self._max_missed = max_missed_beacons
-        self._recovery = recovery
 
         self._state = NodeState.ACQUIRING
         self._state_since = sim.now
@@ -190,9 +176,6 @@ class NodeMac(Component):
         self._next_window_open: Optional[int] = None
         self._next_slot_time: Optional[int] = None
         self._next_expected_beacon: Optional[int] = None
-        self._scan_serial = 0
-        self._ssr_attempts = 0
-        self._ssr_skip_remaining = 0
 
         # Event labels are scheduled once per cycle per node; precompute
         # them so the hot paths never rebuild the same f-string.
@@ -260,25 +243,12 @@ class NodeMac(Component):
             if self._first_beacon is None:
                 raise ValueError(
                     f"{self.name}: preassigned slot needs first_beacon_ticks")
-            if self._first_beacon <= self._sim.now:
-                # Warm reboot after a crash: the configured first
-                # beacon is long gone, so reacquire the schedule (the
-                # base station still lists the preassigned slot, so the
-                # next beacon re-grants it immediately).
-                self._enter_acquisition()
-                return
             self.state = NodeState.SYNCED
             self._cycle_ticks = self._initial_cycle_ticks()
             self._last_sync = self._first_beacon - self._cycle_ticks
             self._arm_beacon_window(self._first_beacon)
         else:
             self._enter_acquisition()
-
-    def on_stop(self) -> None:
-        # Stopping the MAC releases the radio: a node left in stand-by
-        # after its stack stops keeps accruing stand-by current against
-        # a node that is no longer running.
-        self._radio.release()
 
     @property
     def slot(self) -> Optional[int]:
@@ -335,77 +305,17 @@ class NodeMac(Component):
         """Last known TDMA cycle length."""
         return self._cycle_ticks
 
-    def apply_clock_step(self, offset_ticks: int) -> None:
-        """Step this node's local clock by ``offset_ticks``.
-
-        Models a timer glitch (fault injection): the node's idea of
-        when the next beacon is due shifts by the step, so it wakes
-        early or late and — when the step exceeds the guard lead —
-        misses beacons until the normal resync machinery recovers.
-        While ACQUIRING the receiver is already on continuously, so a
-        step is invisible.  Backward steps are clamped so the beacon
-        expectation never precedes the last sync point (the
-        ``sync_anomalies`` trap in :meth:`_arm_beacon_window` stays a
-        genuine invariant).
-        """
-        if offset_ticks == 0 or not self.started:
-            return
-        if (self.state is NodeState.ACQUIRING
-                or self._next_expected_beacon is None):
-            return
-        floor = self._sim.now + 1
-        if self._last_sync is not None:
-            floor = max(floor, self._last_sync + 1)
-        shifted = max(self._next_expected_beacon + offset_ticks, floor)
-        self._window_serial += 1  # supersede the old miss timeout
-        self._arm_beacon_window(shifted)
-
     # ------------------------------------------------------------------
     # Acquisition
     # ------------------------------------------------------------------
-    def _enter_acquisition(self, scan: bool = False) -> None:
+    def _enter_acquisition(self) -> None:
         if self.state is not NodeState.ACQUIRING:
             self.counters.resyncs += 1
         self.state = NodeState.ACQUIRING
         self._slot = None if self._preassigned_slot is None else self._slot
         self._missed = 0
-        self._ssr_attempts = 0
-        self._ssr_skip_remaining = 0
+        # Reacquisition, like the join phase, is continuous listening.
         self._radio.start_rx()
-        # Post-demotion reacquisition may duty-cycle the receiver
-        # (bounded scan); the initial cold acquisition never does — the
-        # paper's join phase is continuous listening.
-        self._scan_serial += 1
-        if (scan and self._recovery is not None
-                and self._recovery.scan_off_cycles > 0
-                and self._cycle_ticks is not None):
-            self._arm_scan_pause(self._scan_serial)
-
-    def _arm_scan_pause(self, serial: int) -> None:
-        assert self._recovery is not None and self._cycle_ticks is not None
-        on_ticks = round(self._recovery.scan_on_cycles * self._cycle_ticks)
-        self.after(max(on_ticks, 1), lambda: self._scan_pause(serial),
-                   label=f"{self.name}.scan_pause")
-
-    def _scan_pause(self, serial: int) -> None:
-        if serial != self._scan_serial:
-            return
-        if self.state is not NodeState.ACQUIRING:
-            return  # a beacon ended the scan
-        assert self._recovery is not None and self._cycle_ticks is not None
-        self._radio.stop_rx()
-        self.counters.scan_pauses += 1
-        off_ticks = round(self._recovery.scan_off_cycles * self._cycle_ticks)
-        self.after(max(off_ticks, 1), lambda: self._scan_resume(serial),
-                   label=f"{self.name}.scan_resume")
-
-    def _scan_resume(self, serial: int) -> None:
-        if serial != self._scan_serial:
-            return
-        if self.state is not NodeState.ACQUIRING:
-            return
-        self._radio.start_rx()
-        self._arm_scan_pause(serial)
 
     # ------------------------------------------------------------------
     # Beacon window management (SYNCED / JOINING)
@@ -434,28 +344,25 @@ class NodeMac(Component):
                     f"expected={expected_beacon} last={self._last_sync}")
             since_sync = 0
         lead = self._sync.lead_ticks(self._cycle_ticks, since_sync)
-        if self._recovery is not None and self._missed > 0:
-            widened = self._recovery.widened_lead(lead, self._missed)
-            if widened != lead:
-                lead = widened
-                self.counters.windows_widened += 1
         self._next_expected_beacon = expected_beacon
         wake = max(expected_beacon - lead, self._sim.now)
         self._beacon_seen_this_window = False
         self._window_serial += 1
         serial = self._window_serial
         self._next_window_open = wake
-        self.at(wake, lambda: self._open_window(serial), self._label_rxon)
+        self._sim.at(wake, lambda: self._open_window(serial),
+                     self._label_rxon)
         # Keep listening one lead past the expected time before declaring
         # a miss (symmetric guard), plus a beacon airtime.
         airtime = microseconds(200)
         timeout = expected_beacon + lead + airtime
-        self.at(timeout, lambda: self._beacon_timeout(expected_beacon, serial),
-                label=self._label_beacon_timeout)
+        self._sim.at(timeout,
+                     lambda: self._beacon_timeout(expected_beacon, serial),
+                     label=self._label_beacon_timeout)
 
     def _open_window(self, serial: int) -> None:
         if serial != self._window_serial:
-            return  # superseded (e.g. an injected clock step re-armed)
+            return  # superseded by a newer window
         if self.state is NodeState.ACQUIRING:
             return  # already listening continuously
         if not self._beacon_seen_this_window and not self._radio.is_receiving:
@@ -472,7 +379,7 @@ class NodeMac(Component):
         self._missed += 1
         self._radio.stop_rx()
         if self._missed >= self._max_missed:
-            self._enter_acquisition(scan=True)
+            self._enter_acquisition()
             return
         # Free-run: trust the local clock for another cycle.
         assert self._cycle_ticks is not None
@@ -538,11 +445,10 @@ class NodeMac(Component):
         if self.state is NodeState.SYNCED:
             listed = payload.slot_of(self._radio.address)
             if listed is None:
-                # The schedule no longer carries this node (its slot
-                # was reclaimed while it free-ran, or the base station
-                # rebooted).  Transmitting in a slot the base station
-                # may hand to someone else would double-allocate it, so
-                # surrender the slot and re-join.
+                # The schedule no longer carries this node (the base
+                # station released its slot).  Transmitting in a slot
+                # the base station may hand to someone else would
+                # double-allocate it, so surrender the slot and re-join.
                 self.counters.slot_revocations += 1
                 self._slot = None
                 self.state = NodeState.JOINING
@@ -558,12 +464,6 @@ class NodeMac(Component):
                 self.state = NodeState.SYNCED
                 self.counters.grants_observed += 1
                 self._join_pending = False
-                self._ssr_attempts = 0
-                self._ssr_skip_remaining = 0
-            elif self._ssr_skip_remaining > 0:
-                # Exponential backoff: sit this cycle's ES window out.
-                self._ssr_skip_remaining -= 1
-                self.counters.ssr_backoffs += 1
             else:
                 self._schedule_slot_request(beacon_start, payload)
 
@@ -590,7 +490,7 @@ class NodeMac(Component):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.slot_wait",
                                  self._sim.now, tx_time)
-        self.at(tx_time, self._slot_fired, label=self._label_slot)
+        self._sim.at(tx_time, self._slot_fired, label=self._label_slot)
 
     def _slot_fired(self) -> None:
         if self.state is not NodeState.SYNCED or self._slot is None:
@@ -626,10 +526,6 @@ class NodeMac(Component):
                                   wanted_slot=wanted_slot)
         self.counters.slot_requests_sent += 1
         self._join_pending = True
-        self._ssr_attempts += 1
-        if self._recovery is not None and self._supports_ssr_backoff:
-            self._ssr_skip_remaining = \
-                self._recovery.ssr_skip_cycles(self._ssr_attempts)
         if self.spans is not None:
             self.spans.packet_queued(frame, self._sim.now,
                                      self._label_ssr)
@@ -666,9 +562,9 @@ class BaseStationMac(Component):
         self.data_sink: Optional[Callable[[Frame], None]] = None
         #: Optional causal-span tracer (:mod:`repro.obs.spans`).
         self.spans: Optional["SpanTracer"] = None
-        #: Absolute time of the next beacon (kept current for scenario
-        #: alignment and diagnostics).
-        self.next_beacon_ticks = first_beacon_ticks
+        #: Kernel entry of the next beacon once started: the cadence's
+        #: handle, whose time :attr:`next_beacon_ticks` reads.
+        self._next_beacon: Optional[EventEntry] = None
         self._sequence = 0
         # Event/task labels are stable per instance; precompute them so
         # the per-cycle and per-frame paths avoid f-string formatting.
@@ -690,6 +586,14 @@ class BaseStationMac(Component):
     def current_cycle_ticks(self) -> int:
         """Public view of the cycle length currently in effect."""
         return self._current_cycle_ticks()
+
+    @property
+    def next_beacon_ticks(self) -> int:
+        """Absolute time of the next beacon (for scenario alignment and
+        diagnostics)."""
+        if self._next_beacon is None:
+            return self._first_beacon
+        return self._next_beacon[EVT_TIME]
 
     def observe_metrics(self, registry: "MetricsRegistry",
                         node: str) -> None:
@@ -718,24 +622,14 @@ class BaseStationMac(Component):
     # ------------------------------------------------------------------
     def on_start(self) -> None:
         self._radio.power_up()
-        self.at(self._first_beacon, self._beacon_time,
-                label=self._label_beacon)
-
-    def on_stop(self) -> None:
-        self._radio.release()
+        self._next_beacon = self._sim.at(self._first_beacon,
+                                         self._beacon_time,
+                                         label=self._label_beacon)
 
     # ------------------------------------------------------------------
     # Beacon cadence
     # ------------------------------------------------------------------
-    def _before_beacon(self) -> None:
-        """Variant hook: housekeeping at each beacon instant (e.g.
-        expiring inactive slot owners)."""
-
-    def _frame_activity(self, frame: Frame) -> None:
-        """Variant hook: a frame from ``frame.src`` proves it is alive."""
-
     def _beacon_time(self) -> None:
-        self._before_beacon()
         cycle = self._current_cycle_ticks()
         self._sequence += 1
         payload = BeaconPayload(cycle_ticks=cycle,
@@ -752,21 +646,19 @@ class BaseStationMac(Component):
             lambda: self._radio.send(frame, self._beacon_sent),
             self._cal.mcu_costs.packet_preparation,
             label=self._label_beacon_prep)
-        self.next_beacon_ticks = self._sim.now + cycle
-        self.at(self.next_beacon_ticks, self._beacon_time,
-                label=self._label_beacon)
+        self._next_beacon = self._sim.at(self._sim.now + cycle,
+                                         self._beacon_time,
+                                         label=self._label_beacon)
 
     def _beacon_sent(self, outcome: TxOutcome) -> None:
         self.counters.beacons_sent += 1
-        if self.started:
-            # Listen for the rest of the cycle (R region of Figure 2).
-            self._radio.start_rx()
+        # Listen for the rest of the cycle (R region of Figure 2).
+        self._radio.start_rx()
 
     # ------------------------------------------------------------------
     # Reception
     # ------------------------------------------------------------------
     def _on_frame(self, frame: Frame) -> None:
-        self._frame_activity(frame)
         if frame.kind is FrameKind.SLOT_REQUEST:
             payload = frame.payload
             if not isinstance(payload, SlotRequestPayload):

@@ -32,11 +32,7 @@ default calibration) and costs nothing.
 Every backoff draw comes from the named per-node stream
 ``<address>.csma_backoff`` of the simulator's RNG registry, so runs
 are bit-reproducible and the RNG-provenance lint can verify the seed
-path.  With a :class:`~repro.mac.recovery.RecoveryConfig` installed, a
-streak of consecutive busy CCAs (a saturated channel — or a receive
-chain locked up by the ``RadioLockup`` fault, which reads as noise)
-widens the backoff-exponent cap by ``csma_be_boost`` until an idle
-CCA clears it.
+path.
 
 The base station is the ALOHA collector
 (:class:`~repro.mac.aloha.AlohaBaseMac`) unchanged: a permanently
@@ -105,8 +101,7 @@ class CsmaNodeMac(AlohaNodeMac):
     (:meth:`_transmit`) instead of waiting for a random instant.  While
     it contends, later polls are skipped.  Takes the same arguments as
     :class:`~repro.mac.aloha.AlohaNodeMac`; ``config`` must be a
-    :class:`CsmaConfig`, and a ``recovery`` policy widens the backoff
-    cap under busy-CCA streaks (None = plain 802.15.4 behaviour).
+    :class:`CsmaConfig`.
     """
 
     config: CsmaConfig
@@ -128,12 +123,6 @@ class CsmaNodeMac(AlohaNodeMac):
         self._be = self.config.min_be
         self._attempt(frame)
 
-    def _cap_widened(self) -> bool:
-        """Whether the busy streak has widened the backoff cap."""
-        recovery = self.recovery
-        return (recovery is not None and recovery.csma_busy_streak > 0
-                and self._busy_streak >= recovery.csma_busy_streak)
-
     def _attempt(self, frame: Frame) -> None:
         units = self._sim.rng.uniform_ticks(
             f"{self._radio.address}.csma_backoff", 0, (1 << self._be) - 1)
@@ -142,8 +131,8 @@ class CsmaNodeMac(AlohaNodeMac):
         if self.spans is not None:
             self.spans.mac_phase(frame, "mac.backoff_wait",
                                  self._sim.now, self._sim.now + wait)
-        self.after(wait, lambda: self._start_cca(frame),
-                   label=f"{self.name}.backoff")
+        self._sim.after(wait, lambda: self._start_cca(frame),
+                        label=f"{self.name}.backoff")
 
     def _start_cca(self, frame: Frame) -> None:
         start = self._sim.now
@@ -155,29 +144,11 @@ class CsmaNodeMac(AlohaNodeMac):
             self.spans.mac_phase(frame, "mac.cca", start, self._sim.now,
                                  "busy" if busy else "idle")
         if not busy:
-            if self._trace is not None and self._cap_widened():
-                self._trace.record(self._sim.now, self.name,
-                                   "backoff_cap_restored", "")
-            self._busy_streak = 0
             self._radio.send(frame, self._tx_done)
             return
         self.counters.cca_busy += 1
-        self._busy_streak += 1
-        recovery = self.recovery
-        if recovery is not None \
-                and self._busy_streak == recovery.csma_busy_streak:
-            # Persistent busy readings: a saturated channel or a
-            # locked-up receive chain.  Widen the contention window.
-            self.counters.windows_widened += 1
-            if self._trace is not None:
-                self._trace.record(self._sim.now, self.name,
-                                   "backoff_cap_widened",
-                                   f"streak={self._busy_streak}")
-        cap = self.config.max_be
-        if recovery is not None and self._cap_widened():
-            cap += recovery.csma_be_boost
         self._nb += 1
-        self._be = min(self._be + 1, cap)
+        self._be = min(self._be + 1, self.config.max_be)
         if self._nb > self.config.max_backoffs:
             # 802.15.4 channel-access failure: the frame is dropped at
             # the MAC without ever hitting the air.

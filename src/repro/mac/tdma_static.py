@@ -22,7 +22,6 @@ from ..sim.trace import TraceRecorder
 from ..tinyos.scheduler import TaskScheduler
 from .base import BaseStationMac, NodeMac
 from .messages import BeaconPayload, SlotRequestPayload
-from .recovery import RecoveryConfig
 from .slots import SlotSchedule, static_slot_offset
 from .sync import SyncPolicy, paper_static_policy
 
@@ -68,7 +67,6 @@ class StaticTdmaNodeMac(NodeMac):
                  sync_policy: Optional[SyncPolicy] = None,
                  preassigned_slot: Optional[int] = None,
                  clock_skew_ppm: float = 0.0,
-                 recovery: Optional[RecoveryConfig] = None,
                  trace: Optional[TraceRecorder] = None) -> None:
         self.config = config
         policy = sync_policy if sync_policy is not None \
@@ -79,7 +77,6 @@ class StaticTdmaNodeMac(NodeMac):
             preassigned_slot=preassigned_slot,
             first_beacon_ticks=config.first_beacon_ticks,
             clock_skew_ppm=clock_skew_ppm,
-            recovery=recovery,
             trace=trace)
 
     def _initial_cycle_ticks(self) -> int:
@@ -112,9 +109,9 @@ class StaticTdmaNodeMac(NodeMac):
         if self.spans is not None:
             self.spans.note_wait(self._radio.address, "mac.ssr_wait",
                                  self._sim.now, request_time)
-        self.at(request_time,
-                lambda: self._send_slot_request(wanted_slot=wanted),
-                label=f"{self.name}.ssr_slot")
+        self._sim.at(request_time,
+                     lambda: self._send_slot_request(wanted_slot=wanted),
+                     label=f"{self.name}.ssr_slot")
 
 
 class StaticTdmaBaseMac(BaseStationMac):

@@ -27,10 +27,8 @@ from ..apps.ecg_streaming import EcgStreamingApp, codes_per_payload
 from ..apps.rpeak import RPEAK_SAMPLING_HZ, RpeakApp
 from ..core.calibration import DEFAULT_CALIBRATION, ModelCalibration
 from ..core.report import NetworkEnergyResult
-from ..faults import FaultInjector, FaultPlan
 from ..mac.aloha import AlohaBaseMac, AlohaConfig, AlohaNodeMac
 from ..mac.csma import CsmaConfig, CsmaNodeMac
-from ..mac.recovery import RecoveryConfig
 from ..mac.sync import SyncPolicy
 from ..mac.tdma_dynamic import DynamicTdmaBaseMac, DynamicTdmaConfig, \
     DynamicTdmaNodeMac
@@ -108,13 +106,6 @@ class BanScenarioConfig:
     #: (LPM3-class) MCU mode instead of LPM0.  None (default) keeps the
     #: paper's validated LPM0-only behaviour.
     deep_sleep_threshold_ms: Optional[float] = None
-    #: Deterministic fault schedule (:mod:`repro.faults`); None keeps
-    #: the scenario byte-identical to a build predating fault support.
-    faults: Optional[FaultPlan] = None
-    #: MAC degradation behaviour under faults (widened beacon windows,
-    #: duty-cycled reacquisition scans, SSR backoff).  None (default)
-    #: keeps the paper's plain missed-beacon machinery.
-    recovery: Optional[RecoveryConfig] = None
 
     def __post_init__(self) -> None:
         if self.mac not in MACS:
@@ -207,16 +198,11 @@ class BanScenario:
             address=f"{prefix}base_station", trace=self.trace)
         self.nodes: List[SensorNode] = []
         self.ecg_sources: Dict[str, SyntheticEcg] = {}
-        #: Armed fault injector (None when the config has no faults).
-        self.fault_injector: Optional[FaultInjector] = None
         #: Causal-span tracer, installed by
         #: :func:`repro.obs.spans.attach_span_tracer`; reset_all drops
         #: its warm-up spans alongside the ledgers.
         self.span_tracer: Optional["SpanTracer"] = None
         self._build()
-        if config.faults:
-            self.fault_injector = FaultInjector(self, config.faults)
-            self.fault_injector.arm()
 
     # ------------------------------------------------------------------
     # Construction
@@ -271,15 +257,13 @@ class BanScenario:
                     else CsmaNodeMac
                 mac = node_type(
                     self.sim, node.radio, node.scheduler, cal,
-                    mac_config, recovery=config.recovery,
-                    trace=self.trace)
+                    mac_config, trace=self.trace)
             elif config.mac == "static":
                 mac = StaticTdmaNodeMac(
                     self.sim, node.radio, node.scheduler, cal, mac_config,
                     sync_policy=self._sync_policy(),
                     preassigned_slot=preassigned,
-                    clock_skew_ppm=skew,
-                    recovery=config.recovery, trace=self.trace)
+                    clock_skew_ppm=skew, trace=self.trace)
                 if preassigned is not None:
                     bs_mac.schedule.assign(preassigned, node_id)
             else:
@@ -287,8 +271,7 @@ class BanScenario:
                     self.sim, node.radio, node.scheduler, cal, mac_config,
                     sync_policy=self._sync_policy(),
                     preassigned_slot=preassigned,
-                    clock_skew_ppm=skew,
-                    recovery=config.recovery, trace=self.trace)
+                    clock_skew_ppm=skew, trace=self.trace)
                 if preassigned is not None:
                     bs_mac.schedule.assign(preassigned, node_id)
             node.install_mac(mac)

@@ -71,9 +71,6 @@ def collect_scenario_metrics(scenario: "BanScenario",
     base.mcu.observe_metrics(registry, base.address)
     if base.mac is not None and hasattr(base.mac, "observe_metrics"):
         base.mac.observe_metrics(registry, base.address)
-    injector = getattr(scenario, "fault_injector", None)
-    if injector is not None:
-        injector.observe_metrics(registry)
 
 
 class PeriodicSnapshotter:

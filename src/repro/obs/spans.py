@@ -26,7 +26,7 @@ phase                      interval
 ``radio.tail``             TX shutdown tail (TX state, tag ``tail``)
 ``phy.rx``                 the frame's airtime at one receiver, with the
                            receive outcome (``delivered`` / ``corrupted`` /
-                           ``overheard`` / ``fault_dropped``) as its status
+                           ``overheard``) as its status
 ========================  ====================================================
 
 Determinism argument

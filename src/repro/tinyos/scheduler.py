@@ -41,9 +41,9 @@ dispatched, so its ``task_started`` hook fires.  An observed run
 therefore dispatches the same events as a plain one.
 
 Same-tick order is never guessed: a post (or a sampling fire) at
-exactly the end tick of such a window, a settle at exactly a body's
-start tick from inside an event, or a :meth:`TaskScheduler.clear` at
-exactly that tick, raises :class:`~repro.sim.events.SimulationError`.
+exactly the end tick of such a window, or a settle at exactly a body's
+start tick from inside an event, raises
+:class:`~repro.sim.events.SimulationError`.
 
 Sampling grid
 -------------
@@ -52,10 +52,10 @@ A coalescing node's sampling application hands its periodic fire to
 the scheduler (:meth:`TaskScheduler.start_grid`) instead of arming a
 kernel timer, so no fire costs a kernel event.  At its next entry
 point (a post, :meth:`~TaskScheduler.run_idle`,
-:meth:`~TaskScheduler.settle`, :meth:`~TaskScheduler.clear`, a
-dispatch, a read of :attr:`~TaskScheduler.tasks_run`,
-:attr:`~TaskScheduler.is_idle` or :attr:`~TaskScheduler.pending`, the
-grid's stop, and every read of the MCU ledger through its
+:meth:`~TaskScheduler.settle`, a dispatch, a read of
+:attr:`~TaskScheduler.tasks_run`, :attr:`~TaskScheduler.is_idle` or
+:attr:`~TaskScheduler.pending`, and every read of the MCU ledger
+through its
 :attr:`~repro.core.ledger.PowerStateLedger.sync` hook) the scheduler
 books every fire that has come due, one by one, as the timer's
 handler would have at its tick: a :meth:`~TaskScheduler.run_idle`
@@ -97,7 +97,7 @@ from collections import deque
 from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
 from ..hw.mcu import ACTIVE, SLEEP, Msp430
-from ..sim.events import EventEntry, SimulationError, cancel_event
+from ..sim.events import SimulationError
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 from .power import DeepSleepPolicy, Lpm0Only
@@ -144,8 +144,6 @@ class TaskScheduler:
         #: None, cycles).
         self._unsettled: Deque[
             Tuple[int, Optional[Callable[[int], None]], int]] = deque()
-        #: The dispatch a post planned at the end of a coalesced task.
-        self._planned_dispatch: Optional[EventEntry] = None
         #: Sampling grid (see "Sampling grid"): the next fire not yet
         #: booked (None: no grid) and the fire before it (or the
         #: arming tick).  That fire's kernel mark lies in
@@ -306,12 +304,6 @@ class TaskScheduler:
         mcu.ledger.sync = self._ledger_sync
         return True
 
-    def stop_grid(self) -> None:
-        """Stop the sampling grid, booking the fires due so far."""
-        self._sync()
-        self._grid_next = None
-        self._mcu.ledger.sync = None
-
     def _sync(self) -> None:
         """Book the grid fires due by now (every entry point)."""
         grid = self._grid_next
@@ -471,36 +463,7 @@ class TaskScheduler:
             raise _end_tick_error(self.name, label, end)
         self._idle_at = None
         self._mcu.ledger.cancel_plan(end, SLEEP)
-        self._planned_dispatch = self._sim.at(
-            end, self._dispatch_next, label=self._dispatch_label)
-
-    def clear(self) -> None:
-        """Drop every task that has not started (an MCU reset); the
-        running one ends as booked.  Booked tasks that have not started
-        go too (a :meth:`run_idle` task still in its wake-up, a fire's
-        task waiting in a coalesced window): their planned starts and
-        sleep become a sleep at the first one's start tick, as when a
-        dispatch finds the queue empty."""
-        self._sync()
-        self._queue.clear()
-        unsettled, now = self._unsettled, self._sim._now
-        if self._sim.running and any(entry[0] == now
-                                     for entry in unsettled):
-            raise SimulationError(
-                f"{self.name}: cleared at tick {now}, the start tick of a "
-                "coalesced task; the per-task order of the two is unknown")
-        if not unsettled or unsettled[-1][0] <= now:
-            return  # all started
-        ledger = self._mcu.ledger
-        if self._idle_at is not None:
-            ledger.cancel_plan(self._idle_at, SLEEP)
-        elif self._planned_dispatch is not None:  # a post moved the sleep
-            cancel_event(self._planned_dispatch)
-        while unsettled and unsettled[-1][0] > now:
-            start = unsettled.pop()[0]
-            ledger.cancel_plan(start, ACTIVE)
-        ledger.plan((start, _ASLEEP))
-        self._idle_at = start
+        self._sim.at(end, self._dispatch_next, label=self._dispatch_label)
 
     def post_cost_only(self, cycles: int, label: str = "") -> Optional[Task]:
         """Post a task that only costs MCU time (no modelled side effect).

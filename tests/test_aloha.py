@@ -1,27 +1,13 @@
 """Tests for the unslotted-ALOHA baseline MAC."""
 
-import dataclasses
-
 import pytest
 
-from repro.core.calibration import (
-    DEFAULT_CALIBRATION,
-    RADIO_STANDBY_DATASHEET_A,
-)
-from repro.faults import FaultPlan, NodeCrash
 from repro.hw.mcu import Msp430
 from repro.hw.radio import Nrf2401
-from repro.mac import aloha
 from repro.mac.aloha import AlohaConfig, AlohaNodeMac
 from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.phy.channel import Channel
-from repro.sim.simtime import (
-    TICKS_PER_SECOND,
-    microseconds,
-    milliseconds,
-    seconds,
-)
-from repro.sim.trace import TraceRecorder
+from repro.sim.simtime import milliseconds, seconds
 from repro.tinyos.scheduler import TaskScheduler
 
 
@@ -115,122 +101,6 @@ class TestDelivery:
         for node in result.nodes.values():
             assert node.losses.total_j * 1e3 \
                 == pytest.approx(node.radio_mj, rel=1e-9)
-
-
-class TestStopReleasesRadio:
-    def test_stopped_node_stops_accruing_standby(self):
-        """Regression: AlohaNodeMac had no on_stop, so a stopped node's
-        radio sat in stand-by forever — invisible with the paper's
-        0 A stand-by figure, a real leak with the datasheet's 12 uA."""
-        cal = dataclasses.replace(
-            DEFAULT_CALIBRATION,
-            radio_standby_a=RADIO_STANDBY_DATASHEET_A)
-        config = BanScenarioConfig(
-            mac="aloha", app="ecg_streaming", num_nodes=1,
-            sampling_hz=205.0, measure_s=1.0, calibration=cal)
-        scenario = BanScenario(config)
-        scenario.start_all()
-        scenario.sim.run_until(seconds(0.5))
-        node = scenario.nodes[0]
-        assert not node.radio.is_transmitting  # deterministic instant
-        node.stack.stop_all()
-        assert node.radio.state == "power_down"
-        settled = node.radio.ledger.energy_j()
-        scenario.sim.run_until(seconds(1.5))
-        assert node.radio.ledger.energy_j() == settled
-
-    def test_stop_mid_transmission_defers_power_down(self, sim, cal):
-        channel = Channel(sim)
-        Nrf2401(sim, cal, channel, "base_station", name="bs.radio")
-        radio = Nrf2401(sim, cal, channel, "node1", name="node1.radio")
-        scheduler = TaskScheduler(sim, Msp430(sim, cal))
-        mac = AlohaNodeMac(
-            sim, radio, scheduler, cal,
-            AlohaConfig(poll_interval_ticks=milliseconds(0.486),
-                        start_jitter=False))
-        mac.payload_provider = lambda: (18, {"d": 1})
-        mac.start()
-        # The 486 us window pins the TX offset to <= 1 us; queued packet
-        # preparations then serialise sends 4.19 ms apart, so a 485 us
-        # TX event is reliably in flight at 4.4 ms.
-        sim.run_until(seconds(0.0044))
-        assert radio.is_transmitting
-        sent_at_stop = mac.counters.data_sent
-        mac.stop()
-        scheduler.clear()  # a crash drops the queued preparations
-        assert radio.state == "tx"     # mid-ShockBurst: deferred
-        sim.run_until(seconds(0.1))
-        assert radio.state == "power_down"
-        # Only the in-flight frame completes after the stop.
-        assert mac.counters.data_sent == sent_at_stop + 1
-
-
-class TestPollChain:
-    @pytest.mark.parametrize("mac", ["aloha", "csma"])
-    def test_fast_reboot_keeps_one_poll_chain(self, mac):
-        """Regression: the poll re-armed with a handle nobody kept, so a
-        stop could not cancel it.  A reboot before the pending poll
-        fired resumed the old chain next to the new one, and the node
-        polled (and sent) twice as often."""
-        config = BanScenarioConfig(
-            mac=mac, app="ecg_streaming", num_nodes=2, seed=5,
-            measure_s=2.0,
-            faults=FaultPlan((NodeCrash(node="node1", at_s=1.0,
-                                        reboot_after_s=0.005),)))
-        trace = TraceRecorder()
-        BanScenario(config, trace=trace).run()
-        polls = [record.time for record in trace
-                 if record.kind == "dispatch"
-                 and record.detail == "node1.mac.poll"]
-        before = sum(seconds(0.5) <= t < seconds(1.0) for t in polls)
-        after = sum(seconds(1.5) <= t < seconds(2.0) for t in polls)
-        assert before == 17
-        assert after == before
-
-    @pytest.mark.parametrize("mac,seed", [("aloha", 23), ("csma", 17)])
-    def test_reboot_drops_frame_polled_before_crash(self, mac, seed,
-                                                    monkeypatch):
-        """Regression: one-shots scheduled before a crash (ALOHA's
-        ``tx_at``, CSMA's backoff, the queued ``pkt_prep`` task) fired
-        into the rebooted MAC, whose ``started`` guards passed again, so
-        the frame polled before the crash was still sent next to the
-        new boot's own."""
-        config = BanScenarioConfig(
-            mac=mac, app="ecg_streaming", num_nodes=3, measure_s=2.0,
-            seed=seed, sampling_hz=205.0)
-        trace = TraceRecorder()
-        BanScenario(config, trace=trace).run()
-        poll = next(record.time for record in trace
-                    if record.kind == "dispatch"
-                    and record.detail == "node1.mac.poll"
-                    and record.time >= seconds(1.0))
-        crash = poll + microseconds(10)
-        reboot = crash + microseconds(50)
-        scenario = BanScenario(dataclasses.replace(config, faults=FaultPlan((
-            NodeCrash(node="node1", at_s=crash / TICKS_PER_SECOND,
-                      reboot_after_s=(reboot - crash) / TICKS_PER_SECOND),
-        ))))
-        polled, sends = [], []  # (time, frame): frames stay alive
-        make_data, send = aloha.make_data, Nrf2401.send
-
-        def stamped_make_data(*args):
-            frame = make_data(*args)
-            polled.append((scenario.sim.now, frame))
-            return frame
-
-        def recording_send(radio, frame, on_complete=None):
-            sends.append((scenario.sim.now, frame))
-            send(radio, frame, on_complete)
-
-        monkeypatch.setattr(aloha, "make_data", stamped_make_data)
-        monkeypatch.setattr(Nrf2401, "send", recording_send)
-        scenario.run()
-        polled_at = {id(frame): time for time, frame in polled}
-        assert poll in polled_at.values()  # the crash strands a frame
-        stale = [(time, frame.describe()) for time, frame in sends
-                 if frame.src == "node1" and time >= reboot
-                 and polled_at[id(frame)] < crash]
-        assert stale == []
 
 
 class TestOversizeFrames:

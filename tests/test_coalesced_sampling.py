@@ -26,8 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "tools"))
-from determinism_check import (  # noqa: E402
-    fault_config, station_digest, station_rows)
+from determinism_check import station_digest, station_rows  # noqa: E402
 
 from repro.analysis.experiments import _TABLE_SPECS
 from repro.analysis.waveforms import WaveformProbe
@@ -279,25 +278,6 @@ def test_ecg_recordings_leave_the_rpeak_rows_unchanged(monkeypatch):
     assert reverse_synthesized == 0 < forward_synthesized < emptied_synthesized
 
 
-def test_crash_and_reboot_mid_sample_are_bit_identical():
-    config = fault_config()
-    crash = config.faults.faults[0]
-    # node1 crashes 10 us into a coalesced sample: its task's end is
-    # still a planned sleep when the crash has been handled.
-    scenario = BanScenario(config)
-    scenario.start_all()
-    scenario.sim.run_until(seconds(crash.at_s))
-    node = scenario.nodes[0]
-    wake = seconds(DEFAULT_CALIBRATION.mcu_wakeup_s)
-    task = node.mcu.cycles_to_ticks(
-        2 * DEFAULT_CALIBRATION.mcu_costs.sample_acquisition)
-    fire = seconds(crash.at_s) - 10_000 - wake
-    assert fire % node.app.sample_period_ticks == 0
-    assert not node.app.started
-    assert node.scheduler._idle_at == fire + wake + task
-    assert _run_ban(config, False)[:3] == _run_ban(config, True)[:3]
-
-
 # ----------------------------------------------------------------------
 # Hand-built edge cases: one node, one channel sampled at 200 Hz
 # ----------------------------------------------------------------------
@@ -324,15 +304,17 @@ class _MacStub(Component):
 
 class _Rig:
     """One sampling node; ``per_sample`` puts a trace on the kernel,
-    and ``probe`` a waveform probe on the MCU ledger (an observer, so
-    the grid books every fire one by one)."""
+    ``probe`` a waveform probe on the MCU ledger (an observer, so the
+    grid books every fire one by one), and ``start`` starts the app
+    (False: the test starts it)."""
 
     #: The first sample fire.
     FIRE = milliseconds(5)
     #: The sampling period (200 Hz).
     PERIOD = milliseconds(5)
 
-    def __init__(self, per_sample: bool, probe: bool = True) -> None:
+    def __init__(self, per_sample: bool, probe: bool = True,
+                 start: bool = True) -> None:
         self.sim = Simulator(seed=1, trace=(TraceRecorder(capacity=1)
                                             if per_sample else None))
         self.node = SensorNode(self.sim, Channel(self.sim),
@@ -348,7 +330,8 @@ class _Rig:
         self.probe = WaveformProbe()
         if probe:
             self.probe.attach("mcu", self.node.mcu.ledger)
-        self.app.start()
+        if start:
+            self.app.start()
 
     @property
     def wake(self) -> int:
@@ -428,34 +411,6 @@ def test_mac_post_inside_the_sample(offset):
     coalesced, _ = _both(script)
     assert ("mac", _Rig.FIRE + coalesced.wake + coalesced.task) \
         in coalesced.log
-
-
-@pytest.mark.parametrize("post", [False, True])
-def test_clear_inside_the_wakeup_drops_the_sample(post):
-    """A crash inside a coalesced sample's wake-up drops the sample, as
-    the per-task chain drops it from the queue.  A post made earlier in
-    the wake-up is dropped with it; one made where the sample would
-    have run wakes the MCU afresh."""
-    def script(rig: _Rig) -> None:
-        if post:
-            rig.post_at(rig.FIRE + rig.wake // 3, PREP, "dropped")
-        rig.sim.at(rig.FIRE + rig.wake // 2, rig.node.scheduler.clear)
-        rig.post_at(rig.FIRE + rig.wake + rig.task // 2, PREP)
-
-    coalesced, _ = _both(script)
-    wake, task = coalesced.wake, coalesced.task
-    ran = [entry[:2] for entry in coalesced.log]
-    assert ("sample", _Rig.FIRE + wake) not in ran
-    assert ("sample", 2 * _Rig.FIRE + wake) in ran
-    assert ("mac", _Rig.FIRE + 2 * wake + task // 2) in ran
-    assert not any(entry[0] == "dropped" for entry in ran)
-
-
-def test_clear_at_the_sample_start_tick_raises():
-    rig = _Rig(per_sample=False)
-    rig.sim.at(rig.FIRE + rig.wake, rig.node.scheduler.clear)
-    with pytest.raises(SimulationError, match="start tick"):
-        rig.sim.run_until(milliseconds(30))
 
 
 def test_mac_post_at_the_sample_end_tick_raises():
@@ -767,15 +722,13 @@ def test_a_ledger_reader_on_the_sampling_period_is_ordered(armed):
     before or after the grid: each read is ordered as its timer entry
     is against the fire's, and reads what the per-task chain left."""
     def reads(per_sample: bool) -> List[Any]:
-        rig = _Rig(per_sample)
+        rig = _Rig(per_sample, start=armed == "after")
         ledger, seen = rig.node.mcu.ledger, []
 
         def read() -> None:
             seen.append((rig.sim.now, ledger.transitions,
                          ledger.energy_j(), rig.node.mcu.wakeups))
 
-        if armed == "before":
-            rig.app.stop()
         rig.sim.every(rig.PERIOD, read)
         if armed == "before":
             rig.app.start()
@@ -958,34 +911,6 @@ def test_a_post_around_a_continuation(when):
         assert ("proc", end + coalesced.task) in coalesced.log
 
 
-@pytest.mark.parametrize("reset", ["waiting", "running", "crash"])
-def test_clear_around_a_continuation(reset):
-    """An MCU reset after the busy fire, while its sample waits for the
-    packet task to end, drops the sample as the per-task chain drops it
-    from the queue, and the MCU sleeps at the task's end; a crash also
-    stops the grid, and the reboot 7.5 ms later starts a new one.  A
-    reset while the sample runs lets it end as booked."""
-    def script(rig: _Rig) -> None:
-        _prep_inside(rig)
-        end = _prep_end(rig)
-        at = end + rig.task // 2 if reset == "running" \
-            else end - milliseconds(0.1)
-        if reset != "crash":
-            rig.sim.at(at, rig.node.scheduler.clear)
-            return
-
-        def crash() -> None:  # the rig's node runs no MAC
-            rig.app.stop()
-            rig.node.scheduler.clear()
-
-        rig.sim.at(at, crash)
-        rig.sim.at(at + milliseconds(7.5), rig.app.start)
-
-    coalesced, _ = _both(script)
-    ran = _prep_end(coalesced) in _samples(coalesced)
-    assert ran == (reset == "running")
-
-
 def test_a_battery_monitor_reads_across_busy_fires(monkeypatch):
     """Streaming nodes whose packet tasks cover sampling fires, with a
     timer reading node1's ledgers every 0.25 ms: reads land between a
@@ -1030,30 +955,6 @@ def test_a_fire_at_a_window_end_tick_raises():
     end = _Rig.FIRE + _Rig.PERIOD
     with pytest.raises(SimulationError, match=f"node1.*{end}, the end tick"):
         coalesced.sim.run_until(milliseconds(30))
-
-
-def test_crash_and_reboot_mid_grid():
-    """node1 crashes halfway through the fourth sample's wake-up, with
-    all four fires unbooked, and reboots 7.5 ms later: the crash books
-    them, drops the fourth as the per-task chain drops it from the
-    queue, and the reboot starts a new grid."""
-    def script(rig: _Rig) -> None:
-        def reset() -> None:  # the rig's node runs no MAC: crash the app
-            rig.app.stop()
-            rig.node.scheduler.clear()
-
-        crash = rig.FIRE + 3 * rig.PERIOD + rig.wake // 2
-        rig.sim.at(crash, reset)
-        rig.sim.at(crash + milliseconds(7.5), rig.app.start)
-
-    coalesced, _ = _both(script, until=milliseconds(40))
-    samples = [entry[1] for entry in coalesced.log if entry[0] == "sample"]
-    wake = coalesced.wake
-    reboot = _Rig.FIRE + 3 * _Rig.PERIOD + wake // 2 + milliseconds(7.5)
-    assert samples[:3] == [_Rig.FIRE + k * _Rig.PERIOD + wake
-                           for k in range(3)]
-    assert samples[3] == reboot + _Rig.PERIOD + wake
-    assert coalesced.sim.events_dispatched == 2
 
 
 # Random configs over the whole space the CLI accepts for the paper's

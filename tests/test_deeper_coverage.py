@@ -144,15 +144,6 @@ class TestMacEdges:
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
 
-    def test_node_stops_cleanly_mid_run(self):
-        scenario, _ = run_quick(num_nodes=2, measure_s=2.0)
-        node = scenario.nodes[0]
-        node.stack.stop_all()
-        before = node.radio.energy_mj()
-        scenario.sim.run_until(scenario.sim.now + seconds(2.0))
-        # A stopped node spends nothing further.
-        assert node.radio.energy_mj() == pytest.approx(before, abs=1e-6)
-
     def test_two_scenarios_do_not_share_state(self):
         _, first = run_quick(measure_s=1.0)
         _, second = run_quick(measure_s=1.0)

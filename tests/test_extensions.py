@@ -1,51 +1,9 @@
-"""Tests for the extension features: dynamic slot reclaim and
-irregular-rhythm signals."""
+"""Tests for the extension features: irregular-rhythm signals."""
 
 import pytest
 
-from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.signals.arrhythmia import IrregularEcg
 from repro.apps.rpeak_detector import RPeakDetector
-from repro.sim.simtime import milliseconds, seconds
-
-
-class TestSlotReclaim:
-    def test_silent_node_slot_reclaimed_and_reused(self):
-        from repro.mac.tdma_dynamic import DynamicTdmaConfig
-        config = BanScenarioConfig(mac="dynamic", app="ecg_streaming",
-                                   num_nodes=3, measure_s=1.0)
-        scenario = BanScenario(config)
-        # Rebuild the BS MAC config with the reclaim extension on.
-        bs_mac = scenario.base_station.mac
-        bs_mac.config = DynamicTdmaConfig(
-            slot_ticks=milliseconds(10.0), initial_assigned=3,
-            inactivity_timeout_s=0.5)
-        scenario.base_station.start()
-        for node in scenario.nodes:
-            node.start()
-        sim = scenario.sim
-        sim.run_until(seconds(1.0))
-        assert bs_mac.schedule.slot_of("node2") == 2
-        # node2 dies (stack stops: no more beacon tracking or TX).
-        scenario.nodes[1].stack.stop_all()
-        sim.run_until(seconds(3.0))
-        assert bs_mac.slots_reclaimed >= 1
-        assert bs_mac.schedule.slot_of("node2") is None
-        # The surviving nodes keep their slots.
-        assert bs_mac.schedule.slot_of("node1") == 1
-        assert bs_mac.schedule.slot_of("node3") == 3
-
-    def test_reclaim_disabled_by_default(self):
-        config = BanScenarioConfig(mac="dynamic", app="rpeak",
-                                   num_nodes=2, measure_s=3.0)
-        scenario = BanScenario(config)
-        scenario.run()
-        assert scenario.base_station.mac.slots_reclaimed == 0
-
-    def test_timeout_validation(self):
-        from repro.mac.tdma_dynamic import DynamicTdmaConfig
-        with pytest.raises(ValueError):
-            DynamicTdmaConfig(inactivity_timeout_s=0.0)
 
 
 class TestIrregularEcg:

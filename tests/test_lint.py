@@ -122,7 +122,7 @@ class TestDet003SetIteration:
                   "def f(pending: Set[str]) -> None:\n"
                   "    for item in pending:\n"
                   "        pass\n")
-        assert rules_fired(source, "faults/injector.py") == ["DET003"]
+        assert rules_fired(source, "mac/slots.py") == ["DET003"]
 
     def test_list_of_set_fires(self):
         assert rules_fired("xs = list({1, 2})\n", "sim/events.py") \

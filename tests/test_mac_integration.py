@@ -3,7 +3,7 @@
 These build small networks by hand (base station + nodes + stub
 payload providers) to check protocol behaviour precisely: beacon
 cadence, slot timing, join handshakes, grant observation, miss/resync
-handling and the energy-defining beacon windows.
+handling, slot revocation and the energy-defining beacon windows.
 """
 
 import pytest
@@ -23,6 +23,7 @@ from repro.mac.tdma_static import (
     StaticTdmaConfig,
     StaticTdmaNodeMac,
 )
+from repro.net.scenario import BanScenario, BanScenarioConfig
 from repro.phy.channel import Channel
 from repro.phy.lossmodels import UniformLoss
 from repro.sim.kernel import Simulator
@@ -291,3 +292,29 @@ class TestLossRecovery:
         # occasional resync gap.
         expected_cycles = 10.0 / 0.03
         assert len(harness.delivered) > 0.6 * expected_cycles
+
+
+def _config(**overrides) -> BanScenarioConfig:
+    """A one-node static-TDMA streaming scenario, ``overrides`` applied."""
+    defaults = dict(mac="static", app="ecg_streaming", num_nodes=1,
+                    cycle_ms=30.0, measure_s=2.0, seed=3)
+    defaults.update(overrides)
+    return BanScenarioConfig(**defaults)
+
+
+class TestSlotRevocation:
+    def test_node_surrenders_revoked_slot_and_rejoins(self):
+        scenario = BanScenario(_config(num_nodes=1, num_slots=2,
+                                       measure_s=3.0))
+        bs_schedule = scenario.base_station.mac.schedule
+        # Base-station-side release mid-run: the next beacon no longer
+        # lists node1.
+        scenario.sim.at(seconds(1.0),
+                        lambda: bs_schedule.release("node1"))
+        scenario.run()
+        mac = scenario.nodes[0].mac
+        assert mac.counters.slot_revocations == 1
+        assert mac.is_synced
+        assert mac.slot is not None
+        assert bs_schedule.slot_of("node1") == mac.slot
+        assert list(bs_schedule.as_map().values()).count("node1") == 1

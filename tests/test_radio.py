@@ -115,6 +115,18 @@ class TestReceivePath:
         sim.run_until(seconds(1.0))
         assert received == []
 
+    def test_stop_rx_mid_frame_books_no_loss(self, sim, cal, pair):
+        """A MAC turning its chain off mid-frame is a routine mode
+        switch: the frame drains silently, booked as no loss."""
+        _, a, b = pair
+        b.start_rx()
+        a.send(data_frame())
+        sim.at(microseconds(300), b.stop_rx)
+        sim.run_until(seconds(1.0))
+        snap = b.accountant.snapshot()
+        assert snap.energy_j.get(RadioEnergyCategory.COLLISION, 0.0) == 0.0
+        assert b.snapshot_counters().corrupted == 0
+
     def test_outcome_reports_delivery(self, sim, cal, pair):
         _, a, b = pair
         outcomes = []
@@ -263,130 +275,52 @@ class TestCollisions:
         assert channel.collisions_detected == 0
 
 
-class TestFaultCutCaptures:
-    """Regression: a receiver powered down mid-airtime used to vanish
-    from the outcome accounting — the capture set was simply cleared,
-    so the frame was neither delivered nor reported lost.  The radio
-    now books the truncated capture and surfaces ``fault_dropped``."""
+class TestPowerDownGuards:
+    """``power_down()`` switches the chip off from stand-by only.  The
+    radio books a capture's energy when the frame leaves the air and a
+    sensing window's when it completes, so a power-down while the
+    receive chain is on would cut that energy from its loss category
+    (mid-transmission is covered by ``test_power_down_during_tx_raises``).
+    """
 
-    def test_power_down_mid_capture_reports_fault_dropped(
-            self, sim, cal, pair):
+    def test_raises_while_listening(self, sim, cal, pair):
         _, a, b = pair
+        b.start_rx()
+        a.send(data_frame())
+        sim.run_until(microseconds(300))  # b mid-capture
+        with pytest.raises(RadioError, match="receive chain is on"):
+            b.power_down()
         received = []
         b.on_frame = received.append
-        b.start_rx()
-        a.send(data_frame())
-        # Airtime runs 195..403 us; cut the receiver at 300 us.
-        sim.at(microseconds(300), b.power_down)
         sim.run_until(seconds(1.0))
-        assert received == []
-        assert b.fault_frames_dropped == 1
-        assert b.snapshot_counters().corrupted == 1
-        # Energy from first bit (195 us) to the cut, collision-class.
-        snap = b.accountant.snapshot()
-        partial = 105e-6 * cal.radio_rx_a * cal.supply_v
-        assert snap.energy_j[RadioEnergyCategory.COLLISION] \
-            == pytest.approx(partial)
+        assert len(received) == 1  # the capture completes
 
-    def test_stop_rx_then_power_down_promotes_to_fault_cut(
-            self, sim, cal, pair):
-        """A crash's teardown (stop_rx, then power_down: what
-        ``release()`` does) must count the abandoned capture as a fault
-        cut at the tick the chain actually stopped."""
-        _, a, b = pair
+    def test_raises_in_the_rx_tail(self, sim, cal, pair):
+        _, _, b = pair
         b.start_rx()
-        a.send(data_frame())
-
-        def quiesce():
-            b.stop_rx()
+        sim.run_until(seconds(0.1))
+        b.stop_rx()
+        sim.run_until(seconds(0.1) + microseconds(10))  # 32 us tail
+        assert b.state == "rx"
+        with pytest.raises(RadioError, match="receive chain is on"):
             b.power_down()
+        sim.run_until(seconds(0.2))
+        b.power_down()  # the tail has ended in stand-by
+        assert b.state == "power_down"
+        expected = (0.1 + cal.radio_timing.rx_tail_s) \
+            * cal.radio_rx_a * cal.supply_v
+        assert b.ledger.energy_j(state="rx") == pytest.approx(expected)
 
-        sim.at(microseconds(300), quiesce)
-        sim.run_until(seconds(1.0))
-        assert b.fault_frames_dropped == 1
-        snap = b.accountant.snapshot()
-        partial = 105e-6 * cal.radio_rx_a * cal.supply_v
-        assert snap.energy_j[RadioEnergyCategory.COLLISION] \
-            == pytest.approx(partial)
-
-    def test_routine_stop_rx_is_not_a_fault(self, sim, cal, pair):
-        """A MAC turning its chain off mid-frame (no power_down) is a
-        routine mode switch: the frame drains silently, exactly as
-        before the fault-cut mechanism existed."""
-        _, a, b = pair
-        b.start_rx()
-        a.send(data_frame())
-        sim.at(microseconds(300), b.stop_rx)
-        sim.run_until(seconds(1.0))
-        assert b.fault_frames_dropped == 0
-        snap = b.accountant.snapshot()
-        assert snap.energy_j.get(RadioEnergyCategory.COLLISION, 0.0) == 0.0
-
-
-class TestRelease:
-    """``release()``: what every MAC's stop does to its radio."""
-
-    def test_from_standby_powers_down_at_once(self, sim, cal, pair):
-        _, a, _ = pair
-        a.release()
-        assert a.state == "power_down"
-
-    def test_from_rx_books_what_stop_rx_and_power_down_book(
-            self, sim, cal, pair):
-        _, a, b = pair
-        a.start_rx()
-        b.start_rx()
-
-        def stop_both():
-            a.release()
-            b.stop_rx()
-            b.power_down()
-
-        sim.at(seconds(0.1), stop_both)
-        sim.run_until(seconds(1.0))
-        assert a.state == b.state == "power_down"
-        assert a.ledger.seconds_by_state() == b.ledger.seconds_by_state()
-        assert a.ledger.energy_by_state() == b.ledger.energy_by_state()
-
-    def test_mid_burst_powers_down_after_the_callback(self, sim, cal,
-                                                      pair):
-        _, a, _ = pair
-        seen = []
-        a.send(data_frame(),
-               lambda outcome: seen.append((sim.now, a.state)))
-        sim.at(microseconds(100), a.release)
-        sim.run_until(microseconds(100))
-        assert a.state == "tx"  # the chip cannot switch off mid-burst
-        sim.run_until(seconds(1.0))
-        assert seen == [(microseconds(485), "standby")]
-        assert a.state == "power_down"
-        # Powered down at the burst's last tick: no stand-by in between.
-        assert a.ledger.seconds_in(state="standby") == 0.0
-        assert a.ledger.seconds_in(state="tx") \
-            == pytest.approx(485e-6, abs=1e-12)
-
-    def test_when_idle_runs_after_the_callback_and_power_down(
-            self, sim, cal, pair):
-        _, a, _ = pair
-        seen = []
-        a.send(data_frame(), lambda outcome: seen.append("on_complete"))
-        sim.at(microseconds(100), a.release)
-        sim.at(microseconds(200), lambda: a.when_idle(
-            lambda: seen.append((sim.now, a.state))))
-        sim.run_until(seconds(1.0))
-        assert seen == ["on_complete", (microseconds(485), "power_down")]
-        a.when_idle(lambda: seen.append("idle"))  # idle: runs at once
-        assert seen[-1] == "idle"
-
-    def test_mid_sense_cuts_the_window(self, sim, cal, pair):
+    def test_raises_mid_cca(self, sim, cal, pair):
         _, a, _ = pair
         results = []
         a.cca(microseconds(128), results.append)
-        sim.at(microseconds(50), a.release)
+        sim.run_until(microseconds(50))
+        with pytest.raises(RadioError, match="carrier sensing"):
+            a.power_down()
         sim.run_until(seconds(1.0))
-        assert results == []
-        assert a.state == "power_down"
-        expected = 50e-6 * cal.radio_rx_a * cal.supply_v
+        assert results == [False]  # the window completes
+        expected = 128e-6 * cal.radio_rx_a * cal.supply_v
         assert a.ledger.energy_j(state="cca") == pytest.approx(expected)
         snap = a.accountant.snapshot()
         assert snap.energy_j[RadioEnergyCategory.IDLE_LISTENING] \

@@ -3,8 +3,8 @@
 
 ``repro.lint`` statically bans the things that *would* break bit-exact
 reproducibility (global RNG, wall-clock reads, set-ordered dispatch);
-this tool proves the invariant actually holds end to end.  Six
-checks, each over a reference scenario set:
+this tool proves the invariant actually holds end to end.  Checks 1-6
+run over a reference scenario set; check 7 runs a failing batch:
 
 1. **Repeat-run** — the same config run twice in one process must
    produce an identical energy result *and* an identical event trace
@@ -42,9 +42,7 @@ checks, each over a reference scenario set:
    kernel event for an idle sample's fire, planned ledger transitions,
    block reads); a traced run fires a kernel timer and takes the
    per-sample chain, the reference path, because its trace lists
-   every dispatch.  For every checked config
-   plus two fault configs, one whose crash and reboot land mid-sample
-   and one whose crash lands inside a sample's wake-up, the two result
+   every dispatch.  For every checked config the two result
    fingerprints must be equal, and so must the two station digests
    (:func:`station_rows`): results carry energies and traffic counts,
    not what the apps computed, so the digest covers the apps' counters,
@@ -52,14 +50,16 @@ checks, each over a reference scenario set:
    received.  Each node's ordered acquisition ticks must be equal too
    (:func:`acquisition_ticks`), since a sample taken at the wrong tick
    often changes no code, report or counter.
+7. **Failing batch** — a three-config batch whose middle config
+   deterministically fails to join must fail its run with the
+   scenario's own ``RuntimeError`` ("failed to join"), with the same
+   type and message sequentially and at ``--jobs N``: the executor
+   fails loudly instead of losing a scenario.
 
-Every check runs the reference configs (each MAC family, both apps on
-both TDMA MACs) and two fault configs whose crash lands inside a
-ShockBurst: a contention one, and a static-TDMA one that also reboots
-inside the burst.  So each check also reaches the radio's deferred
-release and the reboot that waits for it.  A hidden-terminal CSMA
-config adds a partial topology and a lossy channel, so each check also
-covers per-receiver loss draws and audiences smaller than the network.
+Checks 1-6 run the reference configs (each MAC family, both apps on
+both TDMA MACs).  A hidden-terminal CSMA config adds a partial
+topology and a lossy channel, so each check also covers per-receiver
+loss draws and audiences smaller than the network.
 Four configs meet a node's sampling grid with other work: one
 samples fast enough that a fire lands inside every beacon processing
 task, one skews its crystals so far that its slot posts land on fire
@@ -91,16 +91,14 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.apps.base import SamplingApplication
 from repro.apps.ecg_streaming import EcgStreamingApp, StreamPayload
-from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.exec import ScenarioExecutor
 from repro.exec.cache import config_fingerprint
-from repro.faults import FaultPlan, NodeCrash
 from repro.mac.sync import FixedLead
 from repro.net import BanScenario, BanScenarioConfig
 from repro.obs import MetricsRegistry, SpanStore, attach_span_tracer
 from repro.phy.lossmodels import UniformLoss
 from repro.phy.topology import BodyTopology, Position
-from repro.sim.simtime import TICKS_PER_SECOND, microseconds, seconds
+from repro.sim.simtime import microseconds
 from repro.sim.trace import TraceRecorder
 
 
@@ -127,80 +125,6 @@ def reference_configs() -> List[BanScenarioConfig]:
                           measure_s=3.0, seed=13, sampling_hz=1370.0,
                           slot_ms=7.0),
     ]
-
-
-def _node1_crash(config: BanScenarioConfig, crash: int,
-                 reboot_after_s: float) -> BanScenarioConfig:
-    """``config`` with node1 crashing at tick ``crash``."""
-    plan = FaultPlan((NodeCrash(node="node1",
-                                at_s=crash / TICKS_PER_SECOND,
-                                reboot_after_s=reboot_after_s),))
-    return replace(config, faults=plan)
-
-
-def _sample_grid(config: BanScenarioConfig) -> Tuple[int, int]:
-    """(sampling period, MCU wake-up) in ticks.
-
-    Every node samples on the same grid from t=0; a sample's wake-up
-    takes 6 us and its two-channel task 44 us after that.
-    """
-    period = round(TICKS_PER_SECOND / config.derived_sampling_hz())
-    return period, seconds(DEFAULT_CALIBRATION.mcu_wakeup_s)
-
-
-def fault_config() -> BanScenarioConfig:
-    """Reference config 0 with node1 crashing inside one of its samples
-    and rebooting inside a sample of the other nodes."""
-    config = reference_configs()[0]
-    period, wake = _sample_grid(config)
-    crash = 101 * period + wake + 10_000  # 10 us into the task
-    reboot = 160 * period + wake // 2     # halfway through the wake-up
-    return _node1_crash(config, crash, (reboot - crash) / TICKS_PER_SECOND)
-
-
-def wakeup_fault_config() -> BanScenarioConfig:
-    """Reference config 0 with node1 crashing halfway through the
-    wake-up of one of its samples and rebooting 0.3 s later.
-
-    The crash drops the sample it woke for, which the coalesced run
-    has already planned on the ledger.
-    """
-    config = reference_configs()[0]
-    period, wake = _sample_grid(config)
-    return _node1_crash(config, 101 * period + wake // 2, 0.3)
-
-
-def _crash_in_burst(config: BanScenarioConfig, into_us: float,
-                    reboot_after_s: float) -> BanScenarioConfig:
-    """``config`` with node1 crashing ``into_us`` into its first
-    ShockBurst at or after 1 s, located from a traced pre-run."""
-    trace = TraceRecorder()
-    BanScenario(config, trace=trace).run()
-    burst = next(record.time for record in trace
-                 if record.source == "node1.radio"
-                 and record.kind == "tx_start"
-                 and record.time >= seconds(1.0))
-    return _node1_crash(config, burst + microseconds(into_us),
-                        reboot_after_s)
-
-
-def contention_fault_config() -> BanScenarioConfig:
-    """The CSMA reference config with node1 crashing 100 us into one of
-    its ShockBursts and rebooting half a poll interval later.
-
-    The crash stops the MAC mid-burst, so the radio's release waits for
-    the burst's end; the reboot lands before the poll that was pending
-    at the crash.
-    """
-    config = next(c for c in reference_configs() if c.mac == "csma")
-    return _crash_in_burst(config, 100, config.cycle_ms / 2e3)
-
-
-def reboot_fault_config() -> BanScenarioConfig:
-    """The static reference config with node1 crashing 300 us into one
-    of its ShockBursts and rebooting 50 us later, with the burst still
-    on the air: the restart waits for the burst's last tick."""
-    return _crash_in_burst(reference_configs()[0], 300, 50e-6)
 
 
 def hidden_terminal_config() -> BanScenarioConfig:
@@ -257,14 +181,12 @@ def dynamic_streaming_busy_config() -> BanScenarioConfig:
 
 
 def checked_configs() -> List[BanScenarioConfig]:
-    """What checks 1-6 run: the reference configs, the two mid-burst
-    fault configs, the hidden-terminal config, and four configs whose
-    sampling fires meet other work: inside beacon processing (ECG
-    streaming and R-peak), at the tick of a slot post, and inside and
-    behind dynamic-TDMA packet tasks (ECG streaming)."""
-    return reference_configs() + [contention_fault_config(),
-                                  reboot_fault_config(),
-                                  hidden_terminal_config(),
+    """What checks 1-6 run: the reference configs, the hidden-terminal
+    config, and four configs whose sampling fires meet other work:
+    inside beacon processing (ECG streaming and R-peak), at the tick of
+    a slot post, and inside and behind dynamic-TDMA packet tasks (ECG
+    streaming)."""
+    return reference_configs() + [hidden_terminal_config(),
                                   beacon_window_config(),
                                   rpeak_beacon_window_config(),
                                   skew_beyond_guard_config(),
@@ -563,10 +485,6 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
     entries = []
     cases = [(f"config {index}, mac={config.mac}", config)
              for index, config in enumerate(checked_configs())]
-    cases.append(("fault config, crash and reboot mid-sample",
-                  fault_config()))
-    cases.append(("fault config, crash inside a wake-up",
-                  wakeup_fault_config()))
     for where, config in cases:
         with acquisition_ticks() as coalesced_ticks:
             coalesced = untraced_run(config)
@@ -592,6 +510,50 @@ def check_cross_mode(report: Dict[str, Any]) -> List[str]:
                 "coalesced and per-sample acquisition ticks diverge "
                 f"({where})")
     report["cross_mode"] = {"configs": entries}
+    return failures
+
+
+def _batch_failure(configs: List[BanScenarioConfig], jobs: int
+                   ) -> Dict[str, str]:
+    """Run a batch that must fail; return its error's type and message
+    (an empty dict if it did not raise)."""
+    try:
+        ScenarioExecutor(jobs=jobs).run_configs(configs)
+    except RuntimeError as exc:
+        return {"error_type": type(exc).__name__, "message": str(exc)}
+    return {}
+
+
+def check_failing_batch(jobs: int, report: Dict[str, Any]) -> List[str]:
+    """Check 7: one failing config fails its batch with its own error,
+    sequentially and pooled alike."""
+    def config(**overrides: Any) -> BanScenarioConfig:
+        defaults: Dict[str, Any] = dict(
+            mac="static", app="ecg_streaming", num_nodes=2,
+            cycle_ms=30.0, measure_s=2.0, seed=11)
+        defaults.update(overrides)
+        return BanScenarioConfig(**defaults)
+
+    bad = config(num_slots=1, join_protocol=True, join_deadline_s=0.5,
+                 seed=2)
+    configs = [config(seed=1), bad, config(seed=3)]
+    sequential = _batch_failure(configs, jobs=1)
+    pooled = _batch_failure(configs, jobs=jobs)
+    report["failing_batch"] = {"jobs": jobs, "sequential": sequential,
+                               "pooled": pooled}
+    failures = []
+    for name, outcome in (("jobs=1", sequential), (f"jobs={jobs}", pooled)):
+        if not outcome:
+            failures.append(f"{name}: the failing batch did not raise")
+        elif (outcome["error_type"] != "RuntimeError"
+              or "failed to join" not in outcome["message"]):
+            failures.append(
+                f"{name}: the failing batch raised {outcome}, not the "
+                "scenario's join failure")
+    if sequential != pooled:
+        failures.append(
+            f"jobs=1 and jobs={jobs} fail the batch differently: "
+            f"{sequential} != {pooled}")
     return failures
 
 
@@ -692,8 +654,8 @@ def main(argv=None) -> int:
         description="End-to-end determinism smoke "
                     "(static rules' dynamic counterpart).")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="worker count for the pooled runs "
-                             "(default: 2)")
+                        help="worker count for the pooled runs, the "
+                             "failing batch's included (default: 2)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write fingerprint report JSON to PATH")
     parser.add_argument("--static-obs", action="store_true",
@@ -709,6 +671,7 @@ def main(argv=None) -> int:
     failures += check_jobs_equivalence(args.jobs, report["checks"])
     failures += check_spans(args.jobs, report["checks"])
     failures += check_cross_mode(report["checks"])
+    failures += check_failing_batch(args.jobs, report["checks"])
     if args.static_obs:
         failures += check_static_obs(report["checks"])
     report["ok"] = not failures
@@ -726,7 +689,8 @@ def main(argv=None) -> int:
               if args.static_obs else "")
     print("determinism ok: repeat-run, jobs equivalence, merged "
           "telemetry, causal spans and coalesced vs per-sample "
-          f"sampling all bit-identical{suffix}")
+          "sampling all bit-identical, and a failing batch fails "
+          f"alike at any --jobs{suffix}")
     return 0
 
 
