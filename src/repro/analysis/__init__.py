@@ -15,13 +15,11 @@ from .experiments import (
 from .closed_form import AnalyticEnergy, explain as explain_analytic, \
     predict as predict_analytic
 from .summary import full_report
-from .export import experiment_records, network_records, to_csv, to_json
 from .golden import GOLDENS, check_goldens, compute_goldens
 from .sensitivity import PARAMETERS as SENSITIVITY_PARAMETERS, \
     SensitivityEntry, render_tornado, tornado
 from .figures import figure4_csv, figure4_series, render_figure4, \
     table_series
-from .waveforms import StateChange, WaveformProbe
 from .sweep import (
     SweepPoint,
     as_table,
@@ -53,12 +51,6 @@ __all__ = [
     "full_report",
     "explain_analytic",
     "predict_analytic",
-    "experiment_records",
-    "network_records",
-    "to_csv",
-    "to_json",
-    "StateChange",
-    "WaveformProbe",
     "GOLDENS",
     "check_goldens",
     "compute_goldens",

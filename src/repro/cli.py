@@ -6,29 +6,35 @@ Subcommands:
   it next to the paper's Real/Sim columns;
 * ``figure4`` — reproduce the streaming-vs-Rpeak comparison;
 * ``validate`` — reproduce everything and print the error summary;
+* ``report`` — the tables, the figure and the validation in one text;
+* ``sensitivity`` — the calibration tornado for a scenario;
 * ``run`` — run an arbitrary scenario and print the node's energy and
-  loss-taxonomy breakdown; optional CSV/JSON/VCD exports;
+  loss-taxonomy breakdown;
+* ``spans`` — run a scenario and print the per-packet latency/energy
+  attribution of its causal spans;
 * ``explain`` — the closed-form analytic derivation for a scenario;
 * ``baseline`` — the model-fidelity ladder (airtime-only vs full);
 * ``interference`` — two adjacent BANs on one channel;
 * ``lint`` — the determinism & simulation-safety static analyser
   (delegates to :mod:`repro.lint`; see ``docs/static_analysis.md``).
 
-Every subcommand accepts ``--jobs N`` (fan independent scenarios out
-over N worker processes; output identical to sequential).  Commands
-that run a single scenario ignore ``--jobs``.  A scenario that raises
-fails its command with its own error, at any ``--jobs``.
+Each subcommand takes only the flags it honours.  Every one takes
+``--measure-s``.  The analytic commands (``explain``, ``baseline``)
+simulate nothing, so they take no seed, jobs or telemetry flag.  The
+batch commands (the tables, ``figure4``, ``validate``, ``report``,
+``sensitivity``) take ``--seed`` and ``--jobs N``, which fans
+independent scenarios out over N worker processes (output identical
+to sequential).  A scenario that raises fails its command with its
+own error, at any ``--jobs``.  The single-scenario commands (``run``,
+``spans``, ``interference``) take ``--seed`` but no ``--jobs``.
 
-Telemetry (see ``docs/observability.md``): ``--metrics PATH`` writes a
-metrics snapshot (JSON, or Prometheus text when PATH ends in
-``.prom``), ``--trace-jsonl PATH`` streams the event trace as JSON
-lines (single-scenario commands), and ``--profile`` times event
-callbacks and prints the hottest labels.  Causal spans (see
-``docs/observability.md``): the ``spans`` subcommand runs a scenario
-and prints the per-packet latency/energy attribution report, while
-``--spans PATH`` / ``--spans-perfetto PATH`` export the span set as
-JSON lines or Chrome/Perfetto ``trace_event`` JSON from any
-simulating command.
+Telemetry (see ``docs/observability.md``), on every simulating
+command: ``--metrics PATH`` writes a metrics snapshot as JSON,
+``--profile`` times event callbacks and prints the hottest labels,
+and ``--spans PATH`` / ``--spans-perfetto PATH`` export the causal
+span set as JSON lines or Chrome/Perfetto ``trace_event`` JSON.  The
+single-scenario commands also take ``--trace-jsonl PATH``, which
+streams the event trace as JSON lines.
 """
 
 from __future__ import annotations
@@ -43,10 +49,8 @@ from .analysis.experiments import (
     reproduce_all_tables,
     reproduce_figure4,
 )
-from .analysis.export import network_records, to_csv, to_json
 from .analysis.figures import render_figure4
 from .analysis.validation import validate_all
-from .analysis.waveforms import WaveformProbe
 from .baselines.naive import fidelity_ladder
 from .core.report import render_loss_breakdown, render_table
 from .exec import ScenarioExecutor
@@ -60,7 +64,6 @@ from .obs import (
     SinkTraceRecorder,
     SpanStore,
     SpanTracer,
-    attach_periodic_snapshots,
     attach_span_tracer,
     attribution_report,
     collect_scenario_metrics,
@@ -71,30 +74,32 @@ from .obs import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_measure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure-s", type=float, default=60.0,
                         help="measurement window in seconds (default 60)")
+
+
+def _add_simulating(parser: argparse.ArgumentParser, batch: bool) -> None:
+    """``--measure-s``, ``--seed`` and the telemetry flags of a command
+    that simulates: a batch command also takes ``--jobs``, a
+    single-scenario one ``--trace-jsonl``."""
+    _add_measure(parser)
     parser.add_argument("--seed", type=int, default=0,
                         help="master random seed (default 0)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for independent scenarios "
-                             "(default 1 = in-process; 0 = CPU count)")
+    if batch:
+        parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                            help="worker processes for independent "
+                                 "scenarios (default 1 = in-process; "
+                                 "0 = CPU count)")
     parser.add_argument("--metrics", metavar="PATH", default=None,
-                        help="write a metrics snapshot (JSON, or "
-                             "Prometheus text if PATH ends in .prom)")
-    parser.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                        help="stream the event trace as JSON lines "
-                             "(single-scenario commands: run, spans, "
-                             "interference)")
+                        help="write a metrics snapshot as JSON")
+    if not batch:
+        parser.add_argument("--trace-jsonl", metavar="PATH",
+                            default=None,
+                            help="stream the event trace as JSON lines")
     parser.add_argument("--profile", action="store_true",
                         help="time event callbacks and print the "
                              "hottest labels")
-    parser.add_argument("--metrics-period", type=float, default=5.0,
-                        metavar="S",
-                        help="sim-time period of trajectory snapshots "
-                             "recorded with --metrics (single-scenario "
-                             "commands: run, spans, interference; "
-                             "default 5)")
     parser.add_argument("--spans", metavar="PATH", default=None,
                         help="export causal spans as JSON lines "
                              "(see docs/observability.md)")
@@ -106,26 +111,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 class _Observability:
     """One CLI invocation's telemetry wiring (flags -> obs objects).
 
-    Centralises what every subcommand needs: a registry when
+    Centralises what every simulating subcommand needs: a registry when
     ``--metrics`` is given, a profiler for ``--profile``, a JSONL sink
     for ``--trace-jsonl``, and a ``finish`` step that writes the
     outputs and prints the profile table.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
-        self.metrics_path = getattr(args, "metrics", None)
+        self.metrics_path = args.metrics
         self.trace_path = getattr(args, "trace_jsonl", None)
-        self.period_s = getattr(args, "metrics_period", 5.0)
         self.registry = (MetricsRegistry()
                          if self.metrics_path else None)
-        self.profiler = (SimulationProfiler()
-                         if getattr(args, "profile", False) else None)
+        self.profiler = SimulationProfiler() if args.profile else None
         self._sink: Optional[JsonlTraceSink] = None
-        self.spans_path = getattr(args, "spans", None)
-        self.perfetto_path = getattr(args, "spans_perfetto", None)
+        self.spans_path = args.spans
+        self.perfetto_path = args.spans_perfetto
         want_spans = (self.spans_path is not None
                       or self.perfetto_path is not None
-                      or getattr(args, "command", None) == "spans")
+                      or args.command == "spans")
         self.span_store: Optional[SpanStore] = (SpanStore() if want_spans
                                                 else None)
 
@@ -138,14 +141,10 @@ class _Observability:
         return SinkTraceRecorder([self._sink],
                                  capacity=trace_capacity)
 
-    def attach(self, sim, scenario=None) -> None:
+    def attach(self, sim) -> None:
         """Instrument one kernel that runs in this process."""
         if self.registry is not None:
             sim.metrics = self.registry
-            if self.period_s > 0:
-                attach_periodic_snapshots(sim, self.registry,
-                                          scenario=scenario,
-                                          period_s=self.period_s)
         if self.profiler is not None:
             sim.profiler = self.profiler
 
@@ -170,9 +169,6 @@ class _Observability:
     def finish(self) -> None:
         """Write snapshot/trace outputs and print the profile table."""
         registry = self.registry
-        if self.trace_path is not None and self._sink is None:
-            print("note: --trace-jsonl applies to single-scenario "
-                  "commands; ignored")
         if self._sink is not None:
             self._sink.close()
             print(f"wrote {self.trace_path} "
@@ -190,11 +186,8 @@ class _Observability:
                 print(f"wrote {self.perfetto_path} "
                       f"({count} trace events)")
         if registry is not None:
-            exported = (registry.to_prometheus()
-                        if self.metrics_path.endswith(".prom")
-                        else registry.to_json())
             with open(self.metrics_path, "w") as handle:
-                handle.write(exported)
+                handle.write(registry.to_json())
             print(f"wrote {self.metrics_path}")
         if self.profiler is not None:
             print()
@@ -210,14 +203,6 @@ class _Observability:
         """
         if self._sink is not None:
             self._sink.close()
-
-    def note_analytic(self) -> None:
-        """Warn once when telemetry flags hit an analytic command."""
-        if (self.metrics_path or self.trace_path
-                or self.profiler is not None
-                or self.span_store is not None):
-            print("note: telemetry flags are ignored by analytic "
-                  "commands (nothing is simulated)")
 
 
 def _executor_from_args(args: argparse.Namespace,
@@ -246,15 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     for table_id in sorted(TABLE_REPRODUCERS):
         table_parser = sub.add_parser(
             table_id, help=f"reproduce the paper's {table_id}")
-        _add_common(table_parser)
+        _add_simulating(table_parser, batch=True)
 
     figure_parser = sub.add_parser(
         "figure4", help="reproduce Figure 4 (streaming vs Rpeak)")
-    _add_common(figure_parser)
+    _add_simulating(figure_parser, batch=True)
 
     validate_parser = sub.add_parser(
         "validate", help="reproduce all tables and summarise errors")
-    _add_common(validate_parser)
+    _add_simulating(validate_parser, batch=True)
 
     def add_scenario_flags(target: argparse.ArgumentParser) -> None:
         target.add_argument("--mac", choices=MACS, default="static")
@@ -271,24 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--heart-rate", type=float, default=75.0)
 
     run_parser = sub.add_parser("run", help="run a custom BAN scenario")
-    _add_common(run_parser)
+    _add_simulating(run_parser, batch=False)
     add_scenario_flags(run_parser)
     run_parser.add_argument("--join", action="store_true",
                             help="exercise the over-the-air join protocol")
     run_parser.add_argument("--losses", action="store_true",
                             help="print the loss-taxonomy breakdown")
-    run_parser.add_argument("--csv", metavar="PATH", default=None,
-                            help="export per-node records as CSV")
-    run_parser.add_argument("--json", metavar="PATH", default=None,
-                            help="export per-node records as JSON")
-    run_parser.add_argument("--vcd", metavar="PATH", default=None,
-                            help="dump power-state waveforms as VCD")
 
     spans_parser = sub.add_parser(
         "spans", help="causal span tracing: run a scenario and print "
                       "the per-packet latency/energy attribution "
                       "report")
-    _add_common(spans_parser)
+    _add_simulating(spans_parser, batch=False)
     add_scenario_flags(spans_parser)
     spans_parser.add_argument(
         "--join", action="store_true",
@@ -296,17 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain_parser = sub.add_parser(
         "explain", help="closed-form analytic energy derivation")
-    _add_common(explain_parser)
+    _add_measure(explain_parser)
     add_scenario_flags(explain_parser)
 
     baseline_parser = sub.add_parser(
         "baseline", help="model-fidelity ladder for a scenario")
-    _add_common(baseline_parser)
+    _add_measure(baseline_parser)
     add_scenario_flags(baseline_parser)
 
     interference_parser = sub.add_parser(
         "interference", help="two adjacent BANs on one channel")
-    _add_common(interference_parser)
+    _add_simulating(interference_parser, batch=False)
     interference_parser.add_argument(
         "--stagger-ms", type=float, default=7.5,
         help="offset between the BANs' beacon grids; 7.5 ms aligns "
@@ -315,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = sub.add_parser(
         "report", help="full reproduction report (tables + figure + "
                        "validation) to stdout or a file")
-    _add_common(report_parser)
+    _add_simulating(report_parser, batch=True)
     report_parser.add_argument("--out", metavar="PATH", default=None,
                                help="write the report to a file")
 
     sensitivity_parser = sub.add_parser(
         "sensitivity", help="calibration tornado analysis")
-    _add_common(sensitivity_parser)
+    _add_simulating(sensitivity_parser, batch=True)
     add_scenario_flags(sensitivity_parser)
     sensitivity_parser.add_argument(
         "--relative", type=float, default=0.10,
@@ -386,69 +365,52 @@ def _scenario_config(args: argparse.Namespace,
         mac=args.mac, app=args.app, num_nodes=args.nodes,
         cycle_ms=args.cycle_ms, slot_ms=args.slot_ms,
         sampling_hz=args.sampling_hz, heart_rate_bpm=args.heart_rate,
-        measure_s=args.measure_s, seed=args.seed, **extra)
+        measure_s=args.measure_s, **extra)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     obs = _Observability(args)
-    config = _scenario_config(args, join_protocol=args.join)
+    config = _scenario_config(args, seed=args.seed,
+                              join_protocol=args.join)
     scenario = BanScenario(
         config, trace=obs.make_trace(config.trace_capacity))
     try:
-        return _run_scenario_command(args, obs, scenario)
+        obs.attach(scenario.sim)
+        if obs.span_store is not None:
+            obs.attach_spans(scenario)
+        result = scenario.run()
+        obs.collect(scenario)
+        headers = ["node", "radio (mJ)", "uC (mJ)", "ASIC (mJ)",
+                   "total (mJ)", "avg power (mW)"]
+        rows = []
+        for node_id in sorted(result.nodes):
+            node = result.nodes[node_id]
+            rows.append((node_id, node.radio_mj, node.mcu_mj,
+                         node.asic_mj, node.total_with_asic_mj,
+                         node.total_with_asic_mj / node.horizon_s))
+        print(render_table(
+            headers, rows,
+            title=f"{args.app} over {args.mac} MAC, {args.nodes} nodes, "
+                  f"{args.measure_s:.0f} s"))
+        if args.losses:
+            print()
+            for node_id in sorted(result.nodes):
+                print(render_loss_breakdown(result.nodes[node_id]))
+                print()
+        obs.finish()
     finally:
         obs.close()
-
-
-def _run_scenario_command(args: argparse.Namespace, obs: _Observability,
-                          scenario: BanScenario) -> int:
-    obs.attach(scenario.sim, scenario)
-    if obs.span_store is not None:
-        obs.attach_spans(scenario)
-    probe = (WaveformProbe.attach_to_scenario(scenario)
-             if args.vcd else None)
-    result = scenario.run()
-    obs.collect(scenario)
-    headers = ["node", "radio (mJ)", "uC (mJ)", "ASIC (mJ)",
-               "total (mJ)", "avg power (mW)"]
-    rows = []
-    for node_id in sorted(result.nodes):
-        node = result.nodes[node_id]
-        rows.append((node_id, node.radio_mj, node.mcu_mj, node.asic_mj,
-                     node.total_with_asic_mj,
-                     node.total_with_asic_mj / node.horizon_s))
-    print(render_table(
-        headers, rows,
-        title=f"{args.app} over {args.mac} MAC, {args.nodes} nodes, "
-              f"{args.measure_s:.0f} s"))
-    if args.losses:
-        print()
-        for node_id in sorted(result.nodes):
-            print(render_loss_breakdown(result.nodes[node_id]))
-            print()
-    records = network_records(result)
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(to_csv(records))
-        print(f"wrote {args.csv}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(to_json(records))
-        print(f"wrote {args.json}")
-    if probe is not None:
-        probe.write_vcd(args.vcd)
-        print(f"wrote {args.vcd} ({len(probe.signals)} signals)")
-    obs.finish()
     return 0
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
     obs = _Observability(args)
-    config = _scenario_config(args, join_protocol=args.join)
+    config = _scenario_config(args, seed=args.seed,
+                              join_protocol=args.join)
     scenario = BanScenario(
         config, trace=obs.make_trace(config.trace_capacity))
     try:
-        obs.attach(scenario.sim, scenario)
+        obs.attach(scenario.sim)
         tracer = obs.attach_spans(scenario)
         scenario.run()
         obs.collect(scenario)
@@ -460,13 +422,11 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    _Observability(args).note_analytic()
     print(explain_analytic(_scenario_config(args)))
     return 0
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    _Observability(args).note_analytic()
     config = _scenario_config(args)
     rows = [(estimate.fidelity.value, estimate.radio_mj,
              estimate.mcu_mj, estimate.total_mj)
@@ -525,7 +485,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from .analysis.sensitivity import render_tornado, tornado
     obs = _Observability(args)
     executor = _executor_from_args(args, obs)
-    entries = tornado(_scenario_config(args), relative=args.relative,
+    entries = tornado(_scenario_config(args, seed=args.seed),
+                      relative=args.relative,
                       quantity=args.quantity, method=args.method,
                       executor=executor)
     print(f"Sensitivity of {args.quantity} energy "

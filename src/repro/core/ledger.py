@@ -131,7 +131,8 @@ class PowerStateLedger:
         self._transitions = 0
         self._closed = False
         #: Optional observer called as ``(time, state, tag)`` after every
-        #: transition — used by waveform exporters; None costs nothing.
+        #: transition — the tests record power-state timelines with it
+        #: (``tests/conftest.py``); None costs nothing.
         self.on_transition = None
         #: Planned ``(tick, (state, tag))`` transitions, in tick order.
         self._plans: List[Tuple[int, Tuple[str, str]]] = []

@@ -158,7 +158,7 @@ HANDLE_LIFECYCLE = LifecycleSpec(
     resource="sched-handle",
     module="sim/kernel.py",
     class_names=("Simulator",),
-    release=("cancel", "cancel_event"),
+    release=("cancel_event",),
     boundary=(("on_start", "on_stop"),),
     handle_factories=("every",),
     reschedule_factories=("at", "after"),

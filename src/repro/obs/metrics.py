@@ -3,9 +3,9 @@
 The paper's contribution is *accounting* — attributing every joule to a
 power state and a cause — yet the runtime only surfaced end-of-run
 totals.  :class:`MetricsRegistry` is the missing middle layer: a process
--local registry of **counters**, **gauges**, **histograms**,
-**state timers** (per-state residency/energy maps) and **series**
-(timestamped trajectories), each keyed by ``component/node/name``.
+-local registry of **counters**, **gauges**, **histograms** and
+**state timers** (per-state residency/energy maps), each keyed by
+``component/node/name``.
 
 Design constraints, in priority order:
 
@@ -17,12 +17,11 @@ Design constraints, in priority order:
    cannot perturb event order, RNG streams or energy figures either.
 2. **Mergeable.**  Worker processes build private registries and ship
    :meth:`MetricsRegistry.snapshot` dicts back; the parent merges them
-   with :meth:`MetricsRegistry.merge_snapshot`.  Counters, histograms,
-   state timers and series merge additively, so a ``--jobs N`` run
-   reports exactly the counters a sequential run does.
-3. **Exportable.**  :meth:`to_json` and :meth:`to_prometheus` render
-   the same snapshot as machine-readable JSON or Prometheus text
-   exposition format.
+   with :meth:`MetricsRegistry.merge_snapshot`.  Counters, histograms
+   and state timers merge additively, so a ``--jobs N`` run reports
+   exactly the counters a sequential run does.
+3. **Exportable.**  :meth:`to_json` renders the snapshot as JSON, the
+   file ``repro-ban --metrics`` writes.
 """
 
 from __future__ import annotations
@@ -139,30 +138,6 @@ class StateTimer:
         return sum(self.states.values())
 
 
-class Series:
-    """A bounded timestamped trajectory: ``(time_s, value)`` points.
-
-    Periodic on-sim-timer snapshots append here so long runs expose
-    *trajectories* (state of charge draining, queue depth breathing)
-    rather than only endpoints.
-    """
-
-    __slots__ = ("points", "capacity", "dropped")
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.points: List[Tuple[float, float]] = []
-        self.capacity = capacity
-        self.dropped = 0
-
-    def append(self, time_s: float, value: float) -> None:
-        """Append one sample, evicting the oldest past ``capacity``."""
-        self.points.append((time_s, value))
-        if self.capacity is not None and len(self.points) > self.capacity:
-            overflow = len(self.points) - self.capacity
-            del self.points[:overflow]
-            self.dropped += overflow
-
-
 class MetricsRegistry:
     """Keyed store of instruments with snapshot/merge/export.
 
@@ -177,7 +152,6 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._state_timers: Dict[str, StateTimer] = {}
-        self._series: Dict[str, Series] = {}
 
     # ------------------------------------------------------------------
     # Instrument access
@@ -216,19 +190,9 @@ class MetricsRegistry:
             instrument = self._state_timers[key] = StateTimer()
         return instrument
 
-    def series(self, component: str, node: str, name: str,
-               capacity: Optional[int] = None) -> Series:
-        """The series at ``component/node/name``."""
-        key = metric_key(component, node, name)
-        instrument = self._series.get(key)
-        if instrument is None:
-            instrument = self._series[key] = Series(capacity)
-        return instrument
-
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)
-                + len(self._histograms) + len(self._state_timers)
-                + len(self._series))
+                + len(self._histograms) + len(self._state_timers))
 
     # ------------------------------------------------------------------
     # Snapshot / merge
@@ -249,13 +213,11 @@ class MetricsRegistry:
             "state_timers": {key: dict(sorted(t.states.items()))
                              for key, t
                              in sorted(self._state_timers.items())},
-            "series": {key: [list(point) for point in s.points]
-                       for key, s in sorted(self._series.items())},
         }
 
     def merge_snapshot(self, snapshot: Dict[str, Dict]) -> None:
         """Fold a :meth:`snapshot` dict (e.g. from a worker) into this
-        registry: counters/histograms/state timers/series add, gauges
+        registry: counters/histograms/state timers add, gauges
         take the incoming value (last write wins).
         """
         for key, value in snapshot.get("counters", {}).items():
@@ -290,12 +252,6 @@ class MetricsRegistry:
             timer = self.state_timer(component, node, name)
             for state, amount in states.items():
                 timer.add(state, amount)
-        for key, points in snapshot.get("series", {}).items():
-            component, node, name = split_key(key)
-            series = self.series(component, node, name)
-            for time_s, value in points:
-                series.append(time_s, value)
-            series.points.sort(key=lambda point: point[0])
 
     # ------------------------------------------------------------------
     # Export
@@ -305,94 +261,7 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=indent,
                           sort_keys=True) + "\n"
 
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """The snapshot in Prometheus text exposition format.
 
-        Counters/gauges become ``<prefix>_<name>{component=...,node=...}``
-        samples; histograms emit ``_bucket``/``_sum``/``_count``
-        families; state timers emit one sample per state.  Series are
-        omitted (Prometheus scrapes are point-in-time).  Each metric
-        family gets one ``# HELP`` + ``# TYPE`` header (emitted before
-        its first sample, never repeated), and label values are escaped
-        per the exposition format (backslash, double quote, newline).
-        """
-        lines: List[str] = []
-        headed: Dict[str, str] = {}
-
-        def header(name: str, kind: str, help_text: str) -> None:
-            family = f"{prefix}_{_prom_name(name)}"
-            if family in headed:
-                return
-            headed[family] = kind
-            lines.append(f"# HELP {family} {_prom_escape(help_text)}")
-            lines.append(f"# TYPE {family} {kind}")
-
-        def sample(name: str, labels: Dict[str, str],
-                   value: object) -> str:
-            body = ",".join(f'{k}="{_prom_escape(v)}"'
-                            for k, v in labels.items())
-            return f"{prefix}_{_prom_name(name)}{{{body}}} {value}"
-
-        for key, counter in sorted(self._counters.items()):
-            component, node, name = split_key(key)
-            header(name, "counter",
-                   f"monotonic count '{name}' by component/node")
-            lines.append(sample(name, {"component": component,
-                                       "node": node}, counter.value))
-        for key, gauge in sorted(self._gauges.items()):
-            component, node, name = split_key(key)
-            header(name, "gauge",
-                   f"point-in-time value '{name}' by component/node")
-            lines.append(sample(name, {"component": component,
-                                       "node": node}, gauge.value))
-        for key, timer in sorted(self._state_timers.items()):
-            component, node, name = split_key(key)
-            header(name, "gauge",
-                   f"per-state accumulator '{name}' "
-                   "by component/node/state")
-            for state, amount in sorted(timer.states.items()):
-                lines.append(sample(name, {"component": component,
-                                           "node": node, "state": state},
-                                    amount))
-        for key, histogram in sorted(self._histograms.items()):
-            component, node, name = split_key(key)
-            header(name, "histogram",
-                   f"weighted distribution '{name}' by component/node")
-            cumulative = 0.0
-            for bound, weight in zip(histogram.bounds,
-                                     histogram.bucket_weights):
-                cumulative += weight
-                lines.append(sample(
-                    f"{name}_bucket",
-                    {"component": component, "node": node,
-                     "le": repr(bound)}, cumulative))
-            lines.append(sample(
-                f"{name}_bucket",
-                {"component": component, "node": node, "le": "+Inf"},
-                histogram.count))
-            lines.append(sample(f"{name}_sum",
-                                {"component": component, "node": node},
-                                histogram.total))
-            lines.append(sample(f"{name}_count",
-                                {"component": component, "node": node},
-                                histogram.count))
-        return "\n".join(lines) + "\n"
-
-
-def _prom_name(name: str) -> str:
-    """Sanitise a metric name for Prometheus (``[a-zA-Z0-9_]``)."""
-    return "".join(ch if ch.isalnum() or ch == "_" else "_"
-                   for ch in name)
-
-
-def _prom_escape(value: str) -> str:
-    """Escape a label value (or help text) for the exposition format:
-    backslash, double quote and newline must be backslash-escaped or
-    the line structure of the scrape breaks."""
-    return (value.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-__all__ = ["Counter", "Gauge", "Histogram", "StateTimer", "Series",
+__all__ = ["Counter", "Gauge", "Histogram", "StateTimer",
            "MetricsRegistry", "metric_key", "split_key", "GLOBAL",
            "DEFAULT_BUCKETS"]

@@ -1,9 +1,10 @@
-"""Pluggable structured trace sinks.
+"""The structured trace sink: a run's event trace as JSON Lines.
 
 The in-memory :class:`~repro.sim.trace.TraceRecorder` keeps trace
 records as Python objects — perfect for tests, useless for watching a
-long run or post-processing outside the process.  This module adds
-*sinks*: destinations a record is pushed to the moment it is recorded.
+long run or post-processing outside the process.  This module adds a
+*sink*: a destination each record is pushed to the moment it is
+recorded (``repro-ban run --trace-jsonl``).
 
 * :class:`JsonlTraceSink` streams records as JSON Lines — one
   self-describing object per line, parseable by anything.
@@ -22,19 +23,7 @@ from typing import IO, Iterable, List, Optional
 from ..sim.trace import TraceRecorder
 
 
-class TraceSink:
-    """Interface every sink implements.  Base methods are no-ops so
-    subclasses override only what they need."""
-
-    def emit(self, time: int, source: str, kind: str,
-             detail: str) -> None:
-        """Receive one trace record."""
-
-    def close(self) -> None:
-        """Flush and release any resources (idempotent)."""
-
-
-class JsonlTraceSink(TraceSink):
+class JsonlTraceSink:
     """Streams records to a file as JSON Lines.
 
     Each line is ``{"t": <ticks>, "source": ..., "kind": ...,
@@ -53,6 +42,7 @@ class JsonlTraceSink(TraceSink):
 
     def emit(self, time: int, source: str, kind: str,
              detail: str) -> None:
+        """Write one trace record as a line."""
         if self._handle is None:
             raise ValueError(f"sink for {self.path!r} is closed")
         self._handle.write(json.dumps(
@@ -61,6 +51,7 @@ class JsonlTraceSink(TraceSink):
         self.emitted += 1
 
     def close(self) -> None:
+        """Flush and close the file (idempotent)."""
         handle = self._handle
         if handle is None:
             return
@@ -80,33 +71,6 @@ class JsonlTraceSink(TraceSink):
         self.close()
 
 
-def read_jsonl_trace(path: str) -> List[dict]:
-    """Parse a :class:`JsonlTraceSink` file back into record dicts.
-
-    A truncated *final* line — the signature of an interrupted writer
-    (crash, kill, full disk) — is tolerated: instead of raising, the
-    returned list ends with a ``{"warning": "truncated final line
-    skipped", "raw": <text>}`` entry.  A malformed line with valid
-    records after it still raises: that is corruption, not truncation.
-    """
-    records: List[dict] = []
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    for index, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            records.append(json.loads(stripped))
-        except json.JSONDecodeError:
-            if any(rest.strip() for rest in lines[index + 1:]):
-                raise
-            records.append({"warning": "truncated final line skipped",
-                            "raw": stripped})
-            break
-    return records
-
-
 class SinkTraceRecorder(TraceRecorder):
     """A :class:`TraceRecorder` that also pushes records to sinks.
 
@@ -123,10 +87,10 @@ class SinkTraceRecorder(TraceRecorder):
             in-memory view is only for debugging.
     """
 
-    def __init__(self, sinks: Iterable[TraceSink],
+    def __init__(self, sinks: Iterable[JsonlTraceSink],
                  capacity: Optional[int] = None) -> None:
         super().__init__(capacity=capacity)
-        self.sinks: List[TraceSink] = list(sinks)
+        self.sinks: List[JsonlTraceSink] = list(sinks)
 
     def record(self, time: int, source: str, kind: str,
                detail: str) -> None:
@@ -140,5 +104,4 @@ class SinkTraceRecorder(TraceRecorder):
             sink.close()
 
 
-__all__ = ["TraceSink", "JsonlTraceSink", "SinkTraceRecorder",
-           "read_jsonl_trace"]
+__all__ = ["JsonlTraceSink", "SinkTraceRecorder"]

@@ -77,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..net.node import SensorNode
     from ..net.scenario import BanScenario
     from .metrics import MetricsRegistry
-    from .sinks import TraceSink
+    from .sinks import JsonlTraceSink
 
 #: Root span name (one per packet / control frame).
 ROOT = "packet"
@@ -608,8 +608,8 @@ def attach_span_tracer(scenario: "BanScenario",
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def spans_to_sink(store: SpanStore, sink: "TraceSink") -> int:
-    """Emit every span through the existing trace-sink protocol.
+def spans_to_sink(store: SpanStore, sink: "JsonlTraceSink") -> int:
+    """Emit every span as a trace record through ``sink``.
 
     Each span becomes one record: ``t`` = span start, ``source`` = the
     span's node, ``kind`` = ``"span"``, ``detail`` = the remaining

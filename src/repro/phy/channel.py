@@ -30,6 +30,7 @@ modelled as zero.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
 
@@ -87,6 +88,9 @@ class Channel:
         sim: simulation kernel (clock + RNG for the loss model).
         topology: reachability model; defaults to full connectivity.
         loss_model: per-link corruption model; defaults to perfect.
+            The channel draws on its own copy, so a model that counts
+            frames (:class:`~repro.phy.lossmodels.DeterministicLoss`)
+            counts each run from zero and the caller's is never written.
     """
 
     def __init__(self, sim: Simulator,
@@ -96,7 +100,7 @@ class Channel:
         self._sim = sim
         self.topology = topology if topology is not None \
             else FullConnectivity()
-        self.loss_model = loss_model if loss_model is not None \
+        self.loss_model = deepcopy(loss_model) if loss_model is not None \
             else PerfectChannel()
         self._trace = trace
         self._radios: Dict[str, "Nrf2401"] = {}

@@ -73,9 +73,11 @@ class DeterministicLoss(LossModel):
 
     Each (src, dst) link keeps an occurrence counter: the n-th call for
     that link (0-based) is corrupted iff ``n`` is in the link's drop
-    set.  This pins protocol recovery paths in tests — e.g. "drop
-    exactly the grant beacon" or "drop beacons 3..5 at node1" — with
-    the loss decision independent of RNG stream state.
+    set.  A channel counts on its own copy of the model, so each run
+    counts from zero and a config runs the same every time.  This pins
+    protocol recovery paths in tests — e.g. "drop exactly the grant
+    beacon" or "drop beacons 3..5 at node1" — with the loss decision
+    independent of RNG stream state.
 
     Args:
         drops: map from ``(src, dst)`` to the occurrence indices to
@@ -92,16 +94,12 @@ class DeterministicLoss(LossModel):
                         f"occurrence index for link {link} must be >= 0: {n}")
             self._drops[link] = indices
         self._seen: Dict[Tuple[str, str], int] = {}
-        self.dropped = 0
 
     def is_corrupted(self, rng: RngRegistry, src: str, dst: str,
                      frame_id: int) -> bool:
         occurrence = self._seen.get((src, dst), 0)
         self._seen[(src, dst)] = occurrence + 1
-        if occurrence in self._drops.get((src, dst), ()):
-            self.dropped += 1
-            return True
-        return False
+        return occurrence in self._drops.get((src, dst), ())
 
 
 __all__ = [

@@ -9,14 +9,7 @@ This package provides the event-driven core every other layer is built on:
 * :mod:`repro.sim.trace` — opt-in event tracing.
 """
 
-from .events import (
-    Event,
-    EventEntry,
-    EventQueue,
-    SimulationError,
-    cancel_event,
-    event_cancelled,
-)
+from .events import EventEntry, EventQueue, SimulationError, cancel_event
 from .kernel import Simulator
 from .rng import RngRegistry
 from .simtime import (
@@ -37,11 +30,9 @@ from .simtime import (
 from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
-    "Event",
     "EventEntry",
     "EventQueue",
     "cancel_event",
-    "event_cancelled",
     "SimulationError",
     "Simulator",
     "RngRegistry",

@@ -18,11 +18,12 @@ Design notes
   figures quietly wrong.
 * ``run_until`` has two dispatch loops, chosen once per run: a bare
   loop (the simulator's hottest code) and an observed loop.  Both
-  operate on the queue's raw heap of :class:`~repro.sim.events.Event`
-  entries (peek + pop fused into one pass, slots read by index).  Event
-  *order* is identical to the straightforward peek/pop formulation —
-  the heap key is still (time, seq) — so traces, goldens and energy
-  figures are byte-identical.
+  operate on the queue's raw heap of event entries
+  (:data:`~repro.sim.events.EventEntry`; peek + pop fused into one
+  pass, slots read by index).  Event *order* is identical to the
+  straightforward peek/pop formulation — the heap key is still
+  (time, seq) — so traces, goldens and energy figures are
+  byte-identical.
 * Observability is opt-in and branch-free on the hot path: assigning
   :attr:`Simulator.trace` (a :class:`~repro.sim.trace.TraceRecorder`)
   or :attr:`Simulator.profiler` (a

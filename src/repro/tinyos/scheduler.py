@@ -317,9 +317,9 @@ class TaskScheduler:
     # plans.  Not pure: it runs sample bodies, plans MCU transitions
     # and queues tasks, and raises where a read's same-tick order
     # against a fire is unknown.  It schedules no event.  Pinned so
-    # that readers of the ledger (periodic metrics snapshots, a timer
-    # reading energy mid-run), which must see every fire due, can read
-    # it.
+    # that readers of the ledger (the ``observe_metrics`` hooks, a
+    # timer reading energy mid-run), which must see every fire due,
+    # can read it.
     # effect: pure
     def _ledger_sync(self) -> None:
         self._sync()

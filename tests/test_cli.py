@@ -5,6 +5,22 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: Flags with their arguments ("PATH" stands for a scratch file).
+_SEED, _JOBS = ("--seed", "3"), ("--jobs", "2")
+_TRACE = ("--trace-jsonl", "PATH")
+_TELEMETRY = [("--metrics", "PATH"), _TRACE, ("--profile",),
+              ("--spans", "PATH"), ("--spans-perfetto", "PATH")]
+_BATCH = ("table1", "table2", "table3", "table4", "figure4", "validate",
+          "report", "sensitivity")
+
+#: (command, flag) pairs the command used to accept and ignore.
+IGNORED_FLAGS = (
+    [(command, flag) for command in ("explain", "baseline")
+     for flag in [_SEED, _JOBS, *_TELEMETRY]]
+    + [(command, _JOBS) for command in ("run", "spans", "interference")]
+    + [(command, _TRACE) for command in _BATCH])
+
+
 class TestParser:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -36,6 +52,21 @@ class TestParser:
     def test_invalid_mac_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--mac", "tokenring"])
+
+    @pytest.mark.parametrize("command,flag", IGNORED_FLAGS,
+                             ids=[f"{c}{f[0]}" for c, f in IGNORED_FLAGS])
+    def test_a_flag_the_command_ignores_is_rejected(self, command, flag,
+                                                    tmp_path, capsys):
+        """A command takes only the flags it honours: an analytic one
+        simulates nothing, a single-scenario one runs one scenario in
+        process, and a batch one writes no event trace."""
+        value = [str(tmp_path / "out") if v == "PATH" else v
+                 for v in flag[1:]]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--measure-s", "0.5", flag[0], *value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--jobs", "-1"]])
     def test_bad_executor_flag_is_a_usage_error(self, flags):
@@ -94,14 +125,3 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "Tornado" in out
         assert "radio_rx_current" in out
-
-    def test_run_exports(self, capsys, tmp_path):
-        csv_path = tmp_path / "nodes.csv"
-        json_path = tmp_path / "nodes.json"
-        vcd_path = tmp_path / "ban.vcd"
-        assert main(["run", "--nodes", "1", "--measure-s", "1",
-                     "--csv", str(csv_path), "--json", str(json_path),
-                     "--vcd", str(vcd_path)]) == 0
-        assert csv_path.read_text().startswith("node,")
-        assert '"node": "node1"' in json_path.read_text()
-        assert vcd_path.read_text().startswith("$date")

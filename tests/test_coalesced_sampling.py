@@ -28,8 +28,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "tools"))
 from determinism_check import station_digest, station_rows  # noqa: E402
 
+from conftest import record_ledger, record_timelines
 from repro.analysis.experiments import _TABLE_SPECS
-from repro.analysis.waveforms import WaveformProbe
 from repro.apps.base import SamplingApplication
 from repro.apps.ecg_streaming import StreamPayload
 from repro.apps.rpeak import RpeakApp
@@ -67,19 +67,14 @@ def _fingerprint(result: Any) -> str:
     return hashlib.sha256(config_fingerprint(result).encode()).hexdigest()
 
 
-def _timelines(probes: List[WaveformProbe]) -> List[Dict[str, Any]]:
-    return [{name: probe.timeline(name) for name in probe.signals}
-            for probe in probes]
-
-
 def _run_ban(config: BanScenarioConfig, per_sample: bool
              ) -> Tuple[str, Any, Any, int]:
     trace = TraceRecorder(capacity=1) if per_sample else None
     scenario = BanScenario(config, trace=trace)
-    probe = WaveformProbe.attach_to_scenario(scenario)
+    timelines = record_timelines(scenario)
     result = scenario.run()
-    return (_fingerprint(result), station_rows([scenario]),
-            _timelines([probe]), scenario.sim.events_dispatched)
+    return (_fingerprint(result), station_rows([scenario]), timelines,
+            scenario.sim.events_dispatched)
 
 
 @pytest.mark.parametrize("table_id,index,config", TABLE_ROWS,
@@ -107,11 +102,10 @@ def _ward(per_sample: bool) -> MultiBanScenario:
 def test_ward_is_bit_identical():
     def run(per_sample: bool) -> Tuple[str, Any, Any, int]:
         ward = _ward(per_sample)
-        probes = [WaveformProbe.attach_to_scenario(ban)
-                  for ban in ward.bans]
+        timelines = [record_timelines(ban) for ban in ward.bans]
         results = ward.run()
         return (_fingerprint(results), station_rows(ward.bans),
-                _timelines(probes), ward.sim.events_dispatched)
+                timelines, ward.sim.events_dispatched)
 
     coalesced, reference = run(False), run(True)
     assert coalesced[:3] == reference[:3]
@@ -304,7 +298,7 @@ class _MacStub(Component):
 
 class _Rig:
     """One sampling node; ``per_sample`` puts a trace on the kernel,
-    ``probe`` a waveform probe on the MCU ledger (an observer, so the
+    ``probe`` records the MCU ledger's timeline (an observer, so the
     grid books every fire one by one), and ``start`` starts the app
     (False: the test starts it)."""
 
@@ -327,9 +321,8 @@ class _Rig:
         self.log: List[Any] = []
         self.app = _RecordingApp(self.node, self.mac, self.log)
         self.node.install_app(self.app)
-        self.probe = WaveformProbe()
-        if probe:
-            self.probe.attach("mcu", self.node.mcu.ledger)
+        self.timeline = (record_ledger(self.node.mcu.ledger) if probe
+                         else None)
         if start:
             self.app.start()
 
@@ -358,9 +351,7 @@ class _Rig:
         # its tick, so the log compares in simulated-time order.
         mcu = self.node.mcu
         log = sorted(self.log, key=lambda entry: entry[1])
-        timeline = (self.probe.timeline("mcu")
-                    if "mcu" in self.probe.signals else None)
-        return (log, timeline, mcu.wakeups,
+        return (log, self.timeline, mcu.wakeups,
                 mcu.cycles_executed, self.node.scheduler.tasks_run,
                 self.app.samples_taken, mcu.ledger.energy_j(),
                 dict(mcu.ledger.energy_by_tag()), self.node.asic.reads,
@@ -1142,8 +1133,8 @@ def _ledger_reads(rig: _Rig, due: List[int]) -> List[Any]:
 
 def test_fires_booked_in_bulk_read_as_booked_at_their_ticks(monkeypatch):
     """Each read finds several fires due and books them then, one by
-    one, at their ticks (the rig's probe is an observer, so no fire is
-    counted).  Every read sees the same per-(state, tag)
+    one, at their ticks (the rig records the MCU timeline, an observer,
+    so no fire is counted).  Every read sees the same per-(state, tag)
     ticks in the same key order, transitions, state and tag as the
     per-task chain, which fires a kernel timer at every tick, and as a
     ledger that books every due plan at each state read."""
@@ -1157,8 +1148,7 @@ def test_fires_booked_in_bulk_read_as_booked_at_their_ticks(monkeypatch):
     eager_due: List[int] = []
     eager_reads = _ledger_reads(eager, eager_due)
     assert bulk_reads == eager_reads == reference_reads
-    assert bulk.probe.timeline("mcu") == eager.probe.timeline("mcu") \
-        == reference.probe.timeline("mcu")
+    assert bulk.timeline == eager.timeline == reference.timeline
     assert bulk.outcome() == eager.outcome() == reference.outcome()
     # Each read found several fires due and booked them at once.
     assert bulk_due == eager_due

@@ -4,52 +4,50 @@ import pytest
 
 from repro.obs.profiler import SimulationProfiler
 from repro.sim.events import (
-    EVT_LABEL,
+    EVT_CANCELLED,
     EVT_SEQ,
     EVT_STAMP,
-    Event,
     EventQueue,
     SimulationError,
     cancel_event,
-    event_cancelled,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
 
+def _dispatch_order(schedule) -> list:
+    """Labels in the order the simulator dispatches what ``schedule``
+    scheduled on it through ``Simulator.at``."""
+    sim = Simulator()
+    order = []
+
+    def at(time, label):
+        return sim.at(time, lambda: order.append(label), label)
+
+    schedule(at)
+    sim.run_until(10_000)
+    return order
+
+
 class TestEventQueue:
     def test_pop_in_time_order(self):
-        queue = EventQueue()
-        queue.push(30, lambda: None, "c")
-        queue.push(10, lambda: None, "a")
-        queue.push(20, lambda: None, "b")
-        assert [queue.pop()[EVT_LABEL] for _ in range(3)] == ["a", "b", "c"]
+        def schedule(at):
+            at(30, "c")
+            at(10, "a")
+            at(20, "b")
+        assert _dispatch_order(schedule) == ["a", "b", "c"]
 
     def test_same_time_is_fifo(self):
-        queue = EventQueue()
-        for label in "abcde":
-            queue.push(5, lambda: None, label)
-        assert [queue.pop()[EVT_LABEL] for _ in range(5)] == list("abcde")
-
-    def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
+        def schedule(at):
+            for label in "abcde":
+                at(5, label)
+        assert _dispatch_order(schedule) == list("abcde")
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        first = queue.push(1, lambda: None, "dead")
-        queue.push(2, lambda: None, "alive")
-        cancel_event(first)
-        assert queue.pop()[EVT_LABEL] == "alive"
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1, lambda: None, "dead")
-        queue.push(7, lambda: None, "alive")
-        cancel_event(first)
-        assert queue.peek_time() == 7
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+        def schedule(at):
+            cancel_event(at(1, "dead"))
+            at(2, "alive")
+        assert _dispatch_order(schedule) == ["alive"]
 
     def test_len_counts_entries(self):
         queue = EventQueue()
@@ -72,35 +70,12 @@ class TestEventQueue:
             cancel_event(entry)
         assert len(queue) == 0
 
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(1, lambda: None)
-        queue.clear()
-        assert queue.pop() is None
-
     def test_cancel_event_flag(self):
         queue = EventQueue()
         entry = queue.push(1, lambda: None)
-        assert not event_cancelled(entry)
+        assert not entry[EVT_CANCELLED]
         cancel_event(entry)
-        assert event_cancelled(entry)
-
-    def test_event_view_cancel_flag(self):
-        event = Event(time=0, seq=0, callback=lambda: None)
-        assert not event.cancelled
-        event.cancel()
-        assert event.cancelled
-
-    def test_event_view_is_valid_heap_entry(self):
-        # Event instances and raw entries share one layout, so a view
-        # pushed by hand interoperates with raw entries on the heap.
-        from heapq import heappush
-
-        queue = EventQueue()
-        queue.push(5, lambda: None, "raw")
-        heappush(queue._heap, Event(3, -1, lambda: None, "view"))
-        assert queue.pop()[EVT_LABEL] == "view"
-        assert queue.pop()[EVT_LABEL] == "raw"
+        assert entry[EVT_CANCELLED]
 
 
 class TestSimulatorScheduling:
@@ -245,7 +220,6 @@ class TestSimulatorScheduling:
         assert seen == [(5, "every", 0), (7, "soon", 7), (10, "after", 7),
                         (15, "every", 5), (25, "every", 15)]
         assert periodic[EVT_STAMP] == 25 and periodic[0] == 35
-        assert Event(4, 0, lambda: None).stamp == 4
 
     def test_marks_order_entries_scheduled_at_one_tick(self):
         """Entries scheduled at one tick order against a mark taken

@@ -10,7 +10,7 @@ The two load-bearing contracts:
   the counters the sequential path reports.
 
 Plus the satellites that ride along: the JSONL sink round-trip, the
-profiler's attribution floor, the O(1) trace eviction, the Prometheus
+profiler's attribution floor, the O(1) trace eviction, the JSON
 exporter and the CLI flags.
 """
 
@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from conftest import read_jsonl
 from repro.cli import main
 from repro.exec import ScenarioExecutor
 from repro.net.scenario import BanScenario, BanScenarioConfig
@@ -28,11 +29,9 @@ from repro.obs import (
     MetricsRegistry,
     SimulationProfiler,
     SinkTraceRecorder,
-    attach_periodic_snapshots,
     collect_scenario_metrics,
     collect_simulator_metrics,
     normalize_label,
-    read_jsonl_trace,
 )
 from repro.sim.trace import TraceRecorder
 
@@ -60,7 +59,7 @@ def _energies(result):
 class TestDisabledPathNeutrality:
     def test_attached_registry_changes_nothing(self):
         """Same config, with and without a registry: byte-identical
-        energies and identical event counts (no snapshotter armed)."""
+        energies and identical event counts."""
         plain = BanScenario(_config())
         plain_result = plain.run()
 
@@ -82,24 +81,6 @@ class TestDisabledPathNeutrality:
         profiled = BanScenario(_config())
         profiled.sim.profiler = SimulationProfiler()
         assert _energies(profiled.run()) == _energies(plain_result)
-
-    def test_periodic_snapshots_change_no_energies(self):
-        """Snapshotter callbacks only read: energies stay identical
-        even though the kernel dispatches its extra timer events."""
-        plain = BanScenario(_config())
-        plain_result = plain.run()
-        observed = BanScenario(_config())
-        registry = MetricsRegistry()
-        snapshotter = attach_periodic_snapshots(
-            observed.sim, registry, scenario=observed, period_s=0.1)
-        observed_result = observed.run()
-        assert _energies(observed_result) == _energies(plain_result)
-        assert snapshotter.samples > 0
-        series = registry.snapshot()["series"]
-        assert len(series["kernel/-/queue_depth"]) == snapshotter.samples
-        energy_points = series["radio/node1/energy_mj"]
-        values = [value for _, value in energy_points]
-        assert values == sorted(values)  # cumulative energy grows
 
     def test_registry_collects_radio_mac_figures(self):
         scenario = BanScenario(_config())
@@ -173,7 +154,7 @@ class TestTraceSinks:
         recorder.record(20, "node1.radio", "rx", "frame 2")
         recorder.record(30, "node1.mac", "sync", "")
         recorder.close()
-        records = read_jsonl_trace(str(path))
+        records = read_jsonl(path)
         assert [r["t"] for r in records] == [10, 20, 30]
         assert records[2]["source"] == "node1.mac"
         # The in-memory view honoured its capacity independently.
@@ -197,7 +178,7 @@ class TestTraceSinks:
             _config(), trace=SinkTraceRecorder([sink]))
         scenario.run()
         sink.close()
-        records = read_jsonl_trace(str(path))
+        records = read_jsonl(path)
         assert records
         times = [record["t"] for record in records]
         assert times == sorted(times)
@@ -249,16 +230,6 @@ class TestExporters:
                              "residency_s").add("rx", 1.5)
         return registry
 
-    def test_prometheus_format(self):
-        text = self._populated().to_prometheus()
-        assert '# TYPE repro_data_sent counter' in text
-        assert ('repro_data_sent{component="mac",node="node1"} 4'
-                in text)
-        assert ('repro_residency_s{component="radio",node="node1",'
-                'state="rx"} 1.5' in text)
-        assert 'repro_scenario_wall_s_bucket' in text
-        assert 'repro_scenario_wall_s_count' in text
-
     def test_json_round_trip(self):
         registry = self._populated()
         decoded = json.loads(registry.to_json())
@@ -273,24 +244,13 @@ class TestCliFlags:
         metrics_path = tmp_path / "m.json"
         trace_path = tmp_path / "t.jsonl"
         code = main(["run", "--app", "rpeak", "--nodes", "2",
-                     "--measure-s", "1", "--jobs", "2",
+                     "--measure-s", "1",
                      "--metrics", str(metrics_path),
-                     "--trace-jsonl", str(trace_path),
-                     "--metrics-period", "0.25", "--profile"])
+                     "--trace-jsonl", str(trace_path), "--profile"])
         assert code == 0
         out = capsys.readouterr().out
         assert "(kernel dispatch)" in out
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["counters"]["kernel/-/events_dispatched"] > 0
         assert snapshot["counters"]["mac/base_station/beacons_sent"] > 0
-        assert snapshot["series"]["kernel/-/queue_depth"]
-        assert read_jsonl_trace(str(trace_path))
-
-    def test_prom_extension_selects_prometheus(self, tmp_path):
-        metrics_path = tmp_path / "m.prom"
-        code = main(["run", "--app", "rpeak", "--nodes", "1",
-                     "--measure-s", "1",
-                     "--metrics", str(metrics_path)])
-        assert code == 0
-        assert "# TYPE repro_events_dispatched counter" \
-            in metrics_path.read_text()
+        assert read_jsonl(trace_path)

@@ -2,8 +2,6 @@
 invariants: the ledger, the event queue, 12-bit packing, slot schedules,
 sync policies and the ECG generator."""
 
-import heapq
-
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.ecg_streaming import pack_codes, unpack_codes
@@ -15,7 +13,6 @@ from repro.mac.slots import (
     static_slot_offset,
 )
 from repro.mac.sync import CycleProportionalLead, DriftTrackingLead
-from repro.sim.events import EVT_LABEL, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.simtime import bits_duration
 from repro.signals.ecg import SyntheticEcg
@@ -90,23 +87,16 @@ class TestEventQueueProperties:
     @given(st.lists(st.integers(min_value=0, max_value=10_000),
                     min_size=0, max_size=200))
     def test_pop_order_matches_stable_sort(self, times):
-        queue = EventQueue()
+        """The simulator dispatches in (time, scheduling order)."""
+        sim = Simulator()
+        dispatched = []
         for index, time in enumerate(times):
-            queue.push(time, lambda: None, label=str(index))
-        expected = [str(i) for _, i in
-                    sorted((t, i) for i, t in enumerate(times))]
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event[EVT_LABEL])
-        assert popped == expected
-        # sanity: heapq agrees with sorted on the keyed pairs
-        keyed = [(t, i) for i, t in enumerate(times)]
-        heapq.heapify(keyed)
-        assert sorted(keyed) == sorted((t, i)
-                                       for i, t in enumerate(times))
+            sim.at(time, lambda index=index: dispatched.append(index),
+                   label=str(index))
+        sim.run_until(10_000)
+        expected = [i for _, i in sorted((t, i) for i, t in
+                                         enumerate(times))]
+        assert dispatched == expected
 
 
 class TestSlotProperties:

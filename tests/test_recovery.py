@@ -10,11 +10,13 @@ frames, pinning the missed-beacon paths without RNG coupling:
 * the lost-grant-beacon path of the join protocol (no double
   allocation, the node still joins);
 * lost slot requests, retried until the node joins;
-* the ``sync_anomalies`` trap replacing the old silent clamp.
+* the ``sync_anomalies`` trap replacing the old silent clamp;
+* repeat runs of one lossy config object, which must be equal.
 """
 
 import pytest
 
+from repro.exec import ScenarioExecutor
 from repro.mac.sync import CycleProportionalLead, DriftTrackingLead, \
     FixedLead
 from repro.net.scenario import BanScenario, BanScenarioConfig
@@ -77,6 +79,23 @@ class TestReacquisition:
         assert mac.counters.resyncs >= 1   # demoted to ACQUIRING
         assert mac.counters.recoveries >= 1  # ... and re-synced
         assert mac.is_synced
+
+
+class TestRepeatRuns:
+    def test_a_lossy_config_runs_the_same_every_time(self):
+        """Each channel counts a link's frames from zero: the config's
+        model keeps no count from one run to the next, in process or
+        in a worker."""
+        config = _config(loss_model=_beacon_drops(20, 21, 22, 23))
+        first = BanScenario(config)
+        result = first.run()
+        second = BanScenario(config)
+        assert second.run() == result
+        assert second.nodes[0].mac.counters.beacons_missed \
+            == first.nodes[0].mac.counters.beacons_missed == 3
+        sequential = ScenarioExecutor(jobs=1).run_configs([config, config])
+        pooled = ScenarioExecutor(jobs=2).run_configs([config, config])
+        assert sequential == pooled == [result, result]
 
 
 class TestGrantBeaconLoss:

@@ -13,10 +13,9 @@ The load-bearing contracts, in order of importance:
   ``PowerStateLedger`` TX total (settle/air/tail partition the TX
   ticks); RX/MCU-active coverage is partial but positive.
 
-Plus the exporters (JSONL via the sink protocol, Perfetto trace_event
-JSON), the metrics rollups, the attribution report and the CLI
-surface.  The Prometheus-polish and sink-robustness satellites from
-the same PR are covered here too.
+Plus the exporters (JSONL through the trace sink, Perfetto
+trace_event JSON), the metrics rollups, the attribution report, the
+CLI surface and the sink's flush on exceptional unwind.
 """
 
 import hashlib
@@ -24,6 +23,7 @@ import json
 
 import pytest
 
+from conftest import read_jsonl
 from repro.cli import main
 from repro.exec import ScenarioExecutor
 from repro.net.scenario import BanScenario, BanScenarioConfig
@@ -35,7 +35,6 @@ from repro.obs import (
     SpanTracer,
     attach_span_tracer,
     attribution_report,
-    read_jsonl_trace,
     reconcile_spans,
     rollup_spans,
     to_perfetto,
@@ -289,7 +288,7 @@ class TestExporters:
         path = tmp_path / "spans.jsonl"
         count = write_spans_jsonl(tracer.store, str(path))
         assert count == len(tracer.store)
-        records = read_jsonl_trace(str(path))
+        records = read_jsonl(path)
         assert len(records) == count
         first = records[0]
         assert first["kind"] == "span"
@@ -354,7 +353,7 @@ class TestSpansCli:
                      "--spans", str(jsonl),
                      "--spans-perfetto", str(perfetto),
                      "--metrics", str(metrics)]) == 0
-        assert read_jsonl_trace(str(jsonl))
+        assert read_jsonl(jsonl)
         assert json.loads(perfetto.read_text())["traceEvents"]
         snapshot = json.loads(metrics.read_text())
         assert any(key.startswith("spans/")
@@ -364,69 +363,20 @@ class TestSpansCli:
         jsonl = tmp_path / "t1.jsonl"
         assert main(["table1", "--measure-s", "1", "--jobs", "2",
                      "--spans", str(jsonl)]) == 0
-        assert read_jsonl_trace(str(jsonl))
-
-
-# ----------------------------------------------------------------------
-# Satellite: Prometheus polish
-# ----------------------------------------------------------------------
-class TestPrometheusPolish:
-    def test_help_and_type_once_per_family(self):
-        registry = MetricsRegistry()
-        registry.counter("mac", "node1", "collisions").inc()
-        registry.counter("mac", "node2", "collisions").inc()
-        registry.histogram("spans", "node1", "latency_ms",
-                           bounds=(1.0,)).observe(0.5)
-        registry.histogram("spans", "node2", "latency_ms",
-                           bounds=(1.0,)).observe(2.0)
-        text = registry.to_prometheus()
-        assert text.count("# TYPE repro_collisions counter") == 1
-        assert text.count("# HELP repro_collisions ") == 1
-        assert text.count("# TYPE repro_latency_ms histogram") == 1
-        # HELP precedes TYPE, which precedes the first sample
-        lines = text.splitlines()
-        help_at = lines.index(next(l for l in lines
-                                   if l.startswith("# HELP repro_collisions")))
-        type_at = lines.index("# TYPE repro_collisions counter")
-        sample_at = lines.index(next(l for l in lines
-                                     if l.startswith("repro_collisions{")))
-        assert help_at < type_at < sample_at
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.gauge("hw", 'no"de\n\\x', "soc").set(1.0)
-        text = registry.to_prometheus()
-        assert 'node="no\\"de\\n\\\\x"' in text
-        # the raw specials never appear unescaped inside a label value
-        assert "\n\\x" not in text.replace("\\n", "")
+        assert read_jsonl(jsonl)
 
 
 # ----------------------------------------------------------------------
 # Satellite: sink robustness
 # ----------------------------------------------------------------------
 class TestSinkRobustness:
-    def test_truncated_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "trunc.jsonl"
-        path.write_text('{"t": 1, "source": "a", "kind": "k", '
-                        '"detail": "d"}\n{"t": 2, "sou')
-        records = read_jsonl_trace(str(path))
-        assert records[0]["t"] == 1
-        assert records[1]["warning"] == "truncated final line skipped"
-        assert records[1]["raw"].startswith('{"t": 2')
-
-    def test_mid_file_corruption_still_raises(self, tmp_path):
-        path = tmp_path / "corrupt.jsonl"
-        path.write_text('garbage\n{"t": 1}\n')
-        with pytest.raises(json.JSONDecodeError):
-            read_jsonl_trace(str(path))
-
     def test_close_flushes_on_exceptional_unwind(self, tmp_path):
         path = tmp_path / "unwind.jsonl"
         with pytest.raises(RuntimeError):
             with JsonlTraceSink(str(path)) as sink:
                 sink.emit(5, "x", "k", "d")
                 raise RuntimeError("boom")
-        records = read_jsonl_trace(str(path))
+        records = read_jsonl(path)
         assert records == [{"t": 5, "source": "x", "kind": "k",
                             "detail": "d"}]
 

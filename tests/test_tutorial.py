@@ -83,18 +83,17 @@ class TestTutorialSnippets:
         from repro.net import BanScenario, BanScenarioConfig
         from repro.phy.lossmodels import DeterministicLoss
 
-        def lossy_config():
-            loss = DeterministicLoss(
-                {("base_station", "node1"): (20, 21, 22, 23)})
-            return BanScenarioConfig(mac="static", app="ecg_streaming",
-                                     num_nodes=1, cycle_ms=30.0,
-                                     measure_s=2.0, seed=3,
-                                     loss_model=loss)
+        loss = DeterministicLoss(
+            {("base_station", "node1"): (20, 21, 22, 23)})
+        config = BanScenarioConfig(mac="static", app="ecg_streaming",
+                                   num_nodes=1, cycle_ms=30.0,
+                                   measure_s=2.0, seed=3,
+                                   loss_model=loss)
 
-        scenario = BanScenario(lossy_config())
+        scenario = BanScenario(config)
         result = scenario.run()
 
         mac = scenario.nodes[0].mac
         assert mac.counters.resyncs >= 1
         assert mac.is_synced
-        assert BanScenario(lossy_config()).run() == result
+        assert BanScenario(config).run() == result

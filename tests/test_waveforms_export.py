@@ -1,56 +1,48 @@
-"""Tests for waveform probing / VCD export and result exporters."""
+"""Power-state waveforms: the exact RX, TX and MCU-active windows a
+scenario's ledgers record, checked against the calibrated timing."""
 
-import io
-import json
+from typing import List, Tuple
 
 import pytest
 
-from conftest import quick_config
-from repro.analysis.experiments import reproduce_table3
-from repro.analysis.export import (
-    experiment_records,
-    network_records,
-    to_csv,
-    to_json,
-)
-from repro.analysis.waveforms import WaveformProbe
+from conftest import Timeline, quick_config, record_timelines
 from repro.net.scenario import BanScenario
-from repro.sim.simtime import microseconds, milliseconds, seconds
+from repro.sim.simtime import microseconds, seconds
+
+
+def intervals(timeline: Timeline, state: str,
+              end_time: int) -> List[Tuple[int, int]]:
+    """The ``[start, end)`` stretches a timeline spent in ``state``
+    (re-tags inside the state do not split one), the last one closed
+    at ``end_time``; empty stretches are dropped."""
+    out = []
+    start = None
+    for time, current, _ in timeline:
+        if start is not None and current != state:
+            out.append((start, time))
+            start = None
+        elif start is None and current == state:
+            start = time
+    if start is not None:
+        out.append((start, end_time))
+    return [(a, b) for a, b in out if b > a]
 
 
 @pytest.fixture(scope="module")
 def probed_run():
     scenario = BanScenario(quick_config(num_nodes=2, measure_s=2.0))
-    probe = WaveformProbe.attach_to_scenario(scenario)
+    timelines = record_timelines(scenario)
     result = scenario.run()
-    return scenario, probe, result
+    return scenario, timelines, result
 
 
 class TestWaveformProbe:
-    def test_signals_enumerated(self, probed_run):
-        _, probe, _ = probed_run
-        assert "node1.radio" in probe.signals
-        assert "node2.mcu" in probe.signals
-        assert "base_station.radio" in probe.signals
-
-    def test_unknown_signal_raises(self, probed_run):
-        _, probe, _ = probed_run
-        with pytest.raises(KeyError):
-            probe.timeline("nope")
-        with pytest.raises(KeyError):
-            probe.intervals("nope", "rx")
-
-    def test_duplicate_attach_rejected(self, probed_run):
-        scenario, probe, _ = probed_run
-        with pytest.raises(ValueError):
-            probe.attach("node1.radio", scenario.nodes[0].radio.ledger)
-
     def test_rx_windows_have_calibrated_length(self, probed_run):
-        """The probe exposes exact RX intervals: steady-state windows
+        """The ledger records exact RX intervals: steady-state windows
         must equal lead + beacon airtime + RX tail."""
-        scenario, probe, _ = probed_run
+        scenario, timelines, _ = probed_run
         end = scenario.sim.now
-        windows = probe.intervals("node1.radio", "rx", end_time=end)
+        windows = intervals(timelines["node1.radio"], "rx", end)
         assert len(windows) > 50
         cal = scenario.config.calibration
         expected = seconds(cal.sync.static_lead_s) \
@@ -64,86 +56,24 @@ class TestWaveformProbe:
             assert stop - start == pytest.approx(expected, abs=10_000)
 
     def test_tx_events_match_packet_count(self, probed_run):
-        scenario, probe, result = probed_run
+        scenario, timelines, result = probed_run
         end = scenario.sim.now
-        tx = probe.intervals("node1.radio", "tx", end_time=end)
+        tx = intervals(timelines["node1.radio"], "tx", end)
         # Warm-up packets included in the waveform; at least the
         # measured count must be present.
         assert len(tx) >= result.node("node1").traffic.data_tx
 
     def test_tx_windows_are_485us(self, probed_run):
-        scenario, probe, _ = probed_run
+        scenario, timelines, _ = probed_run
         end = scenario.sim.now
-        for start, stop in probe.intervals("node1.radio", "tx",
-                                           end_time=end)[:20]:
+        for start, stop in intervals(timelines["node1.radio"], "tx",
+                                     end)[:20]:
             assert stop - start == microseconds(485)
 
     def test_mcu_duty_cycle_from_waveform(self, probed_run):
-        scenario, probe, _ = probed_run
+        scenario, timelines, _ = probed_run
         end = scenario.sim.now
         active = sum(stop - start for start, stop in
-                     probe.intervals("node1.mcu", "active", end_time=end))
+                     intervals(timelines["node1.mcu"], "active", end))
         # Streaming at 30 ms: ~21-23% active duty.
         assert 0.15 < active / end < 0.30
-
-    def test_vcd_structure(self, probed_run):
-        _, probe, _ = probed_run
-        buffer = io.StringIO()
-        probe.write_vcd(buffer)
-        text = buffer.getvalue()
-        assert text.startswith("$date")
-        assert "$timescale 1 ns $end" in text
-        assert "$var string 1" in text
-        assert "node1_radio" in text
-        assert "$enddefinitions $end" in text
-        # Time markers are monotonically non-decreasing.
-        times = [int(line[1:]) for line in text.splitlines()
-                 if line.startswith("#")]
-        assert times == sorted(times)
-        assert any(line.startswith("srx") for line in text.splitlines())
-
-    def test_vcd_to_file(self, probed_run, tmp_path):
-        _, probe, _ = probed_run
-        path = tmp_path / "ban.vcd"
-        probe.write_vcd(path)
-        assert path.read_text().startswith("$date")
-
-
-class TestExport:
-    def test_network_records_shape(self, probed_run):
-        _, _, result = probed_run
-        records = network_records(result)
-        assert len(records) == 3  # 2 nodes + base station
-        first = records[0]
-        assert {"node", "radio_mj", "mcu_mj", "loss_idle_listening_mj",
-                "data_tx"} <= set(first)
-
-    def test_network_records_without_bs(self, probed_run):
-        _, _, result = probed_run
-        assert len(network_records(result,
-                                   include_base_station=False)) == 2
-
-    def test_csv_roundtrip_columns(self, probed_run):
-        _, _, result = probed_run
-        records = network_records(result)
-        csv = to_csv(records)
-        lines = csv.strip().splitlines()
-        assert len(lines) == len(records) + 1
-        assert lines[0].split(",")[0] == "node"
-        assert all(len(line.split(",")) == len(records[0])
-                   for line in lines)
-
-    def test_csv_empty(self):
-        assert to_csv([]) == ""
-
-    def test_json_parses(self, probed_run):
-        _, _, result = probed_run
-        parsed = json.loads(to_json(network_records(result)))
-        assert parsed[0]["radio_mj"] > 0
-
-    def test_experiment_records(self):
-        table = reproduce_table3(measure_s=2.0)
-        records = experiment_records(table)
-        assert len(records) == 4
-        assert records[0]["table"] == "table3"
-        assert 0 <= records[0]["radio_err_vs_real"] < 0.2

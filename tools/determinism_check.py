@@ -65,7 +65,10 @@ samples fast enough that a fire lands inside every beacon processing
 task, one skews its crystals so far that its slot posts land on fire
 ticks, and a dynamic-TDMA R-peak reference config and a dynamic-TDMA
 ECG streaming config sample so fast that fires land in coalesced
-tasks and queue behind real dispatches.
+tasks and queue behind real dispatches.  The tutorial's lost-beacons
+config drops exact frames with a ``DeterministicLoss``, whose
+per-link counts must start from zero in every run of the one config
+object that checks 1 and 2 run repeatedly.
 
 Fingerprints are SHA-256 over the canonical dataclass encoding
 (:func:`repro.exec.cache.config_fingerprint`), so "equal" means equal
@@ -96,7 +99,7 @@ from repro.exec.cache import config_fingerprint
 from repro.mac.sync import FixedLead
 from repro.net import BanScenario, BanScenarioConfig
 from repro.obs import MetricsRegistry, SpanStore, attach_span_tracer
-from repro.phy.lossmodels import UniformLoss
+from repro.phy.lossmodels import DeterministicLoss, UniformLoss
 from repro.phy.topology import BodyTopology, Position
 from repro.sim.simtime import microseconds
 from repro.sim.trace import TraceRecorder
@@ -180,17 +183,31 @@ def dynamic_streaming_busy_config() -> BanScenarioConfig:
     return replace(config, sampling_hz=1370.0, slot_ms=7.0)
 
 
+def lost_beacons_config() -> BanScenarioConfig:
+    """The tutorial's lossy config (docs/tutorial.md, section 7): the
+    20th to 23rd base-station frames to node1 are lost, so it misses
+    three beacons, falls back to acquisition and resyncs.  Its
+    ``DeterministicLoss`` counts each link's frames, so every check
+    that runs this one object more than once shows whether a run
+    starts that count from zero."""
+    loss = DeterministicLoss({("base_station", "node1"): (20, 21, 22, 23)})
+    return BanScenarioConfig(mac="static", app="ecg_streaming",
+                             num_nodes=1, cycle_ms=30.0, measure_s=2.0,
+                             seed=3, loss_model=loss)
+
+
 def checked_configs() -> List[BanScenarioConfig]:
     """What checks 1-6 run: the reference configs, the hidden-terminal
-    config, and four configs whose sampling fires meet other work:
+    config, four configs whose sampling fires meet other work:
     inside beacon processing (ECG streaming and R-peak), at the tick of
     a slot post, and inside and behind dynamic-TDMA packet tasks (ECG
-    streaming)."""
+    streaming); and the lost-beacons config."""
     return reference_configs() + [hidden_terminal_config(),
                                   beacon_window_config(),
                                   rpeak_beacon_window_config(),
                                   skew_beyond_guard_config(),
-                                  dynamic_streaming_busy_config()]
+                                  dynamic_streaming_busy_config(),
+                                  lost_beacons_config()]
 
 
 def result_fingerprint(result: Any) -> str:
